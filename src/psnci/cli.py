@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .errors import PhaseSpaceError, StateFormatError
-from .grids import PhaseGrid
+from .grids import DEFAULT_TWO_MODE_EXTENT, DEFAULT_TWO_MODE_POINTS, PhaseGrid
 from .indicators import (
     delta_indicator,
     eta_indicator,
@@ -215,8 +215,8 @@ def _cmd_sweep_a(args) -> int:
     a_sq = np.linspace(0.0, 1.0, args.steps).tolist() if args.steps > 1 else [0.5]
     grid = None
     if args.extent is not None or args.points is not None:
-        extent = args.extent if args.extent is not None else 6.0
-        points = args.points if args.points is not None else 121
+        extent = args.extent if args.extent is not None else DEFAULT_TWO_MODE_EXTENT
+        points = args.points if args.points is not None else DEFAULT_TWO_MODE_POINTS
         grid = PhaseGrid.two_mode(extent=extent, points=points)
     rows = sweep_a((n_low, n_high), a_sq, reps, grid,
                    entropy_base=args.entropy_base, threads=threads)

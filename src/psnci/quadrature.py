@@ -9,11 +9,22 @@ The four-dimensional absolute integral of a sum of separable products
 
     I = int |sum_t g_t(q1, p1) h_t(q2, p2)| dq1 dp1 dq2 dp2
 
-is evaluated in tiles over the (q1, p1) points while streaming the
-(q2, p2) sums, so the 4D array is never materialized. Tile results are
-summed with math.fsum in tile order; every tile is computed identically
-regardless of worker count, so results are bit-identical for any
-``threads`` setting.
+is evaluated in tiles of (q1, p1) points while streaming the (q2, p2)
+sums, so the 4D array is never materialized. A tile holds few enough
+rows that its block of |sum_t g_t h_t| values (8 rows x 121^2 points,
+under 1 MB on the default two-mode grid) stays in a core's L2 cache.
+Each worker streams a fixed subset of the tiles through one reused
+block buffer.
+
+The error estimate compares the fine sum with a decimated pass: the
+same streamed sum over the points with even q and even p indices in
+both modes (1/16 of the points), weighted by 16.
+
+Every tile is computed identically whichever worker runs it, and the
+tile sums are combined with math.fsum, which is exactly rounded. So
+results are bit-identical for any ``threads`` setting. Their last bits
+can change with ``tile_rows`` (the row count of each matrix product and
+sum) and with the BLAS or numpy build.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from .errors import DomainError, QuadratureError, ResourceBudgetError
 from .grids import ModeAxes, PhaseGrid
 
 DEFAULT_MAX_POINTS = 1_000_000_000
-_TILE_ROWS = 256
+_TILE_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -120,6 +131,40 @@ def _even_mask(mode: ModeAxes) -> np.ndarray:
     return np.logical_and.outer(iq, ip).ravel()
 
 
+def _abs_sum(gmat: np.ndarray, hmat: np.ndarray, tile_rows: int, threads: int) -> float:
+    """Sum of |gmat @ hmat| streamed in tiles of ``tile_rows`` rows of gmat.
+
+    Worker k takes the tile starts ``starts[k::workers]`` and reuses one
+    block buffer for all of them; the tile sums are combined with
+    math.fsum, so the result does not depend on ``threads``.
+    """
+    n1, n2 = gmat.shape[0], hmat.shape[1]
+    starts = range(0, n1, tile_rows)
+    workers = max(1, min(threads, len(starts)))
+
+    def stream(k):
+        buffer = np.empty((min(tile_rows, n1), n2))
+        sums = []
+        for i in starts[k::workers]:
+            rows = gmat[i:i + tile_rows]
+            block = buffer[:rows.shape[0]]
+            np.matmul(rows, hmat, out=block)
+            np.abs(block, out=block)
+            sums.append(float(np.sum(block)))
+        return sums
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(stream, range(workers)))
+    else:
+        parts = [stream(0)]
+    return math.fsum(s for sums in parts for s in sums)
+
+
+# ``threads`` and ``tile_rows`` stay keywords of this signature:
+# perfbench/child.py probes the kernel with threads=1 and threads=2, and
+# perfbench/tracer.py reads the tile_rows default through
+# inspect.signature to model the bytes a pass moves.
 def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
                          max_points: int = DEFAULT_MAX_POINTS,
                          tile_rows: int = _TILE_ROWS) -> tuple:
@@ -151,24 +196,10 @@ def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
         return 0.0, 0.0
     gmat = np.ascontiguousarray(np.stack([g for g, _ in shaped], axis=1))
     hmat = np.ascontiguousarray(np.stack([h for _, h in shaped], axis=0))
-    mask1 = _even_mask(mode1)
-    mask2 = _even_mask(mode2)
-    tiles = [slice(i, min(i + tile_rows, n1)) for i in range(0, n1, tile_rows)]
-
-    def tile_sums(sl):
-        block = gmat[sl] @ hmat
-        np.abs(block, out=block)
-        fine = float(np.sum(block))
-        coarse = float(np.sum(block[mask1[sl]][:, mask2]))
-        return fine, coarse
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(tile_sums, tiles))
-    else:
-        parts = [tile_sums(sl) for sl in tiles]
-    fine = math.fsum(p[0] for p in parts) * area
-    coarse = math.fsum(p[1] for p in parts) * 16.0 * area
+    fine = _abs_sum(gmat, hmat, tile_rows, threads) * area
+    coarse = _abs_sum(gmat[_even_mask(mode1)],
+                      np.ascontiguousarray(hmat[:, _even_mask(mode2)]),
+                      tile_rows, threads) * 16.0 * area
     return fine, abs(fine - coarse)
 
 

@@ -122,6 +122,19 @@ def delta_fock2():
     return 2.0 * (g(u2) - g(u1))
 
 
+# --- dense 4D absolute sums ------------------------------------------------
+
+def dense_abs_4d_sums(products):
+    """Sums of |sum_t g_t(q1, p1) h_t(q2, p2)| over the dense 4D array.
+
+    Returns the sum over every point and the sum over the points with even
+    q and even p indices in both modes.
+    """
+    dense = sum(np.multiply.outer(g, h) for g, h in products)
+    absval = np.abs(dense)
+    return float(np.sum(absval)), float(np.sum(absval[::2, ::2, ::2, ::2]))
+
+
 # --- misc -------------------------------------------------------------------
 
 def spearman_rho(x, y):

@@ -134,6 +134,36 @@ def test_streamed_determinism_across_threads():
     assert v1 == v2 == v4 == again
 
 
+def _random_products(grid, count, seed):
+    rng = np.random.default_rng(seed)
+    m1, m2 = grid.mode(0), grid.mode(1)
+    return [(rng.standard_normal((m1.q.n, m1.p.n)), rng.standard_normal((m2.q.n, m2.p.n)))
+            for _ in range(count)]
+
+
+# 441 points per mode: tiles of 8 and 256 rows leave a ragged last tile,
+# and 512 rows make one tile, fewer than the 3 workers.
+@pytest.mark.parametrize("tile_rows", [1, 3, 8, 256, 512])
+def test_streamed_matches_dense_oracle(tile_rows):
+    grid = PhaseGrid.two_mode(points=21)
+    vac, f1 = _two_mode_factors(grid)
+    prods = [(0.5 * vac, f1), (0.5 * f1, vac)] + _random_products(grid, 3, seed=tile_rows)
+    fine, even = oracles.dense_abs_4d_sums(prods)
+    area = grid.mode(0).cell_area * grid.mode(1).cell_area
+    value, est = abs_4d_with_estimate(prods, grid, threads=3, tile_rows=tile_rows)
+    assert_allclose(value, fine * area, rtol=1e-12)
+    assert abs(est - abs(fine - 16.0 * even) * area) <= 1e-12 * 16.0 * even * area
+
+
+@pytest.mark.parametrize("tile_rows", [1, 8, 512])
+def test_streamed_bit_identical_across_threads(tile_rows):
+    grid = PhaseGrid.two_mode(points=21)
+    prods = _random_products(grid, 4, seed=1)
+    first = abs_4d_with_estimate(prods, grid, threads=1, tile_rows=tile_rows)
+    for threads in (2, 3):
+        assert abs_4d_with_estimate(prods, grid, threads=threads, tile_rows=tile_rows) == first
+
+
 def test_streamed_budget_guard():
     grid = PhaseGrid.two_mode(points=41)
     vac, f1 = _two_mode_factors(grid)
