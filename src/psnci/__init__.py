@@ -37,8 +37,6 @@ from .phasespace import (
 )
 from .quadrature import (
     QuadratureResult,
-    abs_integral_4d_streamed,
-    abs_integral_separable,
     integrate_2d,
     refine_until,
 )

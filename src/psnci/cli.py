@@ -124,13 +124,12 @@ def _print_json(payload: dict, args):
 # ---------------------------------------------------------------------------
 
 def _cmd_dist(args) -> int:
-    threads = _resolve_threads(args.threads)
     state = normalize(_load_state(args.state), tol=args.tol)
     reps = args.rep or ["wigner"]
     if len(reps) != 1:
         raise UsageError("dist takes exactly one representation")
     rep = Representation.parse(reps[0])
-    table = build_term_table(state, rep, _grid_for(state, args), threads=threads)
+    table = build_term_table(state, rep, _grid_for(state, args))
     config = _config_dict(args, "dist", {
         "state": state_to_dict(state),
         "rep": rep.value,
@@ -182,7 +181,7 @@ def _cmd_indicator(args) -> int:
     reps = [Representation.parse(r) for r in (args.rep or ["wigner", "husimi", "rivier"])]
     results = {}
     for rep in reps:
-        table = build_term_table(state, rep, _grid_for(state, args), threads=threads)
+        table = build_term_table(state, rep, _grid_for(state, args))
         d = delta_indicator(table, threads=threads)
         e = eta_indicator(table, threads=threads)
         results[rep.value] = {

@@ -190,7 +190,7 @@ def sweep_a(family, a_sq_values, reps, grid: PhaseGrid = None, *,
         grid = default_grid(ref_state)
     cached = {}
     for rep in rep_list:
-        table = build_term_table(ref_state, rep, grid, threads=threads)
+        table = build_term_table(ref_state, rep, grid)
         ref_c = [abs(c) for c in ref_state.amplitudes]
         pair_data = {}
         for key in table.pair_keys():
@@ -254,7 +254,7 @@ def sweep_r(family: str, r_values, a_values, rep, grid: PhaseGrid = None, *,
             state = maker(a, r, convention=convention)
             if r not in table_cache:
                 g = grid if grid is not None else default_grid(state)
-                table_cache[r] = build_term_table(state, rep, g, threads=threads)
+                table_cache[r] = build_term_table(state, rep, g)
                 table = table_cache[r]
             else:
                 table = table_cache[r].with_amplitudes(state.amplitudes)

@@ -571,7 +571,7 @@ def _build_cross_maps(rep, prims, mode):
 
 
 def build_term_table(state, representation, grid: PhaseGrid = None, *,
-                     swap_modes: bool = False, threads: int = 1):
+                     swap_modes: bool = False):
     """Evaluate the term-pair decomposition of a normalized state.
 
     The total integral over the grid must come out within 1e-3 of one,

@@ -16,15 +16,25 @@ under 1 MB on the default two-mode grid) stays in a core's L2 cache.
 Each worker streams a fixed subset of the tiles through one reused
 block buffer.
 
-The error estimate compares the fine sum with a decimated pass: the
-same streamed sum over the points with even q and even p indices in
-both modes (1/16 of the points), weighted by 16.
+Before streaming, the products are compressed to the numerical rank k
+of their sum: thin QRs of the stacked g and h factors and an SVD of the
+small core give k products with the same sum, so linearly dependent
+inputs collapse (the Wigner products of a two-term entangled state have
+rank 4). At rank 1 nothing is streamed: the sum is one product g h, and
+|g h| = |g| |h| factorizes exactly into two 2D sums.
 
-Every tile is computed identically whichever worker runs it, and the
-tile sums are combined with math.fsum, which is exactly rounded. So
-results are bit-identical for any ``threads`` setting. Their last bits
-can change with ``tile_rows`` (the row count of each matrix product and
-sum) and with the BLAS or numpy build.
+The error estimate compares the fine sum with a decimated pass: the
+same sum over the points with even q and even p indices in both modes
+(1/16 of the points), weighted by 16; at rank 1 it is the product of
+the two 2D sums over those points.
+
+The compression runs once per call, before the workers start. Every
+tile is computed identically whichever worker runs it, and the tile sums
+are combined with math.fsum, which is exactly rounded. So results are
+bit-identical for any ``threads`` setting. Their last bits can change
+with the rank cut (the compressed products are a rounding-level
+rewrite of the inputs), with ``tile_rows`` (the row count of each matrix
+product and sum) and with the BLAS or numpy build.
 """
 
 from __future__ import annotations
@@ -40,6 +50,16 @@ from .grids import ModeAxes, PhaseGrid
 
 DEFAULT_MAX_POINTS = 1_000_000_000
 _TILE_ROWS = 8
+# Relative singular-value cut of the product stack. Exactly dependent
+# products leave singular values at rounding level: on the benchmark's
+# states the dropped ones are at most 7e-16 of the largest and the kept
+# ones at least 0.05 of it.
+_RANK_CUT = 1e-13
+# Row block of the tall-skinny QR in the compression. np.linalg.qr makes
+# several copies of its input, and a full-height Q is as large as the
+# factor stack: on the indicator-2mode benchmark state a full-height QR
+# raised the peak RSS of a run by about 15 MB.
+_QR_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -111,24 +131,48 @@ def refine_until(f, grid0: PhaseGrid, tol: float, max_levels: int = 6) -> Quadra
     )
 
 
-def abs_integral_separable(factor_mode1: np.ndarray, factor_mode2: np.ndarray,
-                           grid: PhaseGrid) -> float:
-    """Product of 2D absolute integrals.
-
-    Exact for a 4D term that is a single product of the two real factors,
-    since |g h| = |g| |h|.
-    """
-    if grid.n_modes != 2:
-        raise DomainError("abs_integral_separable needs a two-mode grid")
-    a = integrate_2d(np.abs(factor_mode1), grid.mode(0))
-    b = integrate_2d(np.abs(factor_mode2), grid.mode(1))
-    return a * b
-
-
 def _even_mask(mode: ModeAxes) -> np.ndarray:
     iq = np.arange(mode.q.n) % 2 == 0
     ip = np.arange(mode.p.n) % 2 == 0
     return np.logical_and.outer(iq, ip).ravel()
+
+
+def _block_qrs(columns, mode: str):
+    """QR, in ``np.linalg.qr`` ``mode``, of each block of _QR_ROWS rows of
+    the matrix with the given columns."""
+    for i in range(0, columns[0].shape[0], _QR_ROWS):
+        yield np.linalg.qr(np.stack([c[i:i + _QR_ROWS] for c in columns], axis=1),
+                           mode=mode)
+
+
+def _tall_skinny_r(columns) -> tuple:
+    """R of the thin QR of the matrix with the given columns, and the row
+    blocks P_i of P, where Q = diag(Q_i) P and Q_i are the block Qs."""
+    rs = list(_block_qrs(columns, "r"))
+    p, r = np.linalg.qr(np.concatenate(rs))
+    return r, np.split(p, np.cumsum([len(r_i) for r_i in rs])[:-1])
+
+
+def _compress(g_columns, h_columns) -> tuple:
+    """Factors (n1 x k, k x n2) of sum_t g_t h_t^T at its numerical rank k.
+
+    Thin QRs G = Q_g R_g and H^T = Q_h R_h leave a small core
+    R_g R_h^T = U S V^T; the k singular values above _RANK_CUT times the
+    largest are kept, giving Q_g U_k S_k and V_k^T Q_h^T. Q_g and Q_h are
+    never held whole: their row blocks are computed again, one at a time,
+    from the same blocks that gave R.
+    """
+    rg, pg = _tall_skinny_r(g_columns)
+    rh, ph = _tall_skinny_r(h_columns)
+    u, s, vt = np.linalg.svd(rg @ rh.T)
+    k = int(np.count_nonzero(s > _RANK_CUT * s[0]))
+    left, right = u[:, :k] * s[:k], vt[:k]
+    gmat = np.concatenate([q @ (p @ left)
+                           for (q, _), p in zip(_block_qrs(g_columns, "reduced"), pg)])
+    hmat = np.concatenate([(right @ p.T) @ q.T
+                           for (q, _), p in zip(_block_qrs(h_columns, "reduced"), ph)],
+                          axis=1)
+    return gmat, hmat
 
 
 def _abs_sum(gmat: np.ndarray, hmat: np.ndarray, tile_rows: int, threads: int) -> float:
@@ -191,21 +235,21 @@ def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
         if np.max(np.abs(g)) == 0.0 or np.max(np.abs(h)) == 0.0:
             continue
         shaped.append((g.ravel(), h.ravel()))
-    area = mode1.cell_area * mode2.cell_area
     if not shaped:
         return 0.0, 0.0
-    gmat = np.ascontiguousarray(np.stack([g for g, _ in shaped], axis=1))
-    hmat = np.ascontiguousarray(np.stack([h for _, h in shaped], axis=0))
+    gmat, hmat = _compress([g for g, _ in shaped], [h for _, h in shaped])
+    if gmat.shape[1] == 0:
+        return 0.0, 0.0
+    area = mode1.cell_area * mode2.cell_area
+    even1, even2 = _even_mask(mode1), _even_mask(mode2)
+    if gmat.shape[1] == 1:
+        # |g h| = |g| |h|: the 4D sum factorizes exactly.
+        g, h = np.abs(gmat[:, 0]), np.abs(hmat[0])
+        fine = math.fsum(g) * math.fsum(h) * area
+        coarse = math.fsum(g[even1]) * math.fsum(h[even2]) * 16.0 * area
+        return fine, abs(fine - coarse)
     fine = _abs_sum(gmat, hmat, tile_rows, threads) * area
-    coarse = _abs_sum(gmat[_even_mask(mode1)],
-                      np.ascontiguousarray(hmat[:, _even_mask(mode2)]),
+    coarse = _abs_sum(gmat[even1], np.ascontiguousarray(hmat[:, even2]),
                       tile_rows, threads) * 16.0 * area
     return fine, abs(fine - coarse)
 
-
-def abs_integral_4d_streamed(products, grid: PhaseGrid, *, threads: int = 1,
-                             max_points: int = DEFAULT_MAX_POINTS) -> float:
-    """Streamed 4D absolute integral of a sum of separable real products."""
-    value, _ = abs_4d_with_estimate(products, grid, threads=threads,
-                                    max_points=max_points)
-    return value

@@ -142,14 +142,14 @@ def _reconstruct_two_mode(table, idx1, idx2) -> float:
 # Individual checks
 # ---------------------------------------------------------------------------
 
-def _norm_and_tables(states, reps, extent, points, threads, results):
+def _norm_and_tables(states, reps, extent, points, results):
     tables = {}
     for sname, state in states:
         for rep in reps:
             name = f"normalization[{sname},{rep.value}]"
             try:
                 grid = default_grid(state, extent=extent, points=points)
-                table = build_term_table(state, rep, grid, threads=threads)
+                table = build_term_table(state, rep, grid)
             except PhaseSpaceError as exc:
                 results.append(CheckResult(name, False, f"build failed: {exc}"))
                 continue
@@ -276,7 +276,7 @@ def run_validation(*, extent=None, points=None, reps=None, threads: int = 1):
     results = []
     rng = np.random.default_rng(20240811)
     states = _check_states()
-    tables = _norm_and_tables(states, rep_list, extent, points, threads, results)
+    tables = _norm_and_tables(states, rep_list, extent, points, results)
     _marginal_checks(tables, results)
     _decomposition_checks(tables, results, rng)
     if Representation.WIGNER in rep_list:

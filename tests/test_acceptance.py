@@ -15,7 +15,7 @@ import pytest
 from psnci.grids import PhaseGrid
 from psnci.indicators import delta_indicator, sweep_a, sweep_r
 from psnci.phasespace import build_term_table, cross_wigner_numeric
-from psnci.quadrature import abs_integral_4d_streamed, abs_integral_separable
+from psnci.quadrature import abs_4d_with_estimate
 from psnci.states import (
     SingleModeState,
     entangled_state,
@@ -42,7 +42,7 @@ def _single(prim):
 
 
 def _delta(state, rep, grid=None):
-    table = build_term_table(state, rep, grid, threads=THREADS)
+    table = build_term_table(state, rep, grid)
     return delta_indicator(table, threads=THREADS).value
 
 
@@ -204,8 +204,8 @@ def test_criterion_10_oracle_equivalence():
     p = mode.p.centers[None, :]
     vac = np.exp(-q * q - p * p) / math.pi
     f1 = (2.0 / math.pi) * (q * q + p * p - 0.5) * np.exp(-q * q - p * p)
-    streamed = abs_integral_4d_streamed([(vac, f1)], grid, threads=THREADS)
-    separable = abs_integral_separable(vac, f1, grid)
+    streamed = abs_4d_with_estimate([(vac, f1)], grid, threads=THREADS)[0]
+    separable = oracles.separable_abs_integral(vac, f1, grid)
     ok = abs(streamed - separable) <= 1e-10
 
     # analytic two-mode pair terms against the kernel quadrature

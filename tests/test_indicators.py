@@ -97,7 +97,7 @@ def test_eta_single_product_endpoint():
     # a = 0 leaves the lone product term |1, 0>; eta reduces to
     # delta(|1>) / (delta(|1>) + 2)
     st = entangled_state(0, 1, 0.0)
-    res = eta_indicator(build_term_table(st, "wigner", threads=2), threads=2)
+    res = eta_indicator(build_term_table(st, "wigner"), threads=2)
     d1 = oracles.delta_fock1()
     assert abs(res.value - d1 / (d1 + 2.0)) < 2e-3
 
@@ -105,8 +105,7 @@ def test_eta_single_product_endpoint():
 def test_eta_bounds():
     for state in (entangled_state(1, 2, 0.5), squeezed_vacuum_superposition(0.7, 1.5)):
         for rep in ("wigner", "husimi", "rivier"):
-            val = eta_indicator(build_term_table(state, rep, threads=2),
-                                threads=2).value
+            val = eta_indicator(build_term_table(state, rep), threads=2).value
             assert -1e-9 <= val <= 1.0 + 1e-9
 
 
@@ -178,7 +177,7 @@ def test_sweep_a_rows_and_consistency():
     assert_allclose(rows[2].entropy, 1.0, atol=1e-12)
     # cached-amplitude path agrees with a fresh per-state computation
     st = entangled_state(0, 1, 0.25)
-    table = build_term_table(st, "wigner", COARSE, threads=2)
+    table = build_term_table(st, "wigner", COARSE)
     fresh_eta = eta_indicator(table, threads=2).value
     fresh_delta = delta_indicator(table, threads=2).value
     assert abs(rows[1].eta["wigner"] - fresh_eta) < 1e-9
