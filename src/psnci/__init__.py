@@ -35,11 +35,7 @@ from .phasespace import (
     husimi_term,
     rivier_term,
 )
-from .quadrature import (
-    QuadratureResult,
-    integrate_2d,
-    refine_until,
-)
+from .quadrature import integrate_2d
 from .specialfn import assoc_laguerre, hermite_phys, log_factorial
 from .states import (
     Primitive,

@@ -318,7 +318,12 @@ def husimi_term(prim_i: Primitive, prim_j: Primitive, q, p):
 
 
 def _husimi_pair_grid(amp_i: np.ndarray, amp_j: np.ndarray) -> np.ndarray:
-    return amp_i * np.conj(amp_j) / math.pi
+    pair = amp_i * np.conj(amp_j) / math.pi
+    if amp_i is amp_j:
+        # |alpha|^2 / pi is real; the complex product leaves rounding noise
+        # in its imaginary part.
+        pair.imag = 0.0
+    return pair
 
 
 # ---------------------------------------------------------------------------

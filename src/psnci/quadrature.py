@@ -28,24 +28,38 @@ same sum over the points with even q and even p indices in both modes
 (1/16 of the points), weighted by 16; at rank 1 it is the product of
 the two 2D sums over those points.
 
-The compression runs once per call, before the workers start. Every
-tile is computed identically whichever worker runs it, and the tile sums
-are combined with math.fsum, which is exactly rounded. So results are
-bit-identical for any ``threads`` setting. Their last bits can change
-with the rank cut (the compressed products are a rounding-level
-rewrite of the inputs), with ``tile_rows`` (the row count of each matrix
-product and sum) and with the BLAS or numpy build.
+Fock and squeezed Fock states have definite parity, so a sum of
+products often satisfies f(-z1, -z2) = +-f(z1, z2). On a grid symmetric
+about the origin, z -> -z reverses each mode's raveled index, and the
+(q1, p1) rows i and reversed i of |f| then have equal sums. When every
+product's factors are even or odd under reversal (to within the rank
+cut) and all products have the same parity, only the first half of the
+rows is streamed, doubled, plus the centre row when there is one. This
+holds for every pair term of a Fock or squeezed Fock state, and for the
+total when all terms have one photon-number parity. Products below the
+rank cut relative to the largest do not vote. The decimated pass is
+folded the same way when its points are closed under reversal (odd
+axis lengths). The fold halves both passes.
+
+The compression and the parity check run once per call, before the
+workers start. Every tile is computed identically whichever worker runs
+it, and the tile sums are combined with math.fsum, which is exactly
+rounded. So results are bit-identical for any ``threads`` setting.
+Their last bits can change with the rank cut (the compressed products
+are a rounding-level rewrite of the inputs), with the fold (which sums
+half of the rows twice instead of both halves), with ``tile_rows``
+(the row count of each matrix product and sum) and with the BLAS or
+numpy build.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, ResourceBudgetError
+from .errors import DomainError, ResourceBudgetError
 from .grids import ModeAxes, PhaseGrid
 
 DEFAULT_MAX_POINTS = 1_000_000_000
@@ -60,19 +74,6 @@ _RANK_CUT = 1e-13
 # factor stack: on the indicator-2mode benchmark state a full-height QR
 # raised the peak RSS of a run by about 15 MB.
 _QR_ROWS = 1024
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Integral value with a resolution-doubling error estimate."""
-
-    value: float
-    error_estimate: float
-    levels_used: int
-
-    def __post_init__(self):
-        if self.error_estimate < 0 or self.levels_used < 1:
-            raise DomainError("invalid quadrature result fields")
 
 
 def _mode_of(grid) -> ModeAxes:
@@ -102,33 +103,6 @@ def integral_with_estimate(values: np.ndarray, grid) -> tuple:
     fine = integrate_2d(values, grid)
     coarse = float(np.sum(np.asarray(values)[::2, ::2])) * 4.0 * mode.cell_area
     return fine, abs(fine - coarse)
-
-
-def refine_until(f, grid0: PhaseGrid, tol: float, max_levels: int = 6) -> QuadratureResult:
-    """Double the per-axis resolution until successive integrals agree to tol.
-
-    ``f`` maps a PhaseGrid to a value array on that grid. Raises
-    QuadratureError (carrying the last two values) on non-convergence.
-    """
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    if not 1 <= max_levels <= 6:
-        raise DomainError(f"max_levels must lie in [1, 6], got {max_levels}")
-    prev = integrate_2d(f(grid0), grid0)
-    last_two = (prev, prev)
-    for level in range(2, max_levels + 1):
-        g = grid0.refined(2 ** (level - 1))
-        cur = integrate_2d(f(g), g)
-        diff = abs(cur - prev)
-        last_two = (prev, cur)
-        if diff < tol:
-            return QuadratureResult(cur, diff, level)
-        prev = cur
-    raise QuadratureError(
-        f"no convergence to {tol:g} within {max_levels} levels",
-        achieved=abs(last_two[1] - last_two[0]),
-        values=last_two,
-    )
 
 
 def _even_mask(mode: ModeAxes) -> np.ndarray:
@@ -205,6 +179,44 @@ def _abs_sum(gmat: np.ndarray, hmat: np.ndarray, tile_rows: int, threads: int) -
     return math.fsum(s for sums in parts for s in sums)
 
 
+def _parity(f: np.ndarray) -> int:
+    """+1 or -1 if the raveled factor f is even or odd under index
+    reversal, to within _RANK_CUT of its largest value; 0 otherwise."""
+    tol = _RANK_CUT * np.max(np.abs(f))
+    for sign in (1, -1):
+        if np.max(np.abs(f - sign * f[::-1])) <= tol:
+            return sign
+    return 0
+
+
+def _reflection_symmetric(pairs) -> bool:
+    """Whether sum_t g_t h_t^T is even or odd under reversing both raveled
+    indices, which on a grid symmetric about the origin is z -> -z.
+
+    Every product must have a parity (the product of its factors'), and
+    all the same one. Products smaller than _RANK_CUT times the largest do
+    not vote: rounding noise has no parity but cannot move the sum.
+    """
+    scales = [np.max(np.abs(g)) * np.max(np.abs(h)) for g, h in pairs]
+    cut = _RANK_CUT * max(scales)
+    signs = {_parity(g) * _parity(h) for (g, h), scale in zip(pairs, scales) if scale > cut}
+    return len(signs) == 1 and 0 not in signs
+
+
+def _folded_abs_sum(gmat: np.ndarray, hmat: np.ndarray, tile_rows: int, threads: int) -> float:
+    """_abs_sum of a reflection-symmetric gmat @ hmat from its first half of rows.
+
+    Row R i of |gmat @ hmat| (R reverses the index) is row i with its
+    columns reversed, so both have the same sum: the full sum is twice
+    that of the first n1 // 2 rows, plus the centre row when n1 is odd.
+    """
+    half, odd = divmod(gmat.shape[0], 2)
+    total = 2.0 * _abs_sum(gmat[:half], hmat, tile_rows, threads)
+    if odd:
+        total += _abs_sum(gmat[half:half + 1], hmat, tile_rows, threads)
+    return total
+
+
 # ``threads`` and ``tile_rows`` stay keywords of this signature:
 # perfbench/child.py probes the kernel with threads=1 and threads=2, and
 # perfbench/tracer.py reads the tile_rows default through
@@ -248,8 +260,13 @@ def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
         fine = math.fsum(g) * math.fsum(h) * area
         coarse = math.fsum(g[even1]) * math.fsum(h[even2]) * 16.0 * area
         return fine, abs(fine - coarse)
-    fine = _abs_sum(gmat, hmat, tile_rows, threads) * area
-    coarse = _abs_sum(gmat[even1], np.ascontiguousarray(hmat[:, even2]),
-                      tile_rows, threads) * 16.0 * area
+    stream = _folded_abs_sum if _reflection_symmetric(shaped) else _abs_sum
+    fine = stream(gmat, hmat, tile_rows, threads) * area
+    # The decimated points keep the symmetry only if both masks are
+    # closed under reversal (odd axis lengths).
+    if not (np.array_equal(even1, even1[::-1]) and np.array_equal(even2, even2[::-1])):
+        stream = _abs_sum
+    coarse = stream(gmat[even1], np.ascontiguousarray(hmat[:, even2]),
+                    tile_rows, threads) * 16.0 * area
     return fine, abs(fine - coarse)
 

@@ -6,9 +6,12 @@ sums) and deliberately avoids the code paths under test.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from psnci.errors import DomainError, QuadratureError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -140,6 +143,52 @@ def dense_abs_4d_sums(products):
     dense = sum(np.multiply.outer(g, h) for g, h in products)
     absval = np.abs(dense)
     return float(np.sum(absval)), float(np.sum(absval[::2, ::2, ::2, ::2]))
+
+
+# --- resolution doubling ----------------------------------------------------
+
+@dataclass(frozen=True)
+class QuadratureResult:
+    """Integral value with a resolution-doubling error estimate."""
+
+    value: float
+    error_estimate: float
+    levels_used: int
+
+    def __post_init__(self):
+        if self.error_estimate < 0 or self.levels_used < 1:
+            raise DomainError("invalid quadrature result fields")
+
+
+def refine_until(f, grid0, tol, max_levels=6):
+    """Double the per-axis resolution of a single-mode grid until successive
+    midpoint sums agree to tol.
+
+    ``f`` maps a PhaseGrid to a value array on that grid. Raises
+    QuadratureError (carrying the last two values) on non-convergence.
+    """
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    if not 1 <= max_levels <= 6:
+        raise DomainError(f"max_levels must lie in [1, 6], got {max_levels}")
+
+    def midpoint(grid):
+        return float(np.sum(f(grid))) * grid.mode(0).cell_area
+
+    prev = midpoint(grid0)
+    last_two = (prev, prev)
+    for level in range(2, max_levels + 1):
+        cur = midpoint(grid0.refined(2 ** (level - 1)))
+        diff = abs(cur - prev)
+        last_two = (prev, cur)
+        if diff < tol:
+            return QuadratureResult(cur, diff, level)
+        prev = cur
+    raise QuadratureError(
+        f"no convergence to {tol:g} within {max_levels} levels",
+        achieved=abs(last_two[1] - last_two[0]),
+        values=last_two,
+    )
 
 
 # --- misc -------------------------------------------------------------------

@@ -17,6 +17,7 @@ from psnci.phasespace import (
 )
 from psnci.states import (
     SingleModeState,
+    TwoModeState,
     entangled_state,
     fock,
     fock_psi,
@@ -146,6 +147,30 @@ def test_husimi_diag_normalization():
         st = SingleModeState(((1.0, fock(n)),))
         table = build_term_table(st, "husimi", grid)
         assert_allclose(table.norm_check, 1.0, atol=1e-6)
+
+
+def test_husimi_self_pairs_are_real():
+    # A pair of a primitive with itself, also across two terms that share
+    # it, is |<alpha|prim>|^2 / pi: its imaginary part is exactly zero.
+    state = normalize(TwoModeState((
+        (0.6 + 0.2j, fock(0), fock(1)),
+        (0.5j, squeezed_fock(0, 0.5), fock(1)),
+        (0.55 - 0.1j, fock(1), fock(0)),
+    )))
+    grid = PhaseGrid.two_mode(points=21)
+    table = build_term_table(state, "husimi", grid)
+    q = grid.mode(0).q.centers[:, None]
+    p = grid.mode(0).p.centers[None, :]
+    self_pairs = 0
+    for mode in range(2):
+        prims = [term[mode] for term in table.term_primitives]
+        for (k, l), g in table.stored_factors(mode).items():
+            if prims[k] == prims[l]:
+                self_pairs += 1
+                assert not np.any(g.imag)
+                assert_allclose(g.real, husimi_term(prims[k], prims[k], q, p).real,
+                                rtol=0, atol=1e-14)
+    assert self_pairs == 7
 
 
 def test_husimi_quadrature_path_matches_closed_fock():

@@ -1,14 +1,16 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from psnci.errors import DomainError, QuadratureError, ResourceBudgetError
 from psnci.grids import Axis, PhaseGrid
 from psnci.phasespace import build_term_table, cross_wigner_fock_closed
 from psnci import quadrature
-from psnci.quadrature import abs_4d_with_estimate, integrate_2d, refine_until
+from psnci.quadrature import abs_4d_with_estimate, integrate_2d
 from psnci.states import TwoModeState, entangled_state, fock, normalize, squeezed_fock
 from psnci.indicators import delta_indicator
 
@@ -54,7 +56,7 @@ def test_refine_until_gaussian_converges_fast():
     def f(grid):
         return _grid_values(grid, lambda q, p: np.exp(-q * q - p * p) / math.pi)
 
-    res = refine_until(f, grid0, tol=1e-6)
+    res = oracles.refine_until(f, grid0, tol=1e-6)
     assert res.levels_used <= 3
     assert_allclose(res.value, 1.0, atol=1e-6)
 
@@ -66,7 +68,7 @@ def test_refine_until_kinked_integrand():
         return _grid_values(
             grid, lambda q, p: np.abs(cross_wigner_fock_closed(2, 2, q, p).real))
 
-    res = refine_until(f, grid0, tol=1e-4)
+    res = oracles.refine_until(f, grid0, tol=1e-4)
     assert res.levels_used <= 6
     assert abs(res.value - (1.0 + oracles.delta_fock2())) < 1e-3
 
@@ -79,16 +81,16 @@ def test_refine_until_nonconvergence():
             grid, lambda q, p: np.abs(cross_wigner_fock_closed(1, 1, q, p).real))
 
     with pytest.raises(QuadratureError) as err:
-        refine_until(f, grid0, tol=1e-15, max_levels=2)
+        oracles.refine_until(f, grid0, tol=1e-15, max_levels=2)
     assert err.value.values is not None
 
 
 def test_refine_until_precondition():
     grid0 = PhaseGrid.single(points=32)
     with pytest.raises(DomainError):
-        refine_until(lambda g: None, grid0, tol=1e-6, max_levels=7)
+        oracles.refine_until(lambda g: None, grid0, tol=1e-6, max_levels=7)
     with pytest.raises(DomainError):
-        refine_until(lambda g: None, grid0, tol=-1.0)
+        oracles.refine_until(lambda g: None, grid0, tol=-1.0)
 
 
 def _two_mode_factors(grid):
@@ -199,15 +201,94 @@ def test_rank1_products_are_not_streamed(monkeypatch):
     _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=3), prods, grid)
 
 
+def _recorded_passes(monkeypatch):
+    """List that records (rows of gmat, columns of hmat) of every _abs_sum call."""
+    calls = []
+    stream = quadrature._abs_sum
+
+    def record(gmat, hmat, *args):
+        calls.append((gmat.shape[0], hmat.shape[1]))
+        return stream(gmat, hmat, *args)
+
+    monkeypatch.setattr(quadrature, "_abs_sum", record)
+    return calls
+
+
+def _rows_streamed(calls, cols):
+    return [rows for rows, c in calls if c == cols]
+
+
 # indicator-2mode of the benchmark: the first two terms overlap in mode 1
-# (squeezed and plain vacuum), the third is orthogonal to both.
+# (squeezed and plain vacuum), the third is orthogonal to both. Every term
+# has one photon in all, so every product has even parity and each
+# streamed pass is folded.
 @pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
-def test_term_table_passes_match_dense_oracle(rep):
+def test_term_table_passes_match_dense_oracle(monkeypatch, rep):
     state = normalize(TwoModeState((
         (0.6 + 0.2j, fock(0), fock(1)),
         (0.5j, squeezed_fock(0, 0.5), fock(1)),
         (0.55 - 0.1j, fock(1), fock(0)),
     )))
+    grid = PhaseGrid.two_mode(points=21)
+    table = build_term_table(state, rep, grid)
+    calls = _recorded_passes(monkeypatch)
+    n1, n2 = grid.mode(0).n_points, grid.mode(1).n_points
+    _assert_matches_dense(table.total_abs_with_estimate(threads=2),
+                          table.real_products(), grid)
+    assert _rows_streamed(calls, n2) == [n1 // 2, 1]
+    for key in table.pair_keys():
+        prods = table.real_products([key])
+        calls.clear()
+        _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
+        assert sum(_rows_streamed(calls, n2)) <= (n1 + 1) // 2
+
+
+# Rivier products of Fock states: every one has parity (-1)^(photon
+# numbers of the four Fock indices), and a complex Kirkwood factor in each
+# mode keeps their rank above one, so they are streamed.
+@pytest.mark.parametrize("points", [21, 20])
+@pytest.mark.parametrize("terms, keys, folded", [
+    pytest.param(((0, 1), (1, 0)), None, True, id="even-total"),
+    pytest.param(((0, 0), (0, 1)), [(0, 1)], True, id="odd-pair"),
+    pytest.param(((0, 0), (1, 0)), None, False, id="mixed-total"),
+])
+def test_folded_passes_match_dense_oracle(monkeypatch, terms, keys, folded, points):
+    state = normalize(TwoModeState(tuple(
+        (c, fock(m), fock(n)) for c, (m, n) in zip((0.6 + 0.3j, 0.5 - 0.4j), terms))))
+    grid = PhaseGrid.two_mode(points=points)
+    prods = build_term_table(state, "rivier", grid).real_products(keys)
+    calls = _recorded_passes(monkeypatch)
+    _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
+    n1, n2 = grid.mode(0).n_points, grid.mode(1).n_points
+    # Even points per axis: no centre row, and the decimated points
+    # (even indices) are not closed under reversal, so that pass is whole.
+    even = ((points + 1) // 2) ** 2
+    if not folded:
+        assert calls == [(n1, n2), (even, even)]
+    elif points % 2:
+        assert calls == [(n1 // 2, n2), (1, n2), (even // 2, even), (1, even)]
+    else:
+        assert calls == [(n1 // 2, n2), (even, even)]
+
+
+@st.composite
+def fock_states(draw):
+    """Two-mode Fock superpositions, n <= 4, with complex amplitudes; half
+    of them have one total photon-number parity, so their totals fold."""
+    pairs = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    if draw(st.booleans()):
+        parity = draw(st.integers(0, 1))
+        pairs = pairs.filter(lambda mn: sum(mn) % 2 == parity)
+    terms = draw(st.lists(pairs, min_size=1, max_size=3, unique=True))
+    amps = draw(st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
+                         min_size=len(terms), max_size=len(terms)))
+    return normalize(TwoModeState(tuple(
+        (c, fock(m), fock(n)) for c, (m, n) in zip(amps, terms))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(state=fock_states(), rep=st.sampled_from(["wigner", "husimi", "rivier"]))
+def test_fock_state_passes_match_dense_oracle(state, rep):
     grid = PhaseGrid.two_mode(points=21)
     table = build_term_table(state, rep, grid)
     _assert_matches_dense(table.total_abs_with_estimate(threads=2),
@@ -217,17 +298,53 @@ def test_term_table_passes_match_dense_oracle(rep):
         _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
 
 
-@pytest.mark.parametrize("tile_rows, h_picks", [
-    *(pytest.param(rows, None, id=str(rows)) for rows in (1, 8, 512)),
-    pytest.param(8, RANK2, id="8-rank2"),
-    pytest.param(8, RANK1, id="8-rank1"),
+def _parity_products(grid, signs, seed):
+    """Random products whose factors are even (+1) or odd (-1) under z -> -z."""
+    rng = np.random.default_rng(seed)
+    m1, m2 = grid.mode(0), grid.mode(1)
+    out = []
+    for s1, s2 in signs:
+        g = rng.standard_normal((m1.q.n, m1.p.n))
+        h = rng.standard_normal((m2.q.n, m2.p.n))
+        out.append((g + s1 * g[::-1, ::-1], h + s2 * h[::-1, ::-1]))
+    return out
+
+
+EVEN = ((1, 1), (-1, -1), (1, 1))
+ODD = ((1, -1), (-1, 1), (1, -1))
+
+
+# A product 1e-17 times the largest has no parity but does not vote, as
+# the rounding-noise products of a total do not.
+@pytest.mark.parametrize("signs, noise, folded", [
+    pytest.param(EVEN, 0.0, True, id="even"),
+    pytest.param(ODD, 0.0, True, id="odd"),
+    pytest.param(EVEN, 1e-17, True, id="even-noise"),
+    pytest.param(EVEN, 1e-3, False, id="even-asymmetric"),
+    pytest.param(EVEN + ODD, 0.0, False, id="mixed"),
 ])
-def test_streamed_bit_identical_across_threads(tile_rows, h_picks):
+def test_parity_vote(monkeypatch, signs, noise, folded):
     grid = PhaseGrid.two_mode(points=21)
-    if h_picks is None:
-        prods = _random_products(grid, 4, seed=1)
-    else:
-        prods = _repeated_h_products(grid, h_picks, seed=1)
+    prods = _parity_products(grid, signs, seed=len(signs))
+    if noise:
+        prods += [(noise * g, h) for g, h in _random_products(grid, 1, seed=5)]
+    calls = _recorded_passes(monkeypatch)
+    _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
+    n1 = grid.mode(0).n_points
+    assert calls[0][0] == (n1 // 2 if folded else n1)
+
+
+@pytest.mark.parametrize("tile_rows, make", [
+    *(pytest.param(rows, partial(_random_products, count=4), id=str(rows))
+      for rows in (1, 8, 512)),
+    pytest.param(8, partial(_repeated_h_products, h_picks=RANK2), id="8-rank2"),
+    pytest.param(8, partial(_repeated_h_products, h_picks=RANK1), id="8-rank1"),
+    *(pytest.param(rows, partial(_parity_products, signs=EVEN), id=f"{rows}-folded")
+      for rows in (1, 8, 512)),
+])
+def test_streamed_bit_identical_across_threads(tile_rows, make):
+    grid = PhaseGrid.two_mode(points=21)
+    prods = make(grid, seed=1)
     first = abs_4d_with_estimate(prods, grid, threads=1, tile_rows=tile_rows)
     for threads in (2, 3):
         assert abs_4d_with_estimate(prods, grid, threads=threads, tile_rows=tile_rows) == first
