@@ -30,13 +30,10 @@ from .phasespace import (
     Representation,
     build_term_table,
     cross_wigner_fock_closed,
-    cross_wigner_numeric,
     default_grid,
-    husimi_term,
-    rivier_term,
 )
 from .quadrature import integrate_2d
-from .specialfn import assoc_laguerre, hermite_phys, log_factorial
+from .specialfn import assoc_laguerre, log_factorial
 from .states import (
     Primitive,
     SingleModeState,

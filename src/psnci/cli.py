@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .errors import PhaseSpaceError, StateFormatError
-from .grids import DEFAULT_TWO_MODE_EXTENT, DEFAULT_TWO_MODE_POINTS, PhaseGrid
+from .grids import PhaseGrid
 from .indicators import (
     delta_indicator,
     eta_indicator,
@@ -27,7 +27,7 @@ from .indicators import (
     von_neumann_entropy,
 )
 from .phasespace import Representation, build_term_table, default_grid
-from .states import normalize, state_from_json, state_to_dict
+from .states import entangled_state, normalize, state_from_json, state_to_dict
 from .validation import run_validation
 
 SWEEP_CSV_HEADER = "param,rep,delta,eta,entropy,norm_check,err_est"
@@ -111,14 +111,6 @@ def _emit(lines, args, config: dict):
         sys.stdout.write(text)
 
 
-def _print_json(payload: dict, args):
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -190,14 +182,12 @@ def _cmd_indicator(args) -> int:
             "eta": {"value": e.value, "error_estimate": e.error_estimate,
                     "norm_check": e.norm_check, "valid": e.valid},
         }
-    payload = {
-        "config": _config_dict(args, "indicator", {
-            "state": state_to_dict(state),
-            "reps": [r.value for r in reps],
-        }),
-        "results": results,
-    }
-    _print_json(payload, args)
+    config = _config_dict(args, "indicator", {
+        "state": state_to_dict(state),
+        "reps": [r.value for r in reps],
+    })
+    payload = {"config": config, "results": results}
+    _emit([json.dumps(payload, indent=2, sort_keys=True)], args, config)
     return 0
 
 
@@ -212,11 +202,7 @@ def _cmd_sweep_a(args) -> int:
     n_low, n_high = int(match.group(1)), int(match.group(2))
     reps = args.reps or ["wigner", "husimi", "rivier"]
     a_sq = np.linspace(0.0, 1.0, args.steps).tolist() if args.steps > 1 else [0.5]
-    grid = None
-    if args.extent is not None or args.points is not None:
-        extent = args.extent if args.extent is not None else DEFAULT_TWO_MODE_EXTENT
-        points = args.points if args.points is not None else DEFAULT_TWO_MODE_POINTS
-        grid = PhaseGrid.two_mode(extent=extent, points=points)
+    grid = _grid_for(entangled_state(n_low, n_high, 0.5), args)
     rows = sweep_a((n_low, n_high), a_sq, reps, grid,
                    entropy_base=args.entropy_base, threads=threads)
     lines = [SWEEP_CSV_HEADER]
@@ -272,12 +258,9 @@ def _cmd_sweep_r(args) -> int:
 def _cmd_entropy(args) -> int:
     state = normalize(_load_state(args.state), tol=args.tol)
     value = von_neumann_entropy(state, log_base=args.entropy_base)
-    payload = {
-        "config": _config_dict(args, "entropy", {"state": state_to_dict(state)}),
-        "entropy": value,
-        "log_base": args.entropy_base,
-    }
-    _print_json(payload, args)
+    config = _config_dict(args, "entropy", {"state": state_to_dict(state)})
+    payload = {"config": config, "entropy": value, "log_base": args.entropy_base}
+    _emit([json.dumps(payload, indent=2, sort_keys=True)], args, config)
     return 0
 
 
@@ -291,16 +274,15 @@ def _cmd_validate(args) -> int:
     n_fail = sum(1 for r in results if not r.passed)
     print(f"{len(results) - n_fail}/{len(results)} checks passed")
     if args.out:
+        config = _config_dict(args, "validate",
+                              {"reps": args.rep or ["wigner", "husimi", "rivier"]})
         report = {
-            "config": _config_dict(args, "validate",
-                                   {"reps": args.rep or ["wigner", "husimi", "rivier"]}),
+            "config": config,
             "all_passed": ok,
-            "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
+            "checks": [{"name": r.name, "passed": bool(r.passed), "detail": r.detail}
                        for r in results],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _emit([json.dumps(report, indent=2, sort_keys=True)], args, config)
     return 0 if ok else 1
 
 
@@ -316,7 +298,7 @@ def _add_common(parser):
     parser.add_argument("--points", type=_positive_int, default=None,
                         help="points per axis of the base grid")
     parser.add_argument("--tol", type=float, default=1e-10,
-                        help="pointwise quadrature tolerance")
+                        help="overlap-quadrature tolerance of normalization")
     parser.add_argument("--coeff-convention", choices=["printed", "sqrt"],
                         default="sqrt", dest="coeff_convention")
     parser.add_argument("--entropy-base", choices=["2", "e"], default="2",

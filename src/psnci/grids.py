@@ -44,10 +44,6 @@ class Axis:
     def centers(self) -> np.ndarray:
         return self.lo + (np.arange(self.n) + 0.5) * self.delta
 
-    def refined(self, factor: int) -> "Axis":
-        return Axis(self.lo, self.hi, self.n * int(factor))
-
-
 
 @dataclass(frozen=True)
 class ModeAxes:
@@ -63,9 +59,6 @@ class ModeAxes:
     @property
     def n_points(self) -> int:
         return self.q.n * self.p.n
-
-    def refined(self, factor: int) -> "ModeAxes":
-        return ModeAxes(self.q.refined(factor), self.p.refined(factor))
 
 
 @dataclass(frozen=True)
@@ -97,9 +90,6 @@ class PhaseGrid:
 
     def mode(self, i: int) -> ModeAxes:
         return self.modes[i]
-
-    def refined(self, factor: int) -> "PhaseGrid":
-        return PhaseGrid(tuple(m.refined(factor) for m in self.modes))
 
     def swapped(self) -> "PhaseGrid":
         return PhaseGrid(tuple(reversed(self.modes)))

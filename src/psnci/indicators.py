@@ -230,12 +230,12 @@ def sweep_a(family, a_sq_values, reps, grid: PhaseGrid = None, *,
     return rows
 
 
-def sweep_r(family: str, r_values, a_values, rep, grid: PhaseGrid = None, *,
+def sweep_r(family: str, r_values, a_values, rep, *,
             convention: str = "sqrt", threads: int = 1) -> list:
     """Sweep the squeezing parameter of a squeezed-superposition family.
 
     Rows are grouped by amplitude a (ascending), with r strictly increasing
-    inside each group. Grids auto-stretch with e^r unless one is supplied.
+    inside each group. Each r gets its default grid, stretched with e^r.
     """
     makers = {
         "psi00r": squeezed_vacuum_superposition,
@@ -253,8 +253,7 @@ def sweep_r(family: str, r_values, a_values, rep, grid: PhaseGrid = None, *,
         for r in r_list:
             state = maker(a, r, convention=convention)
             if r not in table_cache:
-                g = grid if grid is not None else default_grid(state)
-                table_cache[r] = build_term_table(state, rep, g)
+                table_cache[r] = build_term_table(state, rep, default_grid(state))
                 table = table_cache[r]
             else:
                 table = table_cache[r].with_amplitudes(state.amplitudes)

@@ -111,18 +111,17 @@ def _mode_scales(prims) -> tuple:
 
 def _scaled_mode(extent: float, points: int, prims) -> ModeAxes:
     q_scale, p_scale = _mode_scales(prims)
-    q_axis = Axis(-extent * q_scale, extent * q_scale,
-                  max(16, int(round(points * q_scale))))
-    p_axis = Axis(-extent * p_scale, extent * p_scale,
-                  max(16, int(round(points * p_scale))))
+    q_axis = Axis(-extent * q_scale, extent * q_scale, int(round(points * q_scale)))
+    p_axis = Axis(-extent * p_scale, extent * p_scale, int(round(points * p_scale)))
     return ModeAxes(q_axis, p_axis)
 
 
 def default_grid(state, *, extent: float = None, points: int = None) -> PhaseGrid:
     """Default evaluation grid for a state.
 
-    Squeezed terms stretch the affected axis extent by e^|r| while the
-    node spacing is kept fixed, so resolution does not degrade.
+    Squeezed terms stretch the dilated axis extent by e^|r| with the node
+    spacing kept fixed. The contracted axis is not refined, so a squeezed
+    term's features along it span e^-|r| times as many nodes.
     """
     if isinstance(state, SingleModeState):
         base_e = DEFAULT_SINGLE_MODE_EXTENT if extent is None else float(extent)
@@ -180,52 +179,8 @@ def _kernel_sampling(prim_i: Primitive, prim_j: Primitive, p_absmax: float) -> t
     return half_width, nodes
 
 
-def _wigner_numeric_samples(prim_i, prim_j, qa, pa, half_width, nodes):
-    """Kernel quadrature at sample points; qa, pa are equal-shape 1D arrays."""
-    dy = 2.0 * half_width / nodes
-    y = -half_width + (np.arange(nodes) + 0.5) * dy
-    f = (position_wavefunction(prim_i, qa[:, None] + y[None, :])
-         * position_wavefunction(prim_j, qa[:, None] - y[None, :]))
-    phase = np.exp(-2j * pa[:, None] * y[None, :])
-    return np.sum(f * phase, axis=1) * (dy / math.pi)
-
-
-def cross_wigner_numeric(prim_i: Primitive, prim_j: Primitive, q, p, *,
-                         half_width: float = None, nodes: int = None,
-                         tol: float = 1e-10):
-    """Wigner cross-distribution by direct kernel quadrature.
-
-    The node count is doubled once as a convergence check; failure to
-    agree within tol raises QuadratureError carrying the residual.
-    """
-    qa = np.atleast_1d(np.asarray(q, dtype=float))
-    pa = np.atleast_1d(np.asarray(p, dtype=float))
-    qa, pa = np.broadcast_arrays(qa, pa)
-    shape = qa.shape
-    qa = qa.ravel()
-    pa = pa.ravel()
-    p_absmax = max(1.0, float(np.max(np.abs(pa))))
-    auto_hw, auto_nodes = _kernel_sampling(prim_i, prim_j, p_absmax)
-    hw = auto_hw if half_width is None else float(half_width)
-    base = auto_nodes if nodes is None else int(nodes)
-    coarse = _wigner_numeric_samples(prim_i, prim_j, qa, pa, hw, base)
-    fine = _wigner_numeric_samples(prim_i, prim_j, qa, pa, hw, 2 * base)
-    resid = float(np.max(np.abs(fine - coarse)))
-    if resid > max(tol, 1e-12 * float(np.max(np.abs(fine)) + 1.0)):
-        raise QuadratureError(
-            f"Wigner kernel quadrature residual {resid:g} exceeds {tol:g}",
-            achieved=resid,
-        )
-    out = fine.reshape(shape)
-    if np.ndim(q) == 0 and np.ndim(p) == 0 and not isinstance(q, np.ndarray):
-        return complex(out.ravel()[0])
-    return out
-
-
-def _wigner_numeric_grid(prim_i: Primitive, prim_j: Primitive, mode: ModeAxes) -> np.ndarray:
-    """Kernel quadrature over a full (q, p) grid via two real matrix products."""
-    q = mode.q.centers
-    p = mode.p.centers
+def _wigner_numeric_grid(prim_i: Primitive, prim_j: Primitive, q, p) -> np.ndarray:
+    """Kernel quadrature on the len(q) x len(p) grid via two real matrix products."""
     p_absmax = max(1.0, float(np.max(np.abs(p))))
     half_width, nodes = _kernel_sampling(prim_i, prim_j, p_absmax)
     dy = 2.0 * half_width / nodes
@@ -238,13 +193,12 @@ def _wigner_numeric_grid(prim_i: Primitive, prim_j: Primitive, mode: ModeAxes) -
     return (real - 1j * imag) * (dy / math.pi)
 
 
-def _wigner_pair_grid(prim_i: Primitive, prim_j: Primitive, mode: ModeAxes) -> np.ndarray:
+def _wigner_pair_grid(prim_i: Primitive, prim_j: Primitive, q, p) -> np.ndarray:
     if prim_i.r == prim_j.r:
         s = math.exp(prim_i.r)
-        qs = s * mode.q.centers[:, None]
-        ps = mode.p.centers[None, :] / s
-        return np.asarray(cross_wigner_fock_closed(prim_i.n, prim_j.n, qs, ps))
-    return _wigner_numeric_grid(prim_i, prim_j, mode)
+        return np.asarray(cross_wigner_fock_closed(prim_i.n, prim_j.n,
+                                                   s * q[:, None], p[None, :] / s))
+    return _wigner_numeric_grid(prim_i, prim_j, q, p)
 
 
 # ---------------------------------------------------------------------------
@@ -259,62 +213,28 @@ def _husimi_sampling(prim: Primitive, p_absmax: float) -> tuple:
     return half_width, nodes
 
 
-def _coherent_amplitude_grid(prim: Primitive, mode: ModeAxes) -> np.ndarray:
-    """<alpha|prim> on the (q, p) grid, alpha = q + ip.
+def _coherent_amplitude_grid(prim: Primitive, q, p) -> np.ndarray:
+    """<alpha|prim> on the len(q) x len(p) grid, alpha = q + ip.
 
     Fock states use the closed overlap e^(-|alpha|^2 / 2) (alpha*)^n / sqrt(n!);
     squeezed states integrate the coherent-state wavefunction against the
     primitive's position wavefunction.
     """
-    qt = mode.q.centers
-    pt = mode.p.centers
     if prim.kind == FOCK:
-        u = qt[:, None] ** 2 + pt[None, :] ** 2
+        u = q[:, None] ** 2 + p[None, :] ** 2
         env = np.exp(-0.5 * u - 0.5 * specialfn.log_factorial(prim.n))
         if prim.n == 0:
             return env.astype(complex)
-        return env * (qt[:, None] - 1j * pt[None, :]) ** prim.n
-    p_absmax = max(1.0, float(np.max(np.abs(pt))))
+        return env * (q[:, None] - 1j * p[None, :]) ** prim.n
+    p_absmax = max(1.0, float(np.max(np.abs(p))))
     half_width, nodes = _husimi_sampling(prim, p_absmax)
     dx = 2.0 * half_width / nodes
     x = -half_width + (np.arange(nodes) + 0.5) * dx
     psi_w = position_wavefunction(prim, x) * dx
-    gauss = np.exp(-0.5 * (x[None, :] - math.sqrt(2.0) * qt[:, None]) ** 2)
-    osc = np.exp(-1j * math.sqrt(2.0) * x[:, None] * pt[None, :])
+    gauss = np.exp(-0.5 * (x[None, :] - math.sqrt(2.0) * q[:, None]) ** 2)
+    osc = np.exp(-1j * math.sqrt(2.0) * x[:, None] * p[None, :])
     core = (gauss * psi_w[None, :]) @ osc
-    return _QUARTIC_ROOT_PI * np.exp(1j * qt[:, None] * pt[None, :]) * core
-
-
-def _coherent_amplitude_samples(prim: Primitive, qa: np.ndarray, pa: np.ndarray) -> np.ndarray:
-    if prim.kind == FOCK:
-        u = qa * qa + pa * pa
-        env = np.exp(-0.5 * u - 0.5 * specialfn.log_factorial(prim.n))
-        if prim.n == 0:
-            return env.astype(complex)
-        return env * (qa - 1j * pa) ** prim.n
-    p_absmax = max(1.0, float(np.max(np.abs(pa))))
-    half_width, nodes = _husimi_sampling(prim, p_absmax)
-    dx = 2.0 * half_width / nodes
-    x = -half_width + (np.arange(nodes) + 0.5) * dx
-    psi_w = position_wavefunction(prim, x) * dx
-    expo = (-0.5 * (x[None, :] - math.sqrt(2.0) * qa[:, None]) ** 2
-            + 1j * (qa * pa)[:, None]
-            - 1j * math.sqrt(2.0) * pa[:, None] * x[None, :])
-    return _QUARTIC_ROOT_PI * (np.exp(expo) @ psi_w)
-
-
-def husimi_term(prim_i: Primitive, prim_j: Primitive, q, p):
-    """Husimi cross term (1/pi) <alpha|prim_i><prim_j|alpha>, alpha = q + ip."""
-    qa = np.atleast_1d(np.asarray(q, dtype=float))
-    pa = np.atleast_1d(np.asarray(p, dtype=float))
-    qa, pa = np.broadcast_arrays(qa, pa)
-    shape = qa.shape
-    ai = _coherent_amplitude_samples(prim_i, qa.ravel(), pa.ravel())
-    aj = _coherent_amplitude_samples(prim_j, qa.ravel(), pa.ravel())
-    out = (ai * np.conj(aj) / math.pi).reshape(shape)
-    if np.ndim(q) == 0 and np.ndim(p) == 0 and not isinstance(q, np.ndarray):
-        return complex(out.ravel()[0])
-    return out
+    return _QUARTIC_ROOT_PI * np.exp(1j * q[:, None] * p[None, :]) * core
 
 
 def _husimi_pair_grid(amp_i: np.ndarray, amp_j: np.ndarray) -> np.ndarray:
@@ -330,26 +250,9 @@ def _husimi_pair_grid(amp_i: np.ndarray, amp_j: np.ndarray) -> np.ndarray:
 # Rivier (Kirkwood) evaluation
 # ---------------------------------------------------------------------------
 
-def rivier_term(prim_i: Primitive, prim_j: Primitive, q, p):
-    """Kirkwood kernel K_ij(q, p) = (2 pi)^(-1/2) psi_i(q) phi_j*(p) e^(-iqp).
-
-    The Rivier distribution stored in term tables is the hermitian real
-    combination of these kernels per term pair.
-    """
-    qa = np.asarray(q, dtype=float)
-    pa = np.asarray(p, dtype=float)
-    val = (_KIRKWOOD_NORM
-           * position_wavefunction(prim_i, qa)
-           * np.conj(momentum_wavefunction(prim_j, pa))
-           * np.exp(-1j * qa * pa))
-    if np.ndim(q) == 0 and np.ndim(p) == 0 and not isinstance(q, np.ndarray):
-        return complex(val)
-    return val
-
-
-def _kirkwood_pair_grid(prim_i: Primitive, prim_j: Primitive, mode: ModeAxes) -> np.ndarray:
-    q = mode.q.centers
-    p = mode.p.centers
+def _kirkwood_pair_grid(prim_i: Primitive, prim_j: Primitive, q, p) -> np.ndarray:
+    """Kirkwood kernel K_ij(q, p) = (2 pi)^(-1/2) psi_i(q) phi_j*(p) e^(-iqp)
+    on the len(q) x len(p) grid; tables pair it hermitially into Rivier terms."""
     psi_q = np.asarray(position_wavefunction(prim_i, q))
     phi_p = np.conj(momentum_wavefunction(prim_j, p))
     return _KIRKWOOD_NORM * np.outer(psi_q, phi_p) * np.exp(-1j * np.outer(q, p))
@@ -427,9 +330,6 @@ class SingleModeTermTable:
 
     def total_integral(self) -> float:
         return math.fsum(self.pair_integral(*k) for k in self.pair_keys())
-
-    def total_abs_with_estimate(self, threads: int = 1) -> tuple:
-        return integral_with_estimate(np.abs(self.total_values()), self.grid.mode(0))
 
     @property
     def norm_check(self) -> float:
@@ -519,6 +419,10 @@ class TwoModeTermTable:
         k, l = key
         if k == l and self.representation.hermitian_pairs:
             # Exact single real product: |f| factorizes across the modes.
+            # abs_4d_with_estimate's rank-1 path gives the same value to
+            # 6e-16 but costs about 40x more per term (QR, SVD and an fsum
+            # over every point), and its estimate would be the product of
+            # decimated sums instead of the first-order ea*b + a*eb.
             scale = abs(self.amplitudes[k]) ** 2
             f1 = np.abs(self._mode_grid(0, k, k).real)
             f2 = np.abs(self._mode_grid(1, k, k).real)
@@ -550,14 +454,15 @@ class TwoModeTermTable:
 
 def _pair_grid(rep: Representation, prim_i: Primitive, prim_j: Primitive,
                mode: ModeAxes, husimi_cache: dict) -> np.ndarray:
+    q, p = mode.q.centers, mode.p.centers
     if rep is Representation.WIGNER:
-        return _wigner_pair_grid(prim_i, prim_j, mode)
+        return _wigner_pair_grid(prim_i, prim_j, q, p)
     if rep is Representation.HUSIMI:
         for prim in (prim_i, prim_j):
             if prim not in husimi_cache:
-                husimi_cache[prim] = _coherent_amplitude_grid(prim, mode)
+                husimi_cache[prim] = _coherent_amplitude_grid(prim, q, p)
         return _husimi_pair_grid(husimi_cache[prim_i], husimi_cache[prim_j])
-    return _kirkwood_pair_grid(prim_i, prim_j, mode)
+    return _kirkwood_pair_grid(prim_i, prim_j, q, p)
 
 
 def _build_cross_maps(rep, prims, mode):
@@ -575,19 +480,15 @@ def _build_cross_maps(rep, prims, mode):
     return cross, ints
 
 
-def build_term_table(state, representation, grid: PhaseGrid = None, *,
-                     swap_modes: bool = False):
+def build_term_table(state, representation, grid: PhaseGrid = None):
     """Evaluate the term-pair decomposition of a normalized state.
 
     The total integral over the grid must come out within 1e-3 of one,
     otherwise the grid does not cover the state (or the state was not
-    normalized) and GridCoverageError is raised. ``swap_modes`` relabels
-    the two modes of a two-mode state; observables are invariant.
+    normalized) and GridCoverageError is raised.
     """
     rep = Representation.parse(representation)
     if isinstance(state, SingleModeState):
-        if swap_modes:
-            raise DomainError("swap_modes applies to two-mode states only")
         if grid is None:
             grid = default_grid(state)
         if grid.n_modes != 1:
@@ -596,9 +497,6 @@ def build_term_table(state, representation, grid: PhaseGrid = None, *,
         table = SingleModeTermTable(rep, grid, state.primitives,
                                     state.amplitudes, cross, ints)
     elif isinstance(state, TwoModeState):
-        if swap_modes:
-            state = state.swapped()
-            grid = grid.swapped() if grid is not None else None
         if grid is None:
             grid = default_grid(state)
         if grid.n_modes != 2:

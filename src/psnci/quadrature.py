@@ -222,7 +222,6 @@ def _folded_abs_sum(gmat: np.ndarray, hmat: np.ndarray, tile_rows: int, threads:
 # perfbench/tracer.py reads the tile_rows default through
 # inspect.signature to model the bytes a pass moves.
 def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
-                         max_points: int = DEFAULT_MAX_POINTS,
                          tile_rows: int = _TILE_ROWS) -> tuple:
     """Streamed 4D absolute integral with a decimated-grid error estimate.
 
@@ -233,10 +232,10 @@ def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
         raise DomainError("the streamed path needs a two-mode grid")
     mode1, mode2 = grid.mode(0), grid.mode(1)
     n1, n2 = mode1.n_points, mode2.n_points
-    if n1 * n2 > max_points:
+    if n1 * n2 > DEFAULT_MAX_POINTS:
         raise ResourceBudgetError(
             f"4D product grid has {n1 * n2} points, beyond the budget of "
-            f"{max_points}; use a coarser grid"
+            f"{DEFAULT_MAX_POINTS}; use a coarser grid"
         )
     shaped = []
     for g, h in products:

@@ -1,7 +1,7 @@
 """Special functions needed by the distribution formulas.
 
-Hermite and associated Laguerre polynomials are evaluated by upward
-three-term recurrence, which is stable for the moderate orders supported
+Associated Laguerre polynomials are evaluated by upward three-term
+recurrence, which is stable for the moderate orders supported
 here (n <= 64). Normalization constants are handled in log space so that
 factorials never overflow.
 """
@@ -38,25 +38,6 @@ def _as_input_like(result, template):
     if np.ndim(template) == 0 and not isinstance(template, np.ndarray):
         return float(result)
     return result
-
-
-def hermite_phys(n: int, x):
-    """Physicists' Hermite polynomial H_n(x).
-
-    Upward recurrence H_{k+1} = 2 x H_k - 2 k H_{k-1}. Accepts scalars
-    or arrays; x must be finite.
-    """
-    n = _check_order("n", n)
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)):
-        raise DomainError("hermite_phys requires finite x")
-    h_prev = np.ones_like(xa)
-    if n == 0:
-        return _as_input_like(h_prev, x)
-    h_cur = 2.0 * xa
-    for k in range(1, n):
-        h_cur, h_prev = 2.0 * xa * h_cur - 2.0 * k * h_prev, h_cur
-    return _as_input_like(h_cur, x)
 
 
 def assoc_laguerre(n: int, k: int, x):

@@ -62,11 +62,6 @@ class Primitive:
                 )
 
     @property
-    def position_scale(self) -> float:
-        """Characteristic width factor of the position wavefunction."""
-        return math.exp(-self.r)
-
-    @property
     def support_radius(self) -> float:
         """Position radius beyond which the wavefunction is negligible."""
         return (math.sqrt(2.0 * self.n + 1.0) + _SUPPORT_MARGIN) * math.exp(-self.r)

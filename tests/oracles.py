@@ -12,8 +12,10 @@ from fractions import Fraction
 import numpy as np
 
 from psnci.errors import DomainError, QuadratureError
+from psnci.grids import Axis, ModeAxes, PhaseGrid
 
 SQRT_PI = math.sqrt(math.pi)
+MAX_ORDER = 64
 
 
 # --- polynomials by explicit coefficient expansion ------------------------
@@ -27,6 +29,24 @@ def hermite_coeffs(n):
         coeffs[k] += ((-1) ** m * math.factorial(n) * 2**k
                       / (math.factorial(m) * math.factorial(k)))
     return coeffs
+
+
+def hermite_phys(n, x):
+    """Physicists' Hermite polynomial H_n(x), 0 <= n <= 64, by the upward
+    recurrence H_{k+1} = 2 x H_k - 2 k H_{k-1}. Accepts scalars or arrays;
+    x must be finite."""
+    if not isinstance(n, (int, np.integer)) or not 0 <= n <= MAX_ORDER:
+        raise DomainError(f"n must be an integer in [0, {MAX_ORDER}], got {n!r}")
+    xa = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xa)):
+        raise DomainError("hermite_phys requires finite x")
+    h_prev = np.ones_like(xa)
+    h_cur = h_prev if n == 0 else 2.0 * xa
+    for k in range(1, n):
+        h_cur, h_prev = 2.0 * xa * h_cur - 2.0 * k * h_prev, h_cur
+    if np.ndim(x) == 0 and not isinstance(x, np.ndarray):
+        return float(h_cur)
+    return h_cur
 
 
 def laguerre_coeffs_exact(n, k):
@@ -175,10 +195,15 @@ def refine_until(f, grid0, tol, max_levels=6):
     def midpoint(grid):
         return float(np.sum(f(grid))) * grid.mode(0).cell_area
 
+    def refined(factor):
+        mode = grid0.mode(0)
+        q, p = (Axis(ax.lo, ax.hi, ax.n * factor) for ax in (mode.q, mode.p))
+        return PhaseGrid((ModeAxes(q, p),))
+
     prev = midpoint(grid0)
     last_two = (prev, prev)
     for level in range(2, max_levels + 1):
-        cur = midpoint(grid0.refined(2 ** (level - 1)))
+        cur = midpoint(refined(2 ** (level - 1)))
         diff = abs(cur - prev)
         last_two = (prev, cur)
         if diff < tol:

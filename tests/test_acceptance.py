@@ -14,7 +14,7 @@ import pytest
 
 from psnci.grids import PhaseGrid
 from psnci.indicators import delta_indicator, sweep_a, sweep_r
-from psnci.phasespace import build_term_table, cross_wigner_numeric
+from psnci.phasespace import _wigner_numeric_grid, build_term_table
 from psnci.quadrature import abs_4d_with_estimate
 from psnci.states import (
     SingleModeState,
@@ -208,23 +208,25 @@ def test_criterion_10_oracle_equivalence():
     separable = oracles.separable_abs_integral(vac, f1, grid)
     ok = abs(streamed - separable) <= 1e-10
 
-    # analytic two-mode pair terms against the kernel quadrature
+    # analytic two-mode pair terms against the kernel quadrature, on the
+    # 4D grid of two random (q, p) axes per mode
     rng = np.random.default_rng(11)
-    pts = rng.uniform(-2.0, 2.0, size=(20, 4))
+    q1, p1, q2, p2 = rng.uniform(-2.0, 2.0, size=(4, 20))
+    z1 = (q1[:, None, None, None], p1[None, :, None, None])
+    z2 = (q2[None, None, :, None], p2[None, None, None, :])
     a, b = math.sqrt(0.36), math.sqrt(0.64)
-    w01 = cross_wigner_numeric(fock(0), fock(1), pts[:, 0], pts[:, 1])
-    w10 = cross_wigner_numeric(fock(1), fock(0), pts[:, 2], pts[:, 3])
-    kernel_cross = 2.0 * a * b * np.real(w01 * w10)
-    closed_cross = oracles.wigner_vacuum_fock1_cross_pair(
-        pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], a, b)
+    w01 = _wigner_numeric_grid(fock(0), fock(1), q1, p1)
+    w10 = _wigner_numeric_grid(fock(1), fock(0), q2, p2)
+    kernel_cross = 2.0 * a * b * np.real(np.multiply.outer(w01, w10))
+    closed_cross = oracles.wigner_vacuum_fock1_cross_pair(*z1, *z2, a, b)
     worst_cross = float(np.max(np.abs(kernel_cross - closed_cross)))
     ok = ok and worst_cross <= 1e-6
 
-    diag_kernel = np.real(
-        cross_wigner_numeric(fock(1), fock(1), pts[:, 0], pts[:, 1])
-        * cross_wigner_numeric(fock(0), fock(0), pts[:, 2], pts[:, 3]))
-    diag_closed = (oracles.wigner_fock_diag(1, pts[:, 0], pts[:, 1])
-                   * oracles.wigner_fock_diag(0, pts[:, 2], pts[:, 3]))
+    diag_kernel = np.real(np.multiply.outer(
+        _wigner_numeric_grid(fock(1), fock(1), q1, p1),
+        _wigner_numeric_grid(fock(0), fock(0), q2, p2)))
+    diag_closed = (oracles.wigner_fock_diag(1, *z1)
+                   * oracles.wigner_fock_diag(0, *z2))
     worst_diag = float(np.max(np.abs(diag_kernel - diag_closed)))
     ok = ok and worst_diag <= 1e-6
 

@@ -171,3 +171,30 @@ def test_validate_husimi_positivity_passes(capsys):
     assert code == 0
     assert "husimi_positivity" in out
     assert "[FAIL]" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["indicator", "--state", VACUUM, "--rep", "wigner"],
+    ["entropy", "--state", BELL],
+    ["validate", "--rep", "husimi", "--threads", "2"],
+], ids=["indicator", "entropy", "validate"])
+def test_json_outputs_get_meta_sidecar(tmp_path, argv, capsys):
+    out = tmp_path / "result.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    meta = json.loads((tmp_path / "result.json.meta.json").read_text())
+    assert meta == payload["config"]
+    assert meta["command"] == argv[0]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["indicator", "--state", VACUUM, "--rep", "wigner"],
+    ["dist", "--state", VACUUM],
+    ["sweep-a", "--family", "entangled01", "--steps", "2", "--reps", "wigner"],
+], ids=["indicator", "dist", "sweep-a"])
+def test_points_below_axis_minimum_exit_3(argv, capsys):
+    # 8 points per axis is below the 16-point minimum of an axis; no
+    # command may quietly run on a larger grid instead
+    assert main(argv + ["--points", "8"]) == 3
+    assert "at least 16 points" in capsys.readouterr().err

@@ -6,14 +6,17 @@ from numpy.testing import assert_allclose
 
 from psnci.errors import DomainError, GridCoverageError
 from psnci.grids import PhaseGrid
+from psnci import phasespace
 from psnci.phasespace import (
     Representation,
+    _coherent_amplitude_grid,
+    _husimi_pair_grid,
+    _kirkwood_pair_grid,
+    _pair_grid,
+    _wigner_numeric_grid,
     build_term_table,
     cross_wigner_fock_closed,
-    cross_wigner_numeric,
     default_grid,
-    husimi_term,
-    rivier_term,
 )
 from psnci.states import (
     SingleModeState,
@@ -22,6 +25,7 @@ from psnci.states import (
     fock,
     fock_psi,
     normalize,
+    squeezed_excited_superposition,
     squeezed_fock,
     squeezed_vacuum_superposition,
 )
@@ -30,10 +34,24 @@ from psnci.indicators import delta_indicator, eta_indicator
 import oracles
 
 RNG = np.random.default_rng(20240809)
+ORIGIN = np.zeros(1)
 
 
 def _sample_points(n=20, span=2.5):
     return RNG.uniform(-span, span, size=(n, 2))
+
+
+def _sample_axes(n=20, span=2.5):
+    """Random q and p axes; the grid evaluators return the len(q) x len(p) grid."""
+    q, p = RNG.uniform(-span, span, size=(2, n))
+    return q, p
+
+
+def _husimi(prim_i, prim_j, q, p):
+    """Husimi cross term on the len(q) x len(p) grid, paired as _pair_grid does."""
+    amp_i = _coherent_amplitude_grid(prim_i, q, p)
+    amp_j = amp_i if prim_j == prim_i else _coherent_amplitude_grid(prim_j, q, p)
+    return _husimi_pair_grid(amp_i, amp_j)
 
 
 # ---------------------------------------------------------------------------
@@ -41,14 +59,14 @@ def _sample_points(n=20, span=2.5):
 # ---------------------------------------------------------------------------
 
 def test_vacuum_wigner_peak():
-    val = cross_wigner_numeric(fock(0), fock(0), 0.0, 0.0)
+    val = _wigner_numeric_grid(fock(0), fock(0), ORIGIN, ORIGIN)[0, 0]
     assert_allclose(val, 1.0 / math.pi, atol=1e-12)
 
 
 def test_fock1_wigner_matches_analytic_factor():
-    pts = _sample_points()
-    got = cross_wigner_numeric(fock(1), fock(1), pts[:, 0], pts[:, 1])
-    u = pts[:, 0] ** 2 + pts[:, 1] ** 2
+    q, p = _sample_axes()
+    got = _wigner_numeric_grid(fock(1), fock(1), q, p)
+    u = q[:, None] ** 2 + p[None, :] ** 2
     ref = (2.0 / math.pi) * (u - 0.5) * np.exp(-u)
     assert np.max(np.abs(got - ref)) < 1e-8
 
@@ -67,24 +85,48 @@ def test_closed_form_01_structure():
     assert np.max(np.abs(got - ref)) < 1e-13
 
 
-def test_kernel_quadrature_convergence_guard():
-    from psnci.errors import QuadratureError
-    with pytest.raises(QuadratureError) as err:
-        cross_wigner_numeric(fock(2), fock(2), 0.5, 4.0, nodes=8, tol=1e-12)
-    assert err.value.achieved is not None
+@pytest.mark.parametrize("make_state", [
+    lambda: squeezed_vacuum_superposition(0.5, 1.0),
+    lambda: squeezed_excited_superposition(0.7, 2.0),
+], ids=["psi00r", "psi01r"])
+@pytest.mark.parametrize("rep", ["wigner", "husimi"])
+def test_production_node_rules_are_converged(monkeypatch, rep, make_state):
+    # Doubling the node count of the kernel and coherent-overlap
+    # quadratures must not move any pair grid on the default grid.
+    rep = Representation.parse(rep)
+    state = make_state()
+    mode = default_grid(state).mode(0)
+    prims = state.primitives
+
+    def pair_grids():
+        cache = {}
+        return [_pair_grid(rep, prims[i], prims[j], mode, cache)
+                for i in range(len(prims)) for j in range(len(prims))]
+
+    base = pair_grids()
+    for name in ("_kernel_sampling", "_husimi_sampling"):
+        rule = getattr(phasespace, name)
+
+        def doubled(*args, rule=rule):
+            half_width, nodes = rule(*args)
+            return half_width, 2 * nodes
+
+        monkeypatch.setattr(phasespace, name, doubled)
+    for coarse, fine in zip(base, pair_grids()):
+        assert np.max(np.abs(fine - coarse)) < 1e-12
 
 
 def test_closed_vs_numeric_cross():
     val_c = cross_wigner_fock_closed(0, 2, 0.0, 0.0)
-    val_n = cross_wigner_numeric(fock(0), fock(2), 0.0, 0.0)
+    val_n = _wigner_numeric_grid(fock(0), fock(2), ORIGIN, ORIGIN)[0, 0]
     assert abs(val_c - val_n) < 1e-8
 
     worst = 0.0
     for m in range(5):
         for n in range(m, 5):
-            pts = _sample_points(4, span=3.0)
-            closed = cross_wigner_fock_closed(m, n, pts[:, 0], pts[:, 1])
-            numeric = cross_wigner_numeric(fock(m), fock(n), pts[:, 0], pts[:, 1])
+            q, p = _sample_axes(4, span=3.0)
+            closed = cross_wigner_fock_closed(m, n, q[:, None], p[None, :])
+            numeric = _wigner_numeric_grid(fock(m), fock(n), q, p)
             worst = max(worst, float(np.max(np.abs(closed - numeric))))
     assert worst < 1e-8
 
@@ -92,33 +134,31 @@ def test_closed_vs_numeric_cross():
 def test_squeezed_vacuum_wigner_is_scaled_gaussian():
     # diagonal Wigner of |0, r> must be exp(-e^{2r} q^2 - e^{-2r} p^2) / pi
     r = 1.0
-    pts = _sample_points(15, span=1.5)
-    got = cross_wigner_numeric(squeezed_fock(0, r), squeezed_fock(0, r),
-                               pts[:, 0], pts[:, 1])
-    ref = np.exp(-math.exp(2 * r) * pts[:, 0] ** 2
-                 - math.exp(-2 * r) * pts[:, 1] ** 2) / math.pi
+    q, p = _sample_axes(15, span=1.5)
+    got = _wigner_numeric_grid(squeezed_fock(0, r), squeezed_fock(0, r), q, p)
+    ref = np.exp(-math.exp(2 * r) * q[:, None] ** 2
+                 - math.exp(-2 * r) * p[None, :] ** 2) / math.pi
     assert np.max(np.abs(got - ref)) < 1e-8
 
 
 def test_vacuum_squeezed_cross_matches_reference():
     # paired real combination against the hand-derived Gaussian form
     r = 0.8
-    pts = _sample_points(20, span=2.0)
-    w12 = cross_wigner_numeric(fock(0), squeezed_fock(0, r), pts[:, 0], pts[:, 1])
+    q, p = _sample_axes(20, span=2.0)
+    w12 = _wigner_numeric_grid(fock(0), squeezed_fock(0, r), q, p)
     combined = 2.0 * np.real(w12)
-    ref = oracles.squeezed_vacuum_cross_reference(pts[:, 0], pts[:, 1], r)
+    ref = oracles.squeezed_vacuum_cross_reference(q[:, None], p[None, :], r)
     assert np.max(np.abs(combined - ref)) < 1e-6
 
 
 def test_squeezing_covariance():
     # W of |n, r> at (q, p) equals W of |n> at (e^r q, e^-r p)
-    pts = _sample_points(10, span=1.8)
+    q, p = _sample_axes(10, span=1.8)
     for n in (1, 2):
         for r in (0.5, -0.6):
-            sq = cross_wigner_numeric(squeezed_fock(n, r), squeezed_fock(n, r),
-                                      pts[:, 0], pts[:, 1])
-            ref = cross_wigner_fock_closed(n, n, math.exp(r) * pts[:, 0],
-                                           math.exp(-r) * pts[:, 1])
+            sq = _wigner_numeric_grid(squeezed_fock(n, r), squeezed_fock(n, r), q, p)
+            ref = cross_wigner_fock_closed(n, n, math.exp(r) * q[:, None],
+                                           math.exp(-r) * p[None, :])
             assert np.max(np.abs(sq - ref)) < 1e-8
 
 
@@ -127,15 +167,15 @@ def test_squeezing_covariance():
 # ---------------------------------------------------------------------------
 
 def test_husimi_vacuum_peak():
-    assert_allclose(husimi_term(fock(0), fock(0), 0.0, 0.0), 1.0 / math.pi,
+    assert_allclose(_husimi(fock(0), fock(0), ORIGIN, ORIGIN)[0, 0], 1.0 / math.pi,
                     atol=1e-14)
 
 
 def test_husimi_diagonal_form_and_positivity():
-    pts = _sample_points(25, span=3.0)
+    q, p = _sample_axes(25, span=3.0)
     for n in (0, 1, 3):
-        got = husimi_term(fock(n), fock(n), pts[:, 0], pts[:, 1])
-        u = pts[:, 0] ** 2 + pts[:, 1] ** 2
+        got = _husimi(fock(n), fock(n), q, p)
+        u = q[:, None] ** 2 + p[None, :] ** 2
         ref = np.exp(-u) * u**n / (math.pi * math.factorial(n))
         assert np.max(np.abs(got - ref)) < 1e-13
         assert np.min(got.real) >= 0.0
@@ -159,8 +199,8 @@ def test_husimi_self_pairs_are_real():
     )))
     grid = PhaseGrid.two_mode(points=21)
     table = build_term_table(state, "husimi", grid)
-    q = grid.mode(0).q.centers[:, None]
-    p = grid.mode(0).p.centers[None, :]
+    q = grid.mode(0).q.centers
+    p = grid.mode(0).p.centers
     self_pairs = 0
     for mode in range(2):
         prims = [term[mode] for term in table.term_primitives]
@@ -168,23 +208,21 @@ def test_husimi_self_pairs_are_real():
             if prims[k] == prims[l]:
                 self_pairs += 1
                 assert not np.any(g.imag)
-                assert_allclose(g.real, husimi_term(prims[k], prims[k], q, p).real,
-                                rtol=0, atol=1e-14)
+                amp = _coherent_amplitude_grid(prims[k], q, p)
+                assert_allclose(g.real, np.abs(amp) ** 2 / math.pi, rtol=0, atol=1e-14)
     assert self_pairs == 7
 
 
 def test_husimi_quadrature_path_matches_closed_fock():
     # a squeezed primitive with r = 0 goes through the wavefunction
     # quadrature; it must agree with the closed Fock route
-    pts = _sample_points(12, span=2.0)
+    q, p = _sample_axes(12, span=2.0)
     for n in (0, 1):
-        closed = husimi_term(fock(n), fock(n), pts[:, 0], pts[:, 1])
-        quad = husimi_term(squeezed_fock(n, 0.0), squeezed_fock(n, 0.0),
-                           pts[:, 0], pts[:, 1])
+        closed = _husimi(fock(n), fock(n), q, p)
+        quad = _husimi(squeezed_fock(n, 0.0), squeezed_fock(n, 0.0), q, p)
         assert np.max(np.abs(closed - quad)) < 1e-10
-    mixed_c = husimi_term(fock(0), fock(1), pts[:, 0], pts[:, 1])
-    mixed_q = husimi_term(squeezed_fock(0, 0.0), squeezed_fock(1, 0.0),
-                          pts[:, 0], pts[:, 1])
+    mixed_c = _husimi(fock(0), fock(1), q, p)
+    mixed_q = _husimi(squeezed_fock(0, 0.0), squeezed_fock(1, 0.0), q, p)
     assert np.max(np.abs(mixed_c - mixed_q)) < 1e-10
 
 
@@ -193,12 +231,12 @@ def test_husimi_quadrature_path_matches_closed_fock():
 # ---------------------------------------------------------------------------
 
 def test_kirkwood_vacuum_form():
-    val = rivier_term(fock(0), fock(0), 0.0, 0.0)
+    val = _kirkwood_pair_grid(fock(0), fock(0), ORIGIN, ORIGIN)[0, 0]
     assert_allclose(val, (2 * math.pi) ** -0.5 * math.pi ** -0.5, atol=1e-14)
-    pts = _sample_points(15)
-    got = np.real(rivier_term(fock(0), fock(0), pts[:, 0], pts[:, 1]))
-    ref = ((2 * math.pi) ** -0.5 * fock_psi(0, pts[:, 0]) * fock_psi(0, pts[:, 1])
-           * np.cos(pts[:, 0] * pts[:, 1]))
+    q, p = _sample_axes(15)
+    got = np.real(_kirkwood_pair_grid(fock(0), fock(0), q, p))
+    ref = ((2 * math.pi) ** -0.5 * fock_psi(0, q)[:, None] * fock_psi(0, p)[None, :]
+           * np.cos(q[:, None] * p[None, :]))
     assert np.max(np.abs(got - ref)) < 1e-13
 
 
@@ -233,7 +271,7 @@ def test_entangled_pair_terms_match_analytic_forms():
     a_sq = 0.36
     a, b = math.sqrt(a_sq), math.sqrt(1 - a_sq)
     st = entangled_state(0, 1, a_sq)
-    table = build_term_table(st, "wigner", swap_modes=True)
+    table = build_term_table(st.swapped(), "wigner")
     m1, m2 = table.grid.mode(0), table.grid.mode(1)
     idx = RNG.integers(0, 121, size=(12, 4))
     for i1, j1, i2, j2 in idx:
@@ -260,7 +298,7 @@ def test_entangled_pair_terms_match_analytic_forms():
 def test_swap_invariance_of_indicators():
     st = entangled_state(0, 1, 0.3)
     plain = build_term_table(st, "wigner")
-    swapped = build_term_table(st, "wigner", swap_modes=True)
+    swapped = build_term_table(st.swapped(), "wigner")
     d1 = delta_indicator(plain).value
     d2 = delta_indicator(swapped).value
     e1 = eta_indicator(plain).value

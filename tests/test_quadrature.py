@@ -351,10 +351,12 @@ def test_streamed_bit_identical_across_threads(tile_rows, make):
 
 
 def test_streamed_budget_guard():
-    grid = PhaseGrid.two_mode(points=41)
+    # 179^4 = 1.03e9 points, beyond the 1e9 budget: raises before any
+    # 4D work is done.
+    grid = PhaseGrid.two_mode(points=179)
     vac, f1 = _two_mode_factors(grid)
     with pytest.raises(ResourceBudgetError):
-        abs_4d_with_estimate([(vac, f1)], grid, max_points=1000)
+        abs_4d_with_estimate([(vac, f1)], grid)
 
 
 def test_streamed_empty_and_zero_products():
