@@ -234,7 +234,8 @@ def _cmd_sweep_r(args) -> int:
         raise UsageError("sweep-r takes exactly one representation")
     rep_name = Representation.parse(reps[0]).value
     rows = sweep_r(args.family, r_values, args.a, rep_name,
-                   convention=args.coeff_convention, threads=threads)
+                   convention=args.coeff_convention, extent=args.extent,
+                   points=args.points, threads=threads)
     lines = [SWEEP_CSV_HEADER + ",a"]
     for row in rows:
         lines.append(",".join([

@@ -14,10 +14,11 @@
   with Fock-only terms, from the singular values of the coefficient
   matrix.
 
-Sweeps reuse one evaluated term table per parameter family: pair grids do
-not depend on the superposition amplitudes, so each row only rescales the
-cached pair integrals (eta) or restreams the 4D absolute integral of the
-total (delta).
+Sweeps integrate each pair term of a table once: pair grids do not depend
+on the amplitudes, so eta rows rescale per-unit |c_i c_j| pair integrals
+and delta rows restream the 4D absolute integral of the total. ``sweep_a``
+builds one table per representation, ``sweep_r`` one per r (its grid
+stretches with e^r), dropped once that r's rows are formed.
 """
 
 from __future__ import annotations
@@ -172,6 +173,37 @@ def _sorted_params(values, name, lo, hi, *, inclusive=True) -> list:
     return out
 
 
+def _eta_rows(table, amplitude_rows, threads: int) -> list:
+    """(eta, norm_check, error_estimate) of the table at each amplitude tuple.
+
+    Each pair term is integrated once, at the table's amplitudes, and kept
+    per unit |c_i c_j|. A pair term is linear in gamma_ij = c_i c_j*, so
+    rescaling by |gamma_ij| is exact only while gamma_ij keeps its phase;
+    both sweep families have real, non-negative amplitudes (sweep_r's for
+    a in (0, 1) under both coefficient conventions), so it does.
+    """
+    ref = [abs(c) for c in table.amplitudes]
+    units = []
+    for i, j in table.pair_keys():
+        scale = ref[i] * ref[j]
+        absval, abs_est = table.pair_abs_with_estimate((i, j), threads=threads)
+        plain = table.pair_integral(i, j)
+        units.append((i, j, absval / scale, abs_est / scale, plain / scale))
+    out = []
+    for c in amplitude_rows:
+        num = den = est = norm = 0.0
+        for i, j, absval, abs_est, plain in units:
+            w = abs(c[i]) * abs(c[j])
+            num += w * (absval - plain)
+            den += w * (absval + plain)
+            est += w * abs_est
+            norm += w * plain
+        if den < 1e-12:
+            raise DegenerateStateError("eta denominator vanished in sweep")
+        out.append((num / den, norm, 2.0 * est / den))
+    return out
+
+
 def sweep_a(family, a_sq_values, reps, grid: PhaseGrid = None, *,
             entropy_base=2, threads: int = 1) -> list:
     """Sweep the superposition weight a^2 of an entangled pair family.
@@ -188,37 +220,18 @@ def sweep_a(family, a_sq_values, reps, grid: PhaseGrid = None, *,
     ref_state = entangled_state(n_low, n_high, 0.5)
     if grid is None:
         grid = default_grid(ref_state)
+    amps = [(math.sqrt(a_sq), math.sqrt(max(0.0, 1.0 - a_sq))) for a_sq in a_list]
     cached = {}
     for rep in rep_list:
         table = build_term_table(ref_state, rep, grid)
-        ref_c = [abs(c) for c in ref_state.amplitudes]
-        pair_data = {}
-        for key in table.pair_keys():
-            i, j = key
-            scale = ref_c[i] * ref_c[j]
-            absval, abs_est = table.pair_abs_with_estimate(key, threads=threads)
-            plain = table.pair_integral(i, j)
-            pair_data[key] = (absval / scale, abs_est / scale, plain / scale)
-        cached[rep] = (table, pair_data)
+        cached[rep] = (table, _eta_rows(table, amps, threads))
 
     rows = []
-    for a_sq in a_list:
-        c = (math.sqrt(a_sq), math.sqrt(max(0.0, 1.0 - a_sq)))
+    for k, (a_sq, c) in enumerate(zip(a_list, amps)):
         eta, delta, norm, err = {}, {}, {}, {}
         for rep in rep_list:
-            table, pair_data = cached[rep]
-            num = den = est = plain_sum = 0.0
-            for (i, j), (absval, abs_est, plain) in pair_data.items():
-                w = c[i] * c[j]
-                num += w * (absval - plain)
-                den += w * (absval + plain)
-                est += w * abs_est
-                plain_sum += w * plain
-            if den < 1e-12:
-                raise DegenerateStateError("eta denominator vanished in sweep")
-            eta[rep.value] = num / den
-            norm[rep.value] = plain_sum
-            err[rep.value] = 2.0 * est / den
+            table, eta_rows = cached[rep]
+            eta[rep.value], norm[rep.value], err[rep.value] = eta_rows[k]
             if rep in (Representation.WIGNER, Representation.RIVIER):
                 result = delta_indicator(table.with_amplitudes(c), threads=threads)
                 delta[rep.value] = result.value
@@ -230,12 +243,14 @@ def sweep_a(family, a_sq_values, reps, grid: PhaseGrid = None, *,
     return rows
 
 
-def sweep_r(family: str, r_values, a_values, rep, *,
-            convention: str = "sqrt", threads: int = 1) -> list:
+def sweep_r(family: str, r_values, a_values, rep, *, convention: str = "sqrt",
+            extent: float = None, points: int = None, threads: int = 1) -> list:
     """Sweep the squeezing parameter of a squeezed-superposition family.
 
     Rows are grouped by amplitude a (ascending), with r strictly increasing
-    inside each group. Each r gets its default grid, stretched with e^r.
+    inside each group. Each r gets one table on the default grid of
+    ``extent`` and ``points`` stretched with e^r, and every a's row is scaled
+    from its pair integrals (last digits can differ from ``eta_indicator``).
     """
     makers = {
         "psi00r": squeezed_vacuum_superposition,
@@ -247,22 +262,18 @@ def sweep_r(family: str, r_values, a_values, rep, *,
     r_list = _sorted_params(r_values, "r", 0.0, 2.0)
     a_list = _sorted_params(a_values, "a", 0.0, 1.0, inclusive=False)
     rep = Representation.parse(rep)
-    table_cache = {}
+    per_r = {}
+    for r in r_list:
+        states = [maker(a, r, convention=convention) for a in a_list]
+        grid = default_grid(states[0], extent=extent, points=points)
+        # The table is never named, so it is freed before the next r is built.
+        per_r[r] = _eta_rows(build_term_table(states[0], rep, grid),
+                             [st.amplitudes for st in states], threads)
     rows = []
-    for a in a_list:
+    for k, a in enumerate(a_list):
         for r in r_list:
-            state = maker(a, r, convention=convention)
-            if r not in table_cache:
-                table_cache[r] = build_term_table(state, rep, default_grid(state))
-                table = table_cache[r]
-            else:
-                table = table_cache[r].with_amplitudes(state.amplitudes)
-            result = eta_indicator(table, threads=threads)
-            rows.append(SweepRow(
-                param=r,
-                amplitude=a,
-                eta={rep.value: result.value},
-                norm_check={rep.value: result.norm_check},
-                error_estimate={rep.value: result.error_estimate},
-            ))
+            eta, norm, err = per_r[r][k]
+            rows.append(SweepRow(param=r, amplitude=a, eta={rep.value: eta},
+                                 norm_check={rep.value: norm},
+                                 error_estimate={rep.value: err}))
     return rows

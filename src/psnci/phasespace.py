@@ -213,12 +213,13 @@ def _husimi_sampling(prim: Primitive, p_absmax: float) -> tuple:
     return half_width, nodes
 
 
-def _coherent_amplitude_grid(prim: Primitive, q, p) -> np.ndarray:
+def _coherent_amplitude_grid(prim: Primitive, q, p, phase) -> np.ndarray:
     """<alpha|prim> on the len(q) x len(p) grid, alpha = q + ip.
 
     Fock states use the closed overlap e^(-|alpha|^2 / 2) (alpha*)^n / sqrt(n!);
     squeezed states integrate the coherent-state wavefunction against the
-    primitive's position wavefunction.
+    primitive's position wavefunction, with e^(iqp) = conj(phase) taken
+    from the mode's shared e^(-iqp) grid (Fock states ignore ``phase``).
     """
     if prim.kind == FOCK:
         u = q[:, None] ** 2 + p[None, :] ** 2
@@ -234,7 +235,7 @@ def _coherent_amplitude_grid(prim: Primitive, q, p) -> np.ndarray:
     gauss = np.exp(-0.5 * (x[None, :] - math.sqrt(2.0) * q[:, None]) ** 2)
     osc = np.exp(-1j * math.sqrt(2.0) * x[:, None] * p[None, :])
     core = (gauss * psi_w[None, :]) @ osc
-    return _QUARTIC_ROOT_PI * np.exp(1j * q[:, None] * p[None, :]) * core
+    return _QUARTIC_ROOT_PI * np.conj(phase) * core
 
 
 def _husimi_pair_grid(amp_i: np.ndarray, amp_j: np.ndarray) -> np.ndarray:
@@ -250,12 +251,13 @@ def _husimi_pair_grid(amp_i: np.ndarray, amp_j: np.ndarray) -> np.ndarray:
 # Rivier (Kirkwood) evaluation
 # ---------------------------------------------------------------------------
 
-def _kirkwood_pair_grid(prim_i: Primitive, prim_j: Primitive, q, p) -> np.ndarray:
+def _kirkwood_pair_grid(prim_i: Primitive, prim_j: Primitive, q, p, phase) -> np.ndarray:
     """Kirkwood kernel K_ij(q, p) = (2 pi)^(-1/2) psi_i(q) phi_j*(p) e^(-iqp)
-    on the len(q) x len(p) grid; tables pair it hermitially into Rivier terms."""
+    on the len(q) x len(p) grid, with ``phase`` = e^(-iqp) on that grid;
+    tables pair it hermitially into Rivier terms."""
     psi_q = np.asarray(position_wavefunction(prim_i, q))
     phi_p = np.conj(momentum_wavefunction(prim_j, p))
-    return _KIRKWOOD_NORM * np.outer(psi_q, phi_p) * np.exp(-1j * np.outer(q, p))
+    return _KIRKWOOD_NORM * np.outer(psi_q, phi_p) * phase
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +275,7 @@ def _ordered_keys(n_terms: int):
 class SingleModeTermTable:
     """Real term-pair decomposition of a single-mode distribution.
 
-    Immutable by convention; ``with_amplitudes`` returns a cheap copy that
-    shares the evaluated complex pair grids.
+    Immutable by convention.
     """
 
     n_modes = 1
@@ -306,6 +307,10 @@ class SingleModeTermTable:
         if i == j:
             return (abs(c[i]) ** 2) * self._grid_of(i, i).real
         gamma_ij = c[i] * np.conj(c[j])
+        if self.representation.hermitian_pairs:
+            # The (j, i) product is the conjugate of the (i, j) one, so their
+            # sum is twice its real part, bit for bit.
+            return 2.0 * (gamma_ij * self._grid_of(i, j)).real
         combined = gamma_ij * self._grid_of(i, j) + np.conj(gamma_ij) * self._grid_of(j, i)
         return combined.real
 
@@ -334,12 +339,6 @@ class SingleModeTermTable:
     @property
     def norm_check(self) -> float:
         return self.total_integral()
-
-    def with_amplitudes(self, amplitudes) -> "SingleModeTermTable":
-        if len(amplitudes) != len(self.primitives):
-            raise DomainError("amplitude count mismatch")
-        return SingleModeTermTable(self.representation, self.grid, self.primitives,
-                                   amplitudes, self._cross, self._cross_ints)
 
 
 class TwoModeTermTable:
@@ -452,26 +451,35 @@ class TwoModeTermTable:
 # Builders
 # ---------------------------------------------------------------------------
 
+def _mode_phase(mode_cache: dict, q, p) -> np.ndarray:
+    """e^(-iqp) on the mode grid, computed on first use and kept in the
+    mode's cache for every later Kirkwood pair and squeezed amplitude."""
+    if "phase" not in mode_cache:
+        mode_cache["phase"] = np.exp(-1j * np.outer(q, p))
+    return mode_cache["phase"]
+
+
 def _pair_grid(rep: Representation, prim_i: Primitive, prim_j: Primitive,
-               mode: ModeAxes, husimi_cache: dict) -> np.ndarray:
+               mode: ModeAxes, mode_cache: dict) -> np.ndarray:
     q, p = mode.q.centers, mode.p.centers
     if rep is Representation.WIGNER:
         return _wigner_pair_grid(prim_i, prim_j, q, p)
     if rep is Representation.HUSIMI:
         for prim in (prim_i, prim_j):
-            if prim not in husimi_cache:
-                husimi_cache[prim] = _coherent_amplitude_grid(prim, q, p)
-        return _husimi_pair_grid(husimi_cache[prim_i], husimi_cache[prim_j])
-    return _kirkwood_pair_grid(prim_i, prim_j, q, p)
+            if prim not in mode_cache:
+                phase = None if prim.kind == FOCK else _mode_phase(mode_cache, q, p)
+                mode_cache[prim] = _coherent_amplitude_grid(prim, q, p, phase)
+        return _husimi_pair_grid(mode_cache[prim_i], mode_cache[prim_j])
+    return _kirkwood_pair_grid(prim_i, prim_j, q, p, _mode_phase(mode_cache, q, p))
 
 
 def _build_cross_maps(rep, prims, mode):
     keys = (_hermitian_keys(len(prims)) if rep.hermitian_pairs
             else _ordered_keys(len(prims)))
-    husimi_cache = {}
+    mode_cache = {}  # Husimi amplitudes per primitive, and the e^(-iqp) grid
     cross, ints = {}, {}
     for i, j in keys:
-        g = _pair_grid(rep, prims[i], prims[j], mode, husimi_cache)
+        g = _pair_grid(rep, prims[i], prims[j], mode, mode_cache)
         if not np.all(np.isfinite(g)):
             raise QuadratureError(
                 f"non-finite values in the {rep.value} grid for pair ({i}, {j})")

@@ -126,6 +126,38 @@ def squeezed_vacuum_cross_reference(q, p, r):
     return pref * env * osc
 
 
+# --- direct pair-grid formulas ---------------------------------------------
+# The production evaluators share one e^(-iqp) grid per mode; these compute
+# it in place, with otherwise the same arithmetic, so the two must agree
+# bit for bit.
+
+def kirkwood_direct(prim_i, prim_j, q, p):
+    """(2 pi)^(-1/2) psi_i(q) phi_j*(p) e^(-iqp) on the len(q) x len(p) grid."""
+    from psnci.states import momentum_wavefunction, position_wavefunction
+
+    psi_q = np.asarray(position_wavefunction(prim_i, q))
+    phi_p = np.conj(momentum_wavefunction(prim_j, p))
+    return (2.0 * math.pi) ** -0.5 * np.outer(psi_q, phi_p) * np.exp(-1j * np.outer(q, p))
+
+
+def coherent_amplitude_direct(prim, q, p):
+    """<alpha|prim>, alpha = q + ip, for a squeezed primitive: the coherent
+    wavefunction pi^(-1/4) e^(iqp) e^(-(x - sqrt2 q)^2 / 2) e^(-i sqrt2 x p)
+    integrated against psi(x) on the production midpoint nodes."""
+    from psnci.phasespace import _husimi_sampling
+    from psnci.states import position_wavefunction
+
+    p_absmax = max(1.0, float(np.max(np.abs(p))))
+    half_width, nodes = _husimi_sampling(prim, p_absmax)
+    dx = 2.0 * half_width / nodes
+    x = -half_width + (np.arange(nodes) + 0.5) * dx
+    psi_w = position_wavefunction(prim, x) * dx
+    gauss = np.exp(-0.5 * (x[None, :] - math.sqrt(2.0) * q[:, None]) ** 2)
+    osc = np.exp(-1j * math.sqrt(2.0) * x[:, None] * p[None, :])
+    core = (gauss * psi_w[None, :]) @ osc
+    return math.pi ** -0.25 * np.exp(1j * q[:, None] * p[None, :]) * core
+
+
 # --- analytic negativity volumes -------------------------------------------
 
 def delta_fock1():

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from psnci.cli import main
+from psnci.cli import _fmt, main
+from psnci.indicators import sweep_r
 
 VACUUM = '{"modes": 1, "terms": [{"amp_re": 1.0, "mode1": {"type": "fock", "n": 0}}]}'
 FOCK1 = '{"modes": 1, "terms": [{"amp_re": 1.0, "mode1": {"type": "fock", "n": 1}}]}'
@@ -124,6 +125,25 @@ def test_sweep_r_csv(tmp_path):
     assert float(rows[0]["eta"]) == pytest.approx(0.0, abs=1e-6)
 
 
+def test_sweep_r_reads_the_base_grid(tmp_path):
+    out = tmp_path / "r.csv"
+    code = main(["sweep-r", "--family", "psi01r", "--a", "0.4,0.6", "--rmax", "1.0",
+                 "--steps", "2", "--rep", "husimi", "--points", "61",
+                 "--out", str(out)])
+    assert code == 0
+    _, rows = _read_csv(out)
+    expected = sweep_r("psi01r", [0.0, 1.0], [0.4, 0.6], "husimi", points=61)
+    assert len(rows) == len(expected)
+    for got, want in zip(rows, expected):
+        assert float(got["a"]) == want.amplitude
+        assert float(got["param"]) == want.param
+        assert got["eta"] == _fmt(want.eta["husimi"])
+        assert got["norm_check"] == _fmt(want.norm_check["husimi"])
+        assert got["err_est"] == _fmt(want.error_estimate["husimi"])
+    meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
+    assert meta["points"] == 61
+
+
 def test_entropy_command(capsys):
     code = main(["entropy", "--state", BELL])
     assert code == 0
@@ -192,7 +212,8 @@ def test_json_outputs_get_meta_sidecar(tmp_path, argv, capsys):
     ["indicator", "--state", VACUUM, "--rep", "wigner"],
     ["dist", "--state", VACUUM],
     ["sweep-a", "--family", "entangled01", "--steps", "2", "--reps", "wigner"],
-], ids=["indicator", "dist", "sweep-a"])
+    ["sweep-r", "--family", "psi00r", "--a", "0.5", "--steps", "2"],
+], ids=["indicator", "dist", "sweep-a", "sweep-r"])
 def test_points_below_axis_minimum_exit_3(argv, capsys):
     # 8 points per axis is below the 16-point minimum of an axis; no
     # command may quietly run on a larger grid instead

@@ -17,12 +17,13 @@ from psnci.indicators import (
     sweep_r,
     von_neumann_entropy,
 )
-from psnci.phasespace import build_term_table
+from psnci.phasespace import build_term_table, default_grid
 from psnci.states import (
     SingleModeState,
     TwoModeState,
     entangled_state,
     fock,
+    squeezed_excited_superposition,
     squeezed_fock,
     squeezed_vacuum_superposition,
 )
@@ -109,12 +110,6 @@ def test_eta_bounds():
             assert -1e-9 <= val <= 1.0 + 1e-9
 
 
-def test_eta_degenerate_denominator():
-    table = build_term_table(_single(fock(0)), "wigner").with_amplitudes((0.0,))
-    with pytest.raises(DegenerateStateError):
-        eta_indicator(table)
-
-
 def test_entropy_bell_point():
     bell = entangled_state(0, 1, 0.5)
     assert_allclose(von_neumann_entropy(bell, log_base=2), 1.0, atol=1e-12)
@@ -161,6 +156,12 @@ def test_entropy_rejects_squeezed_and_unnormalized():
 # ---------------------------------------------------------------------------
 
 COARSE = PhaseGrid.two_mode(points=61)
+
+
+def test_eta_degenerate_denominator():
+    table = build_term_table(entangled_state(0, 1, 0.5), "wigner", COARSE)
+    with pytest.raises(DegenerateStateError):
+        eta_indicator(table.with_amplitudes((0.0, 0.0)))
 
 
 def test_sweep_a_rows_and_consistency():
@@ -229,3 +230,25 @@ def test_sweep_r_validation():
         sweep_r("psi00r", [2.5], [0.5], "wigner")
     with pytest.raises(DomainError):
         sweep_r("psi00r", [0.5], [1.0], "wigner")
+
+
+SWEEP_R_MAKERS = {"psi00r": squeezed_vacuum_superposition,
+                  "psi01r": squeezed_excited_superposition}
+
+
+@pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
+@pytest.mark.parametrize("family", ["psi00r", "psi01r"])
+def test_sweep_r_matches_per_row_eta(family, rep):
+    # rows scaled from one table per r agree with a fresh table per (a, r)
+    maker = SWEEP_R_MAKERS[family]
+    cases = [("sqrt", [0.3, 0.7], [0.0, 1.0]), ("printed", [0.7], [1.0])]
+    for convention, a_values, r_values in cases:
+        rows = sweep_r(family, r_values, a_values, rep, convention=convention)
+        assert [(row.amplitude, row.param) for row in rows] == [
+            (a, r) for a in a_values for r in r_values]
+        for row in rows:
+            state = maker(row.amplitude, row.param, convention=convention)
+            fresh = eta_indicator(build_term_table(state, rep, default_grid(state)))
+            assert abs(row.eta[rep] - fresh.value) < 1e-13
+            assert abs(row.norm_check[rep] - fresh.norm_check) < 1e-13
+            assert abs(row.error_estimate[rep] - fresh.error_estimate) < 1e-13

@@ -12,6 +12,7 @@ from psnci.phasespace import (
     _coherent_amplitude_grid,
     _husimi_pair_grid,
     _kirkwood_pair_grid,
+    _mode_phase,
     _pair_grid,
     _wigner_numeric_grid,
     build_term_table,
@@ -47,10 +48,19 @@ def _sample_axes(n=20, span=2.5):
     return q, p
 
 
+def _amplitude(prim, q, p):
+    """<alpha|prim> on the len(q) x len(p) grid, with the grid's shared phase."""
+    return _coherent_amplitude_grid(prim, q, p, _mode_phase({}, q, p))
+
+
+def _kirkwood(prim_i, prim_j, q, p):
+    return _kirkwood_pair_grid(prim_i, prim_j, q, p, _mode_phase({}, q, p))
+
+
 def _husimi(prim_i, prim_j, q, p):
     """Husimi cross term on the len(q) x len(p) grid, paired as _pair_grid does."""
-    amp_i = _coherent_amplitude_grid(prim_i, q, p)
-    amp_j = amp_i if prim_j == prim_i else _coherent_amplitude_grid(prim_j, q, p)
+    amp_i = _amplitude(prim_i, q, p)
+    amp_j = amp_i if prim_j == prim_i else _amplitude(prim_j, q, p)
     return _husimi_pair_grid(amp_i, amp_j)
 
 
@@ -208,7 +218,7 @@ def test_husimi_self_pairs_are_real():
             if prims[k] == prims[l]:
                 self_pairs += 1
                 assert not np.any(g.imag)
-                amp = _coherent_amplitude_grid(prims[k], q, p)
+                amp = _amplitude(prims[k], q, p)
                 assert_allclose(g.real, np.abs(amp) ** 2 / math.pi, rtol=0, atol=1e-14)
     assert self_pairs == 7
 
@@ -231,13 +241,67 @@ def test_husimi_quadrature_path_matches_closed_fock():
 # ---------------------------------------------------------------------------
 
 def test_kirkwood_vacuum_form():
-    val = _kirkwood_pair_grid(fock(0), fock(0), ORIGIN, ORIGIN)[0, 0]
+    val = _kirkwood(fock(0), fock(0), ORIGIN, ORIGIN)[0, 0]
     assert_allclose(val, (2 * math.pi) ** -0.5 * math.pi ** -0.5, atol=1e-14)
     q, p = _sample_axes(15)
-    got = np.real(_kirkwood_pair_grid(fock(0), fock(0), q, p))
+    got = np.real(_kirkwood(fock(0), fock(0), q, p))
     ref = ((2 * math.pi) ** -0.5 * fock_psi(0, q)[:, None] * fock_psi(0, p)[None, :]
            * np.cos(q[:, None] * p[None, :]))
     assert np.max(np.abs(got - ref)) < 1e-13
+
+
+SQUEEZED_PRIMS = [squeezed_fock(0, 1.0), squeezed_fock(1, -0.5), squeezed_fock(2, 2.0)]
+
+
+@pytest.mark.parametrize("prim", SQUEEZED_PRIMS)
+def test_shared_phase_coherent_amplitude_is_the_direct_formula(prim):
+    # the squeezed amplitude takes e^(iqp) as the conjugate of the shared
+    # e^(-iqp) grid; that must not move a single bit
+    q = RNG.uniform(-4.0, 4.0, size=23)
+    p = RNG.uniform(-4.0, 4.0, size=31)
+    assert np.array_equal(_amplitude(prim, q, p), oracles.coherent_amplitude_direct(prim, q, p))
+
+
+@pytest.mark.parametrize("prim_j", [fock(0), fock(3)] + SQUEEZED_PRIMS)
+@pytest.mark.parametrize("prim_i", [fock(1), squeezed_fock(1, 0.7)])
+def test_shared_phase_kirkwood_is_the_direct_formula(prim_i, prim_j):
+    q = RNG.uniform(-4.0, 4.0, size=23)
+    p = RNG.uniform(-4.0, 4.0, size=31)
+    assert np.array_equal(_kirkwood(prim_i, prim_j, q, p),
+                          oracles.kirkwood_direct(prim_i, prim_j, q, p))
+
+
+def test_mode_phase_is_computed_once_per_mode():
+    state = squeezed_excited_superposition(0.6, 1.0)
+    mode = default_grid(state).mode(0)
+    prims = state.primitives
+    cache = {}
+    first = _pair_grid(Representation.RIVIER, prims[0], prims[1], mode, cache)
+    phase = cache["phase"]
+    _pair_grid(Representation.RIVIER, prims[1], prims[0], mode, cache)
+    _pair_grid(Representation.HUSIMI, prims[1], prims[1], mode, cache)
+    assert cache["phase"] is phase
+    assert np.array_equal(first, oracles.kirkwood_direct(prims[0], prims[1],
+                                                         mode.q.centers, mode.p.centers))
+    # Fock-only Husimi pairs never need the phase grid
+    fock_cache = {}
+    _pair_grid(Representation.HUSIMI, fock(0), fock(2), mode, fock_cache)
+    assert "phase" not in fock_cache
+
+
+@pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
+def test_pair_values_is_the_hermitian_sum(rep):
+    # the hermitian shortcut 2 Re(gamma G_ij) must equal the full pairing
+    state = normalize(SingleModeState(((0.6 + 0.3j, fock(1)),
+                                       (0.5 - 0.4j, squeezed_fock(0, 0.8)))))
+    table = build_term_table(state, rep)
+    c = table.amplitudes
+    for i, j in table.pair_keys():
+        gamma = c[i] * np.conj(c[j])
+        ref = (gamma * table._grid_of(i, j) + np.conj(gamma) * table._grid_of(j, i)).real
+        if i == j:
+            ref = (abs(c[i]) ** 2) * table._grid_of(i, i).real
+        assert np.array_equal(table.pair_values(i, j), ref)
 
 
 @pytest.mark.parametrize("prim", [fock(0), fock(1), squeezed_fock(0, 1.0),
