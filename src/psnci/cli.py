@@ -87,7 +87,6 @@ def _config_dict(args, command: str, extra: dict = None) -> dict:
     cfg = {
         "command": command,
         "threads": _resolve_threads(args.threads),
-        "tol": args.tol,
         "extent": args.extent,
         "points": args.points,
         "coeff_convention": getattr(args, "coeff_convention", "sqrt"),
@@ -123,6 +122,7 @@ def _cmd_dist(args) -> int:
     rep = Representation.parse(reps[0])
     table = build_term_table(state, rep, _grid_for(state, args))
     config = _config_dict(args, "dist", {
+        "tol": args.tol,
         "state": state_to_dict(state),
         "rep": rep.value,
         "grid": table.grid.describe(),
@@ -183,6 +183,7 @@ def _cmd_indicator(args) -> int:
                     "norm_check": e.norm_check, "valid": e.valid},
         }
     config = _config_dict(args, "indicator", {
+        "tol": args.tol,
         "state": state_to_dict(state),
         "reps": [r.value for r in reps],
     })
@@ -199,6 +200,8 @@ def _cmd_sweep_a(args) -> int:
     match = _FAMILY_RE.match(args.family)
     if not match:
         raise UsageError(f"unknown family {args.family!r}; expected e.g. entangled01")
+    if args.rep is not None:
+        raise UsageError("sweep-a takes its representations as --reps, not --rep")
     n_low, n_high = int(match.group(1)), int(match.group(2))
     reps = args.reps or ["wigner", "husimi", "rivier"]
     a_sq = np.linspace(0.0, 1.0, args.steps).tolist() if args.steps > 1 else [0.5]
@@ -259,7 +262,8 @@ def _cmd_sweep_r(args) -> int:
 def _cmd_entropy(args) -> int:
     state = normalize(_load_state(args.state), tol=args.tol)
     value = von_neumann_entropy(state, log_base=args.entropy_base)
-    config = _config_dict(args, "entropy", {"state": state_to_dict(state)})
+    config = _config_dict(args, "entropy", {"tol": args.tol,
+                                            "state": state_to_dict(state)})
     payload = {"config": config, "entropy": value, "log_base": args.entropy_base}
     _emit([json.dumps(payload, indent=2, sort_keys=True)], args, config)
     return 0

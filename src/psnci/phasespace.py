@@ -418,10 +418,10 @@ class TwoModeTermTable:
         k, l = key
         if k == l and self.representation.hermitian_pairs:
             # Exact single real product: |f| factorizes across the modes.
-            # abs_4d_with_estimate's rank-1 path gives the same value to
-            # 6e-16 but costs about 40x more per term (QR, SVD and an fsum
-            # over every point), and its estimate would be the product of
-            # decimated sums instead of the first-order ea*b + a*eb.
+            # abs_4d_with_estimate's closed form gives the same value to
+            # 2e-16 but costs about 100x more per term (QR, SVD, a sort
+            # and a prefix sum over every point), and its estimate would be
+            # the decimated sum instead of the first-order ea*b + a*eb.
             scale = abs(self.amplitudes[k]) ** 2
             f1 = np.abs(self._mode_grid(0, k, k).real)
             f2 = np.abs(self._mode_grid(1, k, k).real)

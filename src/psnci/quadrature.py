@@ -20,13 +20,25 @@ Before streaming, the products are compressed to the numerical rank k
 of their sum: thin QRs of the stacked g and h factors and an SVD of the
 small core give k products with the same sum, so linearly dependent
 inputs collapse (the Wigner products of a two-term entangled state have
-rank 4). At rank 1 nothing is streamed: the sum is one product g h, and
-|g h| = |g| |h| factorizes exactly into two 2D sums.
+rank 4).
+
+At rank k <= 2 nothing is streamed. Every off-diagonal Wigner or Husimi
+pair term of a superposition of product states is 2 Re(gamma A(z1)
+B(z2)) = Re(gamma A) 2 Re(B) - Im(gamma A) 2 Im(B), two real products,
+and a Rivier self-pair Re(K1 K2) is two as well; a diagonal Wigner or
+Husimi term is one. With row u = (a, b) of the mode-1 factors and
+column p_j = (x_j, y_j) of the mode-2 factors, a row's sum is
+sum_j |u . p_j|. Replacing p_j by -p_j keeps |u . p_j|, so every column
+is turned to an angle in [0, pi), and the line u . p = 0 then splits the
+columns sorted by angle into a prefix and a suffix on opposite sides. With B the
+sum of the prefix and S that of all columns, the row's sum is
+|u . (2B - S)|: one sort, one prefix sum and one binary search per row,
+O((n1 + n2) log n2) instead of n1 n2 k. Rank 1 is the same sum with a
+zero second factor.
 
 The error estimate compares the fine sum with a decimated pass: the
 same sum over the points with even q and even p indices in both modes
-(1/16 of the points), weighted by 16; at rank 1 it is the product of
-the two 2D sums over those points.
+(1/16 of the points), weighted by 16.
 
 Fock and squeezed Fock states have definite parity, so a sum of
 products often satisfies f(-z1, -z2) = +-f(z1, z2). On a grid symmetric
@@ -45,8 +57,10 @@ The compression and the parity check run once per call, before the
 workers start. Every tile is computed identically whichever worker runs
 it, and the tile sums are combined with math.fsum, which is exactly
 rounded. So results are bit-identical for any ``threads`` setting.
-Their last bits can change with the rank cut (the compressed products
-are a rounding-level rewrite of the inputs), with the fold (which sums
+The closed form at rank k <= 2 is single-threaded. Their last bits can
+change with the rank cut (the compressed products are a rounding-level
+rewrite of the inputs), with the closed form (prefix sums in angle
+order instead of sums of |f| in index order), with the fold (which sums
 half of the rows twice instead of both halves), with ``tile_rows``
 (the row count of each matrix product and sum) and with the BLAS or
 numpy build.
@@ -179,6 +193,40 @@ def _abs_sum(gmat: np.ndarray, hmat: np.ndarray, tile_rows: int, threads: int) -
     return math.fsum(s for sums in parts for s in sums)
 
 
+def _upper_half_plane(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(x, y) or (-x, -y), whichever has its angle in [0, pi), and that
+    angle (a zero vector may get -pi or pi, but adds nothing to any sum)."""
+    flip = (y < 0) | ((y == 0) & (x < 0))
+    x, y = np.where(flip, -x, x), np.where(flip, -y, y)
+    return x, y, np.arctan2(y, x)
+
+
+def _closed_abs_sum(gmat: np.ndarray, hmat: np.ndarray) -> float:
+    """Sum of |gmat @ hmat| for gmat with at most two columns, in closed form.
+
+    Row u of gmat and the columns p_j of hmat, each turned into the upper
+    half-plane, give sum_j |u . p_j| = |u . (2B - S)|, with S the sum of
+    all columns and B that of the columns whose angle is below the angle
+    of the line u . p = 0 (u turned by 90 degrees). The row sums are not
+    negative, so their pairwise np.sum is accurate to a few roundings;
+    math.fsum would cost more than the rest of the function.
+    """
+    k = gmat.shape[1]
+    gmat = np.hstack([gmat, np.zeros((gmat.shape[0], 2 - k))])
+    hmat = np.vstack([hmat, np.zeros((2 - k, hmat.shape[1]))])
+    x, y, angle = _upper_half_plane(hmat[0], hmat[1])
+    order = np.argsort(angle)
+    prefix = np.zeros((len(order) + 1, 2))
+    np.cumsum(np.stack([x[order], y[order]], axis=1), axis=0, out=prefix[1:])
+    # The running sum drifts by up to n2 roundings. A rank-1 set, and any
+    # row whose line has every column on one side, uses only the total,
+    # so that is a pairwise sum.
+    prefix[-1] = np.sum(x), np.sum(y)
+    _, _, line = _upper_half_plane(-gmat[:, 1], gmat[:, 0])
+    bounds = prefix[np.searchsorted(angle[order], line)]
+    return float(np.sum(np.abs(np.einsum("ij,ij->i", gmat, 2.0 * bounds - prefix[-1]))))
+
+
 def _parity(f: np.ndarray) -> int:
     """+1 or -1 if the raveled factor f is even or odd under index
     reversal, to within _RANK_CUT of its largest value; 0 otherwise."""
@@ -223,7 +271,8 @@ def _folded_abs_sum(gmat: np.ndarray, hmat: np.ndarray, tile_rows: int, threads:
 # inspect.signature to model the bytes a pass moves.
 def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
                          tile_rows: int = _TILE_ROWS) -> tuple:
-    """Streamed 4D absolute integral with a decimated-grid error estimate.
+    """4D absolute integral, in closed form at rank <= 2 and streamed
+    otherwise, with a decimated-grid error estimate.
 
     ``products`` is a sequence of (g, h) pairs of real 2D arrays on the
     two mode grids; the integrand is |sum_t g_t(z1) h_t(z2)|.
@@ -253,11 +302,9 @@ def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
         return 0.0, 0.0
     area = mode1.cell_area * mode2.cell_area
     even1, even2 = _even_mask(mode1), _even_mask(mode2)
-    if gmat.shape[1] == 1:
-        # |g h| = |g| |h|: the 4D sum factorizes exactly.
-        g, h = np.abs(gmat[:, 0]), np.abs(hmat[0])
-        fine = math.fsum(g) * math.fsum(h) * area
-        coarse = math.fsum(g[even1]) * math.fsum(h[even2]) * 16.0 * area
+    if gmat.shape[1] <= 2:
+        fine = _closed_abs_sum(gmat, hmat) * area
+        coarse = _closed_abs_sum(gmat[even1], hmat[:, even2]) * 16.0 * area
         return fine, abs(fine - coarse)
     stream = _folded_abs_sum if _reflection_symmetric(shaped) else _abs_sum
     fine = stream(gmat, hmat, tile_rows, threads) * area

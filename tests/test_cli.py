@@ -219,3 +219,34 @@ def test_points_below_axis_minimum_exit_3(argv, capsys):
     # command may quietly run on a larger grid instead
     assert main(argv + ["--points", "8"]) == 3
     assert "at least 16 points" in capsys.readouterr().err
+
+
+def test_sweep_a_rejects_rep(capsys):
+    # sweep-a reads only --reps; --rep, which every command accepts, must
+    # not be ignored in silence
+    argv = ["sweep-a", "--family", "entangled01", "--steps", "1", "--rep", "wigner"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--reps" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, reads_tol", [
+    (["dist", "--state", VACUUM], True),
+    (["indicator", "--state", VACUUM, "--rep", "wigner"], True),
+    (["entropy", "--state", BELL], True),
+    (["sweep-a", "--family", "entangled01", "--steps", "1", "--reps", "husimi",
+      "--points", "41"], False),
+    (["sweep-r", "--family", "psi00r", "--a", "0.5", "--steps", "1"], False),
+    (["validate", "--rep", "husimi", "--threads", "2"], False),
+], ids=["dist", "indicator", "entropy", "sweep-a", "sweep-r", "validate"])
+def test_tol_is_recorded_only_where_read(tmp_path, argv, reads_tol, capsys):
+    # --tol is the tolerance of normalize, which only commands that take
+    # --state call
+    out = tmp_path / "result"
+    assert main(argv + ["--tol", "1e-9", "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "result.meta.json").read_text())
+    assert ("tol" in meta) == reads_tol
+    if reads_tol:
+        assert meta["tol"] == 1e-9
+    capsys.readouterr()

@@ -191,14 +191,68 @@ def test_compression_row_blocks_match_dense_oracle(monkeypatch, qr_rows):
         _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
 
 
-def test_rank1_products_are_not_streamed(monkeypatch):
-    def no_stream(*args):
-        raise AssertionError("a rank-1 product set was streamed")
+def _no_stream(*args):
+    raise AssertionError("a product set of rank <= 2 was streamed")
 
-    monkeypatch.setattr(quadrature, "_abs_sum", no_stream)
+
+def test_rank1_products_are_not_streamed(monkeypatch):
+    monkeypatch.setattr(quadrature, "_abs_sum", _no_stream)
     grid = PhaseGrid.two_mode(points=21)
     prods = _repeated_h_products(grid, RANK1, seed=3)
     _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=3), prods, grid)
+
+
+def _indicator_2mode_state():
+    """The state of the benchmark's indicator-2mode workload: the first two
+    terms overlap in mode 1 (squeezed and plain vacuum), the third is
+    orthogonal to both."""
+    return normalize(TwoModeState((
+        (0.6 + 0.2j, fock(0), fock(1)),
+        (0.5j, squeezed_fock(0, 0.5), fock(1)),
+        (0.55 - 0.1j, fock(1), fock(0)),
+    )))
+
+
+# A Wigner or Husimi pair term is 2 Re(gamma A B), two real products, or
+# on the diagonal one; a Rivier self-pair Re(K1 K2) is two.
+@pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
+def test_rank2_products_are_not_streamed(monkeypatch, rep):
+    monkeypatch.setattr(quadrature, "_abs_sum", _no_stream)
+    grid = PhaseGrid.two_mode(points=21)
+    table = build_term_table(_indicator_2mode_state(), rep, grid)
+    keys = [(k, l) for k, l in table.pair_keys() if rep != "rivier" or k == l]
+    sets = [table.real_products([key]) for key in keys]
+    sets.append(_repeated_h_products(grid, RANK2, seed=3))
+    for prods in sets:
+        _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=3), prods, grid)
+
+
+# Mode-2 columns p = (x, y) and mode-1 rows u = (a, b) of a rank-2 set,
+# drawn from small integers so that every |u . p| is exact: the negative
+# x-axis, signed zeros, the zero vector, repeated and antipodal angles, and
+# rows orthogonal to some of the columns ((1, -1) to (1, 1), (0, 1) to
+# (-1, 0), (1, 3) to (3, -1)). Index 0 of both modes is a decimated point
+# and holds a generic pair, so neither sum is zero.
+COLUMNS = ((-1.0, 0.0), (-2.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (1.0, 1.0), (2.0, 2.0),
+           (-1.0, -1.0), (0.0, 1.0), (-0.0, -2.0), (3.0, -1.0), (-3.0, 1.0), (1.0, -0.0))
+ROWS = ((0.0, 0.0), (-0.0, -0.0), (1.0, -1.0), (-2.0, 2.0), (0.0, 1.0), (1.0, 3.0),
+        (-1.0, 0.0), (2.0, -3.0), (1.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank=st.integers(1, 2),
+       cols=st.lists(st.sampled_from(COLUMNS), min_size=256, max_size=256),
+       rows=st.lists(st.sampled_from(ROWS), min_size=256, max_size=256))
+def test_closed_form_matches_dense_oracle_on_awkward_geometry(rank, cols, rows):
+    grid = PhaseGrid.two_mode(points=16)
+    hmat = np.array([(2.0, 1.0)] + cols[1:]).T[:rank]
+    gmat = np.array([(1.0, 3.0)] + rows[1:])[:, :rank]
+    prods = [(g.reshape(16, 16), h.reshape(16, 16)) for g, h in zip(gmat.T, hmat)]
+    fine, even = oracles.dense_abs_4d_sums(prods)
+    even1, even2 = quadrature._even_mask(grid.mode(0)), quadrature._even_mask(grid.mode(1))
+    assert quadrature._closed_abs_sum(gmat, hmat) == fine
+    assert quadrature._closed_abs_sum(gmat[even1], hmat[:, even2]) == even
+    _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
 
 
 def _recorded_passes(monkeypatch):
@@ -218,19 +272,12 @@ def _rows_streamed(calls, cols):
     return [rows for rows, c in calls if c == cols]
 
 
-# indicator-2mode of the benchmark: the first two terms overlap in mode 1
-# (squeezed and plain vacuum), the third is orthogonal to both. Every term
-# has one photon in all, so every product has even parity and each
-# streamed pass is folded.
+# Every term of the indicator-2mode state has one photon in all, so every
+# product has even parity and each streamed pass is folded.
 @pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
 def test_term_table_passes_match_dense_oracle(monkeypatch, rep):
-    state = normalize(TwoModeState((
-        (0.6 + 0.2j, fock(0), fock(1)),
-        (0.5j, squeezed_fock(0, 0.5), fock(1)),
-        (0.55 - 0.1j, fock(1), fock(0)),
-    )))
     grid = PhaseGrid.two_mode(points=21)
-    table = build_term_table(state, rep, grid)
+    table = build_term_table(_indicator_2mode_state(), rep, grid)
     calls = _recorded_passes(monkeypatch)
     n1, n2 = grid.mode(0).n_points, grid.mode(1).n_points
     _assert_matches_dense(table.total_abs_with_estimate(threads=2),
@@ -244,13 +291,16 @@ def test_term_table_passes_match_dense_oracle(monkeypatch, rep):
 
 
 # Rivier products of Fock states: every one has parity (-1)^(photon
-# numbers of the four Fock indices), and a complex Kirkwood factor in each
-# mode keeps their rank above one, so they are streamed.
+# numbers of the four Fock indices). With complex Kirkwood factors, the
+# pair term Re(g K1 K2) + Re(g' K1' K2') of two terms that differ in both
+# modes has rank 4; a self-pair, or a pair whose terms share a mode
+# factor, has rank 2 and is summed in closed form, not streamed. So the
+# cases are totals (rank 8) and the pair (0, 1) of |0,0> + |1,2>.
 @pytest.mark.parametrize("points", [21, 20])
 @pytest.mark.parametrize("terms, keys, folded", [
     pytest.param(((0, 1), (1, 0)), None, True, id="even-total"),
-    pytest.param(((0, 0), (0, 1)), [(0, 1)], True, id="odd-pair"),
-    pytest.param(((0, 0), (1, 0)), None, False, id="mixed-total"),
+    pytest.param(((0, 0), (1, 2)), [(0, 1)], True, id="odd-pair"),
+    pytest.param(((0, 0), (1, 2)), None, False, id="mixed-total"),
 ])
 def test_folded_passes_match_dense_oracle(monkeypatch, terms, keys, folded, points):
     state = normalize(TwoModeState(tuple(
