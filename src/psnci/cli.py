@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Commands: dist, indicator, sweep-a, sweep-r, entropy, validate.
+Commands: dist, indicator, sweep-a, sweep-r, entropy, validate; each
+takes only the flags its handler reads (``_COMMANDS``).
 Exit codes: 0 success, 1 validation failure, 2 usage or parse error,
 3 numerical failure. Identical configuration produces byte-identical
 output files; every file written with --out gets a ``<out>.meta.json``
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import PhaseSpaceError, StateFormatError
 from .grids import PhaseGrid
 from .indicators import (
+    SWEEP_R_FAMILIES,
     delta_indicator,
     eta_indicator,
     sweep_a,
@@ -57,15 +59,20 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"bad number list {text!r}") from exc
 
 
+def _name_list(text: str) -> list:
+    return [t.strip() for t in text.split(",") if t.strip()]
+
+
 def _resolve_threads(value) -> int:
+    """--threads, else PSNCI_THREADS under the same positive-integer rule."""
     if value is not None:
-        return max(1, int(value))
+        return value
     env = os.environ.get("PSNCI_THREADS")
     if env:
         try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise UsageError(f"PSNCI_THREADS must be an integer, got {env!r}") from exc
+            return _positive_int(env)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise UsageError(f"PSNCI_THREADS must be a positive integer, got {env!r}") from exc
     return os.cpu_count() or 1
 
 
@@ -83,31 +90,30 @@ def _grid_for(state, args) -> PhaseGrid:
     return default_grid(state, extent=args.extent, points=args.points)
 
 
-def _config_dict(args, command: str, extra: dict = None) -> dict:
-    cfg = {
-        "command": command,
-        "threads": _resolve_threads(args.threads),
-        "extent": args.extent,
-        "points": args.points,
-        "coeff_convention": getattr(args, "coeff_convention", "sqrt"),
-        "entropy_base": getattr(args, "entropy_base", "2"),
-        "out": args.out,
-    }
-    if extra:
-        cfg.update(extra)
+def _config_dict(args, derived: dict, drop=()) -> dict:
+    """The command, every flag it accepts and the values derived from them.
+
+    A derived value replaces the flag of the same name; ``drop`` names a
+    flag whose resolved value is recorded under another name.
+    """
+    cfg = {k: v for k, v in vars(args).items() if k != "func" and k not in drop}
+    cfg.update(derived)
     return cfg
 
 
 def _emit(lines, args, config: dict):
     text = "\n".join(lines) + "\n"
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         with open(args.out + ".meta.json", "w", encoding="utf-8") as fh:
             json.dump(config, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {args.out!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +121,13 @@ def _emit(lines, args, config: dict):
 # ---------------------------------------------------------------------------
 
 def _cmd_dist(args) -> int:
-    state = normalize(_load_state(args.state), tol=args.tol)
+    state = normalize(_load_state(args.state))
     reps = args.rep or ["wigner"]
     if len(reps) != 1:
         raise UsageError("dist takes exactly one representation")
     rep = Representation.parse(reps[0])
     table = build_term_table(state, rep, _grid_for(state, args))
-    config = _config_dict(args, "dist", {
-        "tol": args.tol,
+    config = _config_dict(args, {
         "state": state_to_dict(state),
         "rep": rep.value,
         "grid": table.grid.describe(),
@@ -168,25 +173,23 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_indicator(args) -> int:
-    threads = _resolve_threads(args.threads)
-    state = normalize(_load_state(args.state), tol=args.tol)
+    state = normalize(_load_state(args.state))
     reps = [Representation.parse(r) for r in (args.rep or ["wigner", "husimi", "rivier"])]
     results = {}
     for rep in reps:
         table = build_term_table(state, rep, _grid_for(state, args))
-        d = delta_indicator(table, threads=threads)
-        e = eta_indicator(table, threads=threads)
+        d = delta_indicator(table, threads=args.threads)
+        e = eta_indicator(table, threads=args.threads)
         results[rep.value] = {
             "delta": {"value": d.value, "error_estimate": d.error_estimate,
                       "norm_check": d.norm_check, "valid": d.valid},
             "eta": {"value": e.value, "error_estimate": e.error_estimate,
                     "norm_check": e.norm_check, "valid": e.valid},
         }
-    config = _config_dict(args, "indicator", {
-        "tol": args.tol,
+    config = _config_dict(args, {
         "state": state_to_dict(state),
         "reps": [r.value for r in reps],
-    })
+    }, drop=("rep",))
     payload = {"config": config, "results": results}
     _emit([json.dumps(payload, indent=2, sort_keys=True)], args, config)
     return 0
@@ -196,18 +199,15 @@ _FAMILY_RE = re.compile(r"^entangled(\d)(\d)$")
 
 
 def _cmd_sweep_a(args) -> int:
-    threads = _resolve_threads(args.threads)
     match = _FAMILY_RE.match(args.family)
     if not match:
         raise UsageError(f"unknown family {args.family!r}; expected e.g. entangled01")
-    if args.rep is not None:
-        raise UsageError("sweep-a takes its representations as --reps, not --rep")
     n_low, n_high = int(match.group(1)), int(match.group(2))
     reps = args.reps or ["wigner", "husimi", "rivier"]
     a_sq = np.linspace(0.0, 1.0, args.steps).tolist() if args.steps > 1 else [0.5]
     grid = _grid_for(entangled_state(n_low, n_high, 0.5), args)
     rows = sweep_a((n_low, n_high), a_sq, reps, grid,
-                   entropy_base=args.entropy_base, threads=threads)
+                   entropy_base=args.entropy_base, threads=args.threads)
     lines = [SWEEP_CSV_HEADER]
     for row in rows:
         for rep in reps:
@@ -220,8 +220,7 @@ def _cmd_sweep_a(args) -> int:
                 _fmt(row.norm_check.get(rep_name)),
                 _fmt(row.error_estimate.get(rep_name)),
             ]))
-    config = _config_dict(args, "sweep-a", {
-        "family": args.family, "steps": args.steps,
+    config = _config_dict(args, {
         "reps": [Representation.parse(r).value for r in reps],
         "a_sq_values": a_sq,
     })
@@ -230,7 +229,8 @@ def _cmd_sweep_a(args) -> int:
 
 
 def _cmd_sweep_r(args) -> int:
-    threads = _resolve_threads(args.threads)
+    if args.family not in SWEEP_R_FAMILIES:
+        raise UsageError(f"unknown family {args.family!r}; expected one of {SWEEP_R_FAMILIES}")
     r_values = np.linspace(0.0, args.rmax, args.steps).tolist() if args.steps > 1 else [0.0]
     reps = args.rep or ["wigner"]
     if len(reps) != 1:
@@ -238,7 +238,7 @@ def _cmd_sweep_r(args) -> int:
     rep_name = Representation.parse(reps[0]).value
     rows = sweep_r(args.family, r_values, args.a, rep_name,
                    convention=args.coeff_convention, extent=args.extent,
-                   points=args.points, threads=threads)
+                   points=args.points, threads=args.threads)
     lines = [SWEEP_CSV_HEADER + ",a"]
     for row in rows:
         lines.append(",".join([
@@ -250,37 +250,31 @@ def _cmd_sweep_r(args) -> int:
             _fmt(row.error_estimate.get(rep_name)),
             _fmt(row.amplitude),
         ]))
-    config = _config_dict(args, "sweep-r", {
-        "family": args.family, "steps": args.steps, "rmax": args.rmax,
-        "rep": rep_name, "a_values": args.a,
-        "r_values": r_values,
-    })
+    config = _config_dict(args, {"rep": rep_name, "r_values": r_values})
     _emit(lines, args, config)
     return 0
 
 
 def _cmd_entropy(args) -> int:
-    state = normalize(_load_state(args.state), tol=args.tol)
+    state = normalize(_load_state(args.state))
     value = von_neumann_entropy(state, log_base=args.entropy_base)
-    config = _config_dict(args, "entropy", {"tol": args.tol,
-                                            "state": state_to_dict(state)})
+    config = _config_dict(args, {"state": state_to_dict(state)})
     payload = {"config": config, "entropy": value, "log_base": args.entropy_base}
     _emit([json.dumps(payload, indent=2, sort_keys=True)], args, config)
     return 0
 
 
 def _cmd_validate(args) -> int:
-    threads = _resolve_threads(args.threads)
     results, ok = run_validation(extent=args.extent, points=args.points,
-                                 reps=args.rep, threads=threads)
+                                 reps=args.rep, threads=args.threads)
     for res in results:
         tag = "PASS" if res.passed else "FAIL"
         print(f"[{tag}] {res.name}: {res.detail}")
     n_fail = sum(1 for r in results if not r.passed)
     print(f"{len(results) - n_fail}/{len(results)} checks passed")
     if args.out:
-        config = _config_dict(args, "validate",
-                              {"reps": args.rep or ["wigner", "husimi", "rivier"]})
+        config = _config_dict(args, {"reps": args.rep or ["wigner", "husimi", "rivier"]},
+                              drop=("rep",))
         report = {
             "config": config,
             "all_passed": ok,
@@ -295,22 +289,53 @@ def _cmd_validate(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(parser):
-    parser.add_argument("--rep", type=lambda s: [t.strip() for t in s.split(",") if t.strip()],
-                        default=None, help="representation(s), comma separated")
-    parser.add_argument("--extent", type=float, default=None,
-                        help="half-width of the base grid")
-    parser.add_argument("--points", type=_positive_int, default=None,
-                        help="points per axis of the base grid")
-    parser.add_argument("--tol", type=float, default=1e-10,
-                        help="overlap-quadrature tolerance of normalization")
-    parser.add_argument("--coeff-convention", choices=["printed", "sqrt"],
-                        default="sqrt", dest="coeff_convention")
-    parser.add_argument("--entropy-base", choices=["2", "e"], default="2",
-                        dest="entropy_base")
-    parser.add_argument("--threads", type=_positive_int, default=None,
-                        help="worker threads (default: PSNCI_THREADS or CPU count)")
-    parser.add_argument("--out", type=str, default=None, help="output file path")
+# Every flag of the CLI. A command declares only the flags its handler reads.
+_FLAGS = {
+    "state": dict(required=True, help="state JSON (inline or file path)"),
+    "family": dict(required=True,
+                   help="sweep-a: entangledNM, e.g. entangled01; sweep-r: psi00r or psi01r"),
+    "a": dict(type=_float_list, required=True, help="comma-separated amplitudes in (0, 1)"),
+    "rmax": dict(type=float, default=2.0),
+    "steps": dict(type=_positive_int, required=True),
+    "rep": dict(type=_name_list, default=None, help="representation(s), comma separated"),
+    "reps": dict(type=_name_list, default=None, help="representations, comma separated"),
+    "extent": dict(type=float, default=None, help="half-width of the base grid"),
+    "points": dict(type=_positive_int, default=None, help="points per axis of the base grid"),
+    "coeff-convention": dict(choices=["printed", "sqrt"], default="sqrt"),
+    "entropy-base": dict(choices=["2", "e"], default="2"),
+    "threads": dict(type=_positive_int, default=None,
+                    help="worker threads (default: PSNCI_THREADS or CPU count)"),
+    "out": dict(default=None, help="output file path"),
+}
+
+_COMMANDS = {
+    "dist": (_cmd_dist, "dump a distribution grid as CSV",
+             ("state", "rep", "extent", "points", "out")),
+    "indicator": (_cmd_indicator, "compute delta and eta for a state",
+                  ("state", "rep", "extent", "points", "threads", "out")),
+    "sweep-a": (_cmd_sweep_a, "sweep the entanglement weight a^2",
+                ("family", "steps", "reps", "extent", "points", "entropy-base", "threads",
+                 "out")),
+    # Single-mode work is serial, but sweep-r keeps --threads: the perfbench
+    # workloads pass --threads to every command.
+    "sweep-r": (_cmd_sweep_r, "sweep the squeezing parameter r",
+                ("family", "a", "rmax", "steps", "rep", "extent", "points",
+                 "coeff-convention", "threads", "out")),
+    "entropy": (_cmd_entropy, "Von Neumann entanglement entropy",
+                ("state", "entropy-base", "out")),
+    "validate": (_cmd_validate, "run the invariant check suite",
+                 ("rep", "extent", "points", "threads", "out")),
+}
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: it reports a flag it does not take with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -318,44 +343,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="psnci",
         description="Phase-space distributions and non-classicality indicators "
                     "for Fock and squeezed-Fock superpositions.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dist", help="dump a distribution grid as CSV")
-    p.add_argument("--state", required=True, help="state JSON (inline or file path)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_dist)
-
-    p = sub.add_parser("indicator", help="compute delta and eta for a state")
-    p.add_argument("--state", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_indicator)
-
-    p = sub.add_parser("sweep-a", help="sweep the entanglement weight a^2")
-    p.add_argument("--family", required=True, help="e.g. entangled01, entangled12")
-    p.add_argument("--steps", type=_positive_int, required=True)
-    p.add_argument("--reps", type=lambda s: [t.strip() for t in s.split(",") if t.strip()],
-                   default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep_a)
-
-    p = sub.add_parser("sweep-r", help="sweep the squeezing parameter r")
-    p.add_argument("--family", required=True, choices=["psi00r", "psi01r"])
-    p.add_argument("--a", type=_float_list, required=True,
-                   help="comma-separated amplitudes in (0, 1)")
-    p.add_argument("--rmax", type=float, default=2.0)
-    p.add_argument("--steps", type=_positive_int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep_r)
-
-    p = sub.add_parser("entropy", help="Von Neumann entanglement entropy")
-    p.add_argument("--state", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_entropy)
-
-    p = sub.add_parser("validate", help="run the invariant check suite")
-    _add_common(p)
-    p.set_defaults(func=_cmd_validate)
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for command, (func, help_text, flags) in _COMMANDS.items():
+        # no abbreviations: --rep must not pass for sweep-a's --reps
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument("--" + flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -366,6 +360,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        if "threads" in vars(args):
+            args.threads = _resolve_threads(args.threads)
         return args.func(args)
     except (UsageError, StateFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

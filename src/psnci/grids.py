@@ -91,9 +91,6 @@ class PhaseGrid:
     def mode(self, i: int) -> ModeAxes:
         return self.modes[i]
 
-    def swapped(self) -> "PhaseGrid":
-        return PhaseGrid(tuple(reversed(self.modes)))
-
     def describe(self) -> dict:
         """JSON-friendly summary, embedded in CLI outputs."""
         out = []

@@ -155,7 +155,8 @@ def von_neumann_entropy(state: TwoModeState, log_base=2) -> float:
     singular = np.linalg.svd(coeff, compute_uv=False)
     lam = singular**2
     lam = lam[lam > 1e-18]
-    return float(-np.sum(lam * np.log(lam)) / factor)
+    # + 0.0 turns the -0.0 of a product state into +0.0
+    return float(-np.sum(lam * np.log(lam)) / factor) + 0.0
 
 
 # ---------------------------------------------------------------------------

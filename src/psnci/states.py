@@ -220,11 +220,12 @@ class TwoModeState:
 # ---------------------------------------------------------------------------
 
 _OVERLAP_START_NODES = 256
+_OVERLAP_TOL = 1e-10
 _OVERLAP_MAX_DOUBLINGS = 7
 
 
-def primitive_overlap(p1: Primitive, p2: Primitive, tol: float = 1e-10) -> complex:
-    """<p1|p2> by midpoint quadrature with grid doubling to absolute error tol."""
+def primitive_overlap(p1: Primitive, p2: Primitive) -> complex:
+    """<p1|p2> by midpoint quadrature with grid doubling to absolute error _OVERLAP_TOL."""
     half_width = max(p1.support_radius, p2.support_radius)
     n = _OVERLAP_START_NODES
     prev = None
@@ -232,17 +233,17 @@ def primitive_overlap(p1: Primitive, p2: Primitive, tol: float = 1e-10) -> compl
         dx = 2.0 * half_width / n
         x = -half_width + (np.arange(n) + 0.5) * dx
         val = complex(np.sum(position_wavefunction(p1, x) * position_wavefunction(p2, x)) * dx)
-        if prev is not None and abs(val - prev) <= tol:
+        if prev is not None and abs(val - prev) <= _OVERLAP_TOL:
             return val
         prev = val
         n *= 2
     raise QuadratureError(
-        f"overlap quadrature did not converge to {tol:g}",
+        f"overlap quadrature did not converge to {_OVERLAP_TOL:g}",
         achieved=abs(val - prev), values=(prev, val),
     )
 
 
-def overlap(s1: SingleModeState, s2: SingleModeState, tol: float = 1e-10) -> complex:
+def overlap(s1: SingleModeState, s2: SingleModeState) -> complex:
     """<s1|s2> including cross terms between non-orthogonal primitives."""
     total = 0.0 + 0.0j
     cache = {}
@@ -250,14 +251,14 @@ def overlap(s1: SingleModeState, s2: SingleModeState, tol: float = 1e-10) -> com
         for c2, p2 in s2.terms:
             key = (p1, p2)
             if key not in cache:
-                cache[key] = primitive_overlap(p1, p2, tol)
+                cache[key] = primitive_overlap(p1, p2)
             total += np.conj(c1) * c2 * cache[key]
     return total
 
 
-def state_norm(state, tol: float = 1e-10) -> float:
+def state_norm(state) -> float:
     if isinstance(state, SingleModeState):
-        return math.sqrt(max(overlap(state, state, tol).real, 0.0))
+        return math.sqrt(max(overlap(state, state).real, 0.0))
     if isinstance(state, TwoModeState):
         total = 0.0 + 0.0j
         cache1, cache2 = {}, {}
@@ -265,18 +266,18 @@ def state_norm(state, tol: float = 1e-10) -> float:
             for cl, ul, vl in state.terms:
                 k1 = (uk, ul)
                 if k1 not in cache1:
-                    cache1[k1] = primitive_overlap(uk, ul, tol)
+                    cache1[k1] = primitive_overlap(uk, ul)
                 k2 = (vk, vl)
                 if k2 not in cache2:
-                    cache2[k2] = primitive_overlap(vk, vl, tol)
+                    cache2[k2] = primitive_overlap(vk, vl)
                 total += np.conj(ck) * cl * cache1[k1] * cache2[k2]
         return math.sqrt(max(total.real, 0.0))
     raise DomainError(f"unsupported state type {type(state)!r}")
 
 
-def normalize(state, tol: float = 1e-10):
+def normalize(state):
     """Return the state rescaled to unit norm. Idempotent."""
-    norm = state_norm(state, tol)
+    norm = state_norm(state)
     if norm <= 1e-12:
         raise DegenerateStateError(f"cannot normalize state with norm {norm:g}")
     return state.with_amplitudes([c / norm for c in state.amplitudes])

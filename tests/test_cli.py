@@ -1,9 +1,11 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from psnci.cli import _fmt, main
+from psnci.cli import _build_parser, _fmt, main
 from psnci.indicators import sweep_r
 
 VACUUM = '{"modes": 1, "terms": [{"amp_re": 1.0, "mode1": {"type": "fock", "n": 0}}]}'
@@ -108,6 +110,7 @@ def test_sweep_a_csv_and_determinism(tmp_path):
     assert [float(r["param"]) for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert all(r["rep"] == "wigner" for r in rows)
     assert float(rows[2]["entropy"]) == pytest.approx(1.0, abs=1e-12)
+    assert rows[0]["entropy"] == "0"
     assert rows[2]["delta"] != ""
 
 
@@ -174,8 +177,11 @@ def test_threads_env_fallback(tmp_path, monkeypatch, capsys):
     assert main(["indicator", "--state", VACUUM, "--rep", "wigner"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["threads"] == 2
-    monkeypatch.setenv("PSNCI_THREADS", "banana")
-    assert main(["indicator", "--state", VACUUM, "--rep", "wigner"]) == 2
+    # the environment is held to the positive-integer rule of --threads
+    for bad in ("banana", "0", "-2"):
+        monkeypatch.setenv("PSNCI_THREADS", bad)
+        assert main(["indicator", "--state", VACUUM, "--rep", "wigner"]) == 2
+        assert "PSNCI_THREADS" in capsys.readouterr().err
 
 
 def test_validate_coarse_grid_fails(capsys):
@@ -222,8 +228,8 @@ def test_points_below_axis_minimum_exit_3(argv, capsys):
 
 
 def test_sweep_a_rejects_rep(capsys):
-    # sweep-a reads only --reps; --rep, which every command accepts, must
-    # not be ignored in silence
+    # sweep-a reads only --reps; --rep, which other commands take, must not
+    # be ignored in silence or taken as an abbreviation of --reps
     argv = ["sweep-a", "--family", "entangled01", "--steps", "1", "--rep", "wigner"]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -231,22 +237,67 @@ def test_sweep_a_rejects_rep(capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("argv, reads_tol", [
-    (["dist", "--state", VACUUM], True),
-    (["indicator", "--state", VACUUM, "--rep", "wigner"], True),
-    (["entropy", "--state", BELL], True),
-    (["sweep-a", "--family", "entangled01", "--steps", "1", "--reps", "husimi",
-      "--points", "41"], False),
-    (["sweep-r", "--family", "psi00r", "--a", "0.5", "--steps", "1"], False),
-    (["validate", "--rep", "husimi", "--threads", "2"], False),
-], ids=["dist", "indicator", "entropy", "sweep-a", "sweep-r", "validate"])
-def test_tol_is_recorded_only_where_read(tmp_path, argv, reads_tol, capsys):
-    # --tol is the tolerance of normalize, which only commands that take
-    # --state call
+# The flags each command takes; a flag outside its set is a usage error.
+ACCEPTS = {
+    "dist": ("--state", "--rep", "--extent", "--points", "--out"),
+    "indicator": ("--state", "--rep", "--extent", "--points", "--threads", "--out"),
+    "sweep-a": ("--family", "--steps", "--reps", "--extent", "--points", "--entropy-base",
+                "--threads", "--out"),
+    "sweep-r": ("--family", "--a", "--rmax", "--steps", "--rep", "--extent", "--points",
+                "--coeff-convention", "--threads", "--out"),
+    "entropy": ("--state", "--entropy-base", "--out"),
+    "validate": ("--rep", "--extent", "--points", "--threads", "--out"),
+}
+# Every command used to take these eight; 21 of the pairs were never read.
+FORMERLY_COMMON = {"--rep": "wigner", "--extent": "6", "--points": "41", "--tol": "1e-9",
+                   "--coeff-convention": "printed", "--entropy-base": "e",
+                   "--threads": "2", "--out": "unused.csv"}
+MINIMAL_ARGV = {
+    "dist": ["dist", "--state", VACUUM],
+    "indicator": ["indicator", "--state", VACUUM, "--rep", "wigner"],
+    "sweep-a": ["sweep-a", "--family", "entangled01", "--steps", "1", "--reps", "husimi",
+                "--points", "41"],
+    "sweep-r": ["sweep-r", "--family", "psi00r", "--a", "0.5", "--steps", "1"],
+    "entropy": ["entropy", "--state", BELL],
+    "validate": ["validate", "--rep", "husimi", "--threads", "2"],
+}
+
+# Values a sidecar records besides the flags; indicator and validate record
+# their resolved --rep as reps.
+DERIVED = {"dist": {"grid"}, "indicator": {"reps"}, "sweep-a": {"a_sq_values"},
+           "sweep-r": {"r_values"}, "entropy": set(), "validate": {"reps"}}
+
+
+@pytest.mark.parametrize("command", list(ACCEPTS))
+def test_command_takes_only_its_flags(tmp_path, command, capsys):
+    for flag, value in FORMERLY_COMMON.items():
+        if flag not in ACCEPTS[command]:
+            assert main(MINIMAL_ARGV[command] + [flag, value]) == 2, flag
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     out = tmp_path / "result"
-    assert main(argv + ["--tol", "1e-9", "--out", str(out)]) == 0
+    assert main(MINIMAL_ARGV[command] + ["--out", str(out)]) == 0
     meta = json.loads((tmp_path / "result.meta.json").read_text())
-    assert ("tol" in meta) == reads_tol
-    if reads_tol:
-        assert meta["tol"] == 1e-9
+    assert meta["command"] == command
+    flags = {flag[2:].replace("-", "_") for flag in ACCEPTS[command]}
+    assert set(meta) - DERIVED[command] <= flags | {"command"}
+    assert flags - set(meta) <= {"rep"}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [MINIMAL_ARGV["dist"], MINIMAL_ARGV["entropy"]],
+                         ids=["dist", "entropy"])
+def test_unwritable_out_is_a_usage_error(argv, capsys):
+    assert main(argv + ["--out", "/no/such/dir/x.out"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write --out")
+
+
+def test_readme_flag_table_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = {m.group(1): tuple(m.group(2).split())
+             for m in re.finditer(r"^\| `([\w-]+)` \| `([^`]*)` \|$", readme, re.M)}
+    subparsers = _build_parser()._subparsers._group_actions[0].choices
+    parsed = {name: tuple(opt for action in p._actions for opt in action.option_strings
+                          if opt not in ("-h", "--help"))
+              for name, p in subparsers.items()}
+    assert table == parsed
+    assert parsed == ACCEPTS

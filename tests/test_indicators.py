@@ -120,6 +120,8 @@ def test_entropy_bell_point():
 def test_entropy_product_states():
     for a_sq in (0.0, 1.0):
         assert abs(von_neumann_entropy(entangled_state(0, 1, a_sq))) < 1e-12
+    # a product state has entropy +0.0, which prints as 0, not -0
+    assert math.copysign(1.0, von_neumann_entropy(entangled_state(0, 1, 0.0))) == 1.0
 
 
 def test_entropy_two_term_formula():
