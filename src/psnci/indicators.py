@@ -31,6 +31,7 @@ import numpy as np
 from .errors import DegenerateStateError, DomainError, UnsupportedStateError
 from .grids import PhaseGrid
 from .phasespace import Representation, build_term_table, default_grid
+from .quadrature import integral_with_estimate
 from .states import (
     FOCK,
     TwoModeState,
@@ -79,8 +80,6 @@ def delta_indicator(table, *, threads: int = 1) -> IndicatorResult:
     """
     if table.n_modes == 1:
         mode = table.grid.mode(0)
-        from .quadrature import integral_with_estimate
-
         total = table.total_values()
         plain, est_plain = integral_with_estimate(total, mode)
         absval, est_abs = integral_with_estimate(np.abs(total), mode)

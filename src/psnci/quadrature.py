@@ -40,20 +40,32 @@ The error estimate compares the fine sum with a decimated pass: the
 same sum over the points with even q and even p indices in both modes
 (1/16 of the points), weighted by 16.
 
+The streamed passes are folded over the reflections of the integrand.
 Fock and squeezed Fock states have definite parity, so a sum of
-products often satisfies f(-z1, -z2) = +-f(z1, z2). On a grid symmetric
-about the origin, z -> -z reverses each mode's raveled index, and the
-(q1, p1) rows i and reversed i of |f| then have equal sums. When every
-product's factors are even or odd under reversal (to within the rank
-cut) and all products have the same parity, only the first half of the
-rows is streamed, doubled, plus the centre row when there is one. This
-holds for every pair term of a Fock or squeezed Fock state, and for the
-total when all terms have one photon-number parity. Products below the
-rank cut relative to the largest do not vote. The decimated pass is
-folded the same way when its points are closed under reversal (odd
-axis lengths). The fold halves both passes.
+products often satisfies f(-z1, -z2) = +-f(z1, z2) (P). A state with
+real amplitudes and Fock or real-r squeezed Fock primitives has a real
+wavefunction; complex conjugation maps its Wigner, Husimi and Rivier
+factors to their p-mirrors, so f(q1, -p1, q2, -p2) = +-f (T), and with
+P also f(-q1, p1, -q2, p2) = +-f (PT). The kernel takes the largest
+subgroup of {1, P, T, PT} under which every product is even or odd,
+all with one sign: each element reverses some axes of the (q, p) grids
+of both modes, and the check compares each uncompressed factor grid
+with its reversal, to within the rank cut, so no grid geometry is
+assumed. Products below the rank cut relative to the largest do not
+vote. A group element permutes the (q1, p1) rows of |f| without
+changing their sums, so one row per orbit is streamed, weighted by the
+orbit size, in one pass per weight: under the full group the interior
+rows of a quadrant count 4, the rows on the half-axes 2 and the origin
+1; under an order-2 group, rows off the mirror line or point count 2
+and rows on it 1 (under {1, P}: the first half of the rows, doubled,
+and the centre row). The decimated pass folds only under the elements
+that map its even-index points of both modes onto themselves, those
+reversing odd-length axes only. Every pair term of a Fock or squeezed
+Fock state has P, and so does a total whose terms share one
+photon-number parity; real amplitudes add T. The full group streams
+about a quarter of the rows of both passes, P alone half.
 
-The compression and the parity check run once per call, before the
+The compression and the symmetry check run once per call, before the
 workers start. Every tile is computed identically whichever worker runs
 it, and the tile sums are combined with math.fsum, which is exactly
 rounded. So results are bit-identical for any ``threads`` setting.
@@ -61,9 +73,10 @@ The closed form at rank k <= 2 is single-threaded. Their last bits can
 change with the rank cut (the compressed products are a rounding-level
 rewrite of the inputs), with the closed form (prefix sums in angle
 order instead of sums of |f| in index order), with the fold (which sums
-half of the rows twice instead of both halves), with ``tile_rows``
-(the row count of each matrix product and sum) and with the BLAS or
-numpy build.
+one row per orbit, weighted by the orbit size, instead of every row,
+so a state whose amplitudes turn real gains T and changes its last
+bits), with ``tile_rows`` (the row count of each matrix product and
+sum) and with the BLAS or numpy build.
 """
 
 from __future__ import annotations
@@ -227,41 +240,66 @@ def _closed_abs_sum(gmat: np.ndarray, hmat: np.ndarray) -> float:
     return float(np.sum(np.abs(np.einsum("ij,ij->i", gmat, 2.0 * bounds - prefix[-1]))))
 
 
-def _parity(f: np.ndarray) -> int:
-    """+1 or -1 if the raveled factor f is even or odd under index
-    reversal, to within _RANK_CUT of its largest value; 0 otherwise."""
+def _parity(f: np.ndarray, axes) -> int:
+    """+1 or -1 if the factor grid f is even or odd under reversing its
+    ``axes``, to within _RANK_CUT of its largest value; 0 otherwise."""
     tol = _RANK_CUT * np.max(np.abs(f))
+    flipped = np.flip(f, axes)
     for sign in (1, -1):
-        if np.max(np.abs(f - sign * f[::-1])) <= tol:
+        if np.max(np.abs(f - sign * flipped)) <= tol:
             return sign
     return 0
 
 
-def _reflection_symmetric(pairs) -> bool:
-    """Whether sum_t g_t h_t^T is even or odd under reversing both raveled
-    indices, which on a grid symmetric about the origin is z -> -z.
+def _symmetry_group(pairs) -> tuple:
+    """The largest subgroup of {1, P, T, PT} under which sum_t g_t h_t^T is
+    even or odd, as the axes of the (q, p) factor grids that each element
+    reverses in both modes at once: () is 1, (0, 1) is P (z -> -z), (1,)
+    is T (p -> -p) and (0,) is PT (q -> -q).
 
-    Every product must have a parity (the product of its factors'), and
-    all the same one. Products smaller than _RANK_CUT times the largest do
-    not vote: rounding noise has no parity but cannot move the sum.
+    An element is kept when every product has a parity under it (the
+    product of its factors') and all have the same one. Products smaller
+    than _RANK_CUT times the largest do not vote: rounding noise has no
+    parity but cannot move the sum. Any two kept elements imply the third;
+    if rounding keeps only two, the first of them is used, P before T.
     """
     scales = [np.max(np.abs(g)) * np.max(np.abs(h)) for g, h in pairs]
     cut = _RANK_CUT * max(scales)
-    signs = {_parity(g) * _parity(h) for (g, h), scale in zip(pairs, scales) if scale > cut}
-    return len(signs) == 1 and 0 not in signs
+    voters = [(g, h) for (g, h), scale in zip(pairs, scales) if scale > cut]
+    kept = []
+    for axes in ((0, 1), (1,), (0,)):
+        # The vote ends at the first product without a parity or with
+        # another sign.
+        signs = (_parity(g, axes) * _parity(h, axes) for g, h in voters)
+        first = next(signs)
+        if first and all(sign == first for sign in signs):
+            kept.append(axes)
+    return ((),) + tuple(kept if len(kept) == 3 else kept[:1])
 
 
-def _folded_abs_sum(gmat: np.ndarray, hmat: np.ndarray, tile_rows: int, threads: int) -> float:
-    """_abs_sum of a reflection-symmetric gmat @ hmat from its first half of rows.
+def _folded_abs_sum(gmat: np.ndarray, hmat: np.ndarray, grid_index: np.ndarray, group,
+                    tile_rows: int, threads: int) -> float:
+    """Sum of |gmat[i] @ hmat| over the rows i in ``grid_index``, when
+    ``group`` leaves |gmat @ hmat| unchanged.
 
-    Row R i of |gmat @ hmat| (R reverses the index) is row i with its
-    columns reversed, so both have the same sum: the full sum is twice
-    that of the first n1 // 2 rows, plus the centre row when n1 is odd.
+    ``grid_index`` holds row numbers of gmat laid out as the mode-1 (q, p)
+    grid. A group element permutes these rows and, in mode 2, the columns,
+    so every row of an orbit has the same sum: one representative per orbit
+    (its smallest row number) is streamed, weighted by the orbit size, in
+    one _abs_sum call per size, largest first. Under {1, P} these are the
+    first half of the rows, doubled, then the centre row, if there is one.
     """
-    half, odd = divmod(gmat.shape[0], 2)
-    total = 2.0 * _abs_sum(gmat[:half], hmat, tile_rows, threads)
-    if odd:
-        total += _abs_sum(gmat[half:half + 1], hmat, tile_rows, threads)
+    index = grid_index.ravel()
+    images = np.stack([np.flip(grid_index, axes).ravel() for axes in group])
+    # The orbit of a row has the group order over the number of elements
+    # that fix the row.
+    size = len(group) // np.count_nonzero(images == index, axis=0)
+    first = images.min(axis=0) == index
+    total = 0.0
+    for weight in (4, 2, 1):
+        rows = index[first & (size == weight)]
+        if len(rows):
+            total += weight * _abs_sum(gmat[rows], hmat, tile_rows, threads)
     return total
 
 
@@ -294,10 +332,10 @@ def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
             raise DomainError("factor grid shapes do not match the mode axes")
         if np.max(np.abs(g)) == 0.0 or np.max(np.abs(h)) == 0.0:
             continue
-        shaped.append((g.ravel(), h.ravel()))
+        shaped.append((g, h))
     if not shaped:
         return 0.0, 0.0
-    gmat, hmat = _compress([g for g, _ in shaped], [h for _, h in shaped])
+    gmat, hmat = _compress([g.ravel() for g, _ in shaped], [h.ravel() for _, h in shaped])
     if gmat.shape[1] == 0:
         return 0.0, 0.0
     area = mode1.cell_area * mode2.cell_area
@@ -306,13 +344,14 @@ def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
         fine = _closed_abs_sum(gmat, hmat) * area
         coarse = _closed_abs_sum(gmat[even1], hmat[:, even2]) * 16.0 * area
         return fine, abs(fine - coarse)
-    stream = _folded_abs_sum if _reflection_symmetric(shaped) else _abs_sum
-    fine = stream(gmat, hmat, tile_rows, threads) * area
-    # The decimated points keep the symmetry only if both masks are
-    # closed under reversal (odd axis lengths).
-    if not (np.array_equal(even1, even1[::-1]) and np.array_equal(even2, even2[::-1])):
-        stream = _abs_sum
-    coarse = stream(gmat[even1], np.ascontiguousarray(hmat[:, even2]),
-                    tile_rows, threads) * 16.0 * area
+    group = _symmetry_group(shaped)
+    index = np.arange(n1).reshape(mode1.q.n, mode1.p.n)
+    fine = _folded_abs_sum(gmat, hmat, index, group, tile_rows, threads) * area
+    # The decimated pass keeps only the elements that map the even-index
+    # points of both modes onto themselves: those reversing odd-length axes.
+    masks = [even1.reshape(index.shape), even2.reshape(mode2.q.n, mode2.p.n)]
+    group = [axes for axes in group
+             if all(np.array_equal(np.flip(m, axes), m) for m in masks)]
+    coarse = _folded_abs_sum(gmat, np.ascontiguousarray(hmat[:, even2]), index[::2, ::2],
+                             group, tile_rows, threads) * 16.0 * area
     return fine, abs(fine - coarse)
-

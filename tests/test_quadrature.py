@@ -323,15 +323,19 @@ def test_folded_passes_match_dense_oracle(monkeypatch, terms, keys, folded, poin
 
 @st.composite
 def fock_states(draw):
-    """Two-mode Fock superpositions, n <= 4, with complex amplitudes; half
-    of them have one total photon-number parity, so their totals fold."""
+    """Two-mode Fock superpositions, n <= 4. Half of them have one total
+    photon-number parity, so their totals fold under P; half have real
+    amplitudes, so every pair term and the total fold under T as well."""
     pairs = st.tuples(st.integers(0, 4), st.integers(0, 4))
     if draw(st.booleans()):
         parity = draw(st.integers(0, 1))
         pairs = pairs.filter(lambda mn: sum(mn) % 2 == parity)
     terms = draw(st.lists(pairs, min_size=1, max_size=3, unique=True))
-    amps = draw(st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
-                         min_size=len(terms), max_size=len(terms)))
+    if draw(st.booleans()):
+        amp = st.floats(0.1, 1.0) | st.floats(-1.0, -0.1)
+    else:
+        amp = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)
+    amps = draw(st.lists(amp, min_size=len(terms), max_size=len(terms)))
     return normalize(TwoModeState(tuple(
         (c, fock(m), fock(n)) for c, (m, n) in zip(amps, terms))))
 
@@ -384,6 +388,92 @@ def test_parity_vote(monkeypatch, signs, noise, folded):
     assert calls[0][0] == (n1 // 2 if folded else n1)
 
 
+def _mirrored(f, mirrors):
+    """f made even (+1) or odd (-1) under reversing each of its ``axes``, by
+    f + sign * reversed f for each (axes, sign) of ``mirrors`` in turn."""
+    for axes, sign in mirrors:
+        f = f + sign * np.flip(f, axes)
+    return f
+
+
+def _mirror_products(grid, mirrors, seed):
+    """Random products whose g and h factors are _mirrored by mirrors[t]."""
+    rng = np.random.default_rng(seed)
+    m1, m2 = grid.mode(0), grid.mode(1)
+    return [(_mirrored(rng.standard_normal((m1.q.n, m1.p.n)), g_mirrors),
+             _mirrored(rng.standard_normal((m2.q.n, m2.p.n)), h_mirrors))
+            for g_mirrors, h_mirrors in mirrors]
+
+
+def _one_mirror(axes, signs):
+    """Mirrors of products whose (g, h) factors have the given signs under
+    reversing ``axes``."""
+    return tuple((((axes, sg),), ((axes, sh),)) for sg, sh in signs)
+
+
+# One set per subgroup of {1, P, T, PT}: P reverses both axes of both
+# modes, T the p axes and PT the q axes. Within a set every product has the
+# same sign under each element of its group, while the factors' own signs
+# vary; the random factors of "none" have no symmetry. The "full" set is
+# even under T and odd under PT and P.
+MIRROR_SETS = {
+    "none": (((), ()),) * 3,
+    "P": _one_mirror((0, 1), EVEN),
+    "T": _one_mirror((1,), EVEN),
+    "PT": _one_mirror((0,), ODD),
+    "full": tuple(((((0,), a), ((1,), b)), (((0,), -a), ((1,), b)))
+                  for a, b in ((1, 1), (-1, 1), (1, -1), (-1, -1))),
+}
+
+# (rows of gmat, columns of hmat) of every _abs_sum call, fine pass then
+# decimated pass, per group and points per axis. A 21-point axis has a
+# centre, so rows on a mirror line count once; the 11 x 11 decimated grid
+# folds the same way. A 20-point axis has no centre, and its decimated
+# points (even indices) are not closed under any reversal.
+FOLD_CALLS = {
+    "none": {21: [(441, 441), (121, 121)], 20: [(400, 400), (100, 100)]},
+    "P": {21: [(220, 441), (1, 441), (60, 121), (1, 121)], 20: [(200, 400), (100, 100)]},
+    "T": {21: [(210, 441), (21, 441), (55, 121), (11, 121)], 20: [(200, 400), (100, 100)]},
+    "PT": {21: [(210, 441), (21, 441), (55, 121), (11, 121)], 20: [(200, 400), (100, 100)]},
+    "full": {21: [(100, 441), (20, 441), (1, 441), (25, 121), (10, 121), (1, 121)],
+             20: [(100, 400), (100, 100)]},
+}
+
+
+@pytest.mark.parametrize("points", [21, 20])
+@pytest.mark.parametrize("group", list(MIRROR_SETS))
+def test_group_fold_matches_dense_oracle(monkeypatch, group, points):
+    grid = PhaseGrid.two_mode(points=points)
+    prods = _mirror_products(grid, MIRROR_SETS[group], seed=points)
+    calls = _recorded_passes(monkeypatch)
+    _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
+    assert calls == FOLD_CALLS[group][points]
+
+
+# Totals of real-amplitude states fold under T (p -> -p in both modes);
+# a complex amplitude breaks it. entangled01 has one photon in each term,
+# so it keeps P either way; |0,0> + |1,2> mixes the photon-number parities,
+# so with real amplitudes it folds under T alone (with complex ones it does
+# not fold: test_folded_passes_match_dense_oracle[mixed-total]). Every total
+# here has rank 4 or 8 and is streamed.
+@pytest.mark.parametrize("points", [21, 20])
+@pytest.mark.parametrize("terms, amps, group", [
+    pytest.param(((0, 1), (1, 0)), (0.6 + 0.3j, 0.5), "P", id="entangled01-complex"),
+    pytest.param(((0, 1), (1, 0)), (0.6, 0.8), "full", id="entangled01-real"),
+    pytest.param(((0, 0), (1, 2)), (0.6, -0.8), "T", id="mixed-real"),
+])
+@pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
+def test_state_totals_fold_under_their_group(monkeypatch, rep, terms, amps, group, points):
+    state = normalize(TwoModeState(tuple(
+        (c, fock(m), fock(n)) for c, (m, n) in zip(amps, terms))))
+    grid = PhaseGrid.two_mode(points=points)
+    table = build_term_table(state, rep, grid)
+    calls = _recorded_passes(monkeypatch)
+    _assert_matches_dense(table.total_abs_with_estimate(threads=2),
+                          table.real_products(), grid)
+    assert calls == FOLD_CALLS[group][points]
+
+
 @pytest.mark.parametrize("tile_rows, make", [
     *(pytest.param(rows, partial(_random_products, count=4), id=str(rows))
       for rows in (1, 8, 512)),
@@ -391,6 +481,9 @@ def test_parity_vote(monkeypatch, signs, noise, folded):
     pytest.param(8, partial(_repeated_h_products, h_picks=RANK1), id="8-rank1"),
     *(pytest.param(rows, partial(_parity_products, signs=EVEN), id=f"{rows}-folded")
       for rows in (1, 8, 512)),
+    *(pytest.param(rows, partial(_mirror_products, mirrors=MIRROR_SETS[group]),
+                   id=f"{rows}-{group}")
+      for group in ("T", "full") for rows in (1, 8, 512)),
 ])
 def test_streamed_bit_identical_across_threads(tile_rows, make):
     grid = PhaseGrid.two_mode(points=21)
