@@ -63,19 +63,6 @@ def _name_list(text: str) -> list:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
-def _resolve_threads(value) -> int:
-    """--threads, else PSNCI_THREADS under the same positive-integer rule."""
-    if value is not None:
-        return value
-    env = os.environ.get("PSNCI_THREADS")
-    if env:
-        try:
-            return _positive_int(env)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise UsageError(f"PSNCI_THREADS must be a positive integer, got {env!r}") from exc
-    return os.cpu_count() or 1
-
-
 def _load_state(spec_text: str):
     if spec_text.lstrip().startswith("{"):
         return state_from_json(spec_text)
@@ -304,7 +291,7 @@ _FLAGS = {
     "coeff-convention": dict(choices=["printed", "sqrt"], default="sqrt"),
     "entropy-base": dict(choices=["2", "e"], default="2"),
     "threads": dict(type=_positive_int, default=None,
-                    help="worker threads (default: PSNCI_THREADS or CPU count)"),
+                    help="worker threads (default: CPU count)"),
     "out": dict(default=None, help="output file path"),
 }
 
@@ -316,10 +303,11 @@ _COMMANDS = {
     "sweep-a": (_cmd_sweep_a, "sweep the entanglement weight a^2",
                 ("family", "steps", "reps", "extent", "points", "entropy-base", "threads",
                  "out")),
-    # Single-mode work is serial: a thread pool over sweep_r's r values
-    # saved 3-7 % of the single-mode benchmark's wall time for 60 MB more
-    # peak RSS (SingleModeTermTable.pair_abs_with_estimate). sweep-r keeps
-    # --threads because the perfbench workloads pass it to every command.
+    # Single-mode work is serial: TermTable.pair_abs_with_estimate reads
+    # threads only for two modes. A 2-thread pool over sweep_r's r values
+    # saved 3-7 % of the single-mode benchmark's wall time but raised peak
+    # RSS from 93 MB to 153-157 MB (one e^r-stretched table per worker).
+    # sweep-r keeps --threads because the perfbench workloads pass it.
     "sweep-r": (_cmd_sweep_r, "sweep the squeezing parameter r",
                 ("family", "a", "rmax", "steps", "rep", "extent", "points",
                  "coeff-convention", "threads", "out")),
@@ -362,8 +350,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        if "threads" in vars(args):
-            args.threads = _resolve_threads(args.threads)
+        if "threads" in vars(args) and args.threads is None:
+            args.threads = os.cpu_count() or 1
         return args.func(args)
     except (UsageError, StateFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -71,19 +71,6 @@ class PhaseGrid:
         if not 1 <= len(self.modes) <= 2:
             raise DomainError("PhaseGrid supports one or two modes")
 
-    @classmethod
-    def single(cls, extent: float = DEFAULT_SINGLE_MODE_EXTENT,
-               points: int = DEFAULT_SINGLE_MODE_POINTS) -> "PhaseGrid":
-        ax = Axis(-float(extent), float(extent), int(points))
-        return cls((ModeAxes(ax, ax),))
-
-    @classmethod
-    def two_mode(cls, extent: float = DEFAULT_TWO_MODE_EXTENT,
-                 points: int = DEFAULT_TWO_MODE_POINTS) -> "PhaseGrid":
-        ax = Axis(-float(extent), float(extent), int(points))
-        mode = ModeAxes(ax, ax)
-        return cls((mode, mode))
-
     @property
     def n_modes(self) -> int:
         return len(self.modes)

@@ -97,25 +97,33 @@ def delta_indicator(table, *, threads: int = 1) -> IndicatorResult:
 
 def eta_indicator(table, *, threads: int = 1) -> IndicatorResult:
     """Interference indicator over the table's term-pair decomposition."""
-    num = 0.0
-    den = 0.0
-    est = 0.0
-    norm = 0.0
-    for key in table.pair_keys():
-        absval, abs_est = table.pair_abs_with_estimate(key, threads=threads)
-        plain = table.pair_integral(*key)
-        num += absval - plain
-        den += absval + plain
-        est += abs_est
-        norm += plain
-    if den < 1e-12:
-        raise DegenerateStateError("eta denominator vanished")
+    pairs = _pair_integrals(table, threads)
+    value, norm, est = _eta(pairs, [1.0] * len(pairs))
     return IndicatorResult(
-        value=num / den,
-        error_estimate=2.0 * est / den,
+        value=value,
+        error_estimate=est,
         norm_check=norm,
         representation=table.representation.value,
     )
+
+
+def _pair_integrals(table, threads: int) -> list:
+    """(int |f_ij|, its estimate, int f_ij) for every pair key of the table."""
+    return [table.pair_abs_with_estimate(key, threads=threads) + (table.pair_integral(*key),)
+            for key in table.pair_keys()]
+
+
+def _eta(pairs, weights) -> tuple:
+    """(eta, norm_check, error_estimate) of weighted pair integrals."""
+    num = den = est = norm = 0.0
+    for w, (absval, abs_est, plain) in zip(weights, pairs):
+        num += w * (absval - plain)
+        den += w * (absval + plain)
+        est += w * abs_est
+        norm += w * plain
+    if den < 1e-12:
+        raise DegenerateStateError("eta denominator vanished")
+    return num / den, norm, 2.0 * est / den
 
 
 def _entropy_base_factor(log_base) -> float:
@@ -183,25 +191,10 @@ def _eta_rows(table, amplitude_rows, threads: int) -> list:
     a in (0, 1) under both coefficient conventions), so it does.
     """
     ref = [abs(c) for c in table.amplitudes]
-    units = []
-    for i, j in table.pair_keys():
-        scale = ref[i] * ref[j]
-        absval, abs_est = table.pair_abs_with_estimate((i, j), threads=threads)
-        plain = table.pair_integral(i, j)
-        units.append((i, j, absval / scale, abs_est / scale, plain / scale))
-    out = []
-    for c in amplitude_rows:
-        num = den = est = norm = 0.0
-        for i, j, absval, abs_est, plain in units:
-            w = abs(c[i]) * abs(c[j])
-            num += w * (absval - plain)
-            den += w * (absval + plain)
-            est += w * abs_est
-            norm += w * plain
-        if den < 1e-12:
-            raise DegenerateStateError("eta denominator vanished in sweep")
-        out.append((num / den, norm, 2.0 * est / den))
-    return out
+    keys = table.pair_keys()
+    units = [tuple(x / (ref[i] * ref[j]) for x in pair)
+             for (i, j), pair in zip(keys, _pair_integrals(table, threads))]
+    return [_eta(units, [abs(c[i]) * abs(c[j]) for i, j in keys]) for c in amplitude_rows]
 
 
 def sweep_a(family, a_sq_values, reps, grid: PhaseGrid = None, *,

@@ -20,16 +20,19 @@ over dq dp):
       K_ij(q, p) = (2 pi)^(-1/2) psi_i(q) phi_j*(p) e^(-iqp),
   combined hermitially per term pair.
 
-A TermTable holds the real term-pair decomposition f = sum_ij f_ij of a
-superposition state's distribution: diagonal terms per primitive and one
-combined real interference term per unordered pair. Two-mode tables store
-per-mode complex factor grids and reconstruct 4D quantities as sums of
-products, never materializing the 4D array.
+A TermTable holds the real term-pair decomposition f = sum_kl f_kl of a
+one- or two-mode superposition state's distribution: a diagonal term per
+term of the state and one combined real interference term per unordered
+pair. Each f_kl is built from per-mode complex factor grids, one per
+ordered primitive pair, so two-mode quantities are sums of separable
+products and the 4D array is never materialized.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from enum import Enum
 
 import numpy as np
@@ -116,6 +119,15 @@ def _scaled_mode(extent: float, points: int, prims) -> ModeAxes:
     return ModeAxes(q_axis, p_axis)
 
 
+def _mode_primitives(state) -> tuple:
+    """Each mode's primitives, in term order."""
+    if isinstance(state, SingleModeState):
+        return (state.primitives,)
+    if isinstance(state, TwoModeState):
+        return (state.mode_primitives(0), state.mode_primitives(1))
+    raise DomainError(f"unsupported state type {type(state)!r}")
+
+
 def default_grid(state, *, extent: float = None, points: int = None) -> PhaseGrid:
     """Default evaluation grid for a state.
 
@@ -123,18 +135,14 @@ def default_grid(state, *, extent: float = None, points: int = None) -> PhaseGri
     spacing kept fixed. The contracted axis is not refined, so a squeezed
     term's features along it span e^-|r| times as many nodes.
     """
-    if isinstance(state, SingleModeState):
-        base_e = DEFAULT_SINGLE_MODE_EXTENT if extent is None else float(extent)
-        base_n = DEFAULT_SINGLE_MODE_POINTS if points is None else int(points)
-        return PhaseGrid((_scaled_mode(base_e, base_n, state.primitives),))
-    if isinstance(state, TwoModeState):
-        base_e = DEFAULT_TWO_MODE_EXTENT if extent is None else float(extent)
-        base_n = DEFAULT_TWO_MODE_POINTS if points is None else int(points)
-        return PhaseGrid((
-            _scaled_mode(base_e, base_n, state.mode_primitives(0)),
-            _scaled_mode(base_e, base_n, state.mode_primitives(1)),
-        ))
-    raise DomainError(f"unsupported state type {type(state)!r}")
+    prims = _mode_primitives(state)
+    single = len(prims) == 1
+    if extent is None:
+        extent = DEFAULT_SINGLE_MODE_EXTENT if single else DEFAULT_TWO_MODE_EXTENT
+    if points is None:
+        points = DEFAULT_SINGLE_MODE_POINTS if single else DEFAULT_TWO_MODE_POINTS
+    return PhaseGrid(tuple(_scaled_mode(float(extent), int(points), mode_prims)
+                           for mode_prims in prims))
 
 
 # ---------------------------------------------------------------------------
@@ -272,113 +280,47 @@ def _ordered_keys(n_terms: int):
     return [(i, j) for i in range(n_terms) for j in range(n_terms)]
 
 
-class SingleModeTermTable:
-    """Real term-pair decomposition of a single-mode distribution.
+def _ordered_entry(stored: dict, k, l):
+    """Entry (k, l) of a per-mode map, or the conjugate of (l, k) if only that is stored."""
+    if (k, l) in stored:
+        return stored[(k, l)]
+    return np.conj(stored[(l, k)])
 
-    Immutable by convention.
+
+class TermTable:
+    """Real term-pair decomposition f = sum_{k<=l} f_kl of a one- or
+    two-mode distribution, with gamma_kl = c_k c_l* and
+        f_kl = Re(gamma_kl prod_m D_m,kl + gamma_lk prod_m D_m,lk),
+        f_kk = |c_k|^2 prod_m Re D_m,kk.
+
+    Per mode it holds the complex factor grids D_m,kl and their integrals.
+    Two-mode quantities are sums of separable products of these grids and
+    never materialize the 4D array. Immutable by convention.
     """
 
-    n_modes = 1
-
-    def __init__(self, representation, grid, primitives, amplitudes, cross, cross_ints):
+    def __init__(self, representation, grid, amplitudes, cross_by_mode, ints_by_mode):
         self.representation = representation
         self.grid = grid
-        self.primitives = tuple(primitives)
         self.amplitudes = tuple(complex(c) for c in amplitudes)
-        self._cross = cross
-        self._cross_ints = cross_ints
-
-    def _grid_of(self, i, j):
-        if (i, j) in self._cross:
-            return self._cross[(i, j)]
-        return np.conj(self._cross[(j, i)])
-
-    def _int_of(self, i, j):
-        if (i, j) in self._cross_ints:
-            return self._cross_ints[(i, j)]
-        return np.conj(self._cross_ints[(j, i)])
-
-    def pair_keys(self):
-        return _hermitian_keys(len(self.primitives))
-
-    def pair_values(self, i, j) -> np.ndarray:
-        """Real combined term f_ij on the grid."""
-        c = self.amplitudes
-        if i == j:
-            return (abs(c[i]) ** 2) * self._grid_of(i, i).real
-        gamma_ij = c[i] * np.conj(c[j])
-        if self.representation.hermitian_pairs:
-            # The (j, i) product is the conjugate of the (i, j) one, so their
-            # sum is twice its real part, bit for bit.
-            return 2.0 * (gamma_ij * self._grid_of(i, j)).real
-        combined = gamma_ij * self._grid_of(i, j) + np.conj(gamma_ij) * self._grid_of(j, i)
-        return combined.real
-
-    def pair_integral(self, i, j) -> float:
-        c = self.amplitudes
-        if i == j:
-            return float(((abs(c[i]) ** 2) * self._int_of(i, i)).real)
-        gamma_ij = c[i] * np.conj(c[j])
-        return float((gamma_ij * self._int_of(i, j)
-                      + np.conj(gamma_ij) * self._int_of(j, i)).real)
-
-    def pair_abs_with_estimate(self, key, threads: int = 1) -> tuple:
-        """int |f_ij| over the mode grid, with the decimated-grid estimate.
-
-        ``threads`` matches TwoModeTermTable's signature and is not used:
-        single-mode work stays serial. A pool of 2 threads over sweep_r's
-        r values, one table per worker, cut the single-mode benchmark's
-        wall time by 3-7 % but raised its peak RSS from 93 MB to 153-157 MB,
-        since each worker holds a table on a grid stretched with e^r.
-        """
-        values = self.pair_values(*key)
-        return integral_with_estimate(np.abs(values), self.grid.mode(0))
-
-    def total_values(self) -> np.ndarray:
-        total = None
-        for key in self.pair_keys():
-            term = self.pair_values(*key)
-            total = term if total is None else total + term
-        return total
-
-    def total_integral(self) -> float:
-        return math.fsum(self.pair_integral(*k) for k in self.pair_keys())
-
-    @property
-    def norm_check(self) -> float:
-        return self.total_integral()
-
-
-class TwoModeTermTable:
-    """Term-pair decomposition of a two-mode distribution.
-
-    Each pair term is a short sum of products of per-mode complex factor
-    grids, with the real part taken after pairing. 4D integrals stream the
-    expanded real products through the tiled engine.
-    """
-
-    n_modes = 2
-
-    def __init__(self, representation, grid, term_primitives, amplitudes,
-                 cross_by_mode, ints_by_mode):
-        self.representation = representation
-        self.grid = grid
-        self.term_primitives = tuple(term_primitives)
-        self.amplitudes = tuple(complex(c) for c in amplitudes)
-        self._cross = cross_by_mode      # (dict for mode 1, dict for mode 2)
+        self._cross = cross_by_mode
         self._ints = ints_by_mode
 
-    def _mode_grid(self, mode, k, l):
-        table = self._cross[mode]
-        if (k, l) in table:
-            return table[(k, l)]
-        return np.conj(table[(l, k)])
+    @property
+    def n_modes(self) -> int:
+        return self.grid.n_modes
 
-    def _mode_int(self, mode, k, l):
-        table = self._ints[mode]
-        if (k, l) in table:
-            return table[(k, l)]
-        return np.conj(table[(l, k)])
+    def _terms(self, k, l, per_mode) -> list:
+        """(gamma, per-mode entries) of the one product of f_kk or the two of f_kl."""
+        c = self.amplitudes
+        pairs = [(k, l)] if k == l else [(k, l), (l, k)]
+        return [(abs(c[i]) ** 2 if i == j else c[i] * np.conj(c[j]),
+                 [_ordered_entry(stored, i, j) for stored in per_mode])
+                for i, j in pairs]
+
+    def _paired(self, k, l, per_mode):
+        """Sum of gamma times its per-mode entries over the products of f_kl."""
+        return functools.reduce(operator.add, (functools.reduce(operator.mul, entries, gamma)
+                                               for gamma, entries in self._terms(k, l, per_mode)))
 
     def pair_keys(self):
         return _hermitian_keys(len(self.amplitudes))
@@ -388,15 +330,64 @@ class TwoModeTermTable:
         return dict(self._cross[mode])
 
     def products(self, k, l):
-        """Complex factor products whose paired real part is the term f_kl."""
+        """Complex factor products (gamma, D_1, ...) whose paired real part is f_kl."""
+        return [(gamma + 0.0j if k == l else gamma, *factors)
+                for gamma, factors in self._terms(k, l, self._cross)]
+
+    def pair_integral(self, k, l) -> float:
+        return float(self._paired(k, l, self._ints).real)
+
+    def total_integral(self) -> float:
+        return math.fsum(self.pair_integral(*k) for k in self.pair_keys())
+
+    @property
+    def norm_check(self) -> float:
+        return self.total_integral()
+
+    def with_amplitudes(self, amplitudes) -> "TermTable":
+        if len(amplitudes) != len(self.amplitudes):
+            raise DomainError("amplitude count mismatch")
+        return TermTable(self.representation, self.grid, amplitudes, self._cross, self._ints)
+
+    def pair_abs_with_estimate(self, key, threads: int = 1) -> tuple:
+        """int |f_kl| over the grid, with its decimation estimate.
+
+        One mode integrates the dense pair grid serially; two modes use the
+        factorized diagonal below, else the 4D kernel on ``threads`` workers.
+        """
+        k, l = key
+        if self.n_modes == 1:
+            return integral_with_estimate(np.abs(self.pair_values(k, l)), self.grid.mode(0))
+        if k == l and self.representation.hermitian_pairs:
+            # Exact single real product: |f| factorizes across the modes.
+            # abs_4d_with_estimate's closed form gives the same value to
+            # 2e-16 but costs about 100x more per term (QR, SVD, a sort
+            # and a prefix sum over every point), and its estimate would be
+            # the decimated sum instead of the first-order ea*b + a*eb.
+            [(scale, (d1, d2))] = self._terms(k, k, self._cross)
+            a, ea = integral_with_estimate(np.abs(d1.real), self.grid.mode(0))
+            b, eb = integral_with_estimate(np.abs(d2.real), self.grid.mode(1))
+            return scale * a * b, scale * (ea * b + a * eb)
+        return abs_4d_with_estimate(self.real_products([key]), self.grid, threads=threads)
+
+    # Single-mode tables: dense real grids.
+
+    def pair_values(self, i, j) -> np.ndarray:
+        """Real combined term f_ij on the grid of a single-mode table."""
         c = self.amplitudes
-        if k == l:
-            return [(abs(c[k]) ** 2 + 0.0j,
-                     self._mode_grid(0, k, k), self._mode_grid(1, k, k))]
-        return [
-            (c[k] * np.conj(c[l]), self._mode_grid(0, k, l), self._mode_grid(1, k, l)),
-            (c[l] * np.conj(c[k]), self._mode_grid(0, l, k), self._mode_grid(1, l, k)),
-        ]
+        if i == j:
+            return (abs(c[i]) ** 2) * self._cross[0][(i, i)].real
+        if not self.representation.hermitian_pairs:
+            return self._paired(i, j, self._cross).real
+        # The (j, i) product is the conjugate of the (i, j) one, so their
+        # sum is twice its real part, bit for bit.
+        return 2.0 * (c[i] * np.conj(c[j]) * _ordered_entry(self._cross[0], i, j)).real
+
+    def total_values(self) -> np.ndarray:
+        return functools.reduce(operator.add,
+                                (self.pair_values(*key) for key in self.pair_keys()))
+
+    # Two-mode tables: real separable products for the 4D kernel.
 
     def real_products(self, keys=None):
         """Expand Re[gamma D1 (x) D2] into real separable products."""
@@ -413,46 +404,8 @@ class TwoModeTermTable:
                     out.append((np.ascontiguousarray(-w.imag), np.ascontiguousarray(d2.imag)))
         return out
 
-    def pair_integral(self, k, l) -> float:
-        c = self.amplitudes
-        if k == l:
-            total = (abs(c[k]) ** 2) * self._mode_int(0, k, k) * self._mode_int(1, k, k)
-        else:
-            total = (c[k] * np.conj(c[l]) * self._mode_int(0, k, l) * self._mode_int(1, k, l)
-                     + c[l] * np.conj(c[k]) * self._mode_int(0, l, k) * self._mode_int(1, l, k))
-        return float(total.real)
-
-    def pair_abs_with_estimate(self, key, threads: int = 1) -> tuple:
-        k, l = key
-        if k == l and self.representation.hermitian_pairs:
-            # Exact single real product: |f| factorizes across the modes.
-            # abs_4d_with_estimate's closed form gives the same value to
-            # 2e-16 but costs about 100x more per term (QR, SVD, a sort
-            # and a prefix sum over every point), and its estimate would be
-            # the decimated sum instead of the first-order ea*b + a*eb.
-            scale = abs(self.amplitudes[k]) ** 2
-            f1 = np.abs(self._mode_grid(0, k, k).real)
-            f2 = np.abs(self._mode_grid(1, k, k).real)
-            a, ea = integral_with_estimate(f1, self.grid.mode(0))
-            b, eb = integral_with_estimate(f2, self.grid.mode(1))
-            return scale * a * b, scale * (ea * b + a * eb)
-        return abs_4d_with_estimate(self.real_products([key]), self.grid, threads=threads)
-
-    def total_integral(self) -> float:
-        return math.fsum(self.pair_integral(*k) for k in self.pair_keys())
-
     def total_abs_with_estimate(self, threads: int = 1) -> tuple:
         return abs_4d_with_estimate(self.real_products(), self.grid, threads=threads)
-
-    @property
-    def norm_check(self) -> float:
-        return self.total_integral()
-
-    def with_amplitudes(self, amplitudes) -> "TwoModeTermTable":
-        if len(amplitudes) != len(self.amplitudes):
-            raise DomainError("amplitude count mismatch")
-        return TwoModeTermTable(self.representation, self.grid, self.term_primitives,
-                                amplitudes, self._cross, self._ints)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +449,7 @@ def _build_cross_maps(rep, prims, mode):
     return cross, ints
 
 
-def build_term_table(state, representation, grid: PhaseGrid = None):
+def build_term_table(state, representation, grid: PhaseGrid = None) -> TermTable:
     """Evaluate the term-pair decomposition of a normalized state.
 
     The total integral over the grid must come out within 1e-3 of one,
@@ -504,28 +457,14 @@ def build_term_table(state, representation, grid: PhaseGrid = None):
     normalized) and GridCoverageError is raised.
     """
     rep = Representation.parse(representation)
-    if isinstance(state, SingleModeState):
-        if grid is None:
-            grid = default_grid(state)
-        if grid.n_modes != 1:
-            raise DomainError("single-mode state needs a single-mode grid")
-        cross, ints = _build_cross_maps(rep, state.primitives, grid.mode(0))
-        table = SingleModeTermTable(rep, grid, state.primitives,
-                                    state.amplitudes, cross, ints)
-    elif isinstance(state, TwoModeState):
-        if grid is None:
-            grid = default_grid(state)
-        if grid.n_modes != 2:
-            raise DomainError("two-mode state needs a two-mode grid")
-        cross1, ints1 = _build_cross_maps(rep, state.mode_primitives(0), grid.mode(0))
-        cross2, ints2 = _build_cross_maps(rep, state.mode_primitives(1), grid.mode(1))
-        table = TwoModeTermTable(rep, grid,
-                                 tuple(zip(state.mode_primitives(0),
-                                           state.mode_primitives(1))),
-                                 state.amplitudes,
-                                 (cross1, cross2), (ints1, ints2))
-    else:
-        raise DomainError(f"unsupported state type {type(state)!r}")
+    prims = _mode_primitives(state)
+    if grid is None:
+        grid = default_grid(state)
+    if grid.n_modes != len(prims):
+        raise DomainError(f"a {len(prims)}-mode state needs a {len(prims)}-mode grid")
+    cross, ints = zip(*(_build_cross_maps(rep, mode_prims, grid.mode(m))
+                        for m, mode_prims in enumerate(prims)))
+    table = TermTable(rep, grid, state.amplitudes, cross, ints)
     norm = table.total_integral()
     if not np.isfinite(norm):
         raise QuadratureError("term table integral is not finite")

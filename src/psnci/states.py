@@ -204,9 +204,6 @@ class TwoModeState:
             return tuple(p2 for _, _, p2 in self.terms)
         raise DomainError(f"mode must be 0 or 1, got {mode}")
 
-    def swapped(self) -> "TwoModeState":
-        return TwoModeState(tuple((c, p2, p1) for c, p1, p2 in self.terms))
-
     def with_amplitudes(self, amplitudes) -> "TwoModeState":
         if len(amplitudes) != len(self.terms):
             raise DomainError("amplitude count mismatch")

@@ -17,6 +17,7 @@ from .errors import PhaseSpaceError
 from .indicators import eta_indicator
 from .phasespace import (
     Representation,
+    _mode_primitives,
     _wigner_numeric_grid,
     build_term_table,
     cross_wigner_fock_closed,
@@ -69,8 +70,7 @@ def _check_states():
 # ---------------------------------------------------------------------------
 
 def _direct_nodes(state, p_absmax):
-    prims = (state.primitives if isinstance(state, SingleModeState)
-             else state.mode_primitives(0) + state.mode_primitives(1))
+    prims = sum(_mode_primitives(state), ())
     half = max(p.support_radius for p in prims) + 4.0
     bandwidth = 2.0 * max(p.momentum_radius for p in prims) + 2.0 * p_absmax + 12.0
     dx = 2.0 * math.pi / (1.7 * bandwidth + 24.0)
@@ -224,7 +224,7 @@ def _husimi_checks(tables, results):
             continue
         worst = 0.0
         if table.n_modes == 1:
-            for i in range(len(table.primitives)):
+            for i in range(len(table.amplitudes)):
                 worst = min(worst, float(np.min(table.pair_values(i, i))))
             total_min = float(np.min(table.total_values()))
             ok = worst >= HUSIMI_FLOOR and total_min >= -1e-12

@@ -12,7 +12,16 @@ from fractions import Fraction
 import numpy as np
 
 from psnci.errors import DomainError, QuadratureError
-from psnci.grids import Axis, ModeAxes, PhaseGrid
+from psnci.grids import (
+    Axis,
+    DEFAULT_SINGLE_MODE_EXTENT,
+    DEFAULT_SINGLE_MODE_POINTS,
+    DEFAULT_TWO_MODE_EXTENT,
+    DEFAULT_TWO_MODE_POINTS,
+    ModeAxes,
+    PhaseGrid,
+)
+from psnci.states import TwoModeState
 
 SQRT_PI = math.sqrt(math.pi)
 MAX_ORDER = 64
@@ -177,6 +186,29 @@ def delta_fock2():
     return 2.0 * (g(u2) - g(u1))
 
 
+def fock_wigner_delta(n):
+    """delta(|n>) = int |W_n| - 1 = (1/2) int_0^inf |L_n(x)| e^(-x/2) dx - 1.
+
+    |L_n| is a polynomial on each interval between consecutive roots of L_n
+    (the Gauss-Laguerre nodes), so Gauss-Legendre on each interval and
+    Gauss-Laguerre on the tail beyond the last root, x = x_n + 2s, converge
+    to rounding.
+    """
+    coeffs = [0.0] * n + [1.0]
+    edges = np.concatenate(([0.0], np.polynomial.laguerre.laggauss(n)[0] if n else []))
+    nodes = n + 32
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        x = 0.5 * (b - a) * t + 0.5 * (a + b)
+        lag = np.polynomial.laguerre.lagval(x, coeffs)
+        total += 0.5 * (b - a) * float(np.dot(w, np.abs(lag) * np.exp(-0.5 * x)))
+    s, v = np.polynomial.laguerre.laggauss(nodes)
+    tail = np.abs(np.polynomial.laguerre.lagval(edges[-1] + 2.0 * s, coeffs))
+    total += 2.0 * math.exp(-0.5 * edges[-1]) * float(np.dot(v, tail))
+    return 0.5 * total - 1.0
+
+
 # --- 4D absolute integrals ------------------------------------------------
 
 def separable_abs_integral(g, h, grid):
@@ -195,6 +227,26 @@ def dense_abs_4d_sums(products):
     dense = sum(np.multiply.outer(g, h) for g, h in products)
     absval = np.abs(dense)
     return float(np.sum(absval)), float(np.sum(absval[::2, ::2, ::2, ::2]))
+
+
+# --- grids and states built only by tests ---------------------------------
+
+def single_grid(extent=DEFAULT_SINGLE_MODE_EXTENT, points=DEFAULT_SINGLE_MODE_POINTS):
+    """Square single-mode grid over [-extent, extent] in q and p."""
+    ax = Axis(-float(extent), float(extent), int(points))
+    return PhaseGrid((ModeAxes(ax, ax),))
+
+
+def two_mode_grid(extent=DEFAULT_TWO_MODE_EXTENT, points=DEFAULT_TWO_MODE_POINTS):
+    """Two copies of the square mode grid over [-extent, extent]."""
+    ax = Axis(-float(extent), float(extent), int(points))
+    mode = ModeAxes(ax, ax)
+    return PhaseGrid((mode, mode))
+
+
+def swapped(state):
+    """The two-mode state with its mode labels exchanged."""
+    return TwoModeState(tuple((c, p2, p1) for c, p1, p2 in state.terms))
 
 
 # --- resolution doubling ----------------------------------------------------

@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from psnci.grids import PhaseGrid
 from psnci.indicators import delta_indicator, sweep_a, sweep_r
 from psnci.phasespace import _wigner_numeric_grid, build_term_table
 from psnci.quadrature import abs_4d_with_estimate
@@ -29,7 +28,7 @@ from psnci.validation import run_validation
 import oracles
 
 THREADS = 4
-TWO_MODE_GRID = PhaseGrid.two_mode(points=121)
+TWO_MODE_GRID = oracles.two_mode_grid(points=121)
 
 
 def _report(criterion, ok, detail):

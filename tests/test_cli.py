@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -172,16 +173,10 @@ def test_numeric_failure_exits_3(tmp_path):
     assert code == 3
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PSNCI_THREADS", "2")
+def test_threads_default_is_cpu_count(capsys):
     assert main(["indicator", "--state", VACUUM, "--rep", "wigner"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["config"]["threads"] == 2
-    # the environment is held to the positive-integer rule of --threads
-    for bad in ("banana", "0", "-2"):
-        monkeypatch.setenv("PSNCI_THREADS", bad)
-        assert main(["indicator", "--state", VACUUM, "--rep", "wigner"]) == 2
-        assert "PSNCI_THREADS" in capsys.readouterr().err
+    assert payload["config"]["threads"] == (os.cpu_count() or 1)
 
 
 def test_validate_coarse_grid_fails(capsys):

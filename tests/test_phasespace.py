@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from psnci.errors import DomainError, GridCoverageError
-from psnci.grids import PhaseGrid
 from psnci import phasespace
 from psnci.phasespace import (
     Representation,
@@ -192,7 +191,7 @@ def test_husimi_diagonal_form_and_positivity():
 
 
 def test_husimi_diag_normalization():
-    grid = PhaseGrid.single()
+    grid = oracles.single_grid()
     for n in (0, 2):
         st = SingleModeState(((1.0, fock(n)),))
         table = build_term_table(st, "husimi", grid)
@@ -207,13 +206,13 @@ def test_husimi_self_pairs_are_real():
         (0.5j, squeezed_fock(0, 0.5), fock(1)),
         (0.55 - 0.1j, fock(1), fock(0)),
     )))
-    grid = PhaseGrid.two_mode(points=21)
+    grid = oracles.two_mode_grid(points=21)
     table = build_term_table(state, "husimi", grid)
     q = grid.mode(0).q.centers
     p = grid.mode(0).p.centers
     self_pairs = 0
     for mode in range(2):
-        prims = [term[mode] for term in table.term_primitives]
+        prims = state.mode_primitives(mode)
         for (k, l), g in table.stored_factors(mode).items():
             if prims[k] == prims[l]:
                 self_pairs += 1
@@ -296,11 +295,16 @@ def test_pair_values_is_the_hermitian_sum(rep):
                                        (0.5 - 0.4j, squeezed_fock(0, 0.8)))))
     table = build_term_table(state, rep)
     c = table.amplitudes
+
+    def grid_of(i, j):
+        # the first product of f_ij carries the factor grid D_ij
+        return table.products(i, j)[0][1]
+
     for i, j in table.pair_keys():
         gamma = c[i] * np.conj(c[j])
-        ref = (gamma * table._grid_of(i, j) + np.conj(gamma) * table._grid_of(j, i)).real
+        ref = (gamma * grid_of(i, j) + np.conj(gamma) * grid_of(j, i)).real
         if i == j:
-            ref = (abs(c[i]) ** 2) * table._grid_of(i, i).real
+            ref = (abs(c[i]) ** 2) * grid_of(i, i).real
         assert np.array_equal(table.pair_values(i, j), ref)
 
 
@@ -335,7 +339,7 @@ def test_entangled_pair_terms_match_analytic_forms():
     a_sq = 0.36
     a, b = math.sqrt(a_sq), math.sqrt(1 - a_sq)
     st = entangled_state(0, 1, a_sq)
-    table = build_term_table(st.swapped(), "wigner")
+    table = build_term_table(oracles.swapped(st), "wigner")
     m1, m2 = table.grid.mode(0), table.grid.mode(1)
     idx = RNG.integers(0, 121, size=(12, 4))
     for i1, j1, i2, j2 in idx:
@@ -362,7 +366,7 @@ def test_entangled_pair_terms_match_analytic_forms():
 def test_swap_invariance_of_indicators():
     st = entangled_state(0, 1, 0.3)
     plain = build_term_table(st, "wigner")
-    swapped = build_term_table(st.swapped(), "wigner")
+    swapped = build_term_table(oracles.swapped(st), "wigner")
     d1 = delta_indicator(plain).value
     d2 = delta_indicator(swapped).value
     e1 = eta_indicator(plain).value
@@ -441,7 +445,7 @@ def test_husimi_diagonal_floor():
 def test_grid_coverage_error():
     st = SingleModeState(((1.0, fock(2)),))
     with pytest.raises(GridCoverageError):
-        build_term_table(st, "wigner", PhaseGrid.single(extent=2.0, points=64))
+        build_term_table(st, "wigner", oracles.single_grid(extent=2.0, points=64))
 
 
 def test_unnormalized_state_rejected():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from psnci.errors import DomainError, QuadratureError, ResourceBudgetError
-from psnci.grids import Axis, PhaseGrid
+from psnci.grids import Axis
 from psnci.phasespace import build_term_table, cross_wigner_fock_closed
 from psnci import quadrature
 from psnci.quadrature import abs_4d_with_estimate, integrate_2d
@@ -25,19 +25,19 @@ def _grid_values(grid, f):
 
 
 def test_integrate_constant_is_exact_area():
-    grid = PhaseGrid.single(extent=1.0, points=16)
+    grid = oracles.single_grid(extent=1.0, points=16)
     ones = np.ones((16, 16))
     assert_allclose(integrate_2d(ones, grid), 4.0, atol=1e-12)
 
 
 def test_integrate_vacuum_wigner():
-    grid = PhaseGrid.single()
+    grid = oracles.single_grid()
     vals = _grid_values(grid, lambda q, p: np.exp(-q * q - p * p) / math.pi)
     assert_allclose(integrate_2d(vals, grid), 1.0, atol=1e-6)
 
 
 def test_integrate_abs_fock1_wigner():
-    grid = PhaseGrid.single()
+    grid = oracles.single_grid()
     vals = _grid_values(
         grid, lambda q, p: np.abs(cross_wigner_fock_closed(1, 1, q, p).real))
     assert_allclose(integrate_2d(vals, grid), oracles.abs_integral_fock1(),
@@ -45,13 +45,13 @@ def test_integrate_abs_fock1_wigner():
 
 
 def test_integrate_shape_mismatch():
-    grid = PhaseGrid.single(points=32)
+    grid = oracles.single_grid(points=32)
     with pytest.raises(DomainError):
         integrate_2d(np.ones((3, 3)), grid)
 
 
 def test_refine_until_gaussian_converges_fast():
-    grid0 = PhaseGrid.single(extent=7.0, points=64)
+    grid0 = oracles.single_grid(extent=7.0, points=64)
 
     def f(grid):
         return _grid_values(grid, lambda q, p: np.exp(-q * q - p * p) / math.pi)
@@ -62,7 +62,7 @@ def test_refine_until_gaussian_converges_fast():
 
 
 def test_refine_until_kinked_integrand():
-    grid0 = PhaseGrid.single(extent=7.0, points=64)
+    grid0 = oracles.single_grid(extent=7.0, points=64)
 
     def f(grid):
         return _grid_values(
@@ -74,7 +74,7 @@ def test_refine_until_kinked_integrand():
 
 
 def test_refine_until_nonconvergence():
-    grid0 = PhaseGrid.single(extent=7.0, points=32)
+    grid0 = oracles.single_grid(extent=7.0, points=32)
 
     def f(grid):
         return _grid_values(
@@ -86,7 +86,7 @@ def test_refine_until_nonconvergence():
 
 
 def test_refine_until_precondition():
-    grid0 = PhaseGrid.single(points=32)
+    grid0 = oracles.single_grid(points=32)
     with pytest.raises(DomainError):
         oracles.refine_until(lambda g: None, grid0, tol=1e-6, max_levels=7)
     with pytest.raises(DomainError):
@@ -103,14 +103,14 @@ def _two_mode_factors(grid):
 
 
 def test_separable_trivials():
-    grid = PhaseGrid.two_mode()
+    grid = oracles.two_mode_grid()
     vac, f1 = _two_mode_factors(grid)
     assert_allclose(abs_4d_with_estimate([(vac, vac)], grid)[0], 1.0, atol=1e-6)
     assert abs_4d_with_estimate([(0.0 * vac, f1)], grid)[0] == 0.0
 
 
 def test_separable_matches_streamed_on_single_product():
-    grid = PhaseGrid.two_mode()
+    grid = oracles.two_mode_grid()
     vac, f1 = _two_mode_factors(grid)
     sep = oracles.separable_abs_integral(vac, f1, grid)
     streamed = abs_4d_with_estimate([(vac, f1)], grid)[0]
@@ -121,7 +121,7 @@ def test_separable_matches_streamed_on_single_product():
 
 
 def test_streamed_determinism_across_threads():
-    grid = PhaseGrid.two_mode(points=41)
+    grid = oracles.two_mode_grid(points=41)
     vac, f1 = _two_mode_factors(grid)
     prods = [(0.5 * vac, f1), (0.5 * f1, vac), (0.1 * f1, f1)]
     v1 = abs_4d_with_estimate(prods, grid, threads=1)[0]
@@ -170,7 +170,7 @@ def _assert_matches_dense(result, prods, grid):
     pytest.param(8, RANK1, id="8-rank1"),
 ])
 def test_streamed_matches_dense_oracle(tile_rows, h_picks):
-    grid = PhaseGrid.two_mode(points=21)
+    grid = oracles.two_mode_grid(points=21)
     if h_picks is None:
         vac, f1 = _two_mode_factors(grid)
         prods = [(0.5 * vac, f1), (0.5 * f1, vac)] + _random_products(grid, 3, seed=tile_rows)
@@ -185,7 +185,7 @@ def test_streamed_matches_dense_oracle(tile_rows, h_picks):
 @pytest.mark.parametrize("qr_rows", [3, 100])
 def test_compression_row_blocks_match_dense_oracle(monkeypatch, qr_rows):
     monkeypatch.setattr(quadrature, "_QR_ROWS", qr_rows)
-    grid = PhaseGrid.two_mode(points=21)
+    grid = oracles.two_mode_grid(points=21)
     for prods in (_random_products(grid, 5, seed=qr_rows),
                   _repeated_h_products(grid, RANK2, seed=qr_rows)):
         _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
@@ -197,7 +197,7 @@ def _no_stream(*args):
 
 def test_rank1_products_are_not_streamed(monkeypatch):
     monkeypatch.setattr(quadrature, "_abs_sum", _no_stream)
-    grid = PhaseGrid.two_mode(points=21)
+    grid = oracles.two_mode_grid(points=21)
     prods = _repeated_h_products(grid, RANK1, seed=3)
     _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=3), prods, grid)
 
@@ -218,7 +218,7 @@ def _indicator_2mode_state():
 @pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
 def test_rank2_products_are_not_streamed(monkeypatch, rep):
     monkeypatch.setattr(quadrature, "_abs_sum", _no_stream)
-    grid = PhaseGrid.two_mode(points=21)
+    grid = oracles.two_mode_grid(points=21)
     table = build_term_table(_indicator_2mode_state(), rep, grid)
     keys = [(k, l) for k, l in table.pair_keys() if rep != "rivier" or k == l]
     sets = [table.real_products([key]) for key in keys]
@@ -244,7 +244,7 @@ ROWS = ((0.0, 0.0), (-0.0, -0.0), (1.0, -1.0), (-2.0, 2.0), (0.0, 1.0), (1.0, 3.
        cols=st.lists(st.sampled_from(COLUMNS), min_size=256, max_size=256),
        rows=st.lists(st.sampled_from(ROWS), min_size=256, max_size=256))
 def test_closed_form_matches_dense_oracle_on_awkward_geometry(rank, cols, rows):
-    grid = PhaseGrid.two_mode(points=16)
+    grid = oracles.two_mode_grid(points=16)
     hmat = np.array([(2.0, 1.0)] + cols[1:]).T[:rank]
     gmat = np.array([(1.0, 3.0)] + rows[1:])[:, :rank]
     prods = [(g.reshape(16, 16), h.reshape(16, 16)) for g, h in zip(gmat.T, hmat)]
@@ -276,7 +276,7 @@ def _rows_streamed(calls, cols):
 # product has even parity and each streamed pass is folded.
 @pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
 def test_term_table_passes_match_dense_oracle(monkeypatch, rep):
-    grid = PhaseGrid.two_mode(points=21)
+    grid = oracles.two_mode_grid(points=21)
     table = build_term_table(_indicator_2mode_state(), rep, grid)
     calls = _recorded_passes(monkeypatch)
     n1, n2 = grid.mode(0).n_points, grid.mode(1).n_points
@@ -305,7 +305,7 @@ def test_term_table_passes_match_dense_oracle(monkeypatch, rep):
 def test_folded_passes_match_dense_oracle(monkeypatch, terms, keys, folded, points):
     state = normalize(TwoModeState(tuple(
         (c, fock(m), fock(n)) for c, (m, n) in zip((0.6 + 0.3j, 0.5 - 0.4j), terms))))
-    grid = PhaseGrid.two_mode(points=points)
+    grid = oracles.two_mode_grid(points=points)
     prods = build_term_table(state, "rivier", grid).real_products(keys)
     calls = _recorded_passes(monkeypatch)
     _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
@@ -343,7 +343,7 @@ def fock_states(draw):
 @settings(max_examples=25, deadline=None)
 @given(state=fock_states(), rep=st.sampled_from(["wigner", "husimi", "rivier"]))
 def test_fock_state_passes_match_dense_oracle(state, rep):
-    grid = PhaseGrid.two_mode(points=21)
+    grid = oracles.two_mode_grid(points=21)
     table = build_term_table(state, rep, grid)
     _assert_matches_dense(table.total_abs_with_estimate(threads=2),
                           table.real_products(), grid)
@@ -378,7 +378,7 @@ ODD = ((1, -1), (-1, 1), (1, -1))
     pytest.param(EVEN + ODD, 0.0, False, id="mixed"),
 ])
 def test_parity_vote(monkeypatch, signs, noise, folded):
-    grid = PhaseGrid.two_mode(points=21)
+    grid = oracles.two_mode_grid(points=21)
     prods = _parity_products(grid, signs, seed=len(signs))
     if noise:
         prods += [(noise * g, h) for g, h in _random_products(grid, 1, seed=5)]
@@ -443,7 +443,7 @@ FOLD_CALLS = {
 @pytest.mark.parametrize("points", [21, 20])
 @pytest.mark.parametrize("group", list(MIRROR_SETS))
 def test_group_fold_matches_dense_oracle(monkeypatch, group, points):
-    grid = PhaseGrid.two_mode(points=points)
+    grid = oracles.two_mode_grid(points=points)
     prods = _mirror_products(grid, MIRROR_SETS[group], seed=points)
     calls = _recorded_passes(monkeypatch)
     _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
@@ -466,7 +466,7 @@ def test_group_fold_matches_dense_oracle(monkeypatch, group, points):
 def test_state_totals_fold_under_their_group(monkeypatch, rep, terms, amps, group, points):
     state = normalize(TwoModeState(tuple(
         (c, fock(m), fock(n)) for c, (m, n) in zip(amps, terms))))
-    grid = PhaseGrid.two_mode(points=points)
+    grid = oracles.two_mode_grid(points=points)
     table = build_term_table(state, rep, grid)
     calls = _recorded_passes(monkeypatch)
     _assert_matches_dense(table.total_abs_with_estimate(threads=2),
@@ -486,7 +486,7 @@ def test_state_totals_fold_under_their_group(monkeypatch, rep, terms, amps, grou
       for group in ("T", "full") for rows in (1, 8, 512)),
 ])
 def test_streamed_bit_identical_across_threads(tile_rows, make):
-    grid = PhaseGrid.two_mode(points=21)
+    grid = oracles.two_mode_grid(points=21)
     prods = make(grid, seed=1)
     first = abs_4d_with_estimate(prods, grid, threads=1, tile_rows=tile_rows)
     for threads in (2, 3):
@@ -496,21 +496,21 @@ def test_streamed_bit_identical_across_threads(tile_rows, make):
 def test_streamed_budget_guard():
     # 179^4 = 1.03e9 points, beyond the 1e9 budget: raises before any
     # 4D work is done.
-    grid = PhaseGrid.two_mode(points=179)
+    grid = oracles.two_mode_grid(points=179)
     vac, f1 = _two_mode_factors(grid)
     with pytest.raises(ResourceBudgetError):
         abs_4d_with_estimate([(vac, f1)], grid)
 
 
 def test_streamed_empty_and_zero_products():
-    grid = PhaseGrid.two_mode(points=41)
+    grid = oracles.two_mode_grid(points=41)
     vac, _ = _two_mode_factors(grid)
     assert abs_4d_with_estimate([], grid)[0] == 0.0
     assert abs_4d_with_estimate([(0.0 * vac, vac)], grid)[0] == 0.0
 
 
 def test_streamed_estimate_is_reported():
-    grid = PhaseGrid.two_mode(points=61)
+    grid = oracles.two_mode_grid(points=61)
     vac, f1 = _two_mode_factors(grid)
     value, est = abs_4d_with_estimate([(vac, f1)], grid)
     assert value > 1.0
@@ -522,10 +522,10 @@ def test_grid_halving_stability_of_delta():
     for family in ((0, 1), (1, 2)):
         st = entangled_state(*family, 0.5)
         d121 = delta_indicator(
-            build_term_table(st, "wigner", PhaseGrid.two_mode(points=121)),
+            build_term_table(st, "wigner", oracles.two_mode_grid(points=121)),
             threads=2).value
         d161 = delta_indicator(
-            build_term_table(st, "wigner", PhaseGrid.two_mode(points=161)),
+            build_term_table(st, "wigner", oracles.two_mode_grid(points=161)),
             threads=2).value
         assert abs(d121 - d161) < 2e-3
 
