@@ -36,8 +36,7 @@ from .quadrature import integrate_2d
 from .specialfn import assoc_laguerre, log_factorial
 from .states import (
     Primitive,
-    SingleModeState,
-    TwoModeState,
+    State,
     entangled_state,
     fock,
     fock_psi,

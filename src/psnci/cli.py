@@ -225,7 +225,7 @@ def _cmd_sweep_r(args) -> int:
     rep_name = Representation.parse(reps[0]).value
     rows = sweep_r(args.family, r_values, args.a, rep_name,
                    convention=args.coeff_convention, extent=args.extent,
-                   points=args.points, threads=args.threads)
+                   points=args.points)
     lines = [SWEEP_CSV_HEADER + ",a"]
     for row in rows:
         lines.append(",".join([
@@ -303,11 +303,12 @@ _COMMANDS = {
     "sweep-a": (_cmd_sweep_a, "sweep the entanglement weight a^2",
                 ("family", "steps", "reps", "extent", "points", "entropy-base", "threads",
                  "out")),
-    # Single-mode work is serial: TermTable.pair_abs_with_estimate reads
+    # sweep-r accepts and records --threads but does not read it: its
+    # tables are one-mode, and TermTable.pair_abs_with_estimate reads
     # threads only for two modes. A 2-thread pool over sweep_r's r values
     # saved 3-7 % of the single-mode benchmark's wall time but raised peak
     # RSS from 93 MB to 153-157 MB (one e^r-stretched table per worker).
-    # sweep-r keeps --threads because the perfbench workloads pass it.
+    # The flag stays because the perfbench workloads pass it.
     "sweep-r": (_cmd_sweep_r, "sweep the squeezing parameter r",
                 ("family", "a", "rmax", "steps", "rep", "extent", "points",
                  "coeff-convention", "threads", "out")),

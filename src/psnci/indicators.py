@@ -34,7 +34,7 @@ from .phasespace import Representation, build_term_table, default_grid
 from .quadrature import integral_with_estimate
 from .states import (
     FOCK,
-    TwoModeState,
+    State,
     entangled_state,
     squeezed_excited_superposition,
     squeezed_vacuum_superposition,
@@ -134,13 +134,13 @@ def _entropy_base_factor(log_base) -> float:
     raise DomainError(f"log_base must be 2 or 'e', got {log_base!r}")
 
 
-def von_neumann_entropy(state: TwoModeState, log_base=2) -> float:
+def von_neumann_entropy(state: State, log_base=2) -> float:
     """Entanglement entropy of a normalized Fock-term two-mode pure state.
 
     Builds the coefficient matrix over occupied Fock labels and returns
     -sum sigma_k^2 log(sigma_k^2) over its singular values.
     """
-    if not isinstance(state, TwoModeState):
+    if state.n_modes != 2:
         raise DomainError("von_neumann_entropy needs a two-mode state")
     factor = _entropy_base_factor(log_base)
     for _, p1, p2 in state.terms:
@@ -181,7 +181,7 @@ def _sorted_params(values, name, lo, hi, *, inclusive=True) -> list:
     return out
 
 
-def _eta_rows(table, amplitude_rows, threads: int) -> list:
+def _eta_rows(table, amplitude_rows, threads: int = 1) -> list:
     """(eta, norm_check, error_estimate) of the table at each amplitude tuple.
 
     Each pair term is integrated once, at the table's amplitudes, and kept
@@ -237,7 +237,7 @@ def sweep_a(family, a_sq_values, reps, grid: PhaseGrid = None, *,
 
 
 def sweep_r(family: str, r_values, a_values, rep, *, convention: str = "sqrt",
-            extent: float = None, points: int = None, threads: int = 1) -> list:
+            extent: float = None, points: int = None) -> list:
     """Sweep the squeezing parameter of a squeezed-superposition family.
 
     Rows are grouped by amplitude a (ascending), with r strictly increasing
@@ -261,7 +261,7 @@ def sweep_r(family: str, r_values, a_values, rep, *, convention: str = "sqrt",
         grid = default_grid(states[0], extent=extent, points=points)
         # The table is never named, so it is freed before the next r is built.
         per_r[r] = _eta_rows(build_term_table(states[0], rep, grid),
-                             [st.amplitudes for st in states], threads)
+                             [st.amplitudes for st in states])
     rows = []
     for k, a in enumerate(a_list):
         for r in r_list:

@@ -59,8 +59,6 @@ from .quadrature import (
 from .states import (
     FOCK,
     Primitive,
-    SingleModeState,
-    TwoModeState,
     momentum_wavefunction,
     position_wavefunction,
 )
@@ -121,11 +119,7 @@ def _scaled_mode(extent: float, points: int, prims) -> ModeAxes:
 
 def _mode_primitives(state) -> tuple:
     """Each mode's primitives, in term order."""
-    if isinstance(state, SingleModeState):
-        return (state.primitives,)
-    if isinstance(state, TwoModeState):
-        return (state.mode_primitives(0), state.mode_primitives(1))
-    raise DomainError(f"unsupported state type {type(state)!r}")
+    return tuple(state.mode_primitives(m) for m in range(state.n_modes))
 
 
 def default_grid(state, *, extent: float = None, points: int = None) -> PhaseGrid:

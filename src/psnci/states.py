@@ -1,5 +1,8 @@
 """States: finite superpositions of Fock and squeezed-Fock primitives.
 
+One ``State`` holds a one- or two-mode superposition; its terms are
+(c, u1) or (c, u1, u2), an amplitude and one primitive per mode.
+
 Dimensionless oscillator units are used throughout (hbar = 1, unit mass
 and frequency). The number-state wavefunction is
 
@@ -137,79 +140,50 @@ def _validate_amplitude(c) -> complex:
 
 
 @dataclass(frozen=True)
-class SingleModeState:
-    """Finite superposition sum_i c_i |prim_i> of one mode."""
+class State:
+    """Finite superposition sum_k c_k |u_1k>...|u_Mk> of M = 1 or 2 modes."""
 
     terms: tuple
 
     def __post_init__(self):
         if not self.terms:
             raise DomainError("state needs at least one term")
-        checked = tuple((_validate_amplitude(c), prim) for c, prim in self.terms)
+        modes = {len(term) - 1 for term in self.terms}
+        if modes not in ({1}, {2}):
+            raise DomainError(f"terms must all have 1 or all 2 modes, got {sorted(modes)}")
+        checked = tuple((_validate_amplitude(c), *prims) for c, *prims in self.terms)
         object.__setattr__(self, "terms", checked)
 
     @property
     def n_modes(self) -> int:
-        return 1
+        return len(self.terms[0]) - 1
 
     @property
     def amplitudes(self) -> tuple:
-        return tuple(c for c, _ in self.terms)
-
-    @property
-    def primitives(self) -> tuple:
-        return tuple(p for _, p in self.terms)
-
-    def wavefunction(self, q):
-        qa = np.asarray(q, dtype=float)
-        total = np.zeros(qa.shape, dtype=complex)
-        for c, prim in self.terms:
-            total = total + c * position_wavefunction(prim, qa)
-        return total
-
-    def with_amplitudes(self, amplitudes) -> "SingleModeState":
-        if len(amplitudes) != len(self.terms):
-            raise DomainError("amplitude count mismatch")
-        return SingleModeState(tuple(
-            (c, prim) for c, (_, prim) in zip(amplitudes, self.terms)
-        ))
-
-
-@dataclass(frozen=True)
-class TwoModeState:
-    """Finite superposition sum_k c_k |u_k>|v_k> of two modes."""
-
-    terms: tuple
-
-    def __post_init__(self):
-        if not self.terms:
-            raise DomainError("state needs at least one term")
-        checked = tuple(
-            (_validate_amplitude(c), p1, p2) for c, p1, p2 in self.terms
-        )
-        object.__setattr__(self, "terms", checked)
-
-    @property
-    def n_modes(self) -> int:
-        return 2
-
-    @property
-    def amplitudes(self) -> tuple:
-        return tuple(c for c, _, _ in self.terms)
+        return tuple(term[0] for term in self.terms)
 
     def mode_primitives(self, mode: int) -> tuple:
-        if mode == 0:
-            return tuple(p1 for _, p1, _ in self.terms)
-        if mode == 1:
-            return tuple(p2 for _, _, p2 in self.terms)
-        raise DomainError(f"mode must be 0 or 1, got {mode}")
+        if not 0 <= mode < self.n_modes:
+            raise DomainError(f"mode must lie in [0, {self.n_modes}), got {mode}")
+        return tuple(term[1 + mode] for term in self.terms)
 
-    def with_amplitudes(self, amplitudes) -> "TwoModeState":
+    def wavefunction(self, *x):
+        """sum_k c_k prod_m u_mk(x_m), one coordinate array per mode."""
+        if len(x) != self.n_modes:
+            raise DomainError(f"{self.n_modes} coordinate arrays needed, got {len(x)}")
+        xs = [np.asarray(xm, dtype=float) for xm in x]
+        total = np.zeros(np.broadcast_shapes(*(xm.shape for xm in xs)), dtype=complex)
+        for c, *prims in self.terms:
+            term = c
+            for prim, xm in zip(prims, xs):
+                term = term * position_wavefunction(prim, xm)
+            total = total + term
+        return total
+
+    def with_amplitudes(self, amplitudes) -> "State":
         if len(amplitudes) != len(self.terms):
             raise DomainError("amplitude count mismatch")
-        return TwoModeState(tuple(
-            (c, p1, p2) for c, (_, p1, p2) in zip(amplitudes, self.terms)
-        ))
+        return State(tuple((c, *term[1:]) for c, term in zip(amplitudes, self.terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,36 +214,26 @@ def primitive_overlap(p1: Primitive, p2: Primitive) -> complex:
     )
 
 
-def overlap(s1: SingleModeState, s2: SingleModeState) -> complex:
-    """<s1|s2> including cross terms between non-orthogonal primitives."""
+def overlap(s1: State, s2: State) -> complex:
+    """<s1|s2> = sum_kl conj(c_k) c_l prod_m <u_mk|u_ml>, cross terms between
+    non-orthogonal primitives included."""
+    if s1.n_modes != s2.n_modes:
+        raise DomainError(f"mode counts differ: {s1.n_modes} and {s2.n_modes}")
     total = 0.0 + 0.0j
     cache = {}
-    for c1, p1 in s1.terms:
-        for c2, p2 in s2.terms:
-            key = (p1, p2)
-            if key not in cache:
-                cache[key] = primitive_overlap(p1, p2)
-            total += np.conj(c1) * c2 * cache[key]
+    for ck, *uk in s1.terms:
+        for cl, *ul in s2.terms:
+            term = np.conj(ck) * cl
+            for pair in zip(uk, ul):
+                if pair not in cache:
+                    cache[pair] = primitive_overlap(*pair)
+                term = term * cache[pair]
+            total += term
     return total
 
 
-def state_norm(state) -> float:
-    if isinstance(state, SingleModeState):
-        return math.sqrt(max(overlap(state, state).real, 0.0))
-    if isinstance(state, TwoModeState):
-        total = 0.0 + 0.0j
-        cache1, cache2 = {}, {}
-        for ck, uk, vk in state.terms:
-            for cl, ul, vl in state.terms:
-                k1 = (uk, ul)
-                if k1 not in cache1:
-                    cache1[k1] = primitive_overlap(uk, ul)
-                k2 = (vk, vl)
-                if k2 not in cache2:
-                    cache2[k2] = primitive_overlap(vk, vl)
-                total += np.conj(ck) * cl * cache1[k1] * cache2[k2]
-        return math.sqrt(max(total.real, 0.0))
-    raise DomainError(f"unsupported state type {type(state)!r}")
+def state_norm(state: State) -> float:
+    return math.sqrt(max(overlap(state, state).real, 0.0))
 
 
 def normalize(state):
@@ -287,7 +251,7 @@ def normalize(state):
 COEFF_CONVENTIONS = ("sqrt", "printed")
 
 
-def entangled_state(n_low: int, n_high: int, a_sq: float) -> TwoModeState:
+def entangled_state(n_low: int, n_high: int, a_sq: float) -> State:
     """a |n_low, n_high> + sqrt(1 - a^2) |n_high, n_low>, a = sqrt(a_sq)."""
     if not 0 <= n_low < n_high <= specialfn.MAX_ORDER:
         raise DomainError(f"need 0 <= n_low < n_high, got ({n_low}, {n_high})")
@@ -295,25 +259,25 @@ def entangled_state(n_low: int, n_high: int, a_sq: float) -> TwoModeState:
         raise DomainError(f"a_sq must lie in [0, 1], got {a_sq}")
     a = math.sqrt(a_sq)
     b = math.sqrt(max(0.0, 1.0 - a_sq))
-    return TwoModeState((
+    return State((
         (a, fock(n_low), fock(n_high)),
         (b, fock(n_high), fock(n_low)),
     ))
 
 
 def _superposition_with_squeezed(a: float, squeezed_prim: Primitive,
-                                 convention: str) -> SingleModeState:
+                                 convention: str) -> State:
     if convention not in COEFF_CONVENTIONS:
         raise DomainError(f"convention must be one of {COEFF_CONVENTIONS}, got {convention!r}")
     if not -1.0 <= a <= 1.0:
         raise DomainError(f"amplitude a must lie in [-1, 1], got {a}")
     c0 = (1.0 - a * a) if convention == "printed" else math.sqrt(1.0 - a * a)
-    raw = SingleModeState(((c0, fock(0)), (a, squeezed_prim)))
+    raw = State(((c0, fock(0)), (a, squeezed_prim)))
     return normalize(raw)
 
 
 def squeezed_vacuum_superposition(a: float, r: float,
-                                  convention: str = "sqrt") -> SingleModeState:
+                                  convention: str = "sqrt") -> State:
     """Normalized superposition of |0> and the squeezed vacuum |0, r>.
 
     The two components are non-orthogonal, so the printed coefficients are
@@ -323,7 +287,7 @@ def squeezed_vacuum_superposition(a: float, r: float,
 
 
 def squeezed_excited_superposition(a: float, r: float,
-                                   convention: str = "sqrt") -> SingleModeState:
+                                   convention: str = "sqrt") -> State:
     """Normalized superposition of |0> and the squeezed one-photon state |1, r>."""
     return _superposition_with_squeezed(a, squeezed_fock(1, r), convention)
 
@@ -331,6 +295,15 @@ def squeezed_excited_superposition(a: float, r: float,
 # ---------------------------------------------------------------------------
 # JSON state description (CLI wire format)
 # ---------------------------------------------------------------------------
+
+def _is_int(value) -> bool:
+    """A JSON integer: bool is a subclass of int, but true is not 1 here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
 
 def _primitive_from_dict(obj, where: str) -> Primitive:
     if not isinstance(obj, dict):
@@ -342,64 +315,56 @@ def _primitive_from_dict(obj, where: str) -> Primitive:
     kind = obj.get("type")
     if kind not in (FOCK, SQUEEZED):
         raise StateFormatError(f"{where}.type must be 'fock' or 'squeezed'")
-    if "n" not in obj or not isinstance(obj["n"], int) or obj["n"] < 0:
+    if not _is_int(obj.get("n")) or obj["n"] < 0:
         raise StateFormatError(f"{where}.n must be a non-negative integer")
     try:
         if kind == FOCK:
             if "r" in obj:
                 raise StateFormatError(f"{where}: fock primitives take no 'r'")
             return fock(obj["n"])
-        if "r" not in obj or not isinstance(obj["r"], (int, float)):
+        if not _is_number(obj.get("r")):
             raise StateFormatError(f"{where}: squeezed primitives need a numeric 'r'")
         return squeezed_fock(obj["n"], float(obj["r"]))
     except DomainError as exc:
         raise StateFormatError(f"{where}: {exc}") from exc
 
 
-def state_from_dict(data):
+def state_from_dict(data) -> State:
     if not isinstance(data, dict):
         raise StateFormatError("state description must be a JSON object")
     unknown = set(data) - {"modes", "terms"}
     if unknown:
         raise StateFormatError(f"unknown top-level keys {sorted(unknown)}")
     modes = data.get("modes")
-    if modes not in (1, 2):
+    if not _is_int(modes) or modes not in (1, 2):
         raise StateFormatError("'modes' must be 1 or 2")
     terms = data.get("terms")
     if not isinstance(terms, list) or not terms:
         raise StateFormatError("'terms' must be a non-empty list")
+    mode_keys = [f"mode{m + 1}" for m in range(modes)]
     parsed = []
     for idx, term in enumerate(terms):
         where = f"terms[{idx}]"
         if not isinstance(term, dict):
             raise StateFormatError(f"{where} must be an object")
-        allowed = {"amp_re", "amp_im", "mode1", "mode2"}
-        unknown = set(term) - allowed
+        unknown = set(term) - {"amp_re", "amp_im", *mode_keys}
         if unknown:
             raise StateFormatError(f"{where} has unknown keys {sorted(unknown)}")
-        if "amp_re" not in term or not isinstance(term["amp_re"], (int, float)):
+        if not _is_number(term.get("amp_re")):
             raise StateFormatError(f"{where}.amp_re must be a number")
         amp_im = term.get("amp_im", 0.0)
-        if not isinstance(amp_im, (int, float)):
+        if not _is_number(amp_im):
             raise StateFormatError(f"{where}.amp_im must be a number")
         amp = complex(float(term["amp_re"]), float(amp_im))
-        p1 = _primitive_from_dict(term.get("mode1"), f"{where}.mode1")
-        if modes == 1:
-            if "mode2" in term:
-                raise StateFormatError(f"{where}: mode2 given for a single-mode state")
-            parsed.append((amp, p1))
-        else:
-            p2 = _primitive_from_dict(term.get("mode2"), f"{where}.mode2")
-            parsed.append((amp, p1, p2))
+        parsed.append((amp, *(_primitive_from_dict(term.get(key), f"{where}.{key}")
+                              for key in mode_keys)))
     try:
-        if modes == 1:
-            return SingleModeState(tuple(parsed))
-        return TwoModeState(tuple(parsed))
+        return State(tuple(parsed))
     except DomainError as exc:
         raise StateFormatError(str(exc)) from exc
 
 
-def state_from_json(text: str):
+def state_from_json(text: str) -> State:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -413,26 +378,10 @@ def _primitive_to_dict(prim: Primitive) -> dict:
     return {"type": SQUEEZED, "n": prim.n, "r": prim.r}
 
 
-def state_to_dict(state) -> dict:
-    if isinstance(state, SingleModeState):
-        return {
-            "modes": 1,
-            "terms": [
-                {"amp_re": c.real, "amp_im": c.imag, "mode1": _primitive_to_dict(p)}
-                for c, p in state.terms
-            ],
-        }
-    if isinstance(state, TwoModeState):
-        return {
-            "modes": 2,
-            "terms": [
-                {
-                    "amp_re": c.real,
-                    "amp_im": c.imag,
-                    "mode1": _primitive_to_dict(p1),
-                    "mode2": _primitive_to_dict(p2),
-                }
-                for c, p1, p2 in state.terms
-            ],
-        }
-    raise DomainError(f"unsupported state type {type(state)!r}")
+def state_to_dict(state: State) -> dict:
+    terms = []
+    for c, *prims in state.terms:
+        term = {"amp_re": c.real, "amp_im": c.imag}
+        term.update((f"mode{m + 1}", _primitive_to_dict(p)) for m, p in enumerate(prims))
+        terms.append(term)
+    return {"modes": state.n_modes, "terms": terms}

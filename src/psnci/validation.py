@@ -25,8 +25,7 @@ from .phasespace import (
 )
 from .quadrature import abs_4d_with_estimate
 from .states import (
-    SingleModeState,
-    TwoModeState,
+    State,
     entangled_state,
     fock,
     position_wavefunction,
@@ -54,10 +53,10 @@ class CheckResult:
 
 def _check_states():
     return [
-        ("vacuum", SingleModeState(((1.0, fock(0)),))),
-        ("fock1", SingleModeState(((1.0, fock(1)),))),
-        ("fock2", SingleModeState(((1.0, fock(2)),))),
-        ("squeezed_fock1_r0.8", SingleModeState(((1.0, squeezed_fock(1, 0.8)),))),
+        ("vacuum", State(((1.0, fock(0)),))),
+        ("fock1", State(((1.0, fock(1)),))),
+        ("fock2", State(((1.0, fock(2)),))),
+        ("squeezed_fock1_r0.8", State(((1.0, squeezed_fock(1, 0.8)),))),
         ("entangled01_bell", entangled_state(0, 1, 0.5)),
         ("entangled12_bell", entangled_state(1, 2, 0.5)),
         ("psi00r_a0.5_r1", squeezed_vacuum_superposition(0.5, 1.0)),
@@ -79,7 +78,7 @@ def _direct_nodes(state, p_absmax):
     return -half + (np.arange(n) + 0.5) * dx, dx
 
 
-def _direct_single(state: SingleModeState, rep: Representation, q: float, p: float) -> float:
+def _direct_single(state: State, rep: Representation, q: float, p: float) -> float:
     x, dx = _direct_nodes(state, abs(p))
     if rep is Representation.WIGNER:
         f = state.wavefunction(q + x) * np.conj(state.wavefunction(q - x))
@@ -94,14 +93,14 @@ def _direct_single(state: SingleModeState, rep: Representation, q: float, p: flo
     return float(np.real(kirk / math.sqrt(2.0 * math.pi)))
 
 
-def _two_mode_wavefunction_grid(state: TwoModeState, x1, x2):
+def _two_mode_wavefunction_grid(state: State, x1, x2):
     psi = np.zeros((x1.size, x2.size), dtype=complex)
     for c, p1, p2 in state.terms:
         psi += c * np.outer(position_wavefunction(p1, x1), position_wavefunction(p2, x2))
     return psi
 
 
-def _direct_two_mode(state: TwoModeState, rep: Representation, z1, z2) -> float:
+def _direct_two_mode(state: State, rep: Representation, z1, z2) -> float:
     q1, p1 = z1
     q2, p2 = z2
     x, dx = _direct_nodes(state, max(abs(p1), abs(p2)))

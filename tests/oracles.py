@@ -21,7 +21,7 @@ from psnci.grids import (
     ModeAxes,
     PhaseGrid,
 )
-from psnci.states import TwoModeState
+from psnci.states import State
 
 SQRT_PI = math.sqrt(math.pi)
 MAX_ORDER = 64
@@ -209,6 +209,34 @@ def fock_wigner_delta(n):
     return 0.5 * total - 1.0
 
 
+def product_wigner_delta(m, n):
+    """delta(|m>|n>) = (1 + delta_m)(1 + delta_n) - 1, since |W_m W_n| = |W_m| |W_n|."""
+    return (1.0 + fock_wigner_delta(m)) * (1.0 + fock_wigner_delta(n)) - 1.0
+
+
+# --- entangled01 in closed form --------------------------------------------
+# a|0,1> + sqrt(1 - a^2)|1,0> is a beam splitter turned on |0,1>, and the
+# Wigner function is covariant under it, so delta_W is delta(|1>) at every
+# a^2. The cross term integrates to zero with int |f_cross| = C (Wigner)
+# or C / 2 (Husimi), and eta follows from the pair integrals.
+
+def concurrence(a_sq):
+    """C = 2 a sqrt(1 - a^2) of the entangled01 state at weight a^2."""
+    return 2.0 * math.sqrt(a_sq * (1.0 - a_sq))
+
+
+def eta_wigner_entangled01(a_sq):
+    """(delta_1 + C) / (delta_1 + 2 + C), delta_1 = delta(|1>)."""
+    d1, c = delta_fock1(), concurrence(a_sq)
+    return (d1 + c) / (d1 + 2.0 + c)
+
+
+def eta_husimi_entangled01(a_sq):
+    """C / (4 + C): the Husimi diagonal terms are non-negative."""
+    c = concurrence(a_sq)
+    return c / (4.0 + c)
+
+
 # --- 4D absolute integrals ------------------------------------------------
 
 def separable_abs_integral(g, h, grid):
@@ -246,7 +274,7 @@ def two_mode_grid(extent=DEFAULT_TWO_MODE_EXTENT, points=DEFAULT_TWO_MODE_POINTS
 
 def swapped(state):
     """The two-mode state with its mode labels exchanged."""
-    return TwoModeState(tuple((c, p2, p1) for c, p1, p2 in state.terms))
+    return State(tuple((c, p2, p1) for c, p1, p2 in state.terms))
 
 
 # --- resolution doubling ----------------------------------------------------

@@ -16,7 +16,7 @@ from psnci.indicators import delta_indicator, sweep_a, sweep_r
 from psnci.phasespace import _wigner_numeric_grid, build_term_table
 from psnci.quadrature import abs_4d_with_estimate
 from psnci.states import (
-    SingleModeState,
+    State,
     entangled_state,
     fock,
     squeezed_excited_superposition,
@@ -37,7 +37,7 @@ def _report(criterion, ok, detail):
 
 
 def _single(prim):
-    return SingleModeState(((1.0, prim),))
+    return State(((1.0, prim),))
 
 
 def _delta(state, rep, grid=None):
@@ -159,6 +159,39 @@ def test_criterion_7_entropy_correspondence(bell_sweeps):
     _report("C7", ok, ", ".join(detail))
 
 
+def _assert_exact(value, exact, estimate, bound, where):
+    # within the reported estimate (honesty) and within a fixed bound, so a
+    # wider estimate cannot pass
+    err = abs(value - exact)
+    assert err <= estimate, f"{where}: error {err:.2e} exceeds its estimate {estimate:.2e}"
+    assert err <= bound, f"{where}: error {err:.2e} exceeds {bound:g}"
+
+
+def test_entangled01_delta_is_fock1_delta(bell_sweeps):
+    for row in bell_sweeps[(0, 1)]:
+        _assert_exact(row.delta["wigner"], oracles.delta_fock1(),
+                      row.error_estimate["wigner"], 1e-3, f"C1 at a^2 = {row.param}")
+
+
+def test_entangled01_eta_closed_forms(bell_sweeps):
+    for row in bell_sweeps[(0, 1)]:
+        _assert_exact(row.eta["wigner"], oracles.eta_wigner_entangled01(row.param),
+                      row.error_estimate["wigner"], 5e-4, f"eta_W at a^2 = {row.param}")
+        _assert_exact(row.eta["husimi"], oracles.eta_husimi_entangled01(row.param),
+                      row.error_estimate["husimi"], 1e-4, f"eta_H at a^2 = {row.param}")
+
+
+def test_fock_product_delta(bell_sweeps):
+    # the entangled12 sweep at a^2 = 1 is the product |1,2>
+    row = bell_sweeps[(1, 2)][-1]
+    assert row.param == 1.0
+    _assert_exact(row.delta["wigner"], oracles.product_wigner_delta(1, 2),
+                  row.error_estimate["wigner"], 2e-3, "|1,2>")
+    row, = sweep_a((0, 2), [1.0], ["wigner"], TWO_MODE_GRID, threads=THREADS)
+    _assert_exact(row.delta["wigner"], oracles.product_wigner_delta(0, 2),
+                  row.error_estimate["wigner"], 2e-3, "|0,2>")
+
+
 R_VALUES = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
 A_VALUES = [0.3, 0.5, 0.7]
 
@@ -166,9 +199,9 @@ A_VALUES = [0.3, 0.5, 0.7]
 @pytest.mark.parametrize("family", ["psi00r", "psi01r"])
 def test_criterion_8_squeezing_sweep(family):
     t0 = time.time()
-    rows = sweep_r(family, R_VALUES, A_VALUES, "wigner", threads=THREADS)
+    rows = sweep_r(family, R_VALUES, A_VALUES, "wigner")
     printed = sweep_r(family, [0.0, 1.0, 2.0], [0.5], "wigner",
-                      convention="printed", threads=THREADS)
+                      convention="printed")
     elapsed = time.time() - t0
     ok = elapsed <= 120.0
     details = [f"{elapsed:.0f} s"]

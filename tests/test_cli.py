@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -296,3 +297,22 @@ def test_readme_flag_table_matches_parser():
               for name, p in subparsers.items()}
     assert table == parsed
     assert parsed == ACCEPTS
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_argv_parse():
+    # The benchmark runs these argv against every version of the CLI, so
+    # each must keep parsing (sweep-r keeps --threads for them). Parse only.
+    workloads = _perfbench_workloads()
+    parser = _build_parser()
+    for workload in workloads.WORKLOADS:
+        for seed in (0, 3):
+            for argv in workloads.operations(workload, seed):
+                assert parser.parse_args(argv).command == argv[0]

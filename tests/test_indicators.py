@@ -19,8 +19,7 @@ from psnci.indicators import (
 )
 from psnci.phasespace import build_term_table, default_grid
 from psnci.states import (
-    SingleModeState,
-    TwoModeState,
+    State,
     entangled_state,
     fock,
     squeezed_excited_superposition,
@@ -32,7 +31,7 @@ import oracles
 
 
 def _single(prim):
-    return SingleModeState(((1.0, prim),))
+    return State(((1.0, prim),))
 
 
 def test_delta_vacuum_is_zero():
@@ -79,8 +78,8 @@ def test_one_and_two_mode_tables_agree(rep, c2):
     # the second mode's grid, so the two-mode path must give psi's delta,
     # eta and norm. Rivier is left out: Re(K_psi K_0) is not
     # Re(K_psi) Re(K_0).
-    one = SingleModeState(((0.6, fock(0)), (c2, fock(2))))
-    two = TwoModeState(((0.6, fock(0), fock(0)), (c2, fock(2), fock(0))))
+    one = State(((0.6, fock(0)), (c2, fock(2))))
+    two = State(((0.6, fock(0), fock(0)), (c2, fock(2), fock(0))))
     mode = default_grid(one).mode(0)
     vacuum_axis = Axis(-6.0, 6.0, 41)
     one_table = build_term_table(one, rep, PhaseGrid((mode,)))
@@ -174,7 +173,7 @@ def test_entropy_two_term_formula():
 def test_entropy_svd_handles_shared_labels():
     # terms landing on the same Fock labels must be summed coherently
     half = math.sqrt(0.5)
-    st = TwoModeState((
+    st = State((
         (half / 2, fock(0), fock(1)),
         (half / 2, fock(0), fock(1)),
         (half, fock(1), fock(0)),
@@ -183,11 +182,11 @@ def test_entropy_svd_handles_shared_labels():
 
 
 def test_entropy_rejects_squeezed_and_unnormalized():
-    st = TwoModeState(((1.0, squeezed_fock(0, 1.0), fock(0)),))
+    st = State(((1.0, squeezed_fock(0, 1.0), fock(0)),))
     with pytest.raises(UnsupportedStateError):
         von_neumann_entropy(st)
     with pytest.raises(DomainError):
-        von_neumann_entropy(TwoModeState(((0.5, fock(0), fock(1)),)))
+        von_neumann_entropy(State(((0.5, fock(0), fock(1)),)))
     with pytest.raises(DomainError):
         von_neumann_entropy(entangled_state(0, 1, 0.5), log_base=10)
 
@@ -245,7 +244,7 @@ def test_sweep_a_validation():
 
 
 def test_sweep_r_rows_and_zero_point():
-    rows = sweep_r("psi00r", [0.0, 0.5, 1.0], [0.3, 0.6], "wigner", threads=2)
+    rows = sweep_r("psi00r", [0.0, 0.5, 1.0], [0.3, 0.6], "wigner")
     assert len(rows) == 6
     assert [r.amplitude for r in rows] == [0.3, 0.3, 0.3, 0.6, 0.6, 0.6]
     assert [r.param for r in rows[:3]] == [0.0, 0.5, 1.0]

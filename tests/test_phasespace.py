@@ -19,8 +19,7 @@ from psnci.phasespace import (
     default_grid,
 )
 from psnci.states import (
-    SingleModeState,
-    TwoModeState,
+    State,
     entangled_state,
     fock,
     fock_psi,
@@ -105,7 +104,7 @@ def test_production_node_rules_are_converged(monkeypatch, rep, make_state):
     rep = Representation.parse(rep)
     state = make_state()
     mode = default_grid(state).mode(0)
-    prims = state.primitives
+    prims = state.mode_primitives(0)
 
     def pair_grids():
         cache = {}
@@ -193,7 +192,7 @@ def test_husimi_diagonal_form_and_positivity():
 def test_husimi_diag_normalization():
     grid = oracles.single_grid()
     for n in (0, 2):
-        st = SingleModeState(((1.0, fock(n)),))
+        st = State(((1.0, fock(n)),))
         table = build_term_table(st, "husimi", grid)
         assert_allclose(table.norm_check, 1.0, atol=1e-6)
 
@@ -201,7 +200,7 @@ def test_husimi_diag_normalization():
 def test_husimi_self_pairs_are_real():
     # A pair of a primitive with itself, also across two terms that share
     # it, is |<alpha|prim>|^2 / pi: its imaginary part is exactly zero.
-    state = normalize(TwoModeState((
+    state = normalize(State((
         (0.6 + 0.2j, fock(0), fock(1)),
         (0.5j, squeezed_fock(0, 0.5), fock(1)),
         (0.55 - 0.1j, fock(1), fock(0)),
@@ -273,7 +272,7 @@ def test_shared_phase_kirkwood_is_the_direct_formula(prim_i, prim_j):
 def test_mode_phase_is_computed_once_per_mode():
     state = squeezed_excited_superposition(0.6, 1.0)
     mode = default_grid(state).mode(0)
-    prims = state.primitives
+    prims = state.mode_primitives(0)
     cache = {}
     first = _pair_grid(Representation.RIVIER, prims[0], prims[1], mode, cache)
     phase = cache["phase"]
@@ -291,7 +290,7 @@ def test_mode_phase_is_computed_once_per_mode():
 @pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
 def test_pair_values_is_the_hermitian_sum(rep):
     # the hermitian shortcut 2 Re(gamma G_ij) must equal the full pairing
-    state = normalize(SingleModeState(((0.6 + 0.3j, fock(1)),
+    state = normalize(State(((0.6 + 0.3j, fock(1)),
                                        (0.5 - 0.4j, squeezed_fock(0, 0.8)))))
     table = build_term_table(state, rep)
     c = table.amplitudes
@@ -311,13 +310,13 @@ def test_pair_values_is_the_hermitian_sum(rep):
 @pytest.mark.parametrize("prim", [fock(0), fock(1), squeezed_fock(0, 1.0),
                                   squeezed_fock(2, -0.5)])
 def test_kirkwood_diagonal_normalization(prim):
-    st = SingleModeState(((1.0, prim),))
+    st = State(((1.0, prim),))
     table = build_term_table(st, "rivier")
     assert_allclose(table.norm_check, 1.0, atol=1e-6)
 
 
 def test_rivier_fock1_goes_negative_on_default_grid():
-    st = SingleModeState(((1.0, fock(1)),))
+    st = State(((1.0, fock(1)),))
     table = build_term_table(st, "rivier")
     assert float(np.min(table.total_values())) < -1e-4
 
@@ -327,7 +326,7 @@ def test_rivier_fock1_goes_negative_on_default_grid():
 # ---------------------------------------------------------------------------
 
 def test_single_term_table_diagonal_equals_total():
-    st = SingleModeState(((1.0, fock(0)),))
+    st = State(((1.0, fock(0)),))
     table = build_term_table(st, "wigner")
     assert table.pair_keys() == [(0, 0)]
     assert np.array_equal(table.pair_values(0, 0), table.total_values())
@@ -398,8 +397,8 @@ def test_squeezed_superposition_cross_term_ratio():
 
 @pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
 @pytest.mark.parametrize("make_state", [
-    lambda: SingleModeState(((1.0, fock(1)),)),
-    lambda: normalize(SingleModeState(((0.8, fock(0)), (0.6, fock(2))))),
+    lambda: State(((1.0, fock(1)),)),
+    lambda: normalize(State(((0.8, fock(0)), (0.6, fock(2))))),
     lambda: squeezed_vacuum_superposition(0.5, 1.0),
     lambda: entangled_state(0, 1, 0.5),
 ])
@@ -410,7 +409,7 @@ def test_normalization_invariant(rep, make_state):
 
 
 def test_wigner_marginals():
-    st = normalize(SingleModeState(((0.8, fock(0)), (0.6, fock(2)))))
+    st = normalize(State(((0.8, fock(0)), (0.6, fock(2)))))
     table = build_term_table(st, "wigner")
     mode = table.grid.mode(0)
     marginal = np.sum(table.total_values(), axis=1) * mode.p.delta
@@ -420,7 +419,7 @@ def test_wigner_marginals():
 
 def test_decomposition_completeness_against_direct_kernel():
     # sum of pair terms vs a kernel quadrature on the full wavefunction
-    st = normalize(SingleModeState(((0.8, fock(0)), (0.6, fock(2)))))
+    st = normalize(State(((0.8, fock(0)), (0.6, fock(2)))))
     table = build_term_table(st, "wigner")
     mode = table.grid.mode(0)
     total = table.total_values()
@@ -443,13 +442,13 @@ def test_husimi_diagonal_floor():
 
 
 def test_grid_coverage_error():
-    st = SingleModeState(((1.0, fock(2)),))
+    st = State(((1.0, fock(2)),))
     with pytest.raises(GridCoverageError):
         build_term_table(st, "wigner", oracles.single_grid(extent=2.0, points=64))
 
 
 def test_unnormalized_state_rejected():
-    st = SingleModeState(((0.5, fock(0)),))
+    st = State(((0.5, fock(0)),))
     with pytest.raises(GridCoverageError):
         build_term_table(st, "wigner")
 
@@ -462,13 +461,13 @@ def test_representation_parse():
 
 
 def test_default_grid_autoscaling():
-    st = SingleModeState(((1.0, squeezed_fock(0, 2.0)),))
+    st = State(((1.0, squeezed_fock(0, 2.0)),))
     grid = default_grid(st)
     mode = grid.mode(0)
     assert mode.p.hi == pytest.approx(7.0 * math.exp(2.0))
     assert mode.q.hi == pytest.approx(7.0)
     # spacing is preserved, not stretched
     assert mode.p.delta == pytest.approx(14.0 / 281, rel=0.05)
-    st_neg = SingleModeState(((1.0, squeezed_fock(0, -1.0)),))
+    st_neg = State(((1.0, squeezed_fock(0, -1.0)),))
     mode_neg = default_grid(st_neg).mode(0)
     assert mode_neg.q.hi == pytest.approx(7.0 * math.e)

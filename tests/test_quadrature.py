@@ -11,7 +11,7 @@ from psnci.grids import Axis
 from psnci.phasespace import build_term_table, cross_wigner_fock_closed
 from psnci import quadrature
 from psnci.quadrature import abs_4d_with_estimate, integrate_2d
-from psnci.states import TwoModeState, entangled_state, fock, normalize, squeezed_fock
+from psnci.states import State, entangled_state, fock, normalize, squeezed_fock
 from psnci.indicators import delta_indicator
 
 import oracles
@@ -206,7 +206,7 @@ def _indicator_2mode_state():
     """The state of the benchmark's indicator-2mode workload: the first two
     terms overlap in mode 1 (squeezed and plain vacuum), the third is
     orthogonal to both."""
-    return normalize(TwoModeState((
+    return normalize(State((
         (0.6 + 0.2j, fock(0), fock(1)),
         (0.5j, squeezed_fock(0, 0.5), fock(1)),
         (0.55 - 0.1j, fock(1), fock(0)),
@@ -303,7 +303,7 @@ def test_term_table_passes_match_dense_oracle(monkeypatch, rep):
     pytest.param(((0, 0), (1, 2)), None, False, id="mixed-total"),
 ])
 def test_folded_passes_match_dense_oracle(monkeypatch, terms, keys, folded, points):
-    state = normalize(TwoModeState(tuple(
+    state = normalize(State(tuple(
         (c, fock(m), fock(n)) for c, (m, n) in zip((0.6 + 0.3j, 0.5 - 0.4j), terms))))
     grid = oracles.two_mode_grid(points=points)
     prods = build_term_table(state, "rivier", grid).real_products(keys)
@@ -336,7 +336,7 @@ def fock_states(draw):
     else:
         amp = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)
     amps = draw(st.lists(amp, min_size=len(terms), max_size=len(terms)))
-    return normalize(TwoModeState(tuple(
+    return normalize(State(tuple(
         (c, fock(m), fock(n)) for c, (m, n) in zip(amps, terms))))
 
 
@@ -464,7 +464,7 @@ def test_group_fold_matches_dense_oracle(monkeypatch, group, points):
 ])
 @pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
 def test_state_totals_fold_under_their_group(monkeypatch, rep, terms, amps, group, points):
-    state = normalize(TwoModeState(tuple(
+    state = normalize(State(tuple(
         (c, fock(m), fock(n)) for c, (m, n) in zip(amps, terms))))
     grid = oracles.two_mode_grid(points=points)
     table = build_term_table(state, rep, grid)

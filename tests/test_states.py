@@ -7,8 +7,7 @@ from numpy.testing import assert_allclose
 
 from psnci.errors import DegenerateStateError, DomainError, StateFormatError
 from psnci.states import (
-    SingleModeState,
-    TwoModeState,
+    State,
     entangled_state,
     fock,
     fock_psi,
@@ -92,25 +91,43 @@ def test_parseval(prim):
 def test_fock_overlap_orthonormality():
     for n in range(5):
         for m in range(5):
-            s1 = SingleModeState(((1.0, fock(n)),))
-            s2 = SingleModeState(((1.0, fock(m)),))
+            s1 = State(((1.0, fock(n)),))
+            s2 = State(((1.0, fock(m)),))
             got = overlap(s1, s2)
             assert_allclose(got, 1.0 if m == n else 0.0, atol=1e-9)
 
 
 def test_vacuum_squeezed_overlap():
-    s1 = SingleModeState(((1.0, fock(0)),))
-    s2 = SingleModeState(((1.0, squeezed_fock(0, 1.0)),))
+    s1 = State(((1.0, fock(0)),))
+    s2 = State(((1.0, squeezed_fock(0, 1.0)),))
     assert_allclose(overlap(s1, s2), oracles.vacuum_squeezed_overlap(1.0), atol=1e-9)
     # odd squeezed state is orthogonal to the vacuum by parity
-    s3 = SingleModeState(((1.0, squeezed_fock(1, 0.9)),))
+    s3 = State(((1.0, squeezed_fock(1, 0.9)),))
     assert abs(overlap(s1, s3)) < 1e-10
 
 
 def test_overlap_conjugate_symmetry():
-    s1 = SingleModeState(((0.6 + 0.2j, fock(0)), (0.5 - 0.1j, squeezed_fock(0, 0.8))))
-    s2 = SingleModeState(((0.3 - 0.4j, fock(2)), (0.9j, squeezed_fock(0, -0.5))))
+    s1 = State(((0.6 + 0.2j, fock(0)), (0.5 - 0.1j, squeezed_fock(0, 0.8))))
+    s2 = State(((0.3 - 0.4j, fock(2)), (0.9j, squeezed_fock(0, -0.5))))
     assert abs(overlap(s1, s2) - np.conj(overlap(s2, s1))) < 1e-10
+
+
+def test_two_mode_overlap_is_product_of_mode_overlaps():
+    for r in (0.5, 1.0):
+        vacuum = State(((1.0, fock(0), fock(0)),))
+        squeezed = State(((1.0, squeezed_fock(0, r), squeezed_fock(0, r)),))
+        assert_allclose(overlap(vacuum, squeezed),
+                        oracles.vacuum_squeezed_overlap(r) ** 2, atol=1e-9)
+
+
+@pytest.mark.parametrize("terms", [
+    ((0.6, fock(0)), (0.8, fock(1), fock(0))),
+    ((1.0,),),
+    ((1.0, fock(0), fock(1), fock(2)),),
+], ids=["mixed", "zero-mode", "three-mode"])
+def test_state_rejects_bad_mode_counts(terms):
+    with pytest.raises(DomainError):
+        State(terms)
 
 
 def test_normalize_basics():
@@ -119,12 +136,12 @@ def test_normalize_basics():
     for (c1, _, _), (c2, _, _) in zip(bell.terms, renorm.terms):
         assert abs(c1 - c2) < 1e-12
 
-    doubled = SingleModeState(((2.0, fock(0)),))
+    doubled = State(((2.0, fock(0)),))
     assert_allclose(normalize(doubled).amplitudes[0], 1.0, atol=1e-12)
 
 
 def test_normalize_idempotent_with_overlapping_terms():
-    state = SingleModeState(((0.75, fock(0)), (0.5, squeezed_fock(0, 1.0))))
+    state = State(((0.75, fock(0)), (0.5, squeezed_fock(0, 1.0))))
     once = normalize(state)
     twice = normalize(once)
     assert_allclose(state_norm(once), 1.0, atol=1e-10)
@@ -134,7 +151,7 @@ def test_normalize_idempotent_with_overlapping_terms():
 
 def test_normalize_degenerate():
     with pytest.raises(DegenerateStateError):
-        normalize(SingleModeState(((0.0, fock(0)),)))
+        normalize(State(((0.0, fock(0)),)))
 
 
 def test_superposition_families_are_normalized():
@@ -158,12 +175,14 @@ def test_entangled_state_validation():
 
 
 def test_json_round_trip():
-    st = TwoModeState((
+    two = State((
         (0.6, fock(0), fock(1)),
         (0.8, squeezed_fock(1, 0.5), fock(0)),
     ))
-    back = state_from_json(json.dumps(state_to_dict(st)))
-    assert back == st
+    one = State(((0.6 - 0.2j, fock(2)), (0.5j, squeezed_fock(1, -0.7))))
+    for st in (two, one):
+        back = state_from_json(json.dumps(state_to_dict(st)))
+        assert back == st
 
 
 @pytest.mark.parametrize("payload", [
@@ -177,6 +196,14 @@ def test_json_round_trip():
     '{"modes": 2, "terms": [{"amp_re": 1.0, "mode1": {"type": "fock", "n": 0}}]}',
     '{"modes": 1, "terms": [{"amp_re": 1.0, "mode1": {"type": "fock", "n": 0}, "bogus": 1}]}',
     '{"modes": 1, "bogus": true, "terms": [{"amp_re": 1.0, "mode1": {"type": "fock", "n": 0}}]}',
+    # bool is a subclass of int in Python, but true is not a number here
+    '{"modes": true, "terms": [{"amp_re": true, "mode1": {"type": "fock", "n": true}}]}',
+    '{"modes": true, "terms": [{"amp_re": 1.0, "mode1": {"type": "fock", "n": 0}}]}',
+    '{"modes": 1.0, "terms": [{"amp_re": 1.0, "mode1": {"type": "fock", "n": 0}}]}',
+    '{"modes": 1, "terms": [{"amp_re": 1.0, "mode1": {"type": "fock", "n": true}}]}',
+    '{"modes": 1, "terms": [{"amp_re": true, "mode1": {"type": "fock", "n": 0}}]}',
+    '{"modes": 1, "terms": [{"amp_re": 1.0, "amp_im": false, "mode1": {"type": "fock", "n": 0}}]}',
+    '{"modes": 1, "terms": [{"amp_re": 1.0, "mode1": {"type": "squeezed", "n": 0, "r": true}}]}',
 ])
 def test_json_rejects_malformed(payload):
     with pytest.raises(StateFormatError):
