@@ -16,11 +16,15 @@ under 1 MB on the default two-mode grid) stays in a core's L2 cache.
 Each worker streams a fixed subset of the tiles through one reused
 block buffer.
 
-Before streaming, the products are compressed to the numerical rank k
-of their sum: thin QRs of the stacked g and h factors and an SVD of the
-small core give k products with the same sum, so linearly dependent
-inputs collapse (the Wigner products of a two-term entangled state have
-rank 4).
+Before streaming, the sum is compressed to its numerical rank k. Its
+g_t and h_t are combinations of a few real grids per mode (for a term
+table, the Re and Im parts of its stored grids), so it is B1 C B2^T with
+a small core C. A FactorBasis holds such a mode's grids, the R of their
+thin QR and their parities; a table builds it once and shares it with
+the tables with_amplitudes makes. The SVD of R1 C R2^T gives k products
+with the same sum, formed without a Q, so dependent inputs collapse
+(the Wigner products of a two-term entangled state have rank 4).
+abs_4d_with_estimate takes its products as their own bases.
 
 At rank k <= 2 nothing is streamed. Every off-diagonal Wigner or Husimi
 pair term of a superposition of product states is 2 Re(gamma A(z1)
@@ -47,11 +51,12 @@ real amplitudes and Fock or real-r squeezed Fock primitives has a real
 wavefunction; complex conjugation maps its Wigner, Husimi and Rivier
 factors to their p-mirrors, so f(q1, -p1, q2, -p2) = +-f (T), and with
 P also f(-q1, p1, -q2, p2) = +-f (PT). The kernel takes the largest
-subgroup of {1, P, T, PT} under which every product is even or odd,
-all with one sign: each element reverses some axes of the (q, p) grids
-of both modes, and the check compares each uncompressed factor grid
-with its reversal, to within the rank cut, so no grid geometry is
-assumed. Products below the rank cut relative to the largest do not
+subgroup of {1, P, T, PT} under which every term C_ij b1_i b2_j^T is
+even or odd, all with one sign: each element reverses some axes of the
+(q, p) grids of both modes, and each basis column's parity comes from
+comparing it with its reversal, to within the rank cut, so no grid
+geometry is assumed. Terms below the rank cut relative to the largest,
+and basis columns below it relative to their mode's largest, do not
 vote. A group element permutes the (q1, p1) rows of |f| without
 changing their sums, so one row per orbit is streamed, weighted by the
 orbit size, in one pass per weight: under the full group the interior
@@ -65,24 +70,30 @@ Fock state has P, and so does a total whose terms share one
 photon-number parity; real amplitudes add T. The full group streams
 about a quarter of the rows of both passes, P alone half.
 
-The compression and the symmetry check run once per call, before the
-workers start. Every tile is computed identically whichever worker runs
-it, and the tile sums are combined with math.fsum, which is exactly
-rounded. So results are bit-identical for any ``threads`` setting.
-The closed form at rank k <= 2 is single-threaded. Their last bits can
-change with the rank cut (the compressed products are a rounding-level
-rewrite of the inputs), with the closed form (prefix sums in angle
-order instead of sums of |f| in index order), with the fold (which sums
-one row per orbit, weighted by the orbit size, instead of every row,
-so a state whose amplitudes turn real gains T and changes its last
-bits), with ``tile_rows`` (the row count of each matrix product and
-sum) and with the BLAS or numpy build.
+The compression and the symmetry check run before the workers start.
+Every tile is computed identically whichever worker runs it, and the
+tile sums are combined with math.fsum, which is exactly rounded. So
+results are bit-identical for any ``threads`` setting. A tile's sum,
+np.einsum("ij->"), adds its at most 8 n2 non-negative terms in a
+SIMD-unrolled order, not pairwise, at half the cost of np.sum: its
+relative error is below (8 n2 - 1) u, u the unit roundoff (1.3e-11 for
+121^2 points per mode; about sqrt(8 n2) u in practice). The closed form
+at rank k <= 2 is single-threaded. The last bits can change with the
+rank cut (the compressed products are a rounding-level rewrite of the
+inputs), with the basis the products reach the core through, with the
+closed form (prefix sums in angle order instead of sums of |f| in index
+order), with the fold (which sums one row per orbit, weighted by the
+orbit size, instead of every row, so a state whose amplitudes turn real
+gains T and changes its last bits), with ``tile_rows`` (the row count
+of each matrix product and sum), with the tile sum's order and with the
+BLAS or numpy build.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,16 +102,23 @@ from .grids import ModeAxes, PhaseGrid
 
 DEFAULT_MAX_POINTS = 1_000_000_000
 _TILE_ROWS = 8
-# Relative singular-value cut of the product stack. Exactly dependent
-# products leave singular values at rounding level: on the benchmark's
-# states the dropped ones are at most 7e-16 of the largest and the kept
-# ones at least 0.05 of it.
+# Relative cut of the singular values of a compressed sum, of the columns
+# of a factor basis and of the terms that vote on the symmetry group.
+# Exactly dependent products leave singular values at rounding level: on
+# the benchmark's states the dropped ones are at most 7e-16 of the
+# largest and the kept ones at least 0.05 of it.
 _RANK_CUT = 1e-13
-# Row block of the tall-skinny QR in the compression. np.linalg.qr makes
-# several copies of its input, and a full-height Q is as large as the
-# factor stack: on the indicator-2mode benchmark state a full-height QR
-# raised the peak RSS of a run by about 15 MB.
+# Row block of the tall-skinny R of a factor basis and of the products
+# that form the compressed factors. np.linalg.qr copies its input: a
+# full-height QR with its Q raised the peak RSS of an indicator-2mode run
+# by about 15 MB. On a (14641, 8) stack, full height took a median 1.5 ms
+# and up to 23 ms, 1024-row blocks 0.8 ms (R only, OpenBLAS 0.3.31, 2
+# CPUs). A full-height factor product starts OpenBLAS's own threads, whose
+# buffers raised that peak RSS by 3 MB.
 _QR_ROWS = 1024
+# Group elements other than 1, as the axes of the (q, p) factor grids they
+# reverse in both modes: P (z -> -z), T (p -> -p) and PT (q -> -q).
+_ELEMENTS = ((0, 1), (1,), (0,))
 
 
 def _mode_of(grid) -> ModeAxes:
@@ -138,50 +156,67 @@ def _even_mask(mode: ModeAxes) -> np.ndarray:
     return np.logical_and.outer(iq, ip).ravel()
 
 
-def _block_qrs(columns, mode: str):
-    """QR, in ``np.linalg.qr`` ``mode``, of each block of _QR_ROWS rows of
-    the matrix with the given columns."""
-    for i in range(0, columns[0].shape[0], _QR_ROWS):
-        yield np.linalg.qr(np.stack([c[i:i + _QR_ROWS] for c in columns], axis=1),
-                           mode=mode)
+def _tall_skinny_r(columns: np.ndarray) -> np.ndarray:
+    """R of the thin QR of a tall matrix, from the Rs of its _QR_ROWS-row blocks."""
+    rs = [np.linalg.qr(columns[i:i + _QR_ROWS], mode="r")
+          for i in range(0, len(columns), _QR_ROWS)]
+    return np.linalg.qr(np.concatenate(rs), mode="r")
 
 
-def _tall_skinny_r(columns) -> tuple:
-    """R of the thin QR of the matrix with the given columns, and the row
-    blocks P_i of P, where Q = diag(Q_i) P and Q_i are the block Qs."""
-    rs = list(_block_qrs(columns, "r"))
-    p, r = np.linalg.qr(np.concatenate(rs))
-    return r, np.split(p, np.cumsum([len(r_i) for r_i in rs])[:-1])
+class FactorBasis(NamedTuple):
+    """The real grids of one mode above _RANK_CUT times the largest:
+    ``keep``, their positions among the grids given; ``columns`` (n x K),
+    the grids raveled; ``r``, its thin-QR R; ``scale``, their largest
+    absolute values; ``parity`` (K x 3), their signs under _ELEMENTS."""
+
+    keep: np.ndarray
+    columns: np.ndarray
+    r: np.ndarray
+    scale: np.ndarray
+    parity: np.ndarray
 
 
-def _compress(g_columns, h_columns) -> tuple:
-    """Factors (n1 x k, k x n2) of sum_t g_t h_t^T at its numerical rank k.
+def factor_basis(grids) -> FactorBasis:
+    """FactorBasis of a sequence of real 2D grids on one mode's axes."""
+    scale = np.array([np.max(np.abs(g)) for g in grids])
+    keep = np.flatnonzero(scale > _RANK_CUT * scale.max())
+    kept = [grids[i] for i in keep]
+    parity = np.array([[_parity(g, axes) for axes in _ELEMENTS] for g in kept])
+    columns = np.stack(kept).reshape(len(kept), -1).T
+    return FactorBasis(keep, columns, _tall_skinny_r(columns), scale[keep], parity)
 
-    Thin QRs G = Q_g R_g and H^T = Q_h R_h leave a small core
-    R_g R_h^T = U S V^T; the k singular values above _RANK_CUT times the
-    largest are kept, giving Q_g U_k S_k and V_k^T Q_h^T. Q_g and Q_h are
-    never held whole: their row blocks are computed again, one at a time,
-    from the same blocks that gave R.
+
+def _compress(basis1: FactorBasis, basis2: FactorBasis, core: np.ndarray) -> tuple:
+    """Factors (n1 x k, k x n2) of B1 core B2^T at its numerical rank k, for
+    the column matrices B1 and B2 of the bases.
+
+    With B = Q R, R1 core R2^T = U S V^T gives the sum as Q1 U S V^T Q2^T;
+    the k singular values above _RANK_CUT times the largest are kept. Q is
+    never formed and no R inverted, so dependent columns need no care:
+    Q1 U_k S_k = B1 core R2^T V_k and V_k^T Q2^T = S_k^-1 U_k^T R1 core B2^T.
     """
-    rg, pg = _tall_skinny_r(g_columns)
-    rh, ph = _tall_skinny_r(h_columns)
-    u, s, vt = np.linalg.svd(rg @ rh.T)
+    u, s, vt = np.linalg.svd(basis1.r @ core @ basis2.r.T)
     k = int(np.count_nonzero(s > _RANK_CUT * s[0]))
-    left, right = u[:, :k] * s[:k], vt[:k]
-    gmat = np.concatenate([q @ (p @ left)
-                           for (q, _), p in zip(_block_qrs(g_columns, "reduced"), pg)])
-    hmat = np.concatenate([(right @ p.T) @ q.T
-                           for (q, _), p in zip(_block_qrs(h_columns, "reduced"), ph)],
-                          axis=1)
-    return gmat, hmat
+    gmat = _blocked_product(basis1.columns, core @ (basis2.r.T @ vt[:k].T))
+    hmat = _blocked_product(basis2.columns, (u[:, :k].T @ basis1.r @ core).T / s[:k])
+    return gmat, np.ascontiguousarray(hmat.T)
+
+
+def _blocked_product(columns: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """columns @ coef, in blocks of _QR_ROWS rows."""
+    out = np.empty((columns.shape[0], coef.shape[1]))
+    for i in range(0, len(columns), _QR_ROWS):
+        np.matmul(columns[i:i + _QR_ROWS], coef, out=out[i:i + _QR_ROWS])
+    return out
 
 
 def _abs_sum(gmat: np.ndarray, hmat: np.ndarray, tile_rows: int, threads: int) -> float:
     """Sum of |gmat @ hmat| streamed in tiles of ``tile_rows`` rows of gmat.
 
     Worker k takes the tile starts ``starts[k::workers]`` and reuses one
-    block buffer for all of them; the tile sums are combined with
-    math.fsum, so the result does not depend on ``threads``.
+    block buffer for all of them; each tile is summed by np.einsum and the
+    tile sums are combined with math.fsum, so the result does not depend
+    on ``threads``.
     """
     n1, n2 = gmat.shape[0], hmat.shape[1]
     starts = range(0, n1, tile_rows)
@@ -195,7 +230,7 @@ def _abs_sum(gmat: np.ndarray, hmat: np.ndarray, tile_rows: int, threads: int) -
             block = buffer[:rows.shape[0]]
             np.matmul(rows, hmat, out=block)
             np.abs(block, out=block)
-            sums.append(float(np.sum(block)))
+            sums.append(float(np.einsum("ij->", block)))
         return sums
 
     if workers > 1:
@@ -251,29 +286,22 @@ def _parity(f: np.ndarray, axes) -> int:
     return 0
 
 
-def _symmetry_group(pairs) -> tuple:
-    """The largest subgroup of {1, P, T, PT} under which sum_t g_t h_t^T is
+def _symmetry_group(basis1: FactorBasis, basis2: FactorBasis, core: np.ndarray) -> tuple:
+    """The largest subgroup of {1, P, T, PT} under which B1 core B2^T is
     even or odd, as the axes of the (q, p) factor grids that each element
-    reverses in both modes at once: () is 1, (0, 1) is P (z -> -z), (1,)
-    is T (p -> -p) and (0,) is PT (q -> -q).
+    reverses in both modes at once: () is 1, then the _ELEMENTS.
 
-    An element is kept when every product has a parity under it (the
-    product of its factors') and all have the same one. Products smaller
-    than _RANK_CUT times the largest do not vote: rounding noise has no
-    parity but cannot move the sum. Any two kept elements imply the third;
-    if rounding keeps only two, the first of them is used, P before T.
+    An element is kept when every term core_ij b1_i b2_j^T has a parity
+    under it (the product of its columns') and all have the same one.
+    Terms smaller than _RANK_CUT times the largest do not vote: rounding
+    noise has no parity but cannot move the sum. Any two kept elements
+    imply the third; if rounding keeps only two, the first of them is
+    used, P before T.
     """
-    scales = [np.max(np.abs(g)) * np.max(np.abs(h)) for g, h in pairs]
-    cut = _RANK_CUT * max(scales)
-    voters = [(g, h) for (g, h), scale in zip(pairs, scales) if scale > cut]
-    kept = []
-    for axes in ((0, 1), (1,), (0,)):
-        # The vote ends at the first product without a parity or with
-        # another sign.
-        signs = (_parity(g, axes) * _parity(h, axes) for g, h in voters)
-        first = next(signs)
-        if first and all(sign == first for sign in signs):
-            kept.append(axes)
+    weight = np.abs(core) * np.outer(basis1.scale, basis2.scale)
+    i, j = np.nonzero(weight > _RANK_CUT * weight.max())
+    signs = basis1.parity[i] * basis2.parity[j]
+    kept = [axes for axes, sign in zip(_ELEMENTS, signs.T) if sign[0] and np.all(sign == sign[0])]
     return ((),) + tuple(kept if len(kept) == 3 else kept[:1])
 
 
@@ -303,20 +331,11 @@ def _folded_abs_sum(gmat: np.ndarray, hmat: np.ndarray, grid_index: np.ndarray, 
     return total
 
 
-# ``threads`` and ``tile_rows`` stay keywords of this signature:
-# perfbench/child.py probes the kernel with threads=1 and threads=2, and
-# perfbench/tracer.py reads the tile_rows default through
-# inspect.signature to model the bytes a pass moves.
-def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
-                         tile_rows: int = _TILE_ROWS) -> tuple:
-    """4D absolute integral, in closed form at rank <= 2 and streamed
-    otherwise, with a decimated-grid error estimate.
-
-    ``products`` is a sequence of (g, h) pairs of real 2D arrays on the
-    two mode grids; the integrand is |sum_t g_t(z1) h_t(z2)|.
-    """
-    if grid.n_modes != 2:
-        raise DomainError("the streamed path needs a two-mode grid")
+def basis_abs_4d(basis1: FactorBasis, basis2: FactorBasis, core: np.ndarray,
+                 grid: PhaseGrid, threads: int, tile_rows: int = _TILE_ROWS) -> tuple:
+    """4D absolute integral of sum_ij core_ij g_i(z1) h_j(z2), in closed form
+    at rank <= 2 and streamed otherwise, with a decimated-grid error
+    estimate; g_i and h_j are the grids the two bases were built from."""
     mode1, mode2 = grid.mode(0), grid.mode(1)
     n1, n2 = mode1.n_points, mode2.n_points
     if n1 * n2 > DEFAULT_MAX_POINTS:
@@ -324,6 +343,40 @@ def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
             f"4D product grid has {n1 * n2} points, beyond the budget of "
             f"{DEFAULT_MAX_POINTS}; use a coarser grid"
         )
+    core = core[np.ix_(basis1.keep, basis2.keep)]
+    gmat, hmat = _compress(basis1, basis2, core)
+    if gmat.shape[1] == 0:
+        return 0.0, 0.0
+    area = mode1.cell_area * mode2.cell_area
+    even1, even2 = _even_mask(mode1), _even_mask(mode2)
+    if gmat.shape[1] <= 2:
+        fine = _closed_abs_sum(gmat, hmat) * area
+        coarse = _closed_abs_sum(gmat[even1], hmat[:, even2]) * 16.0 * area
+        return fine, abs(fine - coarse)
+    group = _symmetry_group(basis1, basis2, core)
+    index = np.arange(n1).reshape(mode1.q.n, mode1.p.n)
+    fine = _folded_abs_sum(gmat, hmat, index, group, tile_rows, threads) * area
+    # The decimated pass keeps only the elements that map the even-index
+    # points of both modes onto themselves: those reversing odd-length axes.
+    masks = [even1.reshape(index.shape), even2.reshape(mode2.q.n, mode2.p.n)]
+    group = [axes for axes in group
+             if all(np.array_equal(np.flip(m, axes), m) for m in masks)]
+    coarse = _folded_abs_sum(gmat, np.ascontiguousarray(hmat[:, even2]), index[::2, ::2],
+                             group, tile_rows, threads) * 16.0 * area
+    return fine, abs(fine - coarse)
+
+
+# ``threads`` and ``tile_rows`` stay keywords of this signature:
+# perfbench/child.py probes the kernel with threads=1 and threads=2, and
+# perfbench/tracer.py reads the tile_rows default through
+# inspect.signature to model the bytes a pass moves.
+def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
+                         tile_rows: int = _TILE_ROWS) -> tuple:
+    """basis_abs_4d of |sum_t g_t(z1) h_t(z2)| for a sequence of (g, h) pairs
+    of real 2D arrays on the two mode grids, taken as their own bases."""
+    if grid.n_modes != 2:
+        raise DomainError("the streamed path needs a two-mode grid")
+    mode1, mode2 = grid.mode(0), grid.mode(1)
     shaped = []
     for g, h in products:
         g = np.asarray(g, dtype=float)
@@ -335,23 +388,6 @@ def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
         shaped.append((g, h))
     if not shaped:
         return 0.0, 0.0
-    gmat, hmat = _compress([g.ravel() for g, _ in shaped], [h.ravel() for _, h in shaped])
-    if gmat.shape[1] == 0:
-        return 0.0, 0.0
-    area = mode1.cell_area * mode2.cell_area
-    even1, even2 = _even_mask(mode1), _even_mask(mode2)
-    if gmat.shape[1] <= 2:
-        fine = _closed_abs_sum(gmat, hmat) * area
-        coarse = _closed_abs_sum(gmat[even1], hmat[:, even2]) * 16.0 * area
-        return fine, abs(fine - coarse)
-    group = _symmetry_group(shaped)
-    index = np.arange(n1).reshape(mode1.q.n, mode1.p.n)
-    fine = _folded_abs_sum(gmat, hmat, index, group, tile_rows, threads) * area
-    # The decimated pass keeps only the elements that map the even-index
-    # points of both modes onto themselves: those reversing odd-length axes.
-    masks = [even1.reshape(index.shape), even2.reshape(mode2.q.n, mode2.p.n)]
-    group = [axes for axes in group
-             if all(np.array_equal(np.flip(m, axes), m) for m in masks)]
-    coarse = _folded_abs_sum(gmat, np.ascontiguousarray(hmat[:, even2]), index[::2, ::2],
-                             group, tile_rows, threads) * 16.0 * area
-    return fine, abs(fine - coarse)
+    gs, hs = zip(*shaped)
+    return basis_abs_4d(factor_basis(gs), factor_basis(hs), np.eye(len(shaped)), grid,
+                        threads, tile_rows)

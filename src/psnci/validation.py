@@ -23,7 +23,6 @@ from .phasespace import (
     cross_wigner_fock_closed,
     default_grid,
 )
-from .quadrature import abs_4d_with_estimate
 from .states import (
     State,
     entangled_state,
@@ -260,10 +259,9 @@ def _determinism_check(tables, results):
         results.append(CheckResult("determinism_threads", True,
                                    "skipped: no two-mode Wigner table built"))
         return
-    products = pick.real_products()
-    serial = abs_4d_with_estimate(products, pick.grid, threads=1)[0]
-    pooled = abs_4d_with_estimate(products, pick.grid, threads=2)[0]
-    again = abs_4d_with_estimate(products, pick.grid, threads=2)[0]
+    serial = pick.total_abs_with_estimate(threads=1)[0]
+    pooled = pick.total_abs_with_estimate(threads=2)[0]
+    again = pick.total_abs_with_estimate(threads=2)[0]
     ok = serial == pooled == again
     results.append(CheckResult(
         "determinism_threads", ok,

@@ -1,3 +1,4 @@
+import inspect
 import math
 from functools import partial
 
@@ -9,10 +10,10 @@ from numpy.testing import assert_allclose
 from psnci.errors import DomainError, QuadratureError, ResourceBudgetError
 from psnci.grids import Axis
 from psnci.phasespace import build_term_table, cross_wigner_fock_closed
-from psnci import quadrature
+from psnci import phasespace, quadrature
 from psnci.quadrature import abs_4d_with_estimate, integrate_2d
 from psnci.states import State, entangled_state, fock, normalize, squeezed_fock
-from psnci.indicators import delta_indicator
+from psnci.indicators import delta_indicator, sweep_a
 
 import oracles
 
@@ -191,6 +192,47 @@ def test_compression_row_blocks_match_dense_oracle(monkeypatch, qr_rows):
         _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
 
 
+def _ill_conditioned_products(grid, seed, rank=5):
+    """Products whose sum has singular values from 1 down to 1e-12, mixed by
+    a matrix of condition number 1e3, with product 0 split into exactly
+    dependent copies (0.25 g, h) and (0.75 g, h) and product 1 into two
+    copies of (g, 0.5 h)."""
+    rng = np.random.default_rng(seed)
+    m1, m2 = grid.mode(0), grid.mode(1)
+    g0 = np.linalg.qr(rng.standard_normal((m1.n_points, rank)))[0]
+    h0 = np.linalg.qr(rng.standard_normal((m2.n_points, rank)))[0]
+    u, _, vt = np.linalg.svd(rng.standard_normal((rank, rank)))
+    mix = u @ np.diag(np.logspace(0, -3, rank)) @ vt
+    gs = (g0 * np.logspace(0, -12, rank)) @ mix
+    hs = h0 @ np.linalg.inv(mix).T
+    prods = [(g.reshape(m1.q.n, m1.p.n), h.reshape(m2.q.n, m2.p.n)) for g, h in zip(gs.T, hs.T)]
+    (g, h), (g1, h1) = prods[:2]
+    prods[:2] = [(0.25 * g, h), (g1, 0.5 * h1)]
+    return prods + [(0.75 * g, h), (g1, 0.5 * h1)]
+
+
+# The compression never forms Q: its factors are the basis columns times
+# small coefficient matrices, one of them scaled by the inverse kept
+# singular values, so the smallest ones must come out as accurately.
+@pytest.mark.parametrize("qr_rows", [3, 100])
+def test_compression_of_ill_conditioned_sets_matches_dense_oracle(monkeypatch, qr_rows):
+    monkeypatch.setattr(quadrature, "_QR_ROWS", qr_rows)
+    ranks = []
+    compress = quadrature._compress
+
+    def record(*args):
+        gmat, hmat = compress(*args)
+        ranks.append(gmat.shape[1])
+        return gmat, hmat
+
+    monkeypatch.setattr(quadrature, "_compress", record)
+    grid = oracles.two_mode_grid(points=21)
+    for seed in range(4):
+        prods = _ill_conditioned_products(grid, seed)
+        _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
+    assert ranks == [5] * 4
+
+
 def _no_stream(*args):
     raise AssertionError("a product set of rank <= 2 was streamed")
 
@@ -347,9 +389,48 @@ def test_fock_state_passes_match_dense_oracle(state, rep):
     table = build_term_table(state, rep, grid)
     _assert_matches_dense(table.total_abs_with_estimate(threads=2),
                           table.real_products(), grid)
+    area = grid.mode(0).cell_area * grid.mode(1).cell_area
     for key in table.pair_keys():
         prods = table.real_products([key])
         _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
+        result = table.pair_abs_with_estimate(key, threads=2)
+        if key[0] == key[1] and rep != "rivier":
+            # The factorized diagonal has its own first-order estimate.
+            assert_allclose(result[0], oracles.dense_abs_4d_sums(prods)[0] * area, rtol=1e-12)
+        else:
+            _assert_matches_dense(result, prods, grid)
+
+
+def test_table_basis_built_once(monkeypatch):
+    built = []
+
+    def build(grids):
+        built.append(len(grids))
+        return quadrature.factor_basis(grids)
+
+    monkeypatch.setattr(phasespace, "factor_basis", build)
+    grid = oracles.two_mode_grid(points=21)
+    sweep_a((0, 1), [0.0, 0.5, 1.0], ["wigner", "husimi", "rivier"], grid, threads=2)
+    assert len(built) == 2 * 3
+    table = build_term_table(entangled_state(1, 2, 0.5), "rivier", grid)
+    table.total_abs_with_estimate()
+    built.clear()
+    child = table.with_amplitudes((0.6, 0.8))
+    child.total_abs_with_estimate()
+    child.pair_abs_with_estimate((0, 1))
+    assert built == []
+
+
+# perfbench/child.py times the kernel with this call, on this table, and
+# perfbench/tracer.py reads the tile_rows default through inspect.signature.
+def test_benchmark_probe_call_matches_table_path():
+    table = build_term_table(entangled_state(1, 2, 0.5), "wigner")
+    value, est = table.total_abs_with_estimate()
+    for threads in (1, 2):
+        probe = abs_4d_with_estimate(table.real_products(), table.grid, threads=threads)
+        assert_allclose(probe, (value, est), rtol=1e-13, atol=1e-14)
+    default = inspect.signature(abs_4d_with_estimate).parameters["tile_rows"].default
+    assert isinstance(default, int) and default > 0
 
 
 def _parity_products(grid, signs, seed):
