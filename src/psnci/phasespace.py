@@ -53,7 +53,8 @@ from .grids import (
     PhaseGrid,
 )
 from .quadrature import (
-    basis_abs_4d,
+    SeparableSum,
+    abs_4d_with_estimate,
     factor_basis,
     integral_with_estimate,
 )
@@ -360,16 +361,15 @@ class TermTable:
         if k == l and self.representation.hermitian_pairs:
             # Exact single real product: |f| factorizes across the modes.
             # The 4D kernel's closed form gives the same value to 2e-16,
-            # but even with the factor bases built it costs 46-77x more
-            # per term on the default grid (3 ms against 0.04-0.06 ms: the
-            # factors, a sort and a prefix sum over every point), and its
-            # estimate would be the decimated sum instead of the
-            # first-order ea*b + a*eb.
+            # but even with the factor bases built it costs 46-77x more per
+            # term on the default grid (3 ms against 0.04-0.06 ms: factors,
+            # a sort and a prefix sum over every point), and its estimate
+            # is the decimated sum, not the first-order ea*b + a*eb.
             [(scale, (d1, d2))] = self._terms(k, k, self._cross)
             a, ea = integral_with_estimate(np.abs(d1.real), self.grid.mode(0))
             b, eb = integral_with_estimate(np.abs(d2.real), self.grid.mode(1))
             return scale * a * b, scale * (ea * b + a * eb)
-        return self._abs_4d([key], threads)
+        return abs_4d_with_estimate(self.real_products([key]), self.grid, threads=threads)
 
     # Single-mode tables: dense real grids.
 
@@ -390,31 +390,13 @@ class TermTable:
 
     # Two-mode tables: real separable products for the 4D kernel.
 
-    def real_products(self, keys=None):
-        """Expand Re[gamma D1 (x) D2] into real separable products."""
+    def real_products(self, keys=None) -> SeparableSum:
+        """sum_kl f_kl over ``keys`` (default all) on each mode's factor
+        basis, built on first use from the Re and Im parts of its stored
+        grids: grid i is the vector e_2i + i e_2i+1, as a column in mode 1,
+        so the real part of the vectors' paired sum is the core."""
         if keys is None:
             keys = self.pair_keys()
-        out = []
-        for k, l in keys:
-            for gamma, d1, d2 in self.products(k, l):
-                if gamma == 0:
-                    continue
-                w = gamma * d1
-                out.append((np.ascontiguousarray(w.real), np.ascontiguousarray(d2.real)))
-                if np.iscomplexobj(d2):
-                    out.append((np.ascontiguousarray(-w.imag), np.ascontiguousarray(d2.imag)))
-        return out
-
-    def total_abs_with_estimate(self, threads: int = 1) -> tuple:
-        return self._abs_4d(self.pair_keys(), threads)
-
-    def _abs_4d(self, keys, threads: int) -> tuple:
-        """int |sum of f_kl over keys| by the 4D kernel.
-
-        Each mode's factor basis, built on first use, holds the Re and Im
-        parts of its stored grids: grid i is the vector e_2i + i e_2i+1 on
-        it. Mode 1's vectors are columns, so a product's vectors multiply to
-        their outer product; the real part of the paired sum is the core."""
         units = []
         for mode, stored in enumerate(self._cross):
             if mode not in self._bases:
@@ -424,7 +406,10 @@ class TermTable:
             unit = eye[0::2] + 1j * eye[1::2]
             units.append(dict(zip(stored, unit[:, :, None] if mode == 0 else unit)))
         core = sum(self._paired(k, l, units).real for k, l in keys)
-        return basis_abs_4d(self._bases[0], self._bases[1], core, self.grid, threads)
+        return SeparableSum(self._bases[0], self._bases[1], core)
+
+    def total_abs_with_estimate(self, threads: int = 1) -> tuple:
+        return abs_4d_with_estimate(self.real_products(), self.grid, threads=threads)
 
 
 # ---------------------------------------------------------------------------

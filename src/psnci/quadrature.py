@@ -19,12 +19,12 @@ block buffer.
 Before streaming, the sum is compressed to its numerical rank k. Its
 g_t and h_t are combinations of a few real grids per mode (for a term
 table, the Re and Im parts of its stored grids), so it is B1 C B2^T with
-a small core C. A FactorBasis holds such a mode's grids, the R of their
-thin QR and their parities; a table builds it once and shares it with
-the tables with_amplitudes makes. The SVD of R1 C R2^T gives k products
+a small core C: a SeparableSum. A FactorBasis holds a mode's non-zero
+grids, the R of their thin QR and their parities; a table builds it once
+and shares it with the tables with_amplitudes makes. Plain (g, h) pairs
+are their own bases, with C = I. The SVD of R1 C R2^T gives k products
 with the same sum, formed without a Q, so dependent inputs collapse
 (the Wigner products of a two-term entangled state have rank 4).
-abs_4d_with_estimate takes its products as their own bases.
 
 At rank k <= 2 nothing is streamed. Every off-diagonal Wigner or Husimi
 pair term of a superposition of product states is 2 Re(gamma A(z1)
@@ -55,8 +55,8 @@ subgroup of {1, P, T, PT} under which every term C_ij b1_i b2_j^T is
 even or odd, all with one sign: each element reverses some axes of the
 (q, p) grids of both modes, and each basis column's parity comes from
 comparing it with its reversal, to within the rank cut, so no grid
-geometry is assumed. Terms below the rank cut relative to the largest,
-and basis columns below it relative to their mode's largest, do not
+geometry is assumed. Terms whose size, |C_ij| times the largest values
+of their columns, is below the rank cut relative to the largest do not
 vote. A group element permutes the (q1, p1) rows of |f| without
 changing their sums, so one row per orbit is streamed, weighted by the
 orbit size, in one pass per weight: under the full group the interior
@@ -102,11 +102,10 @@ from .grids import ModeAxes, PhaseGrid
 
 DEFAULT_MAX_POINTS = 1_000_000_000
 _TILE_ROWS = 8
-# Relative cut of the singular values of a compressed sum, of the columns
-# of a factor basis and of the terms that vote on the symmetry group.
-# Exactly dependent products leave singular values at rounding level: on
-# the benchmark's states the dropped ones are at most 7e-16 of the
-# largest and the kept ones at least 0.05 of it.
+# Relative cut of the singular values of a compressed sum and of the terms
+# that vote on the symmetry group. Exactly dependent products leave
+# singular values at rounding level: on the benchmark's states the dropped
+# ones are at most 7e-16 of the largest and the kept ones at least 0.05.
 _RANK_CUT = 1e-13
 # Row block of the tall-skinny R of a factor basis and of the products
 # that form the compressed factors. np.linalg.qr copies its input: a
@@ -164,13 +163,13 @@ def _tall_skinny_r(columns: np.ndarray) -> np.ndarray:
 
 
 class FactorBasis(NamedTuple):
-    """The real grids of one mode above _RANK_CUT times the largest:
-    ``keep``, their positions among the grids given; ``columns`` (n x K),
-    the grids raveled; ``r``, its thin-QR R; ``scale``, their largest
-    absolute values; ``parity`` (K x 3), their signs under _ELEMENTS."""
+    """The non-zero real grids of one mode: ``keep``, their positions among
+    the grids given; ``grids`` (K x nq x np), the grids stacked; ``r``, the
+    thin-QR R of their raveled columns; ``scale``, their largest absolute
+    values; ``parity`` (K x 3), their signs under _ELEMENTS."""
 
     keep: np.ndarray
-    columns: np.ndarray
+    grids: np.ndarray
     r: np.ndarray
     scale: np.ndarray
     parity: np.ndarray
@@ -179,11 +178,26 @@ class FactorBasis(NamedTuple):
 def factor_basis(grids) -> FactorBasis:
     """FactorBasis of a sequence of real 2D grids on one mode's axes."""
     scale = np.array([np.max(np.abs(g)) for g in grids])
-    keep = np.flatnonzero(scale > _RANK_CUT * scale.max())
-    kept = [grids[i] for i in keep]
-    parity = np.array([[_parity(g, axes) for axes in _ELEMENTS] for g in kept])
-    columns = np.stack(kept).reshape(len(kept), -1).T
-    return FactorBasis(keep, columns, _tall_skinny_r(columns), scale[keep], parity)
+    keep = np.flatnonzero(scale > 0.0)
+    stack = np.stack([grids[i] for i in keep])
+    parity = np.array([[_parity(g, axes) for axes in _ELEMENTS] for g in stack])
+    r = _tall_skinny_r(stack.reshape(len(keep), -1).T)
+    return FactorBasis(keep, stack, r, scale[keep], parity)
+
+
+class SeparableSum:
+    """sum_ij core_ij g_i(z1) h_j(z2) for the grids g_i and h_j that two
+    factor bases were built from; iterated, the (g, h) pairs
+    (g_i, sum_j core_ij h_j) of its non-zero rows."""
+
+    def __init__(self, basis1: FactorBasis, basis2: FactorBasis, core):
+        self.bases = basis1, basis2
+        self.core = np.asarray(core, dtype=float)[np.ix_(basis1.keep, basis2.keep)]
+
+    def __iter__(self):
+        (basis1, basis2), core = self.bases, self.core
+        for i in np.flatnonzero(np.any(core, axis=1)):
+            yield basis1.grids[i], np.tensordot(core[i], basis2.grids, axes=1)
 
 
 def _compress(basis1: FactorBasis, basis2: FactorBasis, core: np.ndarray) -> tuple:
@@ -197,13 +211,14 @@ def _compress(basis1: FactorBasis, basis2: FactorBasis, core: np.ndarray) -> tup
     """
     u, s, vt = np.linalg.svd(basis1.r @ core @ basis2.r.T)
     k = int(np.count_nonzero(s > _RANK_CUT * s[0]))
-    gmat = _blocked_product(basis1.columns, core @ (basis2.r.T @ vt[:k].T))
-    hmat = _blocked_product(basis2.columns, (u[:, :k].T @ basis1.r @ core).T / s[:k])
+    gmat = _blocked_product(basis1.grids, core @ (basis2.r.T @ vt[:k].T))
+    hmat = _blocked_product(basis2.grids, (u[:, :k].T @ basis1.r @ core).T / s[:k])
     return gmat, np.ascontiguousarray(hmat.T)
 
 
-def _blocked_product(columns: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """columns @ coef, in blocks of _QR_ROWS rows."""
+def _blocked_product(grids: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The grids raveled as columns, times coef, in blocks of _QR_ROWS rows."""
+    columns = grids.reshape(len(grids), -1).T
     out = np.empty((columns.shape[0], coef.shape[1]))
     for i in range(0, len(columns), _QR_ROWS):
         np.matmul(columns[i:i + _QR_ROWS], coef, out=out[i:i + _QR_ROWS])
@@ -331,11 +346,21 @@ def _folded_abs_sum(gmat: np.ndarray, hmat: np.ndarray, grid_index: np.ndarray, 
     return total
 
 
-def basis_abs_4d(basis1: FactorBasis, basis2: FactorBasis, core: np.ndarray,
-                 grid: PhaseGrid, threads: int, tile_rows: int = _TILE_ROWS) -> tuple:
-    """4D absolute integral of sum_ij core_ij g_i(z1) h_j(z2), in closed form
-    at rank <= 2 and streamed otherwise, with a decimated-grid error
-    estimate; g_i and h_j are the grids the two bases were built from."""
+# ``threads`` and ``tile_rows`` stay keywords of this signature:
+# perfbench/child.py probes the kernel with threads=1 and threads=2, and
+# perfbench/tracer.py reads the tile_rows default through
+# inspect.signature to model the bytes a pass moves. The tracer counts
+# calls of this function as the 4D kernel, and lists their products.
+def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
+                         tile_rows: int = _TILE_ROWS) -> tuple:
+    """4D absolute integral of |sum_t g_t(z1) h_t(z2)|, in closed form at
+    rank <= 2 and streamed otherwise, with a decimated-grid error estimate.
+
+    ``products`` is a SeparableSum, computed on its bases, or a sequence of
+    (g, h) pairs of real 2D arrays on the two mode grids, taken as their
+    own bases with the identity as core."""
+    if grid.n_modes != 2:
+        raise DomainError("the streamed path needs a two-mode grid")
     mode1, mode2 = grid.mode(0), grid.mode(1)
     n1, n2 = mode1.n_points, mode2.n_points
     if n1 * n2 > DEFAULT_MAX_POINTS:
@@ -343,7 +368,24 @@ def basis_abs_4d(basis1: FactorBasis, basis2: FactorBasis, core: np.ndarray,
             f"4D product grid has {n1 * n2} points, beyond the budget of "
             f"{DEFAULT_MAX_POINTS}; use a coarser grid"
         )
-    core = core[np.ix_(basis1.keep, basis2.keep)]
+    if not isinstance(products, SeparableSum):
+        shaped = []
+        for g, h in products:
+            g = np.asarray(g, dtype=float)
+            h = np.asarray(h, dtype=float)
+            if g.shape != (mode1.q.n, mode1.p.n) or h.shape != (mode2.q.n, mode2.p.n):
+                raise DomainError("factor grid shapes do not match the mode axes")
+            if np.max(np.abs(g)) == 0.0 or np.max(np.abs(h)) == 0.0:
+                continue
+            shaped.append((g, h))
+        if not shaped:
+            return 0.0, 0.0
+        gs, hs = zip(*shaped)
+        products = SeparableSum(factor_basis(gs), factor_basis(hs), np.eye(len(shaped)))
+    (basis1, basis2), core = products.bases, products.core
+    if (basis1.grids.shape[1:] != (mode1.q.n, mode1.p.n)
+            or basis2.grids.shape[1:] != (mode2.q.n, mode2.p.n)):
+        raise DomainError("factor grid shapes do not match the mode axes")
     gmat, hmat = _compress(basis1, basis2, core)
     if gmat.shape[1] == 0:
         return 0.0, 0.0
@@ -364,30 +406,3 @@ def basis_abs_4d(basis1: FactorBasis, basis2: FactorBasis, core: np.ndarray,
     coarse = _folded_abs_sum(gmat, np.ascontiguousarray(hmat[:, even2]), index[::2, ::2],
                              group, tile_rows, threads) * 16.0 * area
     return fine, abs(fine - coarse)
-
-
-# ``threads`` and ``tile_rows`` stay keywords of this signature:
-# perfbench/child.py probes the kernel with threads=1 and threads=2, and
-# perfbench/tracer.py reads the tile_rows default through
-# inspect.signature to model the bytes a pass moves.
-def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
-                         tile_rows: int = _TILE_ROWS) -> tuple:
-    """basis_abs_4d of |sum_t g_t(z1) h_t(z2)| for a sequence of (g, h) pairs
-    of real 2D arrays on the two mode grids, taken as their own bases."""
-    if grid.n_modes != 2:
-        raise DomainError("the streamed path needs a two-mode grid")
-    mode1, mode2 = grid.mode(0), grid.mode(1)
-    shaped = []
-    for g, h in products:
-        g = np.asarray(g, dtype=float)
-        h = np.asarray(h, dtype=float)
-        if g.shape != (mode1.q.n, mode1.p.n) or h.shape != (mode2.q.n, mode2.p.n):
-            raise DomainError("factor grid shapes do not match the mode axes")
-        if np.max(np.abs(g)) == 0.0 or np.max(np.abs(h)) == 0.0:
-            continue
-        shaped.append((g, h))
-    if not shaped:
-        return 0.0, 0.0
-    gs, hs = zip(*shaped)
-    return basis_abs_4d(factor_basis(gs), factor_basis(hs), np.eye(len(shaped)), grid,
-                        threads, tile_rows)

@@ -183,12 +183,16 @@ def test_streamed_matches_dense_oracle(tile_rows, h_picks):
 
 # The compression factors its stacks in row blocks: 100 rows leave a
 # ragged last block of the 441, and 3 rows are fewer than the 5 products.
+# The last set splits its second product's scale 1e-14 : 1e14 between the
+# modes; that product adds as much as the first.
 @pytest.mark.parametrize("qr_rows", [3, 100])
 def test_compression_row_blocks_match_dense_oracle(monkeypatch, qr_rows):
     monkeypatch.setattr(quadrature, "_QR_ROWS", qr_rows)
     grid = oracles.two_mode_grid(points=21)
+    vac, f1 = _two_mode_factors(grid)
     for prods in (_random_products(grid, 5, seed=qr_rows),
-                  _repeated_h_products(grid, RANK2, seed=qr_rows)):
+                  _repeated_h_products(grid, RANK2, seed=qr_rows),
+                  [(vac, vac), (1e-14 * vac, 1e14 * f1)]):
         _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
 
 
