@@ -305,9 +305,11 @@ _COMMANDS = {
                  "out")),
     # sweep-r accepts and records --threads but does not read it: its
     # tables are one-mode, and TermTable.pair_abs_with_estimate reads
-    # threads only for two modes. A 2-thread pool over sweep_r's r values
-    # saved 3-7 % of the single-mode benchmark's wall time but raised peak
-    # RSS from 93 MB to 153-157 MB (one e^r-stretched table per worker).
+    # threads only for two modes. With the quadrant-built tables, a 2-thread
+    # pool over sweep_r's r values read 3 % faster on the single-mode
+    # benchmark (median 1.74 -> 1.68 s, faster in 4 of 6 alternating pairs)
+    # but raised its peak RSS from 96 MB to 141-149 MB (one e^r-stretched
+    # table per worker).
     # The flag stays because the perfbench workloads pass it.
     "sweep-r": (_cmd_sweep_r, "sweep the squeezing parameter r",
                 ("family", "a", "rmax", "steps", "rep", "extent", "points",

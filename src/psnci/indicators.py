@@ -244,6 +244,11 @@ def sweep_r(family: str, r_values, a_values, rep, *, convention: str = "sqrt",
     inside each group. Each r gets one table on the default grid of
     ``extent`` and ``points`` stretched with e^r, and every a's row is scaled
     from its pair integrals (last digits can differ from ``eta_indicator``).
+    Both families superpose Fock and real-r squeezed Fock primitives, whose
+    wavefunctions are real with definite parity, so each table's grids are
+    evaluated on the q >= 0, p >= 0 quadrant and mirrored into the rest
+    (see ``psnci.phasespace``); that quadrant of the e^r-stretched grid is
+    where the sweep spends most of its time.
     """
     makers = {
         "psi00r": squeezed_vacuum_superposition,

@@ -20,6 +20,19 @@ over dq dp):
       K_ij(q, p) = (2 pi)^(-1/2) psi_i(q) phi_j*(p) e^(-iqp),
   combined hermitially per term pair.
 
+Every primitive is a Fock state or a squeezed Fock state with real r, so
+its wavefunction is real with parity (-1)^n. Each per-mode grid of a pair
+of primitives i, j (the Wigner cross term, the Husimi pair product and,
+with n_j = 0, each amplitude <alpha|prim_i>, the Kirkwood kernel and,
+with n_i = n_j = 0, the shared e^(-iqp) grid) therefore satisfies
+
+      D_ij(q, -p) = conj D_ij(q, p),   D_ij(-q, -p) = (-1)^(n_i + n_j) D_ij(q, p).
+
+The table builder evaluates every grid on the q >= 0, p >= 0 quadrant of
+a symmetric grid (lo == -hi on both axes, as every default and --extent
+grid is) and fills the other three quadrants by these mirrors; an axis
+that is not symmetric is evaluated whole.
+
 A TermTable holds the real term-pair decomposition f = sum_kl f_kl of a
 one- or two-mode superposition state's distribution: a diagonal term per
 term of the state and one combined real interference term per unordered
@@ -34,6 +47,7 @@ import functools
 import math
 import operator
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -417,8 +431,11 @@ class TermTable:
 # ---------------------------------------------------------------------------
 
 def _mode_phase(mode_cache: dict, q, p) -> np.ndarray:
-    """e^(-iqp) on the mode grid, computed on first use and kept in the
-    mode's cache for every later Kirkwood pair and squeezed amplitude."""
+    """e^(-iqp) on the mode's evaluated nodes, computed on first use and
+    kept in the mode's cache for every later Kirkwood pair and squeezed
+    amplitude. Like every factor grid it is conjugated by p -> -p and even
+    under (q, p) -> (-q, -p), so _build_cross_maps needs it on the
+    non-negative quadrant only."""
     if "phase" not in mode_cache:
         mode_cache["phase"] = np.exp(-1j * np.outer(q, p))
     return mode_cache["phase"]
@@ -438,16 +455,50 @@ def _pair_grid(rep: Representation, prim_i: Primitive, prim_j: Primitive,
     return _kirkwood_pair_grid(prim_i, prim_j, q, p, _mode_phase(mode_cache, q, p))
 
 
+class _Nodes(NamedTuple):
+    """The evaluated nodes of an axis, standing in for it in _pair_grid."""
+
+    centers: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.centers)
+
+
+def _mirror_start(axis: Axis) -> int:
+    """First evaluated index of an axis: the middle of a symmetric axis
+    (lo == -hi), whose lower half mirrors its upper half, else 0."""
+    return axis.n // 2 if axis.lo == -axis.hi else 0
+
+
 def _build_cross_maps(rep, prims, mode):
+    """Each mode's factor grids D_ij and their integrals.
+
+    The grids are evaluated on the nodes from the _mirror_start of each
+    axis on, the q >= 0, p >= 0 quadrant of a symmetric grid, and the rest
+    is filled by D_ij(q, -p) = conj D_ij(q, p) and D_ij(-q, p) =
+    (-1)^(n_i + n_j) conj D_ij(q, p). The mirrored values sit at the exact
+    negations of evaluated nodes, which may differ from the axis's own
+    nodes there by one rounding. An asymmetric axis is evaluated whole.
+    """
     keys = (_hermitian_keys(len(prims)) if rep.hermitian_pairs
             else _ordered_keys(len(prims)))
+    nq, n_p = mode.q.n, mode.p.n
+    sq, sp = _mirror_start(mode.q), _mirror_start(mode.p)
+    half = ModeAxes(_Nodes(mode.q.centers[sq:]), _Nodes(mode.p.centers[sp:]))
     mode_cache = {}  # Husimi amplitudes per primitive, and the e^(-iqp) grid
     cross, ints = {}, {}
     for i, j in keys:
-        g = _pair_grid(rep, prims[i], prims[j], mode, mode_cache)
-        if not np.all(np.isfinite(g)):
+        quadrant = _pair_grid(rep, prims[i], prims[j], half, mode_cache)
+        if not np.all(np.isfinite(quadrant)):
             raise QuadratureError(
                 f"non-finite values in the {rep.value} grid for pair ({i}, {j})")
+        g = np.empty((nq, n_p), dtype=complex)
+        g[sq:, sp:] = quadrant
+        np.conjugate(g[sq:, n_p - sp:][:, ::-1], out=g[sq:, :sp])
+        np.conjugate(g[nq - sq:][::-1], out=g[:sq])
+        if (prims[i].n + prims[j].n) % 2:
+            np.negative(g[:sq], out=g[:sq])
         cross[(i, j)] = g
         ints[(i, j)] = complex(np.sum(g)) * mode.cell_area
     return cross, ints

@@ -14,7 +14,7 @@ sums, so the 4D array is never materialized. A tile holds few enough
 rows that its block of |sum_t g_t h_t| values (8 rows x 121^2 points,
 under 1 MB on the default two-mode grid) stays in a core's L2 cache.
 Each worker streams a fixed subset of the tiles through one reused
-block buffer.
+block buffer, on threads of a pool kept per worker count.
 
 Before streaming, the sum is compressed to its numerical rank k. Its
 g_t and h_t are combinations of a few real grids per mode (for a term
@@ -92,6 +92,7 @@ BLAS or numpy build.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
@@ -225,6 +226,21 @@ def _blocked_product(grids: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return out
 
 
+_POOLS = {}
+_POOLS_LOCK = threading.Lock()
+
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The executor with ``workers`` threads, created on first use and kept
+    for the life of the process, so a streamed call starts no threads (a
+    pool per call started and joined its threads 12 times per seed-0
+    bell-sweep pass)."""
+    with _POOLS_LOCK:
+        if workers not in _POOLS:
+            _POOLS[workers] = ThreadPoolExecutor(max_workers=workers)
+        return _POOLS[workers]
+
+
 def _abs_sum(gmat: np.ndarray, hmat: np.ndarray, tile_rows: int, threads: int) -> float:
     """Sum of |gmat @ hmat| streamed in tiles of ``tile_rows`` rows of gmat.
 
@@ -249,8 +265,7 @@ def _abs_sum(gmat: np.ndarray, hmat: np.ndarray, tile_rows: int, threads: int) -
         return sums
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(stream, range(workers)))
+        parts = list(_pool(workers).map(stream, range(workers)))
     else:
         parts = [stream(0)]
     return math.fsum(s for sums in parts for s in sums)

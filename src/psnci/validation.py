@@ -171,26 +171,35 @@ def _marginal_checks(tables, results):
                                    f"max |int W dp - |psi|^2| = {worst:.3e}"))
 
 
+def _quadrant_nodes(mode, rng) -> list:
+    """Two random (q, p) node indices from each sign quadrant of a mode's
+    grid, so that every mirrored part of its factor grids is sampled."""
+    sides = [(np.flatnonzero(c < 0.0), np.flatnonzero(c >= 0.0))
+             for c in (mode.q.centers, mode.p.centers)]
+    nodes = []
+    for iq in sides[0]:
+        for ip in sides[1]:
+            nodes += zip(rng.choice(iq, 2).tolist(), rng.choice(ip, 2).tolist())
+    return nodes
+
+
 def _decomposition_checks(tables, results, rng):
     for (sname, rep), (state, table) in tables.items():
         if table.n_modes == 1:
             mode = table.grid.mode(0)
-            iq = rng.integers(0, mode.q.n, size=8)
-            ip = rng.integers(0, mode.p.n, size=8)
             total = table.total_values()
             worst = 0.0
-            for a, b in zip(iq, ip):
+            for a, b in _quadrant_nodes(mode, rng):
                 direct = _direct_single(state, rep,
                                         float(mode.q.centers[a]), float(mode.p.centers[b]))
                 worst = max(worst, abs(total[a, b] - direct))
         else:
             m1, m2 = table.grid.mode(0), table.grid.mode(1)
+            nodes2 = _quadrant_nodes(m2, rng)
             worst = 0.0
-            for _ in range(6):
-                i1 = int(rng.integers(0, m1.q.n))
-                j1 = int(rng.integers(0, m1.p.n))
-                i2 = int(rng.integers(0, m2.q.n))
-                j2 = int(rng.integers(0, m2.p.n))
+            # Each quadrant of each mode is sampled twice, paired at random.
+            for (i1, j1), k in zip(_quadrant_nodes(m1, rng), rng.permutation(len(nodes2))):
+                i2, j2 = nodes2[k]
                 z1 = (float(m1.q.centers[i1]), float(m1.p.centers[j1]))
                 z2 = (float(m2.q.centers[i2]), float(m2.p.centers[j2]))
                 direct = _direct_two_mode(state, rep, z1, z2)

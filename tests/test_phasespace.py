@@ -6,8 +6,10 @@ from numpy.testing import assert_allclose
 
 from psnci.errors import DomainError, GridCoverageError
 from psnci import phasespace
+from psnci.grids import Axis, ModeAxes
 from psnci.phasespace import (
     Representation,
+    _build_cross_maps,
     _coherent_amplitude_grid,
     _husimi_pair_grid,
     _kirkwood_pair_grid,
@@ -285,6 +287,64 @@ def test_mode_phase_is_computed_once_per_mode():
     fock_cache = {}
     _pair_grid(Representation.HUSIMI, fock(0), fock(2), mode, fock_cache)
     assert "phase" not in fock_cache
+
+
+# Primitive pairs with n_i + n_j odd and even, equal squeezing (the closed
+# Wigner form) and unequal squeezing (the kernel quadrature), r < 0 and r > 0.
+QUADRANT_PRIMS = [
+    (fock(0), fock(1)),
+    (fock(1), fock(3)),
+    (squeezed_fock(1, 0.6), squeezed_fock(2, 0.6)),
+    (squeezed_fock(0, -0.5), squeezed_fock(2, -0.5)),
+    (squeezed_fock(0, -0.5), fock(2)),
+    (squeezed_fock(1, 0.8), squeezed_fock(0, -0.4)),
+]
+# Symmetric axes of even and odd length, and a symmetric q axis with an
+# asymmetric p axis, which is evaluated whole.
+QUADRANT_MODES = {
+    "even-odd": ModeAxes(Axis(-5.0, 5.0, 32), Axis(-6.0, 6.0, 33)),
+    "odd-even": ModeAxes(Axis(-5.0, 5.0, 33), Axis(-6.0, 6.0, 34)),
+    "odd-asym": ModeAxes(Axis(-5.0, 5.0, 33), Axis(-4.0, 6.5, 30)),
+}
+
+
+@pytest.mark.parametrize("mode", QUADRANT_MODES.values(), ids=QUADRANT_MODES.keys())
+@pytest.mark.parametrize("prims", QUADRANT_PRIMS)
+@pytest.mark.parametrize("rep", list(Representation))
+def test_quadrant_build_is_the_whole_axis_evaluation(rep, prims, mode):
+    # the mirrored nodes are the negations of evaluated ones, one rounding
+    # away from the axis's own nodes
+    cross, ints = _build_cross_maps(rep, prims, mode)
+    for (i, j), grid in cross.items():
+        whole = _pair_grid(rep, prims[i], prims[j], mode, {})
+        assert np.max(np.abs(grid - whole)) <= 1e-13 * np.max(np.abs(whole))
+        assert ints[(i, j)] == complex(np.sum(grid)) * mode.cell_area
+
+
+@pytest.mark.parametrize("rep", list(Representation))
+def test_asymmetric_axes_are_evaluated_whole(rep):
+    mode = ModeAxes(Axis(-4.0, 5.0, 30), Axis(-5.0, 4.5, 31))
+    prims = (squeezed_fock(1, 0.8), fock(2))
+    cross, _ = _build_cross_maps(rep, prims, mode)
+    for (i, j), grid in cross.items():
+        assert np.array_equal(grid, _pair_grid(rep, prims[i], prims[j], mode, {}))
+
+
+@pytest.mark.parametrize("rep", ["husimi", "rivier"])
+def test_table_builds_its_phase_grid_once_on_the_quadrant(monkeypatch, rep):
+    built = []
+    mode_phase = phasespace._mode_phase
+
+    def counted(mode_cache, q, p):
+        if "phase" not in mode_cache:
+            built.append((len(q), len(p)))
+        return mode_phase(mode_cache, q, p)
+
+    monkeypatch.setattr(phasespace, "_mode_phase", counted)
+    state = squeezed_excited_superposition(0.6, 1.0)
+    mode = default_grid(state).mode(0)
+    build_term_table(state, rep)
+    assert built == [(mode.q.n - mode.q.n // 2, mode.p.n - mode.p.n // 2)]
 
 
 @pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])

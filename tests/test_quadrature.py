@@ -1,5 +1,7 @@
 import inspect
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -576,6 +578,25 @@ def test_streamed_bit_identical_across_threads(tile_rows, make):
     first = abs_4d_with_estimate(prods, grid, threads=1, tile_rows=tile_rows)
     for threads in (2, 3):
         assert abs_4d_with_estimate(prods, grid, threads=threads, tile_rows=tile_rows) == first
+
+
+def test_kept_pools_serve_concurrent_callers():
+    # Callers on several threads share the kept pools, with more workers
+    # than the machine has cores and a short switch interval.
+    rng = np.random.default_rng(5)
+    gmat, hmat = rng.standard_normal((203, 4)), rng.standard_normal((4, 301))
+    serial = quadrature._abs_sum(gmat, hmat, 8, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as callers:
+            futures = [callers.submit(quadrature._abs_sum, gmat, hmat, 8, threads)
+                       for threads in (2, 3, 5) * 6]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [serial] * len(futures)
+    assert quadrature._pool(3) is quadrature._pool(3)
 
 
 def test_streamed_budget_guard():
