@@ -305,10 +305,10 @@ _COMMANDS = {
                  "out")),
     # sweep-r accepts and records --threads but does not read it: its
     # tables are one-mode, and TermTable.pair_abs_with_estimate reads
-    # threads only for two modes. With the quadrant-built tables, a 2-thread
-    # pool over sweep_r's r values read 3 % faster on the single-mode
-    # benchmark (median 1.74 -> 1.68 s, faster in 4 of 6 alternating pairs)
-    # but raised its peak RSS from 96 MB to 141-149 MB (one e^r-stretched
+    # threads only for two modes. With quadrant-only tables, a 2-thread
+    # pool over sweep_r's r values made the single-mode benchmark slower
+    # (median 1.09 -> 1.35 s, slower in 6 of 6 alternating pairs, 2 CPUs)
+    # and raised its peak RSS from 52 MB to 69-70 MB (one e^r-stretched
     # table per worker).
     # The flag stays because the perfbench workloads pass it.
     "sweep-r": (_cmd_sweep_r, "sweep the squeezing parameter r",

@@ -246,9 +246,10 @@ def sweep_r(family: str, r_values, a_values, rep, *, convention: str = "sqrt",
     from its pair integrals (last digits can differ from ``eta_indicator``).
     Both families superpose Fock and real-r squeezed Fock primitives, whose
     wavefunctions are real with definite parity, so each table's grids are
-    evaluated on the q >= 0, p >= 0 quadrant and mirrored into the rest
-    (see ``psnci.phasespace``); that quadrant of the e^r-stretched grid is
-    where the sweep spends most of its time.
+    evaluated and kept on the q >= 0, p >= 0 quadrant, and every pair
+    integral is a folded sum over it (see ``psnci.phasespace``): no whole
+    grid is built. That quadrant of the e^r-stretched grid is where the
+    sweep spends most of its time.
     """
     makers = {
         "psi00r": squeezed_vacuum_superposition,

@@ -28,10 +28,11 @@ with n_i = n_j = 0, the shared e^(-iqp) grid) therefore satisfies
 
       D_ij(q, -p) = conj D_ij(q, p),   D_ij(-q, -p) = (-1)^(n_i + n_j) D_ij(q, p).
 
-The table builder evaluates every grid on the q >= 0, p >= 0 quadrant of
-a symmetric grid (lo == -hi on both axes, as every default and --extent
-grid is) and fills the other three quadrants by these mirrors; an axis
-that is not symmetric is evaluated whole.
+The table builder evaluates and stores every grid on the q >= 0, p >= 0
+quadrant of a symmetric grid (lo == -hi on both axes, as every default and
+--extent grid is; an asymmetric axis is evaluated whole). Every 2D integral
+of a stored grid is a sum over that quadrant folded by these mirrors, and
+a reader of whole grids gets them filled by the mirrors on first use.
 
 A TermTable holds the real term-pair decomposition f = sum_kl f_kl of a
 one- or two-mode superposition state's distribution: a diagonal term per
@@ -70,7 +71,6 @@ from .quadrature import (
     SeparableSum,
     abs_4d_with_estimate,
     factor_basis,
-    integral_with_estimate,
 )
 from .states import (
     FOCK,
@@ -279,6 +279,74 @@ def _kirkwood_pair_grid(prim_i: Primitive, prim_j: Primitive, q, p, phase) -> np
 
 
 # ---------------------------------------------------------------------------
+# Quadrant grids
+# ---------------------------------------------------------------------------
+
+def _mirror_start(axis: Axis) -> int:
+    """First evaluated index of an axis: the middle of a symmetric axis
+    (lo == -hi), whose lower half mirrors its upper half, else 0."""
+    return axis.n // 2 if axis.lo == -axis.hi else 0
+
+
+def _axis_fold(axis: Axis) -> np.ndarray:
+    """Rows of weights of an axis's evaluated nodes in the folded sums: 1 for
+    the node; 1 if its mirror image is a node not evaluated (not the middle
+    node of an odd axis, nor any of an asymmetric one); and each of these
+    only where that image's full index is even, for the decimated estimate."""
+    start = _mirror_start(axis)
+    index = np.arange(start, axis.n)
+    mirror = axis.n - 1 - index
+    filled = mirror < start
+    return np.array([np.ones(len(index)), filled, index % 2 == 0,
+                     filled & (mirror % 2 == 0)], dtype=float)
+
+
+def _mirror(quadrant: np.ndarray, mode: ModeAxes, sign: int) -> np.ndarray:
+    """The whole grid of a stored quadrant, filled by D(q, -p) = conj D(q, p)
+    and D(-q, p) = sign conj D(q, p), sign = (-1)^(n_i + n_j). The filled
+    values sit at the exact negations of evaluated nodes, which may differ
+    from the axis's own nodes there by one rounding."""
+    nq, n_p = mode.q.n, mode.p.n
+    sq, sp = _mirror_start(mode.q), _mirror_start(mode.p)
+    g = np.empty((nq, n_p), dtype=complex)
+    g[sq:, sp:] = quadrant
+    np.conjugate(g[sq:, n_p - sp:][:, ::-1], out=g[sq:, :sp])
+    np.conjugate(g[nq - sq:][::-1], out=g[:sq])
+    if sign < 0:
+        np.negative(g[:sq], out=g[:sq])
+    return g
+
+
+def _folded_integral(quadrant: np.ndarray, sign: int, mode: ModeAxes) -> complex:
+    """int D over a mode's whole grid from its stored quadrant: each node
+    stands for D there and sign D at its P image (-q, -p), conj D at its T
+    image (q, -p) and sign conj D at its PT image (-q, p)."""
+    q, p = _axis_fold(mode.q)[:2], _axis_fold(mode.p)[:2]
+    s = q @ quadrant @ p.T
+    return complex(s[0, 0] + sign * s[1, 1] + np.conj(s[0, 1] + sign * s[1, 0])) * mode.cell_area
+
+
+def _folded_abs(terms, mode: ModeAxes) -> tuple:
+    """int |f| over a mode's whole grid and its decimation estimate, for
+    f = Re sum gamma D over the (gamma, stored quadrant) pairs ``terms``,
+    with the addends of integral_with_estimate on the whole grid: |f| is
+    a = |Re sum gamma D| at a node and its P image and b = |Re sum gamma
+    conj D| at its T and PT images, and b is a, bit for bit, if every gamma
+    is real."""
+    def at(sign):  # |f| at the nodes (sign -1) or at their T images (+1)
+        return np.abs(functools.reduce(operator.add, (
+            gamma.real * d.real if gamma.imag == 0.0
+            else gamma.real * d.real + (sign * gamma.imag) * d.imag
+            for gamma, d in terms)))
+    q, p = _axis_fold(mode.q), _axis_fold(mode.p)
+    sa = q @ at(-1.0) @ p.T
+    sb = sa if all(gamma.imag == 0.0 for gamma, _ in terms) else q @ at(1.0) @ p.T
+    fine = float(sa[0, 0] + sa[1, 1] + sb[0, 1] + sb[1, 0]) * mode.cell_area
+    coarse = float(sa[2, 2] + sa[3, 3] + sb[2, 3] + sb[3, 2]) * 4.0 * mode.cell_area
+    return fine, abs(fine - coarse)
+
+
+# ---------------------------------------------------------------------------
 # Term tables
 # ---------------------------------------------------------------------------
 
@@ -303,18 +371,22 @@ class TermTable:
         f_kl = Re(gamma_kl prod_m D_m,kl + gamma_lk prod_m D_m,lk),
         f_kk = |c_k|^2 prod_m Re D_m,kk.
 
-    Per mode it holds the complex factor grids D_m,kl, their integrals and,
-    from the first 4D integral on, their factor basis. Two-mode quantities
-    are sums of separable products of these grids and never materialize
-    the 4D array. Immutable by convention.
+    Per mode it holds the complex factor grids D_m,kl on their evaluated
+    quadrant, their parity signs (-1)^(n_k + n_l) and integrals, and, from
+    first use on, their whole grids (for pair values, products and the
+    factor basis) and the factor basis of the first 4D integral. Integrals
+    of |f_kl| on one mode are folded sums over the quadrant; two-mode ones
+    are sums of separable products and never materialize the 4D array.
+    Immutable by convention.
     """
 
-    def __init__(self, representation, grid, amplitudes, cross_by_mode, ints_by_mode):
+    def __init__(self, representation, grid, amplitudes, maps_by_mode):
+        """``maps_by_mode``: each mode's _build_cross_maps."""
         self.representation = representation
         self.grid = grid
         self.amplitudes = tuple(complex(c) for c in amplitudes)
-        self._cross = cross_by_mode
-        self._ints = ints_by_mode
+        self._cross, self._signs, self._ints = zip(*maps_by_mode)
+        self._whole = {}  # per-mode whole grids, mirrored on first use
         self._bases = {}  # per-mode factor bases of a two-mode table
 
     @property
@@ -334,17 +406,26 @@ class TermTable:
         return functools.reduce(operator.add, (functools.reduce(operator.mul, entries, gamma)
                                                for gamma, entries in self._terms(k, l, per_mode)))
 
+    def _whole_grids(self, mode: int) -> dict:
+        """The mode's stored grids mirrored whole, on first use."""
+        if mode not in self._whole:
+            axes = self.grid.mode(mode)
+            self._whole[mode] = {key: _mirror(d, axes, self._signs[mode][key])
+                                 for key, d in self._cross[mode].items()}
+        return self._whole[mode]
+
     def pair_keys(self):
         return _hermitian_keys(len(self.amplitudes))
 
     def stored_factors(self, mode: int) -> dict:
-        """Ordered-pair complex factor grids held for one mode."""
-        return dict(self._cross[mode])
+        """Ordered-pair complex factor grids held for one mode, whole."""
+        return dict(self._whole_grids(mode))
 
     def products(self, k, l):
         """Complex factor products (gamma, D_1, ...) whose paired real part is f_kl."""
+        whole = [self._whole_grids(m) for m in range(self.n_modes)]
         return [(gamma + 0.0j if k == l else gamma, *factors)
-                for gamma, factors in self._terms(k, l, self._cross)]
+                for gamma, factors in self._terms(k, l, whole)]
 
     def pair_integral(self, k, l) -> float:
         return float(self._paired(k, l, self._ints).real)
@@ -359,19 +440,27 @@ class TermTable:
     def with_amplitudes(self, amplitudes) -> "TermTable":
         if len(amplitudes) != len(self.amplitudes):
             raise DomainError("amplitude count mismatch")
-        table = TermTable(self.representation, self.grid, amplitudes, self._cross, self._ints)
-        table._bases = self._bases  # the bases depend on the grids only
+        table = TermTable(self.representation, self.grid, amplitudes,
+                          zip(self._cross, self._signs, self._ints))
+        table._whole = self._whole  # both depend on the grids only
+        table._bases = self._bases
         return table
 
     def pair_abs_with_estimate(self, key, threads: int = 1) -> tuple:
         """int |f_kl| over the grid, with its decimation estimate.
 
-        One mode integrates the dense pair grid serially; two modes use the
-        factorized diagonal below, else the 4D kernel on ``threads`` workers.
+        One mode folds the sum over the stored quadrant (_folded_abs); two
+        modes use the factorized diagonal below, else the 4D kernel on
+        ``threads`` workers.
         """
         k, l = key
         if self.n_modes == 1:
-            return integral_with_estimate(np.abs(self.pair_values(k, l)), self.grid.mode(0))
+            c, stored = self.amplitudes, self._cross[0]
+            if k == l or not self.representation.hermitian_pairs:
+                terms = [(gamma, d) for gamma, (d,) in self._terms(k, l, [stored])]
+            else:  # 2 Re(gamma_kl D_kl), as in pair_values
+                terms = [(2.0 * c[k] * np.conj(c[l]), stored[(k, l)])]
+            return _folded_abs(terms, self.grid.mode(0))
         if k == l and self.representation.hermitian_pairs:
             # Exact single real product: |f| factorizes across the modes.
             # The 4D kernel's closed form gives the same value to 2e-16,
@@ -380,23 +469,23 @@ class TermTable:
             # a sort and a prefix sum over every point), and its estimate
             # is the decimated sum, not the first-order ea*b + a*eb.
             [(scale, (d1, d2))] = self._terms(k, k, self._cross)
-            a, ea = integral_with_estimate(np.abs(d1.real), self.grid.mode(0))
-            b, eb = integral_with_estimate(np.abs(d2.real), self.grid.mode(1))
+            a, ea = _folded_abs([(1.0, d1)], self.grid.mode(0))
+            b, eb = _folded_abs([(1.0, d2)], self.grid.mode(1))
             return scale * a * b, scale * (ea * b + a * eb)
         return abs_4d_with_estimate(self.real_products([key]), self.grid, threads=threads)
 
     # Single-mode tables: dense real grids.
 
     def pair_values(self, i, j) -> np.ndarray:
-        """Real combined term f_ij on the grid of a single-mode table."""
-        c = self.amplitudes
+        """Real combined term f_ij on the whole grid of a single-mode table."""
+        c, stored = self.amplitudes, self._whole_grids(0)
         if i == j:
-            return (abs(c[i]) ** 2) * self._cross[0][(i, i)].real
+            return (abs(c[i]) ** 2) * stored[(i, i)].real
         if not self.representation.hermitian_pairs:
-            return self._paired(i, j, self._cross).real
+            return self._paired(i, j, [stored]).real
         # The (j, i) product is the conjugate of the (i, j) one, so their
         # sum is twice its real part, bit for bit.
-        return 2.0 * (c[i] * np.conj(c[j]) * _ordered_entry(self._cross[0], i, j)).real
+        return 2.0 * (c[i] * np.conj(c[j]) * _ordered_entry(stored, i, j)).real
 
     def total_values(self) -> np.ndarray:
         return functools.reduce(operator.add,
@@ -406,7 +495,7 @@ class TermTable:
 
     def real_products(self, keys=None) -> SeparableSum:
         """sum_kl f_kl over ``keys`` (default all) on each mode's factor
-        basis, built on first use from the Re and Im parts of its stored
+        basis, built on first use from the Re and Im parts of its whole
         grids: grid i is the vector e_2i + i e_2i+1, as a column in mode 1,
         so the real part of the vectors' paired sum is the core."""
         if keys is None:
@@ -415,7 +504,7 @@ class TermTable:
         for mode, stored in enumerate(self._cross):
             if mode not in self._bases:
                 self._bases[mode] = factor_basis(
-                    [part for d in stored.values() for part in (d.real, d.imag)])
+                    [part for d in self._whole_grids(mode).values() for part in (d.real, d.imag)])
             eye = np.eye(2 * len(stored))
             unit = eye[0::2] + 1j * eye[1::2]
             units.append(dict(zip(stored, unit[:, :, None] if mode == 0 else unit)))
@@ -465,43 +554,30 @@ class _Nodes(NamedTuple):
         return len(self.centers)
 
 
-def _mirror_start(axis: Axis) -> int:
-    """First evaluated index of an axis: the middle of a symmetric axis
-    (lo == -hi), whose lower half mirrors its upper half, else 0."""
-    return axis.n // 2 if axis.lo == -axis.hi else 0
-
-
 def _build_cross_maps(rep, prims, mode):
-    """Each mode's factor grids D_ij and their integrals.
+    """Each mode's factor grids D_ij, their parity signs (-1)^(n_i + n_j)
+    and their integrals.
 
-    The grids are evaluated on the nodes from the _mirror_start of each
-    axis on, the q >= 0, p >= 0 quadrant of a symmetric grid, and the rest
-    is filled by D_ij(q, -p) = conj D_ij(q, p) and D_ij(-q, p) =
-    (-1)^(n_i + n_j) conj D_ij(q, p). The mirrored values sit at the exact
-    negations of evaluated nodes, which may differ from the axis's own
-    nodes there by one rounding. An asymmetric axis is evaluated whole.
+    The grids are evaluated and kept on the nodes from the _mirror_start
+    of each axis on: the q >= 0, p >= 0 quadrant of a symmetric grid, or a
+    whole asymmetric axis. _mirror fills in the rest for the readers of
+    whole grids; the integrals are folded sums over the quadrant.
     """
     keys = (_hermitian_keys(len(prims)) if rep.hermitian_pairs
             else _ordered_keys(len(prims)))
-    nq, n_p = mode.q.n, mode.p.n
-    sq, sp = _mirror_start(mode.q), _mirror_start(mode.p)
-    half = ModeAxes(_Nodes(mode.q.centers[sq:]), _Nodes(mode.p.centers[sp:]))
+    half = ModeAxes(_Nodes(mode.q.centers[_mirror_start(mode.q):]),
+                    _Nodes(mode.p.centers[_mirror_start(mode.p):]))
     mode_cache = {}  # Husimi amplitudes per primitive, and the e^(-iqp) grid
-    cross, ints = {}, {}
+    cross, signs, ints = {}, {}, {}
     for i, j in keys:
         quadrant = _pair_grid(rep, prims[i], prims[j], half, mode_cache)
         if not np.all(np.isfinite(quadrant)):
             raise QuadratureError(
                 f"non-finite values in the {rep.value} grid for pair ({i}, {j})")
-        g = np.empty((nq, n_p), dtype=complex)
-        g[sq:, sp:] = quadrant
-        np.conjugate(g[sq:, n_p - sp:][:, ::-1], out=g[sq:, :sp])
-        np.conjugate(g[nq - sq:][::-1], out=g[:sq])
-        if (prims[i].n + prims[j].n) % 2:
-            np.negative(g[:sq], out=g[:sq])
-        cross[(i, j)] = g
-        ints[(i, j)] = complex(np.sum(g)) * mode.cell_area
-    return cross, ints
+        cross[(i, j)] = quadrant
+        signs[(i, j)] = (-1) ** (prims[i].n + prims[j].n)
+        ints[(i, j)] = _folded_integral(quadrant, signs[(i, j)], mode)
+    return cross, signs, ints
 
 
 def build_term_table(state, representation, grid: PhaseGrid = None) -> TermTable:
@@ -517,9 +593,9 @@ def build_term_table(state, representation, grid: PhaseGrid = None) -> TermTable
         grid = default_grid(state)
     if grid.n_modes != len(prims):
         raise DomainError(f"a {len(prims)}-mode state needs a {len(prims)}-mode grid")
-    cross, ints = zip(*(_build_cross_maps(rep, mode_prims, grid.mode(m))
-                        for m, mode_prims in enumerate(prims)))
-    table = TermTable(rep, grid, state.amplitudes, cross, ints)
+    table = TermTable(rep, grid, state.amplitudes,
+                      [_build_cross_maps(rep, mode_prims, grid.mode(m))
+                       for m, mode_prims in enumerate(prims)])
     norm = table.total_integral()
     if not np.isfinite(norm):
         raise QuadratureError("term table integral is not finite")

@@ -173,8 +173,9 @@ def _marginal_checks(tables, results):
 
 def _quadrant_nodes(mode, rng) -> list:
     """Two random (q, p) node indices from each sign quadrant of a mode's
-    grid, so that every mirrored part of its factor grids is sampled."""
-    sides = [(np.flatnonzero(c < 0.0), np.flatnonzero(c >= 0.0))
+    grid, so that every mirrored part of its factor grids is sampled, all
+    within |q|, |p| <= 2, where the check states are not negligible."""
+    sides = [(np.flatnonzero((c < 0.0) & (c >= -2.0)), np.flatnonzero((c >= 0.0) & (c <= 2.0)))
              for c in (mode.q.centers, mode.p.centers)]
     nodes = []
     for iq in sides[0]:

@@ -6,13 +6,15 @@ from numpy.testing import assert_allclose
 
 from psnci.errors import DomainError, GridCoverageError
 from psnci import phasespace
-from psnci.grids import Axis, ModeAxes
+from psnci.grids import Axis, ModeAxes, PhaseGrid
 from psnci.phasespace import (
     Representation,
+    TermTable,
     _build_cross_maps,
     _coherent_amplitude_grid,
     _husimi_pair_grid,
     _kirkwood_pair_grid,
+    _mirror,
     _mode_phase,
     _pair_grid,
     _wigner_numeric_grid,
@@ -30,7 +32,8 @@ from psnci.states import (
     squeezed_fock,
     squeezed_vacuum_superposition,
 )
-from psnci.indicators import delta_indicator, eta_indicator
+from psnci.indicators import delta_indicator, eta_indicator, sweep_r
+from psnci.quadrature import integral_with_estimate
 
 import oracles
 
@@ -314,20 +317,93 @@ QUADRANT_MODES = {
 def test_quadrant_build_is_the_whole_axis_evaluation(rep, prims, mode):
     # the mirrored nodes are the negations of evaluated ones, one rounding
     # away from the axis's own nodes
-    cross, ints = _build_cross_maps(rep, prims, mode)
-    for (i, j), grid in cross.items():
+    cross, signs, ints = _build_cross_maps(rep, prims, mode)
+    for (i, j), quadrant in cross.items():
+        grid = _mirror(quadrant, mode, signs[(i, j)])
         whole = _pair_grid(rep, prims[i], prims[j], mode, {})
         assert np.max(np.abs(grid - whole)) <= 1e-13 * np.max(np.abs(whole))
-        assert ints[(i, j)] == complex(np.sum(grid)) * mode.cell_area
+        # the integral is a folded sum over the quadrant, in its own order
+        assert (abs(ints[(i, j)] - complex(np.sum(grid)) * mode.cell_area)
+                <= 1e-14 * np.sum(np.abs(grid)) * mode.cell_area)
 
 
 @pytest.mark.parametrize("rep", list(Representation))
 def test_asymmetric_axes_are_evaluated_whole(rep):
     mode = ModeAxes(Axis(-4.0, 5.0, 30), Axis(-5.0, 4.5, 31))
     prims = (squeezed_fock(1, 0.8), fock(2))
-    cross, _ = _build_cross_maps(rep, prims, mode)
-    for (i, j), grid in cross.items():
-        assert np.array_equal(grid, _pair_grid(rep, prims[i], prims[j], mode, {}))
+    cross, signs, _ = _build_cross_maps(rep, prims, mode)
+    for (i, j), quadrant in cross.items():
+        assert np.array_equal(_mirror(quadrant, mode, signs[(i, j)]),
+                              _pair_grid(rep, prims[i], prims[j], mode, {}))
+
+
+FOLD_MODES = {**QUADRANT_MODES, "default": default_grid(State(((1.0, fock(0)),))).mode(0)}
+
+
+@pytest.mark.parametrize("amplitudes", [(0.8, 0.6), (0.6 + 0.3j, 0.5 - 0.4j)],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("mode", FOLD_MODES.values(), ids=FOLD_MODES.keys())
+@pytest.mark.parametrize("prims", QUADRANT_PRIMS)
+@pytest.mark.parametrize("rep", list(Representation))
+def test_folded_sums_equal_whole_grid_sums(rep, prims, mode, amplitudes):
+    # complex amplitudes are the only inputs whose |f| differs between a
+    # node and its T image; the tables need not be normalized here
+    cross, signs, ints = _build_cross_maps(rep, prims, mode)
+    table = TermTable(rep, PhaseGrid((mode,)), amplitudes, [(cross, signs, ints)])
+    for key, quadrant in cross.items():
+        grid = _mirror(quadrant, mode, signs[key])
+        assert (abs(ints[key] - np.sum(grid) * mode.cell_area)
+                <= 1e-14 * np.sum(np.abs(grid)) * mode.cell_area)
+    for k, l in table.pair_keys():
+        value, estimate = table.pair_abs_with_estimate((k, l))
+        want, want_estimate = integral_with_estimate(np.abs(table.pair_values(k, l)), mode)
+        assert abs(value - want) <= 1e-13 * want
+        assert abs(estimate - want_estimate) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("rep", list(Representation))
+def test_sweep_r_never_mirrors(monkeypatch, rep):
+    mirrored = []
+    mirror = phasespace._mirror
+
+    def counted(*args):
+        mirrored.append(args)
+        return mirror(*args)
+
+    monkeypatch.setattr(phasespace, "_mirror", counted)
+    for family in ("psi00r", "psi01r"):
+        sweep_r(family, [0.0, 1.0], [0.3, 0.7], rep)
+    assert mirrored == []
+
+
+@pytest.mark.parametrize("rep", list(Representation))
+def test_two_mode_table_mirrors_each_grid_once(monkeypatch, rep):
+    mirrored = []
+    mirror = phasespace._mirror
+
+    def counted(quadrant, mode, sign):
+        mirrored.append(id(quadrant))
+        return mirror(quadrant, mode, sign)
+
+    monkeypatch.setattr(phasespace, "_mirror", counted)
+    axes = ModeAxes(Axis(-6.0, 6.0, 41), Axis(-6.0, 6.0, 41))
+    table = build_term_table(entangled_state(0, 1, 0.5), rep, PhaseGrid((axes, axes)))
+    for a_sq in (0.0, 0.3):
+        row = table.with_amplitudes((math.sqrt(a_sq), math.sqrt(1.0 - a_sq)))
+        delta_indicator(row)
+        eta_indicator(row)
+        row.products(0, 1)
+    stored = sum(len(table.stored_factors(m)) for m in range(2))
+    assert len(mirrored) == len(set(mirrored)) == stored
+    # the factorized diagonal folds over the quadrants
+    if rep.hermitian_pairs:
+        _, d1, d2 = table.products(0, 0)[0]
+        a, ea = integral_with_estimate(np.abs(d1.real), axes)
+        b, eb = integral_with_estimate(np.abs(d2.real), axes)
+        value, estimate = table.pair_abs_with_estimate((0, 0))
+        scale = abs(table.amplitudes[0]) ** 2
+        assert value == pytest.approx(scale * a * b, rel=1e-13)
+        assert abs(estimate - scale * (ea * b + a * eb)) <= 1e-13 * value
 
 
 @pytest.mark.parametrize("rep", ["husimi", "rivier"])
