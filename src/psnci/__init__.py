@@ -32,7 +32,6 @@ from .phasespace import (
     cross_wigner_fock_closed,
     default_grid,
 )
-from .quadrature import integrate_2d
 from .specialfn import assoc_laguerre, log_factorial
 from .states import (
     Primitive,

@@ -304,7 +304,7 @@ _COMMANDS = {
                 ("family", "steps", "reps", "extent", "points", "entropy-base", "threads",
                  "out")),
     # sweep-r accepts and records --threads but does not read it: its
-    # tables are one-mode, and TermTable.pair_abs_with_estimate reads
+    # tables are one-mode, and TermTable.abs_with_estimate reads
     # threads only for two modes. With quadrant-only tables, a 2-thread
     # pool over sweep_r's r values made the single-mode benchmark slower
     # (median 1.09 -> 1.35 s, slower in 6 of 6 alternating pairs, 2 CPUs)

@@ -31,7 +31,6 @@ import numpy as np
 from .errors import DegenerateStateError, DomainError, UnsupportedStateError
 from .grids import PhaseGrid
 from .phasespace import Representation, build_term_table, default_grid
-from .quadrature import integral_with_estimate
 from .states import (
     FOCK,
     State,
@@ -76,20 +75,14 @@ def delta_indicator(table, *, threads: int = 1) -> IndicatorResult:
     """Negativity volume int |f| - int f of the table's total distribution.
 
     The subtracted integral is computed, not assumed to be one; it is
-    reported as norm_check so quadrature drift stays visible.
+    reported as norm_check so quadrature drift stays visible. The error
+    estimate is that of int |f|.
     """
-    if table.n_modes == 1:
-        mode = table.grid.mode(0)
-        total = table.total_values()
-        plain, est_plain = integral_with_estimate(total, mode)
-        absval, est_abs = integral_with_estimate(np.abs(total), mode)
-    else:
-        absval, est_abs = table.total_abs_with_estimate(threads=threads)
-        plain = table.total_integral()
-        est_plain = 0.0
+    absval, estimate = table.abs_with_estimate(threads=threads)
+    plain = table.total_integral()
     return IndicatorResult(
         value=absval - plain,
-        error_estimate=est_abs + est_plain,
+        error_estimate=estimate,
         norm_check=plain,
         representation=table.representation.value,
     )
@@ -109,7 +102,7 @@ def eta_indicator(table, *, threads: int = 1) -> IndicatorResult:
 
 def _pair_integrals(table, threads: int) -> list:
     """(int |f_ij|, its estimate, int f_ij) for every pair key of the table."""
-    return [table.pair_abs_with_estimate(key, threads=threads) + (table.pair_integral(*key),)
+    return [table.abs_with_estimate([key], threads=threads) + (table.pair_integral(*key),)
             for key in table.pair_keys()]
 
 

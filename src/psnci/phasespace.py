@@ -327,22 +327,28 @@ def _folded_integral(quadrant: np.ndarray, sign: int, mode: ModeAxes) -> complex
 
 
 def _folded_abs(terms, mode: ModeAxes) -> tuple:
-    """int |f| over a mode's whole grid and its decimation estimate, for
-    f = Re sum gamma D over the (gamma, stored quadrant) pairs ``terms``,
-    with the addends of integral_with_estimate on the whole grid: |f| is
-    a = |Re sum gamma D| at a node and its P image and b = |Re sum gamma
-    conj D| at its T and PT images, and b is a, bit for bit, if every gamma
-    is real."""
-    def at(sign):  # |f| at the nodes (sign -1) or at their T images (+1)
-        return np.abs(functools.reduce(operator.add, (
+    """int |f| over a mode's whole grid and its estimate (the distance to 4
+    times the sum over the even-index nodes), for f = Re sum gamma D over
+    the (gamma, stored quadrant, parity sign) triples ``terms``. With E and
+    O the sums of gamma D over the terms of sign +1 and -1, |f| is
+    |Re(E + O)| at a node and |Re(E - O)| at its P image, and the same with
+    conj D at its T and PT images. Images share one grid, bit for bit, if
+    every sign is equal or every gamma is real."""
+    def at(conj, triples):  # folded |f| with D (conj -1) or conj D (+1)
+        return q @ np.abs(functools.reduce(operator.add, (
             gamma.real * d.real if gamma.imag == 0.0
-            else gamma.real * d.real + (sign * gamma.imag) * d.imag
-            for gamma, d in terms)))
+            else gamma.real * d.real + (conj * gamma.imag) * d.imag
+            for gamma, d, _ in triples))) @ p.T
     q, p = _axis_fold(mode.q), _axis_fold(mode.p)
-    sa = q @ at(-1.0) @ p.T
-    sb = sa if all(gamma.imag == 0.0 for gamma, _ in terms) else q @ at(1.0) @ p.T
-    fine = float(sa[0, 0] + sa[1, 1] + sb[0, 1] + sb[1, 0]) * mode.cell_area
-    coarse = float(sa[2, 2] + sa[3, 3] + sb[2, 3] + sb[3, 2]) * 4.0 * mode.cell_area
+    flipped = [(-gamma if sign < 0 else gamma, d, sign) for gamma, d, sign in terms]
+    mixed = len({sign for _, _, sign in terms}) > 1
+    real = all(gamma.imag == 0.0 for gamma, _, _ in terms)
+    node = at(-1.0, terms)
+    p_image = at(-1.0, flipped) if mixed else node
+    t_image = node if real else at(1.0, terms)
+    pt_image = p_image if real else at(1.0, flipped) if mixed else t_image
+    fine = float(node[0, 0] + p_image[1, 1] + t_image[0, 1] + pt_image[1, 0]) * mode.cell_area
+    coarse = float(node[2, 2] + p_image[3, 3] + t_image[2, 3] + pt_image[3, 2]) * 4.0 * mode.cell_area
     return fine, abs(fine - coarse)
 
 
@@ -375,8 +381,9 @@ class TermTable:
     quadrant, their parity signs (-1)^(n_k + n_l) and integrals, and, from
     first use on, their whole grids (for pair values, products and the
     factor basis) and the factor basis of the first 4D integral. Integrals
-    of |f_kl| on one mode are folded sums over the quadrant; two-mode ones
-    are sums of separable products and never materialize the 4D array.
+    of |f| on one mode, of a pair term or the total, are folded sums over
+    the quadrant; two-mode ones are sums of separable products and never
+    materialize the 4D array.
     Immutable by convention.
     """
 
@@ -446,33 +453,38 @@ class TermTable:
         table._bases = self._bases
         return table
 
-    def pair_abs_with_estimate(self, key, threads: int = 1) -> tuple:
-        """int |f_kl| over the grid, with its decimation estimate.
+    def abs_with_estimate(self, keys=None, threads: int = 1) -> tuple:
+        """int |sum f_kl| over ``keys`` (default all) on the grid, with its
+        decimation estimate.
 
         One mode folds the sum over the stored quadrant (_folded_abs); two
-        modes use the factorized diagonal below, else the 4D kernel on
-        ``threads`` workers.
+        modes use the factorized diagonal below for a single Hermitian
+        diagonal pair, else the 4D kernel on ``threads`` workers.
         """
-        k, l = key
+        if keys is None:
+            keys = self.pair_keys()
         if self.n_modes == 1:
-            c, stored = self.amplitudes, self._cross[0]
-            if k == l or not self.representation.hermitian_pairs:
-                terms = [(gamma, d) for gamma, (d,) in self._terms(k, l, [stored])]
-            else:  # 2 Re(gamma_kl D_kl), as in pair_values
-                terms = [(2.0 * c[k] * np.conj(c[l]), stored[(k, l)])]
+            c, stored, signs = self.amplitudes, self._cross[0], self._signs[0]
+            terms = []
+            for k, l in keys:
+                if k == l or not self.representation.hermitian_pairs:
+                    terms += [(gamma, d, signs[(k, l)])
+                              for gamma, (d,) in self._terms(k, l, [stored])]
+                else:  # 2 Re(gamma_kl D_kl), as in pair_values
+                    terms.append((2.0 * c[k] * np.conj(c[l]), stored[(k, l)], signs[(k, l)]))
             return _folded_abs(terms, self.grid.mode(0))
-        if k == l and self.representation.hermitian_pairs:
+        if len(keys) == 1 and keys[0][0] == keys[0][1] and self.representation.hermitian_pairs:
             # Exact single real product: |f| factorizes across the modes.
             # The 4D kernel's closed form gives the same value to 2e-16,
             # but even with the factor bases built it costs 46-77x more per
             # term on the default grid (3 ms against 0.04-0.06 ms: factors,
             # a sort and a prefix sum over every point), and its estimate
             # is the decimated sum, not the first-order ea*b + a*eb.
-            [(scale, (d1, d2))] = self._terms(k, k, self._cross)
-            a, ea = _folded_abs([(1.0, d1)], self.grid.mode(0))
-            b, eb = _folded_abs([(1.0, d2)], self.grid.mode(1))
+            [(scale, (d1, d2))] = self._terms(*keys[0], self._cross)
+            a, ea = _folded_abs([(1.0, d1, 1)], self.grid.mode(0))
+            b, eb = _folded_abs([(1.0, d2, 1)], self.grid.mode(1))
             return scale * a * b, scale * (ea * b + a * eb)
-        return abs_4d_with_estimate(self.real_products([key]), self.grid, threads=threads)
+        return abs_4d_with_estimate(self.real_products(keys), self.grid, threads=threads)
 
     # Single-mode tables: dense real grids.
 
@@ -510,9 +522,6 @@ class TermTable:
             units.append(dict(zip(stored, unit[:, :, None] if mode == 0 else unit)))
         core = sum(self._paired(k, l, units).real for k, l in keys)
         return SeparableSum(self._bases[0], self._bases[1], core)
-
-    def total_abs_with_estimate(self, threads: int = 1) -> tuple:
-        return abs_4d_with_estimate(self.real_products(), self.grid, threads=threads)
 
 
 # ---------------------------------------------------------------------------

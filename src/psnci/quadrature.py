@@ -1,9 +1,11 @@
 """Integration engines.
 
-Two-dimensional integrals use the plain midpoint sum on the uniform
-cell-centered grids; absolute-value integrands have kinks along their
-zero sets, where high-order rules lose their advantage, so accuracy is
-controlled by resolution (and measured by resolution doubling) instead.
+Integrals use the plain midpoint sum on the uniform cell-centered
+grids; absolute-value integrands have kinks along their zero sets, where
+high-order rules lose their advantage, so accuracy is controlled by
+resolution (and measured by resolution doubling) instead. The 2D sums
+of a term table's grids are folded over their mirror images in
+psnci.phasespace.
 
 The four-dimensional absolute integral of a sum of separable products
 
@@ -119,35 +121,6 @@ _QR_ROWS = 1024
 # Group elements other than 1, as the axes of the (q, p) factor grids they
 # reverse in both modes: P (z -> -z), T (p -> -p) and PT (q -> -q).
 _ELEMENTS = ((0, 1), (1,), (0,))
-
-
-def _mode_of(grid) -> ModeAxes:
-    if isinstance(grid, ModeAxes):
-        return grid
-    if isinstance(grid, PhaseGrid):
-        if grid.n_modes != 1:
-            raise DomainError("integrate_2d expects a single-mode grid")
-        return grid.mode(0)
-    raise DomainError(f"expected PhaseGrid or ModeAxes, got {type(grid)!r}")
-
-
-def integrate_2d(values: np.ndarray, grid) -> float:
-    """Midpoint sum: sum(values) * dq * dp, pairwise accumulation in index order."""
-    mode = _mode_of(grid)
-    values = np.asarray(values)
-    if values.shape != (mode.q.n, mode.p.n):
-        raise DomainError(
-            f"value grid shape {values.shape} does not match axes ({mode.q.n}, {mode.p.n})"
-        )
-    return float(np.sum(values)) * mode.cell_area
-
-
-def integral_with_estimate(values: np.ndarray, grid) -> tuple:
-    """Integral plus a coarse-subsample Richardson-style error estimate."""
-    mode = _mode_of(grid)
-    fine = integrate_2d(values, grid)
-    coarse = float(np.sum(np.asarray(values)[::2, ::2])) * 4.0 * mode.cell_area
-    return fine, abs(fine - coarse)
 
 
 def _even_mask(mode: ModeAxes) -> np.ndarray:

@@ -269,9 +269,9 @@ def _determinism_check(tables, results):
         results.append(CheckResult("determinism_threads", True,
                                    "skipped: no two-mode Wigner table built"))
         return
-    serial = pick.total_abs_with_estimate(threads=1)[0]
-    pooled = pick.total_abs_with_estimate(threads=2)[0]
-    again = pick.total_abs_with_estimate(threads=2)[0]
+    serial = pick.abs_with_estimate(threads=1)[0]
+    pooled = pick.abs_with_estimate(threads=2)[0]
+    again = pick.abs_with_estimate(threads=2)[0]
     ok = serial == pooled == again
     results.append(CheckResult(
         "determinism_threads", ok,

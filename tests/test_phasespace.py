@@ -33,7 +33,6 @@ from psnci.states import (
     squeezed_vacuum_superposition,
 )
 from psnci.indicators import delta_indicator, eta_indicator, sweep_r
-from psnci.quadrature import integral_with_estimate
 
 import oracles
 
@@ -354,30 +353,17 @@ def test_folded_sums_equal_whole_grid_sums(rep, prims, mode, amplitudes):
         grid = _mirror(quadrant, mode, signs[key])
         assert (abs(ints[key] - np.sum(grid) * mode.cell_area)
                 <= 1e-14 * np.sum(np.abs(grid)) * mode.cell_area)
-    for k, l in table.pair_keys():
-        value, estimate = table.pair_abs_with_estimate((k, l))
-        want, want_estimate = integral_with_estimate(np.abs(table.pair_values(k, l)), mode)
+    # the whole table mixes the parities of its pairs where n_i + n_j is odd
+    cases = [([key], table.pair_values(*key)) for key in table.pair_keys()]
+    for keys, values in cases + [(None, table.total_values())]:
+        value, estimate = table.abs_with_estimate(keys)
+        want, want_estimate = oracles.integral_with_estimate(np.abs(values), mode)
         assert abs(value - want) <= 1e-13 * want
         assert abs(estimate - want_estimate) <= 1e-13 * want
 
 
-@pytest.mark.parametrize("rep", list(Representation))
-def test_sweep_r_never_mirrors(monkeypatch, rep):
-    mirrored = []
-    mirror = phasespace._mirror
-
-    def counted(*args):
-        mirrored.append(args)
-        return mirror(*args)
-
-    monkeypatch.setattr(phasespace, "_mirror", counted)
-    for family in ("psi00r", "psi01r"):
-        sweep_r(family, [0.0, 1.0], [0.3, 0.7], rep)
-    assert mirrored == []
-
-
-@pytest.mark.parametrize("rep", list(Representation))
-def test_two_mode_table_mirrors_each_grid_once(monkeypatch, rep):
+def _count_mirrors(monkeypatch) -> list:
+    """List that records the id of every quadrant _mirror fills in."""
     mirrored = []
     mirror = phasespace._mirror
 
@@ -386,6 +372,32 @@ def test_two_mode_table_mirrors_each_grid_once(monkeypatch, rep):
         return mirror(quadrant, mode, sign)
 
     monkeypatch.setattr(phasespace, "_mirror", counted)
+    return mirrored
+
+
+@pytest.mark.parametrize("rep", list(Representation))
+def test_sweep_r_never_mirrors(monkeypatch, rep):
+    mirrored = _count_mirrors(monkeypatch)
+    for family in ("psi00r", "psi01r"):
+        sweep_r(family, [0.0, 1.0], [0.3, 0.7], rep)
+    assert mirrored == []
+
+
+@pytest.mark.parametrize("rep", list(Representation))
+def test_single_mode_indicators_never_mirror(monkeypatch, rep):
+    # mixed parities and complex amplitudes: |f| differs at all four images
+    state = normalize(State(((0.6 + 0.3j, fock(0)), (0.5 - 0.4j, fock(1)),
+                             (0.4, squeezed_fock(2, 0.5)))))
+    table = build_term_table(state, rep)
+    mirrored = _count_mirrors(monkeypatch)
+    delta_indicator(table)
+    eta_indicator(table)
+    assert mirrored == []
+
+
+@pytest.mark.parametrize("rep", list(Representation))
+def test_two_mode_table_mirrors_each_grid_once(monkeypatch, rep):
+    mirrored = _count_mirrors(monkeypatch)
     axes = ModeAxes(Axis(-6.0, 6.0, 41), Axis(-6.0, 6.0, 41))
     table = build_term_table(entangled_state(0, 1, 0.5), rep, PhaseGrid((axes, axes)))
     for a_sq in (0.0, 0.3):
@@ -398,9 +410,9 @@ def test_two_mode_table_mirrors_each_grid_once(monkeypatch, rep):
     # the factorized diagonal folds over the quadrants
     if rep.hermitian_pairs:
         _, d1, d2 = table.products(0, 0)[0]
-        a, ea = integral_with_estimate(np.abs(d1.real), axes)
-        b, eb = integral_with_estimate(np.abs(d2.real), axes)
-        value, estimate = table.pair_abs_with_estimate((0, 0))
+        a, ea = oracles.integral_with_estimate(np.abs(d1.real), axes)
+        b, eb = oracles.integral_with_estimate(np.abs(d2.real), axes)
+        value, estimate = table.abs_with_estimate([(0, 0)])
         scale = abs(table.amplitudes[0]) ** 2
         assert value == pytest.approx(scale * a * b, rel=1e-13)
         assert abs(estimate - scale * (ea * b + a * eb)) <= 1e-13 * value

@@ -13,7 +13,7 @@ from psnci.errors import DomainError, QuadratureError, ResourceBudgetError
 from psnci.grids import Axis
 from psnci.phasespace import build_term_table, cross_wigner_fock_closed
 from psnci import phasespace, quadrature
-from psnci.quadrature import abs_4d_with_estimate, integrate_2d
+from psnci.quadrature import abs_4d_with_estimate
 from psnci.states import State, entangled_state, fock, normalize, squeezed_fock
 from psnci.indicators import delta_indicator, sweep_a
 
@@ -30,27 +30,27 @@ def _grid_values(grid, f):
 def test_integrate_constant_is_exact_area():
     grid = oracles.single_grid(extent=1.0, points=16)
     ones = np.ones((16, 16))
-    assert_allclose(integrate_2d(ones, grid), 4.0, atol=1e-12)
+    assert_allclose(oracles.integrate_2d(ones, grid), 4.0, atol=1e-12)
 
 
 def test_integrate_vacuum_wigner():
     grid = oracles.single_grid()
     vals = _grid_values(grid, lambda q, p: np.exp(-q * q - p * p) / math.pi)
-    assert_allclose(integrate_2d(vals, grid), 1.0, atol=1e-6)
+    assert_allclose(oracles.integrate_2d(vals, grid), 1.0, atol=1e-6)
 
 
 def test_integrate_abs_fock1_wigner():
     grid = oracles.single_grid()
     vals = _grid_values(
         grid, lambda q, p: np.abs(cross_wigner_fock_closed(1, 1, q, p).real))
-    assert_allclose(integrate_2d(vals, grid), oracles.abs_integral_fock1(),
+    assert_allclose(oracles.integrate_2d(vals, grid), oracles.abs_integral_fock1(),
                     atol=1e-3)
 
 
 def test_integrate_shape_mismatch():
     grid = oracles.single_grid(points=32)
     with pytest.raises(DomainError):
-        integrate_2d(np.ones((3, 3)), grid)
+        oracles.integrate_2d(np.ones((3, 3)), grid)
 
 
 def test_refine_until_gaussian_converges_fast():
@@ -328,7 +328,7 @@ def test_term_table_passes_match_dense_oracle(monkeypatch, rep):
     table = build_term_table(_indicator_2mode_state(), rep, grid)
     calls = _recorded_passes(monkeypatch)
     n1, n2 = grid.mode(0).n_points, grid.mode(1).n_points
-    _assert_matches_dense(table.total_abs_with_estimate(threads=2),
+    _assert_matches_dense(table.abs_with_estimate(threads=2),
                           table.real_products(), grid)
     assert _rows_streamed(calls, n2) == [n1 // 2, 1]
     for key in table.pair_keys():
@@ -393,18 +393,26 @@ def fock_states(draw):
 def test_fock_state_passes_match_dense_oracle(state, rep):
     grid = oracles.two_mode_grid(points=21)
     table = build_term_table(state, rep, grid)
-    _assert_matches_dense(table.total_abs_with_estimate(threads=2),
-                          table.real_products(), grid)
     area = grid.mode(0).cell_area * grid.mode(1).cell_area
+
+    def check(result, keys):
+        prods = table.real_products(keys)
+        if len(keys) == 1 and keys[0][0] == keys[0][1] and rep != "rivier":
+            # The factorized diagonal has its own first-order estimate.
+            assert_allclose(result[0], oracles.dense_abs_4d_sums(prods)[0] * area, rtol=1e-12)
+            [(scale, d1, d2)] = table.products(*keys[0])
+            a, ea = oracles.integral_with_estimate(np.abs(d1.real), grid.mode(0))
+            b, eb = oracles.integral_with_estimate(np.abs(d2.real), grid.mode(1))
+            assert abs(result[1] - scale.real * (ea * b + a * eb)) <= 1e-13 * result[0]
+        else:
+            _assert_matches_dense(result, prods, grid)
+
+    # a one-term state's total is its single diagonal pair
+    check(table.abs_with_estimate(threads=2), table.pair_keys())
     for key in table.pair_keys():
         prods = table.real_products([key])
         _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
-        result = table.pair_abs_with_estimate(key, threads=2)
-        if key[0] == key[1] and rep != "rivier":
-            # The factorized diagonal has its own first-order estimate.
-            assert_allclose(result[0], oracles.dense_abs_4d_sums(prods)[0] * area, rtol=1e-12)
-        else:
-            _assert_matches_dense(result, prods, grid)
+        check(table.abs_with_estimate([key], threads=2), [key])
 
 
 def test_table_basis_built_once(monkeypatch):
@@ -419,11 +427,11 @@ def test_table_basis_built_once(monkeypatch):
     sweep_a((0, 1), [0.0, 0.5, 1.0], ["wigner", "husimi", "rivier"], grid, threads=2)
     assert len(built) == 2 * 3
     table = build_term_table(entangled_state(1, 2, 0.5), "rivier", grid)
-    table.total_abs_with_estimate()
+    table.abs_with_estimate()
     built.clear()
     child = table.with_amplitudes((0.6, 0.8))
-    child.total_abs_with_estimate()
-    child.pair_abs_with_estimate((0, 1))
+    child.abs_with_estimate()
+    child.abs_with_estimate([(0, 1)])
     assert built == []
 
 
@@ -431,7 +439,7 @@ def test_table_basis_built_once(monkeypatch):
 # perfbench/tracer.py reads the tile_rows default through inspect.signature.
 def test_benchmark_probe_call_matches_table_path():
     table = build_term_table(entangled_state(1, 2, 0.5), "wigner")
-    value, est = table.total_abs_with_estimate()
+    value, est = table.abs_with_estimate()
     for threads in (1, 2):
         probe = abs_4d_with_estimate(table.real_products(), table.grid, threads=threads)
         assert_allclose(probe, (value, est), rtol=1e-13, atol=1e-14)
@@ -556,7 +564,7 @@ def test_state_totals_fold_under_their_group(monkeypatch, rep, terms, amps, grou
     grid = oracles.two_mode_grid(points=points)
     table = build_term_table(state, rep, grid)
     calls = _recorded_passes(monkeypatch)
-    _assert_matches_dense(table.total_abs_with_estimate(threads=2),
+    _assert_matches_dense(table.abs_with_estimate(threads=2),
                           table.real_products(), grid)
     assert calls == FOLD_CALLS[group][points]
 
