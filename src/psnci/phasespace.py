@@ -380,10 +380,10 @@ class TermTable:
     Per mode it holds the complex factor grids D_m,kl on their evaluated
     quadrant, their parity signs (-1)^(n_k + n_l) and integrals, and, from
     first use on, their whole grids (for pair values, products and the
-    factor basis) and the factor basis of the first 4D integral. Integrals
-    of |f| on one mode, of a pair term or the total, are folded sums over
-    the quadrant; two-mode ones are sums of separable products and never
-    materialize the 4D array.
+    factor basis; the quadrants are then views into them) and the factor
+    basis of the first 4D integral. Integrals of |f| on one mode, of a pair
+    term or the total, are folded sums over the quadrant; two-mode ones are
+    sums of separable products and never materialize the 4D array.
     Immutable by convention.
     """
 
@@ -414,11 +414,15 @@ class TermTable:
                                                for gamma, entries in self._terms(k, l, per_mode)))
 
     def _whole_grids(self, mode: int) -> dict:
-        """The mode's stored grids mirrored whole, on first use."""
+        """The mode's stored grids mirrored whole, on first use; each stored
+        quadrant becomes its view into them, so no grid is held twice."""
         if mode not in self._whole:
-            axes = self.grid.mode(mode)
-            self._whole[mode] = {key: _mirror(d, axes, self._signs[mode][key])
-                                 for key, d in self._cross[mode].items()}
+            axes, stored = self.grid.mode(mode), self._cross[mode]
+            sq, sp = _mirror_start(axes.q), _mirror_start(axes.p)
+            whole = self._whole[mode] = {}
+            for key, d in stored.items():
+                whole[key] = _mirror(d, axes, self._signs[mode][key])
+                stored[key] = whole[key][sq:, sp:]
         return self._whole[mode]
 
     def pair_keys(self):

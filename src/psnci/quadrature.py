@@ -46,6 +46,17 @@ The error estimate compares the fine sum with a decimated pass: the
 same sum over the points with even q and even p indices in both modes
 (1/16 of the points), weighted by 16.
 
+The fine pass is streamed on the support of the integrand only. A row
+i of fold weight w_i (below) adds at most w_i |g_i| sum_j |h_j|
+(Cauchy-Schwarz), a column j at most |h_j| sum_i w_i |g_i|. The
+decimated pass runs first, whole; the smallest columns, then rows, are
+dropped while their summed bound stays within half of _SUPPORT_CUT
+(1e-16) of 16 times its sum. The kept sum is a lower bound on the pass:
+if the dropped bound exceeds 1e-16 of it, the target was over twice the
+pass and the dropped part is streamed too, else the bound is added to
+the estimate. Wigner and Husimi tails are below double precision at the
+default grid edges; Rivier's are not, and it keeps nearly every point.
+
 The streamed passes are folded over the reflections of the integrand.
 Fock and squeezed Fock states have definite parity, so a sum of
 products often satisfies f(-z1, -z2) = +-f(z1, z2) (P). A state with
@@ -72,7 +83,8 @@ Fock state has P, and so does a total whose terms share one
 photon-number parity; real amplitudes add T. The full group streams
 about a quarter of the rows of both passes, P alone half.
 
-The compression and the symmetry check run before the workers start.
+The compression and the symmetry check run before the workers start,
+and the support cut and its check take only fsum-combined pass sums.
 Every tile is computed identically whichever worker runs it, and the
 tile sums are combined with math.fsum, which is exactly rounded. So
 results are bit-identical for any ``threads`` setting. A tile's sum,
@@ -86,9 +98,9 @@ inputs), with the basis the products reach the core through, with the
 closed form (prefix sums in angle order instead of sums of |f| in index
 order), with the fold (which sums one row per orbit, weighted by the
 orbit size, instead of every row, so a state whose amplitudes turn real
-gains T and changes its last bits), with ``tile_rows`` (the row count
-of each matrix product and sum), with the tile sum's order and with the
-BLAS or numpy build.
+gains T and changes its last bits), with the support cut (the rows and
+columns it drops), with ``tile_rows`` (the row count of each matrix
+product and sum), with the tile sum's order and with the BLAS or numpy build.
 """
 
 from __future__ import annotations
@@ -121,6 +133,9 @@ _QR_ROWS = 1024
 # Group elements other than 1, as the axes of the (q, p) factor grids they
 # reverse in both modes: P (z -> -z), T (p -> -p) and PT (q -> -q).
 _ELEMENTS = ((0, 1), (1,), (0,))
+# Share of a streamed pass that the support cut may leave out: one unit
+# roundoff, below what the tile sums can resolve.
+_SUPPORT_CUT = 1e-16
 
 
 def _even_mask(mode: ModeAxes) -> np.ndarray:
@@ -308,10 +323,9 @@ def _symmetry_group(basis1: FactorBasis, basis2: FactorBasis, core: np.ndarray) 
     return ((),) + tuple(kept if len(kept) == 3 else kept[:1])
 
 
-def _folded_abs_sum(gmat: np.ndarray, hmat: np.ndarray, grid_index: np.ndarray, group,
-                    tile_rows: int, threads: int) -> float:
-    """Sum of |gmat[i] @ hmat| over the rows i in ``grid_index``, when
-    ``group`` leaves |gmat @ hmat| unchanged.
+def _orbits(grid_index: np.ndarray, group) -> list:
+    """(weight, rows) of the orbits of the rows in ``grid_index`` under
+    ``group``, which leaves |gmat @ hmat| unchanged.
 
     ``grid_index`` holds row numbers of gmat laid out as the mode-1 (q, p)
     grid. A group element permutes these rows and, in mode 2, the columns,
@@ -326,12 +340,51 @@ def _folded_abs_sum(gmat: np.ndarray, hmat: np.ndarray, grid_index: np.ndarray, 
     # that fix the row.
     size = len(group) // np.count_nonzero(images == index, axis=0)
     first = images.min(axis=0) == index
+    return [(weight, index[first & (size == weight)]) for weight in (4, 2, 1)]
+
+
+def _folded_abs_sum(gmat: np.ndarray, hmat: np.ndarray, orbits, tile_rows: int,
+                    threads: int) -> float:
+    """Sum of weight * |gmat[rows] @ hmat| over the (weight, rows) ``orbits``."""
     total = 0.0
-    for weight in (4, 2, 1):
-        rows = index[first & (size == weight)]
-        if len(rows):
+    for weight, rows in orbits:
+        if len(rows) and hmat.shape[1]:
             total += weight * _abs_sum(gmat[rows], hmat, tile_rows, threads)
     return total
+
+
+def _cut_value(bound: np.ndarray, scale: float, budget: float) -> float:
+    """Smallest ``bound`` value to keep: the values below it, summed and
+    times ``scale``, stay within ``budget`` (ties at the cut are kept)."""
+    ordered = np.sort(bound)
+    cut = np.searchsorted(scale * np.cumsum(ordered), budget, side="right")
+    return ordered[cut] if cut < len(ordered) else np.inf
+
+
+def _pruned_abs_sum(gmat: np.ndarray, hmat: np.ndarray, orbits, target: float,
+                    tile_rows: int, threads: int) -> tuple:
+    """_folded_abs_sum on the support of |gmat @ hmat| under the support cut
+    against ``target`` (see the module docstring), and the bound on the
+    part left out, 0.0 if the check made it stream that part too."""
+    norms = np.sqrt(np.einsum("ij,ij->i", gmat, gmat))
+    row_bound = np.concatenate([w * norms[r] for w, r in orbits])
+    col_bound = np.sqrt(np.einsum("ij,ij->j", hmat, hmat))
+    g_all, budget = np.sum(row_bound), 0.5 * _SUPPORT_CUT * target
+    keep_col = col_bound >= _cut_value(col_bound, g_all, budget)
+    h_drop = np.sum(col_bound[~keep_col])
+    h_keep = np.sum(col_bound) - h_drop
+    row_cut = _cut_value(row_bound, h_keep, budget - g_all * h_drop)
+    dropped = float(g_all * h_drop + h_keep * np.sum(row_bound[row_bound < row_cut]))
+    kept = [(w, r[w * norms[r] >= row_cut]) for w, r in orbits]
+    hkept = hmat if keep_col.all() else np.ascontiguousarray(hmat[:, keep_col])
+    total = _folded_abs_sum(gmat, hkept, kept, tile_rows, threads)
+    if dropped > _SUPPORT_CUT * total:
+        total += (_folded_abs_sum(gmat, np.ascontiguousarray(hmat[:, ~keep_col]), kept,
+                                  tile_rows, threads)
+                  + _folded_abs_sum(gmat, hmat, [(w, r[w * norms[r] < row_cut])
+                                                 for w, r in orbits], tile_rows, threads))
+        dropped = 0.0
+    return total, dropped
 
 
 # ``threads`` and ``tile_rows`` stay keywords of this signature:
@@ -385,12 +438,13 @@ def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
         return fine, abs(fine - coarse)
     group = _symmetry_group(basis1, basis2, core)
     index = np.arange(n1).reshape(mode1.q.n, mode1.p.n)
-    fine = _folded_abs_sum(gmat, hmat, index, group, tile_rows, threads) * area
     # The decimated pass keeps only the elements that map the even-index
     # points of both modes onto themselves: those reversing odd-length axes.
+    # It runs first and whole: 16 times its sum is the target of the cut.
     masks = [even1.reshape(index.shape), even2.reshape(mode2.q.n, mode2.p.n)]
-    group = [axes for axes in group
-             if all(np.array_equal(np.flip(m, axes), m) for m in masks)]
-    coarse = _folded_abs_sum(gmat, np.ascontiguousarray(hmat[:, even2]), index[::2, ::2],
-                             group, tile_rows, threads) * 16.0 * area
-    return fine, abs(fine - coarse)
+    coarse_group = [axes for axes in group
+                    if all(np.array_equal(np.flip(m, axes), m) for m in masks)]
+    coarse = 16.0 * _folded_abs_sum(gmat, np.ascontiguousarray(hmat[:, even2]),
+                                    _orbits(index[::2, ::2], coarse_group), tile_rows, threads)
+    fine, dropped = _pruned_abs_sum(gmat, hmat, _orbits(index, group), coarse, tile_rows, threads)
+    return fine * area, abs(fine * area - coarse * area) + dropped * area

@@ -418,6 +418,23 @@ def test_two_mode_table_mirrors_each_grid_once(monkeypatch, rep):
         assert abs(estimate - scale * (ea * b + a * eb)) <= 1e-13 * value
 
 
+# Once a two-mode table mirrors its grids whole, it keeps each quadrant
+# only as a view into its whole grid; the folded sums read the same values
+# through the view, so the factorized diagonals do not move by a bit.
+@pytest.mark.parametrize("rep", list(Representation))
+def test_two_mode_quadrants_become_views_of_whole_grids(rep):
+    axes = ModeAxes(Axis(-6.0, 6.0, 41), Axis(-6.0, 6.0, 40))
+    state = State(((0.6, squeezed_fock(1, 0.3), fock(2)), (0.8j, fock(0), fock(1))))
+    table = build_term_table(normalize(state), rep, PhaseGrid((axes, axes)))
+    diagonals = [(k, k) for k in range(2)]
+    before = [table.abs_with_estimate([key]) for key in diagonals]
+    table.real_products()
+    for mode in range(2):
+        whole = table.stored_factors(mode)
+        assert all(np.shares_memory(d, whole[key]) for key, d in table._cross[mode].items())
+    assert [table.abs_with_estimate([key]) for key in diagonals] == before
+
+
 @pytest.mark.parametrize("rep", ["husimi", "rivier"])
 def test_table_builds_its_phase_grid_once_on_the_quadrant(monkeypatch, rep):
     built = []

@@ -316,26 +316,38 @@ def _recorded_passes(monkeypatch):
     return calls
 
 
-def _rows_streamed(calls, cols):
-    return [rows for rows, c in calls if c == cols]
+def _fine_rows(calls, grid):
+    """Rows of the calls of the fine pass: those not on the decimated
+    points, (n + 1) // 2 per axis, which the decimated pass streams whole."""
+    even = ((grid.mode(1).q.n + 1) // 2) ** 2
+    return [rows for rows, c in calls if c != even]
 
 
 # Every term of the indicator-2mode state has one photon in all, so every
-# product has even parity and each streamed pass is folded.
+# product has even parity and each streamed pass is folded: 220 rows and
+# the centre row of the fine pass. The support cut drops the Gaussian tails
+# of the Wigner and Husimi totals from it.
+TERM_TABLE_FINE_CALLS = {
+    "wigner": [(197, 381), (1, 381)],
+    "husimi": [(197, 381), (1, 381)],
+    "rivier": [(220, 441), (1, 441)],
+}
+
+
 @pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
 def test_term_table_passes_match_dense_oracle(monkeypatch, rep):
     grid = oracles.two_mode_grid(points=21)
     table = build_term_table(_indicator_2mode_state(), rep, grid)
     calls = _recorded_passes(monkeypatch)
-    n1, n2 = grid.mode(0).n_points, grid.mode(1).n_points
+    n1 = grid.mode(0).n_points
     _assert_matches_dense(table.abs_with_estimate(threads=2),
                           table.real_products(), grid)
-    assert _rows_streamed(calls, n2) == [n1 // 2, 1]
+    assert calls == [(60, 121), (1, 121)] + TERM_TABLE_FINE_CALLS[rep]
     for key in table.pair_keys():
         prods = table.real_products([key])
         calls.clear()
         _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
-        assert sum(_rows_streamed(calls, n2)) <= (n1 + 1) // 2
+        assert sum(_fine_rows(calls, grid)) <= (n1 + 1) // 2
 
 
 # Rivier products of Fock states: every one has parity (-1)^(photon
@@ -358,15 +370,18 @@ def test_folded_passes_match_dense_oracle(monkeypatch, terms, keys, folded, poin
     calls = _recorded_passes(monkeypatch)
     _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
     n1, n2 = grid.mode(0).n_points, grid.mode(1).n_points
-    # Even points per axis: no centre row, and the decimated points
-    # (even indices) are not closed under reversal, so that pass is whole.
+    # The decimated pass runs first. Even points per axis: no centre row,
+    # and the decimated points (even indices) are not closed under
+    # reversal, so that pass is whole. The odd pair is zero on the centre
+    # row, which the support cut drops from the fine pass at no cost.
     even = ((points + 1) // 2) ** 2
     if not folded:
-        assert calls == [(n1, n2), (even, even)]
+        assert calls == [(even, even), (n1, n2)]
     elif points % 2:
-        assert calls == [(n1 // 2, n2), (1, n2), (even // 2, even), (1, even)]
+        centre = [] if keys else [(1, n2)]
+        assert calls == [(even // 2, even), (1, even), (n1 // 2, n2)] + centre
     else:
-        assert calls == [(n1 // 2, n2), (even, even)]
+        assert calls == [(even, even), (n1 // 2, n2)]
 
 
 @st.composite
@@ -480,7 +495,7 @@ def test_parity_vote(monkeypatch, signs, noise, folded):
     calls = _recorded_passes(monkeypatch)
     _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
     n1 = grid.mode(0).n_points
-    assert calls[0][0] == (n1 // 2 if folded else n1)
+    assert _fine_rows(calls, grid)[0] == (n1 // 2 if folded else n1)
 
 
 def _mirrored(f, mirrors):
@@ -520,18 +535,19 @@ MIRROR_SETS = {
                   for a, b in ((1, 1), (-1, 1), (1, -1), (-1, -1))),
 }
 
-# (rows of gmat, columns of hmat) of every _abs_sum call, fine pass then
-# decimated pass, per group and points per axis. A 21-point axis has a
+# (rows of gmat, columns of hmat) of every _abs_sum call, decimated pass
+# then fine pass, per group and points per axis. Nothing on these random
+# factors is small enough for the support cut. A 21-point axis has a
 # centre, so rows on a mirror line count once; the 11 x 11 decimated grid
 # folds the same way. A 20-point axis has no centre, and its decimated
 # points (even indices) are not closed under any reversal.
 FOLD_CALLS = {
-    "none": {21: [(441, 441), (121, 121)], 20: [(400, 400), (100, 100)]},
-    "P": {21: [(220, 441), (1, 441), (60, 121), (1, 121)], 20: [(200, 400), (100, 100)]},
-    "T": {21: [(210, 441), (21, 441), (55, 121), (11, 121)], 20: [(200, 400), (100, 100)]},
-    "PT": {21: [(210, 441), (21, 441), (55, 121), (11, 121)], 20: [(200, 400), (100, 100)]},
-    "full": {21: [(100, 441), (20, 441), (1, 441), (25, 121), (10, 121), (1, 121)],
-             20: [(100, 400), (100, 100)]},
+    "none": {21: [(121, 121), (441, 441)], 20: [(100, 100), (400, 400)]},
+    "P": {21: [(60, 121), (1, 121), (220, 441), (1, 441)], 20: [(100, 100), (200, 400)]},
+    "T": {21: [(55, 121), (11, 121), (210, 441), (21, 441)], 20: [(100, 100), (200, 400)]},
+    "PT": {21: [(55, 121), (11, 121), (210, 441), (21, 441)], 20: [(100, 100), (200, 400)]},
+    "full": {21: [(25, 121), (10, 121), (1, 121), (100, 441), (20, 441), (1, 441)],
+             20: [(100, 100), (100, 400)]},
 }
 
 
@@ -543,6 +559,25 @@ def test_group_fold_matches_dense_oracle(monkeypatch, group, points):
     calls = _recorded_passes(monkeypatch)
     _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
     assert calls == FOLD_CALLS[group][points]
+
+
+# The fine passes of Wigner and Husimi totals, whose Gaussian tails the
+# support cut leaves out, per (representation, group, points); the
+# decimated pass and every Rivier total stream as in FOLD_CALLS.
+PRUNED_FINE_CALLS = {
+    ("wigner", "P", 21): [(198, 381), (1, 381)],
+    ("wigner", "full", 21): [(88, 384), (20, 384), (1, 384)],
+    ("wigner", "T", 21): [(182, 401), (21, 401)],
+    ("husimi", "P", 21): [(200, 381), (1, 381)],
+    ("husimi", "full", 21): [(88, 385), (20, 385), (1, 385)],
+    ("husimi", "T", 21): [(180, 401), (21, 401)],
+    ("wigner", "P", 20): [(176, 352)],
+    ("wigner", "full", 20): [(88, 352)],
+    ("wigner", "T", 20): [(176, 360)],
+    ("husimi", "P", 20): [(176, 352)],
+    ("husimi", "full", 20): [(88, 352)],
+    ("husimi", "T", 20): [(176, 360)],
+}
 
 
 # Totals of real-amplitude states fold under T (p -> -p in both modes);
@@ -566,22 +601,112 @@ def test_state_totals_fold_under_their_group(monkeypatch, rep, terms, amps, grou
     calls = _recorded_passes(monkeypatch)
     _assert_matches_dense(table.abs_with_estimate(threads=2),
                           table.real_products(), grid)
-    assert calls == FOLD_CALLS[group][points]
+    expected = FOLD_CALLS[group][points]
+    if (rep, group, points) in PRUNED_FINE_CALLS:
+        coarse = (points + 1) // 2
+        expected = [c for c in expected if c[1] == coarse ** 2] \
+            + PRUNED_FINE_CALLS[rep, group, points]
+    assert calls == expected
 
 
-@pytest.mark.parametrize("tile_rows, make", [
-    *(pytest.param(rows, partial(_random_products, count=4), id=str(rows))
+def _fock_products(grid, seed, count=4):
+    """Random combinations of the real parts of the Fock cross-Wigner grids
+    W_mn, m, n <= 2, whose Gaussian tails are below double precision at the
+    edges of an extent-6 grid. Each Re W_mn is even under p -> -p, so every
+    product is, and the set folds under T."""
+    rng = np.random.default_rng(seed)
+    mode = grid.mode(0)
+    q, p = mode.q.centers[:, None], mode.p.centers[None, :]
+    fields = [cross_wigner_fock_closed(m, n, q + 0 * p, p + 0 * q).real
+              for m in range(3) for n in range(3)]
+    return [tuple(np.tensordot(rng.standard_normal(len(fields)), fields, axes=1)
+                  for _ in range(2)) for _ in range(count)]
+
+
+def _recorded_cuts(monkeypatch):
+    """List that records (rows of the orbits, dropped bound) of every
+    _pruned_abs_sum call, and one that records (target, sum) of each."""
+    cuts, sums = [], []
+    pruned = quadrature._pruned_abs_sum
+
+    def record(gmat, hmat, orbits, target, *args):
+        total, dropped = pruned(gmat, hmat, orbits, target, *args)
+        cuts.append((sum(len(rows) for _, rows in orbits), dropped))
+        sums.append((target, total))
+        return total, dropped
+
+    monkeypatch.setattr(quadrature, "_pruned_abs_sum", record)
+    return cuts, sums
+
+
+# On a 31-point, extent-6 grid the edge rows and columns of |f| hold
+# nothing at double precision: the fine pass streams fewer of them than
+# the fold gives, the value stays within the dense oracle's rounding, and
+# the dropped bound is part of the estimate.
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_support_cut_drops_tails_and_matches_dense_oracle(monkeypatch, seed):
+    grid = oracles.two_mode_grid(points=31)
+    prods = _fock_products(grid, seed)
+    calls = _recorded_passes(monkeypatch)
+    cuts, sums = _recorded_cuts(monkeypatch)
+    result = abs_4d_with_estimate(prods, grid, threads=2)
+    _assert_matches_dense(result, prods, grid)
+    [(fold_rows, dropped)], [(target, total)] = cuts, sums
+    area = grid.mode(0).cell_area * grid.mode(1).cell_area
+    # The bound is within 1e-16 of the kept sum, up to the rounding of area,
+    # and adds to the decimation estimate.
+    assert 0.0 < dropped * area <= 1e-16 * (1.0 + 1e-12) * result[0]
+    assert result[1] >= dropped * area
+    assert result[1] == abs(total * area - target * area) + dropped * area
+    fine = _fine_rows(calls, grid)
+    assert sum(fine) < fold_rows
+    assert all(cols < grid.mode(1).n_points for _, cols in calls[-len(fine):])
+
+
+def _comb_products(grid, seed):
+    """_fock_products with the mode-2 factors damped to 1/20 off the points
+    whose q and p indices are both even, where the decimated pass looks."""
+    n = grid.mode(1).q.n
+    even = np.add.outer(np.arange(n) % 2, np.arange(n) % 2) == 0
+    return [(g, h * np.where(even, 1.0, 0.05)) for g, h in _fock_products(grid, seed)]
+
+
+# The cut leaves out at most half its allowance of the decimated target,
+# so a target up to twice the pass passes the check. Here it is 3.7 times
+# the pass: the dropped bound exceeds 1e-16 of the kept sum, so the dropped
+# part is streamed too and no bound is added to the estimate.
+def test_support_cut_streams_the_dropped_part_when_the_target_overshoots(monkeypatch):
+    grid = oracles.two_mode_grid(points=21)
+    prods = _comb_products(grid, seed=0)
+    fine, even = oracles.dense_abs_4d_sums(prods)
+    assert 16.0 * even > 2.0 * fine
+    calls = _recorded_passes(monkeypatch)
+    cuts, _ = _recorded_cuts(monkeypatch)
+    _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
+    assert cuts == [(441 // 2 + 21 // 2 + 1, 0.0)]
+    # The kept rows on the kept columns, on the dropped columns, then the
+    # dropped rows on every column.
+    assert calls[2:] == [(189, 393), (21, 393), (189, 48), (21, 48), (21, 441)]
+
+
+# The Fock products prune their tails; the comb products fall back to
+# streaming the dropped part.
+@pytest.mark.parametrize("tile_rows, make, points", [
+    *(pytest.param(rows, partial(_random_products, count=4), 21, id=str(rows))
       for rows in (1, 8, 512)),
-    pytest.param(8, partial(_repeated_h_products, h_picks=RANK2), id="8-rank2"),
-    pytest.param(8, partial(_repeated_h_products, h_picks=RANK1), id="8-rank1"),
-    *(pytest.param(rows, partial(_parity_products, signs=EVEN), id=f"{rows}-folded")
+    pytest.param(8, partial(_repeated_h_products, h_picks=RANK2), 21, id="8-rank2"),
+    pytest.param(8, partial(_repeated_h_products, h_picks=RANK1), 21, id="8-rank1"),
+    *(pytest.param(rows, partial(_parity_products, signs=EVEN), 21, id=f"{rows}-folded")
       for rows in (1, 8, 512)),
-    *(pytest.param(rows, partial(_mirror_products, mirrors=MIRROR_SETS[group]),
+    *(pytest.param(rows, partial(_mirror_products, mirrors=MIRROR_SETS[group]), 21,
                    id=f"{rows}-{group}")
       for group in ("T", "full") for rows in (1, 8, 512)),
+    *(pytest.param(rows, _fock_products, 31, id=f"{rows}-pruned") for rows in (1, 8, 512)),
+    pytest.param(8, _fock_products, 21, id="8-pruned-21"),
+    pytest.param(8, _comb_products, 21, id="8-pruned-fallback"),
 ])
-def test_streamed_bit_identical_across_threads(tile_rows, make):
-    grid = oracles.two_mode_grid(points=21)
+def test_streamed_bit_identical_across_threads(tile_rows, make, points):
+    grid = oracles.two_mode_grid(points=points)
     prods = make(grid, seed=1)
     first = abs_4d_with_estimate(prods, grid, threads=1, tile_rows=tile_rows)
     for threads in (2, 3):
