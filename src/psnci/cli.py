@@ -127,8 +127,8 @@ def _cmd_dist(args) -> int:
         mode = table.grid.mode(0)
         q = mode.q.centers
         p = mode.p.centers
-        total = table.total_values()
-        terms = [table.pair_values(i, j) for i, j in keys]
+        total = table.values()
+        terms = [table.values([key]) for key in keys]
         for a in range(mode.q.n):
             for b in range(mode.p.n):
                 cells = [_fmt(q[a]), _fmt(p[b]), _fmt(total[a, b])]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateStateError, DomainError, UnsupportedStateError
 from .grids import PhaseGrid
-from .phasespace import Representation, build_term_table, default_grid
+from .phasespace import NORM_CHECK_TOLERANCE, Representation, build_term_table, default_grid
 from .states import (
     FOCK,
     State,
@@ -38,8 +38,6 @@ from .states import (
     squeezed_excited_superposition,
     squeezed_vacuum_superposition,
 )
-
-NORM_CHECK_TOLERANCE = 1e-3
 
 SWEEP_R_FAMILIES = ("psi00r", "psi01r")
 

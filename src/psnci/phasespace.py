@@ -32,7 +32,7 @@ The table builder evaluates and stores every grid on the q >= 0, p >= 0
 quadrant of a symmetric grid (lo == -hi on both axes, as every default and
 --extent grid is; an asymmetric axis is evaluated whole). Every 2D integral
 of a stored grid is a sum over that quadrant folded by these mirrors, and
-a reader of whole grids gets them filled by the mirrors on first use.
+a reader of whole grids gets fresh ones filled by the mirrors on each read.
 
 A TermTable holds the real term-pair decomposition f = sum_kl f_kl of a
 one- or two-mode superposition state's distribution: a diagonal term per
@@ -89,6 +89,10 @@ _LN2 = math.log(2.0)
 _BAND_SAFETY = 1.7
 _BAND_PAD = 24.0
 _MIN_NODES = 96
+
+# A table whose total integral is farther than this from one does not
+# cover its state (build_term_table raises); indicator results report it.
+NORM_CHECK_TOLERANCE = 1e-3
 
 
 class Representation(Enum):
@@ -379,9 +383,8 @@ class TermTable:
 
     Per mode it holds the complex factor grids D_m,kl on their evaluated
     quadrant, their parity signs (-1)^(n_k + n_l) and integrals, and, from
-    first use on, their whole grids (for pair values, products and the
-    factor basis; the quadrants are then views into them) and the factor
-    basis of the first 4D integral. Integrals of |f| on one mode, of a pair
+    the first 4D integral on, the factor basis built from their whole
+    grids; it holds no whole grid. Integrals of |f| on one mode, of a pair
     term or the total, are folded sums over the quadrant; two-mode ones are
     sums of separable products and never materialize the 4D array.
     Immutable by convention.
@@ -393,7 +396,6 @@ class TermTable:
         self.grid = grid
         self.amplitudes = tuple(complex(c) for c in amplitudes)
         self._cross, self._signs, self._ints = zip(*maps_by_mode)
-        self._whole = {}  # per-mode whole grids, mirrored on first use
         self._bases = {}  # per-mode factor bases of a two-mode table
 
     @property
@@ -413,30 +415,25 @@ class TermTable:
         return functools.reduce(operator.add, (functools.reduce(operator.mul, entries, gamma)
                                                for gamma, entries in self._terms(k, l, per_mode)))
 
-    def _whole_grids(self, mode: int) -> dict:
-        """The mode's stored grids mirrored whole, on first use; each stored
-        quadrant becomes its view into them, so no grid is held twice."""
-        if mode not in self._whole:
-            axes, stored = self.grid.mode(mode), self._cross[mode]
-            sq, sp = _mirror_start(axes.q), _mirror_start(axes.p)
-            whole = self._whole[mode] = {}
-            for key, d in stored.items():
-                whole[key] = _mirror(d, axes, self._signs[mode][key])
-                stored[key] = whole[key][sq:, sp:]
-        return self._whole[mode]
+    def _mode_terms(self, key) -> list:
+        """(gamma, stored quadrant, parity sign) triples of a single-mode
+        f_kl = Re sum gamma D. A hermitian pair is the one triple of
+        2 gamma_kl D_kl: the (l, k) product is the conjugate of the (k, l)
+        one, so their sum is twice its real part, bit for bit."""
+        k, l = key
+        c, stored, signs = self.amplitudes, self._cross[0], self._signs[0]
+        if k == l or not self.representation.hermitian_pairs:
+            return [(gamma, d, signs[key]) for gamma, (d,) in self._terms(k, l, [stored])]
+        return [(2.0 * c[k] * np.conj(c[l]), stored[key], signs[key])]
 
     def pair_keys(self):
         return _hermitian_keys(len(self.amplitudes))
 
     def stored_factors(self, mode: int) -> dict:
-        """Ordered-pair complex factor grids held for one mode, whole."""
-        return dict(self._whole_grids(mode))
-
-    def products(self, k, l):
-        """Complex factor products (gamma, D_1, ...) whose paired real part is f_kl."""
-        whole = [self._whole_grids(m) for m in range(self.n_modes)]
-        return [(gamma + 0.0j if k == l else gamma, *factors)
-                for gamma, factors in self._terms(k, l, whole)]
+        """Ordered-pair complex factor grids held for one mode, mirrored
+        whole afresh on each call."""
+        axes, signs = self.grid.mode(mode), self._signs[mode]
+        return {key: _mirror(d, axes, signs[key]) for key, d in self._cross[mode].items()}
 
     def pair_integral(self, k, l) -> float:
         return float(self._paired(k, l, self._ints).real)
@@ -453,7 +450,6 @@ class TermTable:
             raise DomainError("amplitude count mismatch")
         table = TermTable(self.representation, self.grid, amplitudes,
                           zip(self._cross, self._signs, self._ints))
-        table._whole = self._whole  # both depend on the grids only
         table._bases = self._bases
         return table
 
@@ -468,15 +464,8 @@ class TermTable:
         if keys is None:
             keys = self.pair_keys()
         if self.n_modes == 1:
-            c, stored, signs = self.amplitudes, self._cross[0], self._signs[0]
-            terms = []
-            for k, l in keys:
-                if k == l or not self.representation.hermitian_pairs:
-                    terms += [(gamma, d, signs[(k, l)])
-                              for gamma, (d,) in self._terms(k, l, [stored])]
-                else:  # 2 Re(gamma_kl D_kl), as in pair_values
-                    terms.append((2.0 * c[k] * np.conj(c[l]), stored[(k, l)], signs[(k, l)]))
-            return _folded_abs(terms, self.grid.mode(0))
+            return _folded_abs([t for key in keys for t in self._mode_terms(key)],
+                               self.grid.mode(0))
         if len(keys) == 1 and keys[0][0] == keys[0][1] and self.representation.hermitian_pairs:
             # Exact single real product: |f| factorizes across the modes.
             # The 4D kernel's closed form gives the same value to 2e-16,
@@ -490,22 +479,19 @@ class TermTable:
             return scale * a * b, scale * (ea * b + a * eb)
         return abs_4d_with_estimate(self.real_products(keys), self.grid, threads=threads)
 
-    # Single-mode tables: dense real grids.
+    def values(self, keys=None) -> np.ndarray:
+        """sum f_kl over ``keys`` (default all), in key order, on the whole
+        grid of a single-mode table."""
+        if keys is None:
+            keys = self.pair_keys()
+        axes = self.grid.mode(0)
 
-    def pair_values(self, i, j) -> np.ndarray:
-        """Real combined term f_ij on the whole grid of a single-mode table."""
-        c, stored = self.amplitudes, self._whole_grids(0)
-        if i == j:
-            return (abs(c[i]) ** 2) * stored[(i, i)].real
-        if not self.representation.hermitian_pairs:
-            return self._paired(i, j, [stored]).real
-        # The (j, i) product is the conjugate of the (i, j) one, so their
-        # sum is twice its real part, bit for bit.
-        return 2.0 * (c[i] * np.conj(c[j]) * _ordered_entry(stored, i, j)).real
-
-    def total_values(self) -> np.ndarray:
-        return functools.reduce(operator.add,
-                                (self.pair_values(*key) for key in self.pair_keys()))
+        def pair(key):  # f_kk = |c_k|^2 Re D_kk; Re(gamma D) would flip some signed zeros
+            parts = (gamma * _mirror(d, axes, sign).real if key[0] == key[1]
+                     else (gamma * _mirror(d, axes, sign)).real
+                     for gamma, d, sign in self._mode_terms(key))
+            return functools.reduce(operator.add, parts)
+        return functools.reduce(operator.add, map(pair, keys))
 
     # Two-mode tables: real separable products for the 4D kernel.
 
@@ -520,7 +506,7 @@ class TermTable:
         for mode, stored in enumerate(self._cross):
             if mode not in self._bases:
                 self._bases[mode] = factor_basis(
-                    [part for d in self._whole_grids(mode).values() for part in (d.real, d.imag)])
+                    [part for d in self.stored_factors(mode).values() for part in (d.real, d.imag)])
             eye = np.eye(2 * len(stored))
             unit = eye[0::2] + 1j * eye[1::2]
             units.append(dict(zip(stored, unit[:, :, None] if mode == 0 else unit)))
@@ -596,9 +582,10 @@ def _build_cross_maps(rep, prims, mode):
 def build_term_table(state, representation, grid: PhaseGrid = None) -> TermTable:
     """Evaluate the term-pair decomposition of a normalized state.
 
-    The total integral over the grid must come out within 1e-3 of one,
-    otherwise the grid does not cover the state (or the state was not
-    normalized) and GridCoverageError is raised.
+    The total integral over the grid must come out within
+    NORM_CHECK_TOLERANCE of one, otherwise the grid does not cover the
+    state (or the state was not normalized) and GridCoverageError is
+    raised.
     """
     rep = Representation.parse(representation)
     prims = _mode_primitives(state)
@@ -612,7 +599,7 @@ def build_term_table(state, representation, grid: PhaseGrid = None) -> TermTable
     norm = table.total_integral()
     if not np.isfinite(norm):
         raise QuadratureError("term table integral is not finite")
-    if abs(norm - 1.0) > 1e-3:
+    if abs(norm - 1.0) > NORM_CHECK_TOLERANCE:
         raise GridCoverageError(
             f"total integral {norm:.6f} deviates from 1 by more than 1e-3; "
             "the grid does not cover the state's support (or the state is "

@@ -163,7 +163,7 @@ def _marginal_checks(tables, results):
         if rep is not Representation.WIGNER or table.n_modes != 1:
             continue
         mode = table.grid.mode(0)
-        marginal = np.sum(table.total_values(), axis=1) * mode.p.delta
+        marginal = np.sum(table.values(), axis=1) * mode.p.delta
         density = np.abs(state.wavefunction(mode.q.centers)) ** 2
         worst = float(np.max(np.abs(marginal - density)))
         ok = worst <= MARGINAL_TOL
@@ -188,7 +188,7 @@ def _decomposition_checks(tables, results, rng):
     for (sname, rep), (state, table) in tables.items():
         if table.n_modes == 1:
             mode = table.grid.mode(0)
-            total = table.total_values()
+            total = table.values()
             worst = 0.0
             for a, b in _quadrant_nodes(mode, rng):
                 direct = _direct_single(state, rep,
@@ -233,15 +233,14 @@ def _husimi_checks(tables, results):
         worst = 0.0
         if table.n_modes == 1:
             for i in range(len(table.amplitudes)):
-                worst = min(worst, float(np.min(table.pair_values(i, i))))
-            total_min = float(np.min(table.total_values()))
+                worst = min(worst, float(np.min(table.values([(i, i)]))))
+            total_min = float(np.min(table.values()))
             ok = worst >= HUSIMI_FLOOR and total_min >= -1e-12
             detail = f"diag min = {worst:.3e}, total min = {total_min:.3e}"
         else:
+            factors = [table.stored_factors(m) for m in range(2)]
             for k in range(len(table.amplitudes)):
-                for _, d1, d2 in table.products(k, k):
-                    diag_min = min(float(np.min(d1.real)), float(np.min(d2.real)))
-                    worst = min(worst, diag_min)
+                worst = min(worst, *(float(np.min(f[(k, k)].real)) for f in factors))
             ok = worst >= HUSIMI_FLOOR
             detail = f"per-mode diag min = {worst:.3e}"
         results.append(CheckResult(f"husimi_positivity[{sname}]", ok, detail))

@@ -270,7 +270,7 @@ def test_criterion_10_oracle_equivalence():
     m = table.grid.mode(0)
     iq = rng.integers(0, m.q.n, size=25)
     ip = rng.integers(0, m.p.n, size=25)
-    got = table.pair_values(0, 1)[iq, ip]
+    got = table.values([(0, 1)])[iq, ip]
     ref = c0 * c1 * oracles.squeezed_vacuum_cross_reference(
         m.q.centers[iq], m.p.centers[ip], 1.0)
     worst_sq = float(np.max(np.abs(got - ref)))

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from psnci.phasespace import (
     _kirkwood_pair_grid,
     _mirror,
     _mode_phase,
+    _ordered_entry,
     _pair_grid,
     _wigner_numeric_grid,
     build_term_table,
@@ -354,8 +357,8 @@ def test_folded_sums_equal_whole_grid_sums(rep, prims, mode, amplitudes):
         assert (abs(ints[key] - np.sum(grid) * mode.cell_area)
                 <= 1e-14 * np.sum(np.abs(grid)) * mode.cell_area)
     # the whole table mixes the parities of its pairs where n_i + n_j is odd
-    cases = [([key], table.pair_values(*key)) for key in table.pair_keys()]
-    for keys, values in cases + [(None, table.total_values())]:
+    cases = [([key], table.values([key])) for key in table.pair_keys()]
+    for keys, values in cases + [(None, table.values())]:
         value, estimate = table.abs_with_estimate(keys)
         want, want_estimate = oracles.integral_with_estimate(np.abs(values), mode)
         assert abs(value - want) <= 1e-13 * want
@@ -404,12 +407,11 @@ def test_two_mode_table_mirrors_each_grid_once(monkeypatch, rep):
         row = table.with_amplitudes((math.sqrt(a_sq), math.sqrt(1.0 - a_sq)))
         delta_indicator(row)
         eta_indicator(row)
-        row.products(0, 1)
-    stored = sum(len(table.stored_factors(m)) for m in range(2))
+    stored = sum(len(table._cross[m]) for m in range(2))
     assert len(mirrored) == len(set(mirrored)) == stored
     # the factorized diagonal folds over the quadrants
     if rep.hermitian_pairs:
-        _, d1, d2 = table.products(0, 0)[0]
+        d1, d2 = (table.stored_factors(m)[(0, 0)] for m in range(2))
         a, ea = oracles.integral_with_estimate(np.abs(d1.real), axes)
         b, eb = oracles.integral_with_estimate(np.abs(d2.real), axes)
         value, estimate = table.abs_with_estimate([(0, 0)])
@@ -418,21 +420,22 @@ def test_two_mode_table_mirrors_each_grid_once(monkeypatch, rep):
         assert abs(estimate - scale * (ea * b + a * eb)) <= 1e-13 * value
 
 
-# Once a two-mode table mirrors its grids whole, it keeps each quadrant
-# only as a view into its whole grid; the folded sums read the same values
-# through the view, so the factorized diagonals do not move by a bit.
 @pytest.mark.parametrize("rep", list(Representation))
-def test_two_mode_quadrants_become_views_of_whole_grids(rep):
+def test_two_mode_table_holds_only_its_quadrants(rep):
+    # the whole grids a factor basis is built from are dropped with it:
+    # every stored grid stays the quadrant array it was built as
     axes = ModeAxes(Axis(-6.0, 6.0, 41), Axis(-6.0, 6.0, 40))
     state = State(((0.6, squeezed_fock(1, 0.3), fock(2)), (0.8j, fock(0), fock(1))))
     table = build_term_table(normalize(state), rep, PhaseGrid((axes, axes)))
-    diagonals = [(k, k) for k in range(2)]
-    before = [table.abs_with_estimate([key]) for key in diagonals]
-    table.real_products()
-    for mode in range(2):
-        whole = table.stored_factors(mode)
-        assert all(np.shares_memory(d, whole[key]) for key, d in table._cross[mode].items())
-    assert [table.abs_with_estimate([key]) for key in diagonals] == before
+    built = [dict(stored) for stored in table._cross]
+    delta_indicator(table)
+    eta_indicator(table)
+    for stored, before in zip(table._cross, built):
+        assert stored.keys() == before.keys()
+        for key, d in stored.items():
+            assert d is before[key]
+            assert d.shape == (21, 20)
+            assert d.base is None
 
 
 @pytest.mark.parametrize("rep", ["husimi", "rivier"])
@@ -453,23 +456,23 @@ def test_table_builds_its_phase_grid_once_on_the_quadrant(monkeypatch, rep):
 
 
 @pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
-def test_pair_values_is_the_hermitian_sum(rep):
-    # the hermitian shortcut 2 Re(gamma G_ij) must equal the full pairing
+def test_values_is_the_hermitian_sum(rep):
+    # the hermitian shortcut 2 Re(gamma D_ij) must equal the full pairing
     state = normalize(State(((0.6 + 0.3j, fock(1)),
                                        (0.5 - 0.4j, squeezed_fock(0, 0.8)))))
     table = build_term_table(state, rep)
     c = table.amplitudes
-
-    def grid_of(i, j):
-        # the first product of f_ij carries the factor grid D_ij
-        return table.products(i, j)[0][1]
+    whole = table.stored_factors(0)
 
     for i, j in table.pair_keys():
         gamma = c[i] * np.conj(c[j])
-        ref = (gamma * grid_of(i, j) + np.conj(gamma) * grid_of(j, i)).real
+        ref = (gamma * _ordered_entry(whole, i, j)
+               + np.conj(gamma) * _ordered_entry(whole, j, i)).real
         if i == j:
-            ref = (abs(c[i]) ** 2) * grid_of(i, i).real
-        assert np.array_equal(table.pair_values(i, j), ref)
+            ref = (abs(c[i]) ** 2) * whole[(i, i)].real
+        assert np.array_equal(table.values([(i, j)]), ref)
+    assert np.array_equal(table.values(), functools.reduce(
+        operator.add, (table.values([key]) for key in table.pair_keys())))
 
 
 @pytest.mark.parametrize("prim", [fock(0), fock(1), squeezed_fock(0, 1.0),
@@ -483,7 +486,7 @@ def test_kirkwood_diagonal_normalization(prim):
 def test_rivier_fock1_goes_negative_on_default_grid():
     st = State(((1.0, fock(1)),))
     table = build_term_table(st, "rivier")
-    assert float(np.min(table.total_values())) < -1e-4
+    assert float(np.min(table.values())) < -1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +497,7 @@ def test_single_term_table_diagonal_equals_total():
     st = State(((1.0, fock(0)),))
     table = build_term_table(st, "wigner")
     assert table.pair_keys() == [(0, 0)]
-    assert np.array_equal(table.pair_values(0, 0), table.total_values())
+    assert np.array_equal(table.values([(0, 0)]), table.values())
 
 
 def test_entangled_pair_terms_match_analytic_forms():
@@ -516,12 +519,8 @@ def test_entangled_pair_terms_match_analytic_forms():
             * oracles.wigner_fock_diag(1, q2, p2)
         want_cross = oracles.wigner_vacuum_fock1_cross_pair(q1, p1, q2, p2, a, b)
         del gauss
-        got = {}
-        for key in table.pair_keys():
-            val = 0.0
-            for gamma, d1, d2 in table.products(*key):
-                val += np.real(gamma * d1[i1, j1] * d2[i2, j2])
-            got[key] = val
+        got = {key: sum(g[i1, j1] * h[i2, j2] for g, h in table.real_products([key]))
+               for key in table.pair_keys()}
         assert abs(got[(0, 0)] - want_11) < 1e-8
         assert abs(got[(1, 1)] - want_22) < 1e-8
         assert abs(got[(0, 1)] - want_cross) < 1e-8
@@ -547,7 +546,7 @@ def test_squeezed_superposition_cross_term_ratio():
     table = build_term_table(st, "wigner")
     c0, c1 = (c.real for c in st.amplitudes)
     mode = table.grid.mode(0)
-    cross = table.pair_values(0, 1)
+    cross = table.values([(0, 1)])
     iq = RNG.integers(0, mode.q.n, size=30)
     ip = RNG.integers(0, mode.p.n, size=30)
     ref = oracles.squeezed_vacuum_cross_reference(
@@ -577,7 +576,7 @@ def test_wigner_marginals():
     st = normalize(State(((0.8, fock(0)), (0.6, fock(2)))))
     table = build_term_table(st, "wigner")
     mode = table.grid.mode(0)
-    marginal = np.sum(table.total_values(), axis=1) * mode.p.delta
+    marginal = np.sum(table.values(), axis=1) * mode.p.delta
     density = np.abs(st.wavefunction(mode.q.centers)) ** 2
     assert np.max(np.abs(marginal - density)) < 1e-4
 
@@ -587,7 +586,7 @@ def test_decomposition_completeness_against_direct_kernel():
     st = normalize(State(((0.8, fock(0)), (0.6, fock(2)))))
     table = build_term_table(st, "wigner")
     mode = table.grid.mode(0)
-    total = table.total_values()
+    total = table.values()
     y = np.linspace(-9, 9, 6001)
     dy = y[1] - y[0]
     for _ in range(8):
@@ -603,7 +602,7 @@ def test_husimi_diagonal_floor():
     st = squeezed_vacuum_superposition(0.5, 1.0)
     table = build_term_table(st, "husimi")
     for i in range(2):
-        assert float(np.min(table.pair_values(i, i))) >= -1e-14
+        assert float(np.min(table.values([(i, i)]))) >= -1e-14
 
 
 def test_grid_coverage_error():
