@@ -239,8 +239,10 @@ def sweep_r(family: str, r_values, a_values, rep, *, convention: str = "sqrt",
     wavefunctions are real with definite parity, so each table's grids are
     evaluated and kept on the q >= 0, p >= 0 quadrant, and every pair
     integral is a folded sum over it (see ``psnci.phasespace``): no whole
-    grid is built. That quadrant of the e^r-stretched grid is where the
-    sweep spends most of its time.
+    grid is built. The sweep spends most of its time evaluating that
+    quadrant of the e^r-stretched grid: the shared e^(-iqp) grid, the
+    closed forms and the two kernel quadratures, each folded over +-y, in
+    comparable shares.
     """
     makers = {
         "psi00r": squeezed_vacuum_superposition,

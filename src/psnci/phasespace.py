@@ -34,6 +34,15 @@ quadrant of a symmetric grid (lo == -hi on both axes, as every default and
 of a stored grid is a sum over that quadrant folded by these mirrors, and
 a reader of whole grids gets fresh ones filled by the mirrors on each read.
 
+The two kernel quadratures, the Wigner cross term of unequally squeezed
+primitives and the coherent amplitude of a squeezed primitive, sum over
+midpoint nodes that lie symmetrically about 0. Each evaluates only the
+half y >= 0 and adds every node's mirror image with it (the centre node
+of an odd count, its own image, with weight 1/2): the Wigner kernel pairs
+psi_i(q + y) psi_j(q - y) with psi_i(q - y) psi_j(q + y), the amplitude
+uses the parity of psi. Their cos and sin tables come from two small exp
+tables along the uniform node axis (_phase_table), whatever the p nodes.
+
 A TermTable holds the real term-pair decomposition f = sum_kl f_kl of a
 one- or two-mode superposition state's distribution: a diagonal term per
 term of the state and one combined real interference term per unordered
@@ -201,18 +210,49 @@ def _kernel_sampling(prim_i: Primitive, prim_j: Primitive, p_absmax: float) -> t
     return half_width, nodes
 
 
-def _wigner_numeric_grid(prim_i: Primitive, prim_j: Primitive, q, p) -> np.ndarray:
-    """Kernel quadrature on the len(q) x len(p) grid via two real matrix products."""
-    p_absmax = max(1.0, float(np.max(np.abs(p))))
-    half_width, nodes = _kernel_sampling(prim_i, prim_j, p_absmax)
+def _half_nodes(half_width: float, nodes: int) -> tuple:
+    """The y >= 0 half of the ``nodes`` midpoint nodes on [-half_width,
+    half_width], which lie symmetrically about 0, with their weights in a
+    sum over y and -y, and the spacing dy. An even count has the nodes
+    (k + 1/2) dy, all of weight 1; an odd one has k dy, and its centre node
+    y = 0, its own mirror image, has weight 1/2."""
     dy = 2.0 * half_width / nodes
-    y = -half_width + (np.arange(nodes) + 0.5) * dy
-    f = (position_wavefunction(prim_i, q[:, None] + y[None, :])
-         * position_wavefunction(prim_j, q[:, None] - y[None, :]))
-    arg = 2.0 * y[:, None] * p[None, :]
-    real = f @ np.cos(arg)
-    imag = f @ np.sin(arg)
-    return (real - 1j * imag) * (dy / math.pi)
+    y = (np.arange((nodes + 1) // 2) + 0.5 * (1 - nodes % 2)) * dy
+    weights = np.ones(len(y))
+    if nodes % 2:
+        weights[0] = 0.5
+    return y, weights, dy
+
+
+def _phase_table(c: float, y: np.ndarray, dy: float, p) -> tuple:
+    """cos(c y p) and sin(c y p) on the len(y) x len(p) grid of the uniform
+    nodes y_k = y_0 + k dy, from two small exp tables: with k = L h + m and
+    L = isqrt(len(y)), e^(icy_k p) = e^(icy_(Lh) p) e^(icm dy p), one
+    complex product per entry."""
+    step = math.isqrt(len(y))
+    coarse = np.exp(1j * c * np.outer(y[::step], p))
+    fine = np.exp(1j * c * np.outer(np.arange(step) * dy, p))
+    table = (coarse[:, None, :] * fine[None, :, :]).reshape(-1, len(p))[:len(y)]
+    return np.ascontiguousarray(table.real), np.ascontiguousarray(table.imag)
+
+
+def _wigner_numeric_grid(prim_i: Primitive, prim_j: Primitive, q, p) -> np.ndarray:
+    """Kernel quadrature on the len(q) x len(p) grid via two real matrix
+    products, folded over y and -y: with fp = psi_i(q + y) psi_j(q - y) and
+    fm = psi_i(q - y) psi_j(q + y) on the half nodes y >= 0 of weight w,
+        W_ij = (dy / pi) [((fp + fm) w) @ cos(2yp) - i ((fp - fm) w) @ sin(2yp)],
+    with the cos and sin tables from _phase_table."""
+    p_absmax = max(1.0, float(np.max(np.abs(p))))
+    y, weights, dy = _half_nodes(*_kernel_sampling(prim_i, prim_j, p_absmax))
+    plus, minus = q[:, None] + y[None, :], q[:, None] - y[None, :]
+    fp = position_wavefunction(prim_i, plus) * position_wavefunction(prim_j, minus)
+    fm = position_wavefunction(prim_i, minus) * position_wavefunction(prim_j, plus)
+    weights *= dy / math.pi
+    cos, sin = _phase_table(2.0, y, dy, p)
+    grid = np.empty((len(q), len(p)), dtype=complex)
+    grid.real = ((fp + fm) * weights) @ cos
+    grid.imag = ((fm - fp) * weights) @ sin
+    return grid
 
 
 def _wigner_pair_grid(prim_i: Primitive, prim_j: Primitive, q, p) -> np.ndarray:
@@ -239,9 +279,15 @@ def _coherent_amplitude_grid(prim: Primitive, q, p, phase) -> np.ndarray:
     """<alpha|prim> on the len(q) x len(p) grid, alpha = q + ip.
 
     Fock states use the closed overlap e^(-|alpha|^2 / 2) (alpha*)^n / sqrt(n!);
-    squeezed states integrate the coherent-state wavefunction against the
-    primitive's position wavefunction, with e^(iqp) = conj(phase) taken
+    squeezed states integrate the coherent-state wavefunction
+    pi^(-1/4) e^(iqp) e^(-(x - sqrt2 q)^2 / 2) e^(-i sqrt2 xp) against the
+    primitive's position wavefunction psi, with e^(iqp) = conj(phase) taken
     from the mode's shared e^(-iqp) grid (Fock states ignore ``phase``).
+    The sum is folded over x and -x by the parity psi(-x) = (-1)^n psi(x):
+    with g+- = e^(-(x -+ sqrt2 q)^2 / 2) on the half nodes x >= 0 of
+    weight w, it is (psi w (g+ + (-1)^n g-)) @ cos(sqrt2 xp)
+    - i (psi w (g+ - (-1)^n g-)) @ sin(sqrt2 xp), with the tables from
+    _phase_table.
     """
     if prim.kind == FOCK:
         u = q[:, None] ** 2 + p[None, :] ** 2
@@ -250,14 +296,16 @@ def _coherent_amplitude_grid(prim: Primitive, q, p, phase) -> np.ndarray:
             return env.astype(complex)
         return env * (q[:, None] - 1j * p[None, :]) ** prim.n
     p_absmax = max(1.0, float(np.max(np.abs(p))))
-    half_width, nodes = _husimi_sampling(prim, p_absmax)
-    dx = 2.0 * half_width / nodes
-    x = -half_width + (np.arange(nodes) + 0.5) * dx
-    psi_w = position_wavefunction(prim, x) * dx
-    gauss = np.exp(-0.5 * (x[None, :] - math.sqrt(2.0) * q[:, None]) ** 2)
-    osc = np.exp(-1j * math.sqrt(2.0) * x[:, None] * p[None, :])
-    core = (gauss * psi_w[None, :]) @ osc
-    return _QUARTIC_ROOT_PI * np.conj(phase) * core
+    x, weights, dx = _half_nodes(*_husimi_sampling(prim, p_absmax))
+    psi_w = position_wavefunction(prim, x) * (weights * (dx * _QUARTIC_ROOT_PI))
+    gauss_plus = np.exp(-0.5 * (x[None, :] - math.sqrt(2.0) * q[:, None]) ** 2)
+    gauss_minus = (-1) ** prim.n * np.exp(-0.5 * (x[None, :] + math.sqrt(2.0) * q[:, None]) ** 2)
+    cos, sin = _phase_table(math.sqrt(2.0), x, dx, p)
+    amp = np.empty((len(q), len(p)), dtype=complex)
+    amp.real = ((gauss_plus + gauss_minus) * psi_w) @ cos
+    amp.imag = ((gauss_plus - gauss_minus) * psi_w) @ sin
+    amp *= phase
+    return np.conjugate(amp, out=amp)
 
 
 def _husimi_pair_grid(amp_i: np.ndarray, amp_j: np.ndarray) -> np.ndarray:
@@ -523,9 +571,16 @@ def _mode_phase(mode_cache: dict, q, p) -> np.ndarray:
     kept in the mode's cache for every later Kirkwood pair and squeezed
     amplitude. Like every factor grid it is conjugated by p -> -p and even
     under (q, p) -> (-q, -p), so _build_cross_maps needs it on the
-    non-negative quadrant only."""
+    non-negative quadrant only. Its real and imaginary parts are cos(-qp)
+    and sin(-qp) written in place, the same values as np.exp(-1j * qp)
+    bit for bit at less cost."""
     if "phase" not in mode_cache:
-        mode_cache["phase"] = np.exp(-1j * np.outer(q, p))
+        arg = np.outer(q, p)
+        np.negative(arg, out=arg)
+        phase = np.empty(arg.shape, dtype=complex)
+        np.cos(arg, out=phase.real)
+        np.sin(arg, out=phase.imag)
+        mode_cache["phase"] = phase
     return mode_cache["phase"]
 
 

@@ -216,7 +216,11 @@ def primitive_overlap(p1: Primitive, p2: Primitive) -> complex:
 
 def overlap(s1: State, s2: State) -> complex:
     """<s1|s2> = sum_kl conj(c_k) c_l prod_m <u_mk|u_ml>, cross terms between
-    non-orthogonal primitives included."""
+    non-orthogonal primitives included.
+
+    Every primitive wavefunction is real with parity (-1)^n, so <u|v> = <v|u>
+    is computed once per unordered pair, and is exactly 0 when n_u + n_v is
+    odd."""
     if s1.n_modes != s2.n_modes:
         raise DomainError(f"mode counts differ: {s1.n_modes} and {s2.n_modes}")
     total = 0.0 + 0.0j
@@ -224,10 +228,11 @@ def overlap(s1: State, s2: State) -> complex:
     for ck, *uk in s1.terms:
         for cl, *ul in s2.terms:
             term = np.conj(ck) * cl
-            for pair in zip(uk, ul):
-                if pair not in cache:
-                    cache[pair] = primitive_overlap(*pair)
-                term = term * cache[pair]
+            for u, v in zip(uk, ul):
+                if (u, v) not in cache:
+                    cache[(u, v)] = cache[(v, u)] = (
+                        primitive_overlap(u, v) if (u.n + v.n) % 2 == 0 else 0.0j)
+                term = term * cache[(u, v)]
             total += term
     return total
 

@@ -137,8 +137,11 @@ def squeezed_vacuum_cross_reference(q, p, r):
 
 # --- direct pair-grid formulas ---------------------------------------------
 # The production evaluators share one e^(-iqp) grid per mode; these compute
-# it in place, with otherwise the same arithmetic, so the two must agree
-# bit for bit.
+# it in place. The Kirkwood kernel keeps otherwise the same arithmetic, so
+# the two must agree bit for bit. The kernel quadratures sum every one of
+# the production midpoint nodes, with the phase computed at each: production
+# folds the sums over +-y and factors the phase table, which agrees with
+# these to rounding.
 
 def kirkwood_direct(prim_i, prim_j, q, p):
     """(2 pi)^(-1/2) psi_i(q) phi_j*(p) e^(-iqp) on the len(q) x len(p) grid."""
@@ -147,6 +150,22 @@ def kirkwood_direct(prim_i, prim_j, q, p):
     psi_q = np.asarray(position_wavefunction(prim_i, q))
     phi_p = np.conj(momentum_wavefunction(prim_j, p))
     return (2.0 * math.pi) ** -0.5 * np.outer(psi_q, phi_p) * np.exp(-1j * np.outer(q, p))
+
+
+def wigner_kernel_direct(prim_i, prim_j, q, p):
+    """(1/pi) int psi_i(q + y) psi_j(q - y) e^(-2ipy) dy on the len(q) x len(p)
+    grid, as the plain cos and sin sums over the production midpoint nodes."""
+    from psnci.phasespace import _kernel_sampling
+    from psnci.states import position_wavefunction
+
+    p_absmax = max(1.0, float(np.max(np.abs(p))))
+    half_width, nodes = _kernel_sampling(prim_i, prim_j, p_absmax)
+    dy = 2.0 * half_width / nodes
+    y = -half_width + (np.arange(nodes) + 0.5) * dy
+    f = (position_wavefunction(prim_i, q[:, None] + y[None, :])
+         * position_wavefunction(prim_j, q[:, None] - y[None, :]))
+    arg = 2.0 * y[:, None] * p[None, :]
+    return (f @ np.cos(arg) - 1j * (f @ np.sin(arg))) * (dy / math.pi)
 
 
 def coherent_amplitude_direct(prim, q, p):

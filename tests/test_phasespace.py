@@ -261,10 +261,13 @@ SQUEEZED_PRIMS = [squeezed_fock(0, 1.0), squeezed_fock(1, -0.5), squeezed_fock(2
 @pytest.mark.parametrize("prim", SQUEEZED_PRIMS)
 def test_shared_phase_coherent_amplitude_is_the_direct_formula(prim):
     # the squeezed amplitude takes e^(iqp) as the conjugate of the shared
-    # e^(-iqp) grid; that must not move a single bit
+    # e^(-iqp) grid; with its sum folded over +-x and its phase table
+    # factored, it matches the whole-node formula to rounding
     q = RNG.uniform(-4.0, 4.0, size=23)
     p = RNG.uniform(-4.0, 4.0, size=31)
-    assert np.array_equal(_amplitude(prim, q, p), oracles.coherent_amplitude_direct(prim, q, p))
+    amp = _amplitude(prim, q, p)
+    ref = oracles.coherent_amplitude_direct(prim, q, p)
+    assert np.max(np.abs(amp - ref)) <= 2e-15 * np.max(np.abs(amp))
 
 
 @pytest.mark.parametrize("prim_j", [fock(0), fock(3)] + SQUEEZED_PRIMS)
@@ -292,6 +295,56 @@ def test_mode_phase_is_computed_once_per_mode():
     fock_cache = {}
     _pair_grid(Representation.HUSIMI, fock(0), fock(2), mode, fock_cache)
     assert "phase" not in fock_cache
+
+
+def test_mode_phase_is_bit_identical_to_complex_exp():
+    q = RNG.uniform(-20.0, 20.0, size=200)
+    p = RNG.uniform(-20.0, 20.0, size=300)
+    assert np.array_equal(_mode_phase({}, q, p), np.exp(-1j * np.outer(q, p)))
+
+
+@pytest.fixture(params=[0, 1], ids=["even_nodes", "odd_nodes"])
+def node_parity(request, monkeypatch):
+    """Force the node counts of both kernel quadratures to one parity."""
+    for name in ("_kernel_sampling", "_husimi_sampling"):
+        rule = getattr(phasespace, name)
+
+        def forced(*args, rule=rule):
+            half_width, nodes = rule(*args)
+            return half_width, nodes // 2 * 2 + request.param
+
+        monkeypatch.setattr(phasespace, name, forced)
+    return request.param
+
+
+# n_i + n_j even and odd, r < 0 and r > 0
+FOLD_WIGNER_PAIRS = [
+    (fock(0), squeezed_fock(1, 0.8)),
+    (squeezed_fock(1, -0.6), fock(1)),
+    (squeezed_fock(2, 0.5), squeezed_fock(0, -0.3)),
+    (squeezed_fock(3, -1.0), fock(0)),
+]
+
+
+@pytest.mark.parametrize("prim_i, prim_j", FOLD_WIGNER_PAIRS)
+def test_folded_wigner_kernel_matches_whole_node_sum(node_parity, prim_i, prim_j):
+    q = RNG.uniform(-4.0, 4.0, size=17)
+    p = RNG.uniform(-4.0, 4.0, size=29)
+    got = _wigner_numeric_grid(prim_i, prim_j, q, p)
+    assert np.max(np.abs(got - oracles.wigner_kernel_direct(prim_i, prim_j, q, p))) <= 2e-15
+
+
+# n even and odd, r < 0 and r > 0, support radii up to 12.7: the oracle's
+# nodes -h + (k + 1/2) dx carry a rounding of up to ulp(h) that alone moves
+# its sum by up to 2.8e-15 at h = 37 (n = 2, r = -1.5), where a sum over
+# exactly symmetric nodes stays within 7e-16 of the folded one.
+@pytest.mark.parametrize("prim", [squeezed_fock(0, 1.0), squeezed_fock(1, -0.5),
+                                  squeezed_fock(2, -0.3), squeezed_fock(3, 0.6)])
+def test_folded_coherent_amplitude_matches_whole_node_sum(node_parity, prim):
+    q = RNG.uniform(-4.0, 4.0, size=17)
+    p = RNG.uniform(-4.0, 4.0, size=29)
+    got = _amplitude(prim, q, p)
+    assert np.max(np.abs(got - oracles.coherent_amplitude_direct(prim, q, p))) <= 2e-15
 
 
 # Primitive pairs with n_i + n_j odd and even, equal squeezing (the closed

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from psnci import states
 from psnci.errors import DegenerateStateError, DomainError, StateFormatError
 from psnci.states import (
     State,
@@ -110,6 +111,58 @@ def test_overlap_conjugate_symmetry():
     s1 = State(((0.6 + 0.2j, fock(0)), (0.5 - 0.1j, squeezed_fock(0, 0.8))))
     s2 = State(((0.3 - 0.4j, fock(2)), (0.9j, squeezed_fock(0, -0.5))))
     assert abs(overlap(s1, s2) - np.conj(overlap(s2, s1))) < 1e-10
+
+
+def _counted_overlaps(monkeypatch):
+    """Record the primitive pairs whose overlap quadrature runs."""
+    calls = []
+    quadrature = states.primitive_overlap
+
+    def counted(u, v):
+        calls.append((u, v))
+        return quadrature(u, v)
+
+    monkeypatch.setattr(states, "primitive_overlap", counted)
+    return calls
+
+
+@pytest.mark.parametrize("prims", [
+    (fock(0), squeezed_fock(1, 0.7)),
+    (fock(0), squeezed_fock(0, -0.4)),
+    (fock(0), squeezed_fock(1, 1.2), squeezed_fock(2, -0.5), fock(3)),
+])
+def test_overlap_runs_once_per_unordered_same_parity_pair(monkeypatch, prims):
+    calls = _counted_overlaps(monkeypatch)
+    state = State(tuple((0.5 + 0.1j * k, prim) for k, prim in enumerate(prims)))
+    overlap(state, state)
+    expected = {frozenset((u, v)) for u in prims for v in prims if (u.n + v.n) % 2 == 0}
+    assert len(calls) == len(expected)
+    assert {frozenset(pair) for pair in calls} == expected
+
+
+def test_opposite_parity_overlap_is_exactly_zero(monkeypatch):
+    calls = _counted_overlaps(monkeypatch)
+    for u, v in [(fock(0), squeezed_fock(1, 0.9)), (squeezed_fock(2, -0.5), fock(1)),
+                 (squeezed_fock(3, 1.0), squeezed_fock(0, 1.0))]:
+        assert overlap(State(((1.0, u),)), State(((1.0, v),))) == 0.0
+    assert calls == []
+
+
+def _norm_of_every_ordered_pair(state):
+    """The norm with every ordered term pair integrated by quadrature."""
+    total = sum(np.conj(ck) * cl * states.primitive_overlap(u, v)
+                for ck, u in state.terms for cl, v in state.terms)
+    return math.sqrt(total.real)
+
+
+@pytest.mark.parametrize("n_squeezed", [0, 1])
+@pytest.mark.parametrize("a", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("r", [-1.0, 0.0, 0.5, 2.0])
+def test_normalize_matches_the_every_pair_norm(n_squeezed, a, r):
+    raw = State(((math.sqrt(1.0 - a * a), fock(0)), (a, squeezed_fock(n_squeezed, r))))
+    norm = _norm_of_every_ordered_pair(raw)
+    got = normalize(raw).amplitudes
+    assert max(abs(g - c / norm) for g, c in zip(got, raw.amplitudes)) <= 1e-15
 
 
 def test_two_mode_overlap_is_product_of_mode_overlaps():
