@@ -151,7 +151,7 @@ def _cmd_dist(args) -> int:
                             _fmt(g[a, b].real), _fmt(g[a, b].imag),
                         ]))
     _emit(lines, args, config)
-    norm_line = f"norm_check = {_fmt(table.norm_check)}"
+    norm_line = f"norm_check = {_fmt(table.total_integral())}"
     if args.out:
         print(norm_line)
     else:

@@ -3,7 +3,8 @@
 An axis with n cells over [lo, hi] places evaluation points at the cell
 centers lo + (k + 1/2) * delta, delta = (hi - lo) / n, so that the plain
 midpoint sum (sum of values times cell area) integrates the axis range
-exactly for constants.
+exactly for constants. Every axis is symmetric about 0 (lo == -hi): the
+term tables store one quadrant and fold their sums over the mirrors.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ class Axis:
             raise DomainError(f"axis needs at least {MIN_POINTS} points, got {self.n}")
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)) or self.hi <= self.lo:
             raise DomainError(f"invalid axis range [{self.lo}, {self.hi}]")
+        if self.lo != -self.hi:
+            raise DomainError(f"axis range [{self.lo}, {self.hi}] is not symmetric about 0")
 
     @property
     def delta(self) -> float:

@@ -29,10 +29,12 @@ with n_i = n_j = 0, the shared e^(-iqp) grid) therefore satisfies
       D_ij(q, -p) = conj D_ij(q, p),   D_ij(-q, -p) = (-1)^(n_i + n_j) D_ij(q, p).
 
 The table builder evaluates and stores every grid on the q >= 0, p >= 0
-quadrant of a symmetric grid (lo == -hi on both axes, as every default and
---extent grid is; an asymmetric axis is evaluated whole). Every 2D integral
-of a stored grid is a sum over that quadrant folded by these mirrors, and
-a reader of whole grids gets fresh ones filled by the mirrors on each read.
+quadrant of its grid, whose axes are symmetric about 0 (grids.Axis
+requires lo == -hi). Every 2D integral of a stored grid is a sum over that
+quadrant folded by these mirrors, and a reader of whole grids gets fresh
+ones filled by the mirrors on each read. One rule, _symmetry, decides from
+the amplitudes and parity signs which mirrors an |f| is symmetric under,
+for the single-mode folds and for the 4D kernel alike.
 
 The two kernel quadratures, the Wigner cross term of unequally squeezed
 primitives and the coherent amplitude of a squeezed primitive, sum over
@@ -77,6 +79,7 @@ from .grids import (
     PhaseGrid,
 )
 from .quadrature import (
+    _RANK_CUT,
     SeparableSum,
     abs_4d_with_estimate,
     factor_basis,
@@ -334,18 +337,13 @@ def _kirkwood_pair_grid(prim_i: Primitive, prim_j: Primitive, q, p, phase) -> np
 # Quadrant grids
 # ---------------------------------------------------------------------------
 
-def _mirror_start(axis: Axis) -> int:
-    """First evaluated index of an axis: the middle of a symmetric axis
-    (lo == -hi), whose lower half mirrors its upper half, else 0."""
-    return axis.n // 2 if axis.lo == -axis.hi else 0
-
-
 def _axis_fold(axis: Axis) -> np.ndarray:
-    """Rows of weights of an axis's evaluated nodes in the folded sums: 1 for
-    the node; 1 if its mirror image is a node not evaluated (not the middle
-    node of an odd axis, nor any of an asymmetric one); and each of these
-    only where that image's full index is even, for the decimated estimate."""
-    start = _mirror_start(axis)
+    """Rows of weights of an axis's evaluated nodes, its upper half from the
+    middle index on, in the folded sums: 1 for the node; 1 if its mirror
+    image is a node not evaluated (not the middle node of an odd axis); and
+    each of these only where that image's full index is even, for the
+    decimated estimate."""
+    start = axis.n // 2
     index = np.arange(start, axis.n)
     mirror = axis.n - 1 - index
     filled = mirror < start
@@ -359,7 +357,7 @@ def _mirror(quadrant: np.ndarray, mode: ModeAxes, sign: int) -> np.ndarray:
     values sit at the exact negations of evaluated nodes, which may differ
     from the axis's own nodes there by one rounding."""
     nq, n_p = mode.q.n, mode.p.n
-    sq, sp = _mirror_start(mode.q), _mirror_start(mode.p)
+    sq, sp = mode.q.n // 2, mode.p.n // 2
     g = np.empty((nq, n_p), dtype=complex)
     g[sq:, sp:] = quadrant
     np.conjugate(g[sq:, n_p - sp:][:, ::-1], out=g[sq:, :sp])
@@ -378,14 +376,39 @@ def _folded_integral(quadrant: np.ndarray, sign: int, mode: ModeAxes) -> complex
     return complex(s[0, 0] + sign * s[1, 1] + np.conj(s[0, 1] + sign * s[1, 0])) * mode.cell_area
 
 
+def _symmetry(pairs) -> tuple:
+    """Whether f = Re sum gamma D is even or odd under P, (q, p) -> (-q, -p),
+    T, p -> -p, and PT, q -> -q, for the (gamma, parity sign) ``pairs`` of
+    its terms, each D a grid, or a product of per-mode grids, with
+    D(-z) = sign D(z) and D(q, -p) = conj D(q, p).
+
+    T takes Re(gamma D) to Re(conj(gamma) D): to itself if gamma is real,
+    to its negative if gamma is imaginary. An element holds if it gives
+    every term with non-zero gamma one sign: P the parity sign, T that of
+    gamma, PT their product; so any two imply the third. Real and
+    imaginary are to within _RANK_CUT of the largest |gamma|, which keeps
+    T for amplitudes that share a global phase, whose products
+    c_k conj(c_l) are real up to rounding.
+    """
+    pairs = [(complex(gamma), sign) for gamma, sign in pairs]
+    tol = _RANK_CUT * max((abs(gamma) for gamma, _ in pairs), default=0.0)
+    signs = [(sign, 1 if abs(gamma.imag) <= tol else -1 if abs(gamma.real) <= tol else 0)
+             for gamma, sign in pairs if gamma != 0]
+    return tuple(len(held) <= 1 and 0 not in held for held in (
+        {p for p, _ in signs}, {t for _, t in signs}, {p * t for p, t in signs}))
+
+
 def _folded_abs(terms, mode: ModeAxes) -> tuple:
     """int |f| over a mode's whole grid and its estimate (the distance to 4
     times the sum over the even-index nodes), for f = Re sum gamma D over
     the (gamma, stored quadrant, parity sign) triples ``terms``. With E and
     O the sums of gamma D over the terms of sign +1 and -1, |f| is
     |Re(E + O)| at a node and |Re(E - O)| at its P image, and the same with
-    conj D at its T and PT images. Images share one grid, bit for bit, if
-    every sign is equal or every gamma is real."""
+    conj D at its T and PT images. An image under an element that
+    _symmetry says holds shares the node's grid: bit for bit when every
+    gamma is exactly real or exactly imaginary, as under P always; a gamma
+    that is so only to within the tolerance of _symmetry moves the sum by
+    a few roundings from the unfolded one."""
     def at(conj, triples):  # folded |f| with D (conj -1) or conj D (+1)
         return q @ np.abs(functools.reduce(operator.add, (
             gamma.real * d.real if gamma.imag == 0.0
@@ -393,12 +416,12 @@ def _folded_abs(terms, mode: ModeAxes) -> tuple:
             for gamma, d, _ in triples))) @ p.T
     q, p = _axis_fold(mode.q), _axis_fold(mode.p)
     flipped = [(-gamma if sign < 0 else gamma, d, sign) for gamma, d, sign in terms]
-    mixed = len({sign for _, _, sign in terms}) > 1
-    real = all(gamma.imag == 0.0 for gamma, _, _ in terms)
+    p_sym, t_sym, pt_sym = _symmetry([(gamma, sign) for gamma, _, sign in terms])
     node = at(-1.0, terms)
-    p_image = at(-1.0, flipped) if mixed else node
-    t_image = node if real else at(1.0, terms)
-    pt_image = p_image if real else at(1.0, flipped) if mixed else t_image
+    p_image = node if p_sym else at(-1.0, flipped)
+    t_image = node if t_sym else at(1.0, terms)
+    pt_image = (node if pt_sym else p_image if t_sym else t_image if p_sym
+                else at(1.0, flipped))
     fine = float(node[0, 0] + p_image[1, 1] + t_image[0, 1] + pt_image[1, 0]) * mode.cell_area
     coarse = float(node[2, 2] + p_image[3, 3] + t_image[2, 3] + pt_image[3, 2]) * 4.0 * mode.cell_area
     return fine, abs(fine - coarse)
@@ -489,10 +512,6 @@ class TermTable:
     def total_integral(self) -> float:
         return math.fsum(self.pair_integral(*k) for k in self.pair_keys())
 
-    @property
-    def norm_check(self) -> float:
-        return self.total_integral()
-
     def with_amplitudes(self, amplitudes) -> "TermTable":
         if len(amplitudes) != len(self.amplitudes):
             raise DomainError("amplitude count mismatch")
@@ -547,7 +566,9 @@ class TermTable:
         """sum_kl f_kl over ``keys`` (default all) on each mode's factor
         basis, built on first use from the Re and Im parts of its whole
         grids: grid i is the vector e_2i + i e_2i+1, as a column in mode 1,
-        so the real part of the vectors' paired sum is the core."""
+        so the real part of the vectors' paired sum is the core. It states
+        the _symmetry of the products' gamma and signs, the product of their
+        per-mode parity signs."""
         if keys is None:
             keys = self.pair_keys()
         units = []
@@ -559,7 +580,9 @@ class TermTable:
             unit = eye[0::2] + 1j * eye[1::2]
             units.append(dict(zip(stored, unit[:, :, None] if mode == 0 else unit)))
         core = sum(self._paired(k, l, units).real for k, l in keys)
-        return SeparableSum(self._bases[0], self._bases[1], core)
+        pairs = [(gamma, math.prod(signs)) for k, l in keys
+                 for gamma, signs in self._terms(k, l, self._signs)]
+        return SeparableSum(self._bases[0], self._bases[1], core, _symmetry(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -612,15 +635,15 @@ def _build_cross_maps(rep, prims, mode):
     """Each mode's factor grids D_ij, their parity signs (-1)^(n_i + n_j)
     and their integrals.
 
-    The grids are evaluated and kept on the nodes from the _mirror_start
-    of each axis on: the q >= 0, p >= 0 quadrant of a symmetric grid, or a
-    whole asymmetric axis. _mirror fills in the rest for the readers of
-    whole grids; the integrals are folded sums over the quadrant.
+    The grids are evaluated and kept on the nodes from the middle index of
+    each axis on: the q >= 0, p >= 0 quadrant. _mirror fills in the rest for
+    the readers of whole grids; the integrals are folded sums over the
+    quadrant.
     """
     keys = (_hermitian_keys(len(prims)) if rep.hermitian_pairs
             else _ordered_keys(len(prims)))
-    half = ModeAxes(_Nodes(mode.q.centers[_mirror_start(mode.q):]),
-                    _Nodes(mode.p.centers[_mirror_start(mode.p):]))
+    half = ModeAxes(_Nodes(mode.q.centers[mode.q.n // 2:]),
+                    _Nodes(mode.p.centers[mode.p.n // 2:]))
     mode_cache = {}  # Husimi amplitudes per primitive, and the e^(-iqp) grid
     cross, signs, ints = {}, {}, {}
     for i, j in keys:

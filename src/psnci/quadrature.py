@@ -22,11 +22,11 @@ Before streaming, the sum is compressed to its numerical rank k. Its
 g_t and h_t are combinations of a few real grids per mode (for a term
 table, the Re and Im parts of its stored grids), so it is B1 C B2^T with
 a small core C: a SeparableSum. A FactorBasis holds a mode's non-zero
-grids, the R of their thin QR and their parities; a table builds it once
-and shares it with the tables with_amplitudes makes. Plain (g, h) pairs
-are their own bases, with C = I. The SVD of R1 C R2^T gives k products
-with the same sum, formed without a Q, so dependent inputs collapse
-(the Wigner products of a two-term entangled state have rank 4).
+grids and the R of their thin QR; a table builds it once and shares it
+with the tables with_amplitudes makes. Plain (g, h) pairs are their own
+bases, with C = I. The SVD of R1 C R2^T gives k products with the same
+sum, formed without a Q, so dependent inputs collapse (the Wigner
+products of a two-term entangled state have rank 4).
 
 At rank k <= 2 nothing is streamed. Every off-diagonal Wigner or Husimi
 pair term of a superposition of product states is 2 Re(gamma A(z1)
@@ -57,50 +57,44 @@ pass and the dropped part is streamed too, else the bound is added to
 the estimate. Wigner and Husimi tails are below double precision at the
 default grid edges; Rivier's are not, and it keeps nearly every point.
 
-The streamed passes are folded over the reflections of the integrand.
-Fock and squeezed Fock states have definite parity, so a sum of
-products often satisfies f(-z1, -z2) = +-f(z1, z2) (P). A state with
-real amplitudes and Fock or real-r squeezed Fock primitives has a real
-wavefunction; complex conjugation maps its Wigner, Husimi and Rivier
-factors to their p-mirrors, so f(q1, -p1, q2, -p2) = +-f (T), and with
-P also f(-q1, p1, -q2, p2) = +-f (PT). The kernel takes the largest
-subgroup of {1, P, T, PT} under which every term C_ij b1_i b2_j^T is
-even or odd, all with one sign: each element reverses some axes of the
-(q, p) grids of both modes, and each basis column's parity comes from
-comparing it with its reversal, to within the rank cut, so no grid
-geometry is assumed. Terms whose size, |C_ij| times the largest values
-of their columns, is below the rank cut relative to the largest do not
-vote. A group element permutes the (q1, p1) rows of |f| without
-changing their sums, so one row per orbit is streamed, weighted by the
-orbit size, in one pass per weight: under the full group the interior
-rows of a quadrant count 4, the rows on the half-axes 2 and the origin
-1; under an order-2 group, rows off the mirror line or point count 2
-and rows on it 1 (under {1, P}: the first half of the rows, doubled,
-and the centre row). The decimated pass folds only under the elements
-that map its even-index points of both modes onto themselves, those
-reversing odd-length axes only. Every pair term of a Fock or squeezed
-Fock state has P, and so does a total whose terms share one
+The streamed passes are folded under the subgroup of {1, P, T, PT} that
+the SeparableSum states, each element a symmetry f -> +-f: P is z -> -z,
+T the p-mirror and PT the q-mirror of both modes. A term table states it
+by the rule that folds its single-mode sums
+(psnci.phasespace._symmetry); plain (g, h) pairs state none and are
+streamed unfolded, as are a table's products when a traced benchmark
+pass lists them as pairs. Every Axis is symmetric about 0, so the
+mirrors map nodes onto nodes. A group element permutes the (q1, p1) rows
+of |f| without changing their sums, so one row per orbit is streamed,
+weighted by the orbit size, in one pass per weight: under the full group
+the interior rows of a quadrant count 4, the rows on the half-axes 2 and
+the origin 1; under an order-2 group, rows off the mirror line or point
+count 2 and rows on it 1 (under {1, P}: the first half of the rows,
+doubled, and the centre row). The decimated pass folds only under the
+elements that map its even-index points of both modes onto themselves,
+those reversing odd-length axes only. Every pair term of a Fock or
+squeezed Fock state has P, and so does a total whose terms share one
 photon-number parity; real amplitudes add T. The full group streams
 about a quarter of the rows of both passes, P alone half.
 
-The compression and the symmetry check run before the workers start,
-and the support cut and its check take only fsum-combined pass sums.
-Every tile is computed identically whichever worker runs it, and the
-tile sums are combined with math.fsum, which is exactly rounded. So
-results are bit-identical for any ``threads`` setting. A tile's sum,
-np.einsum("ij->"), adds its at most 8 n2 non-negative terms in a
-SIMD-unrolled order, not pairwise, at half the cost of np.sum: its
-relative error is below (8 n2 - 1) u, u the unit roundoff (1.3e-11 for
-121^2 points per mode; about sqrt(8 n2) u in practice). The closed form
-at rank k <= 2 is single-threaded. The last bits can change with the
-rank cut (the compressed products are a rounding-level rewrite of the
-inputs), with the basis the products reach the core through, with the
-closed form (prefix sums in angle order instead of sums of |f| in index
-order), with the fold (which sums one row per orbit, weighted by the
-orbit size, instead of every row, so a state whose amplitudes turn real
-gains T and changes its last bits), with the support cut (the rows and
-columns it drops), with ``tile_rows`` (the row count of each matrix
-product and sum), with the tile sum's order and with the BLAS or numpy build.
+The compression runs before the workers start, and the support cut and
+its check take only fsum-combined pass sums. Every tile is computed
+identically whichever worker runs it, and the tile sums are combined
+with math.fsum, which is exactly rounded. So results are bit-identical
+for any ``threads`` setting. A tile's sum, np.einsum("ij->"), adds its
+at most 8 n2 non-negative terms in a SIMD-unrolled order, not pairwise,
+at half the cost of np.sum: its relative error is below (8 n2 - 1) u, u
+the unit roundoff (1.3e-11 for 121^2 points per mode; about sqrt(8 n2) u
+in practice). The closed form at rank k <= 2 is single-threaded. The
+last bits can change with the rank cut (the compressed products are a
+rounding-level rewrite of the inputs), with the basis the products reach
+the core through, with the closed form (prefix sums in angle order
+instead of sums of |f| in index order), with the fold (which sums one
+row per orbit, weighted by the orbit size, instead of every row, so a
+state whose amplitudes turn real gains T and changes its last bits),
+with the support cut (the rows and columns it drops), with ``tile_rows``
+(the row count of each matrix product and sum), with the tile sum's
+order and with the BLAS or numpy build.
 """
 
 from __future__ import annotations
@@ -117,10 +111,11 @@ from .grids import ModeAxes, PhaseGrid
 
 DEFAULT_MAX_POINTS = 1_000_000_000
 _TILE_ROWS = 8
-# Relative cut of the singular values of a compressed sum and of the terms
-# that vote on the symmetry group. Exactly dependent products leave
-# singular values at rounding level: on the benchmark's states the dropped
-# ones are at most 7e-16 of the largest and the kept ones at least 0.05.
+# Relative cut of the singular values of a compressed sum, and of the
+# imaginary (real) parts of amplitude products that a term table still
+# takes as real (imaginary). Exactly dependent products leave singular
+# values at rounding level: on the benchmark's states the dropped ones are
+# at most 7e-16 of the largest and the kept ones at least 0.05.
 _RANK_CUT = 1e-13
 # Row block of the tall-skinny R of a factor basis and of the products
 # that form the compressed factors. np.linalg.qr copies its input: a
@@ -154,34 +149,33 @@ def _tall_skinny_r(columns: np.ndarray) -> np.ndarray:
 class FactorBasis(NamedTuple):
     """The non-zero real grids of one mode: ``keep``, their positions among
     the grids given; ``grids`` (K x nq x np), the grids stacked; ``r``, the
-    thin-QR R of their raveled columns; ``scale``, their largest absolute
-    values; ``parity`` (K x 3), their signs under _ELEMENTS."""
+    thin-QR R of their raveled columns."""
 
     keep: np.ndarray
     grids: np.ndarray
     r: np.ndarray
-    scale: np.ndarray
-    parity: np.ndarray
 
 
 def factor_basis(grids) -> FactorBasis:
     """FactorBasis of a sequence of real 2D grids on one mode's axes."""
-    scale = np.array([np.max(np.abs(g)) for g in grids])
-    keep = np.flatnonzero(scale > 0.0)
+    keep = np.flatnonzero([np.any(g) for g in grids])
     stack = np.stack([grids[i] for i in keep])
-    parity = np.array([[_parity(g, axes) for axes in _ELEMENTS] for g in stack])
-    r = _tall_skinny_r(stack.reshape(len(keep), -1).T)
-    return FactorBasis(keep, stack, r, scale[keep], parity)
+    return FactorBasis(keep, stack, _tall_skinny_r(stack.reshape(len(keep), -1).T))
 
 
 class SeparableSum:
     """sum_ij core_ij g_i(z1) h_j(z2) for the grids g_i and h_j that two
-    factor bases were built from; iterated, the (g, h) pairs
+    factor bases were built from. ``symmetry`` flags the _ELEMENTS, P, T
+    and PT, under which the sum is stated even or odd; ``group`` holds 1,
+    as (), and the flagged elements, as the axes of the (q, p) factor grids
+    each reverses in both modes. Iterated, the (g, h) pairs
     (g_i, sum_j core_ij h_j) of its non-zero rows."""
 
-    def __init__(self, basis1: FactorBasis, basis2: FactorBasis, core):
+    def __init__(self, basis1: FactorBasis, basis2: FactorBasis, core,
+                 symmetry=(False, False, False)):
         self.bases = basis1, basis2
         self.core = np.asarray(core, dtype=float)[np.ix_(basis1.keep, basis2.keep)]
+        self.group = ((),) + tuple(axes for axes, held in zip(_ELEMENTS, symmetry) if held)
 
     def __iter__(self):
         (basis1, basis2), core = self.bases, self.core
@@ -293,36 +287,6 @@ def _closed_abs_sum(gmat: np.ndarray, hmat: np.ndarray) -> float:
     return float(np.sum(np.abs(np.einsum("ij,ij->i", gmat, 2.0 * bounds - prefix[-1]))))
 
 
-def _parity(f: np.ndarray, axes) -> int:
-    """+1 or -1 if the factor grid f is even or odd under reversing its
-    ``axes``, to within _RANK_CUT of its largest value; 0 otherwise."""
-    tol = _RANK_CUT * np.max(np.abs(f))
-    flipped = np.flip(f, axes)
-    for sign in (1, -1):
-        if np.max(np.abs(f - sign * flipped)) <= tol:
-            return sign
-    return 0
-
-
-def _symmetry_group(basis1: FactorBasis, basis2: FactorBasis, core: np.ndarray) -> tuple:
-    """The largest subgroup of {1, P, T, PT} under which B1 core B2^T is
-    even or odd, as the axes of the (q, p) factor grids that each element
-    reverses in both modes at once: () is 1, then the _ELEMENTS.
-
-    An element is kept when every term core_ij b1_i b2_j^T has a parity
-    under it (the product of its columns') and all have the same one.
-    Terms smaller than _RANK_CUT times the largest do not vote: rounding
-    noise has no parity but cannot move the sum. Any two kept elements
-    imply the third; if rounding keeps only two, the first of them is
-    used, P before T.
-    """
-    weight = np.abs(core) * np.outer(basis1.scale, basis2.scale)
-    i, j = np.nonzero(weight > _RANK_CUT * weight.max())
-    signs = basis1.parity[i] * basis2.parity[j]
-    kept = [axes for axes, sign in zip(_ELEMENTS, signs.T) if sign[0] and np.all(sign == sign[0])]
-    return ((),) + tuple(kept if len(kept) == 3 else kept[:1])
-
-
 def _orbits(grid_index: np.ndarray, group) -> list:
     """(weight, rows) of the orbits of the rows in ``grid_index`` under
     ``group``, which leaves |gmat @ hmat| unchanged.
@@ -391,15 +355,17 @@ def _pruned_abs_sum(gmat: np.ndarray, hmat: np.ndarray, orbits, target: float,
 # perfbench/child.py probes the kernel with threads=1 and threads=2, and
 # perfbench/tracer.py reads the tile_rows default through
 # inspect.signature to model the bytes a pass moves. The tracer counts
-# calls of this function as the 4D kernel, and lists their products.
+# calls of this function as the 4D kernel, and lists their products, so a
+# traced table pass gets plain pairs and streams them unfolded.
 def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
                          tile_rows: int = _TILE_ROWS) -> tuple:
     """4D absolute integral of |sum_t g_t(z1) h_t(z2)|, in closed form at
     rank <= 2 and streamed otherwise, with a decimated-grid error estimate.
 
-    ``products`` is a SeparableSum, computed on its bases, or a sequence of
-    (g, h) pairs of real 2D arrays on the two mode grids, taken as their
-    own bases with the identity as core."""
+    ``products`` is a SeparableSum, computed on its bases and folded under
+    its group, or a sequence of (g, h) pairs of real 2D arrays on the two
+    mode grids, taken as their own bases with the identity as core and
+    streamed unfolded."""
     if grid.n_modes != 2:
         raise DomainError("the streamed path needs a two-mode grid")
     mode1, mode2 = grid.mode(0), grid.mode(1)
@@ -436,7 +402,7 @@ def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
         fine = _closed_abs_sum(gmat, hmat) * area
         coarse = _closed_abs_sum(gmat[even1], hmat[:, even2]) * 16.0 * area
         return fine, abs(fine - coarse)
-    group = _symmetry_group(basis1, basis2, core)
+    group = products.group
     index = np.arange(n1).reshape(mode1.q.n, mode1.p.n)
     # The decimated pass keeps only the elements that map the even-index
     # points of both modes onto themselves: those reversing odd-length axes.

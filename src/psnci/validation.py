@@ -151,7 +151,7 @@ def _norm_and_tables(states, reps, extent, points, results):
             except PhaseSpaceError as exc:
                 results.append(CheckResult(name, False, f"build failed: {exc}"))
                 continue
-            norm = table.norm_check
+            norm = table.total_integral()
             ok = abs(norm - 1.0) <= NORMALIZATION_TOL
             results.append(CheckResult(name, ok, f"integral = {norm:.8f}"))
             tables[(sname, rep)] = (state, table)

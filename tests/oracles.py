@@ -161,7 +161,7 @@ def wigner_kernel_direct(prim_i, prim_j, q, p):
     p_absmax = max(1.0, float(np.max(np.abs(p))))
     half_width, nodes = _kernel_sampling(prim_i, prim_j, p_absmax)
     dy = 2.0 * half_width / nodes
-    y = -half_width + (np.arange(nodes) + 0.5) * dy
+    y = (np.arange(nodes) + 0.5 - 0.5 * nodes) * dy
     f = (position_wavefunction(prim_i, q[:, None] + y[None, :])
          * position_wavefunction(prim_j, q[:, None] - y[None, :]))
     arg = 2.0 * y[:, None] * p[None, :]
@@ -178,7 +178,7 @@ def coherent_amplitude_direct(prim, q, p):
     p_absmax = max(1.0, float(np.max(np.abs(p))))
     half_width, nodes = _husimi_sampling(prim, p_absmax)
     dx = 2.0 * half_width / nodes
-    x = -half_width + (np.arange(nodes) + 0.5) * dx
+    x = (np.arange(nodes) + 0.5 - 0.5 * nodes) * dx
     psi_w = position_wavefunction(prim, x) * dx
     gauss = np.exp(-0.5 * (x[None, :] - math.sqrt(2.0) * q[:, None]) ** 2)
     osc = np.exp(-1j * math.sqrt(2.0) * x[:, None] * p[None, :])
@@ -296,6 +296,56 @@ def separable_abs_integral(g, h, grid):
     2D midpoint sums of |g| and |h|, since |g h| = |g| |h|."""
     return (float(np.sum(np.abs(g))) * grid.mode(0).cell_area
             * float(np.sum(np.abs(h))) * grid.mode(1).cell_area)
+
+
+def stated_sum(products, symmetry):
+    """The (g, h) pairs ``products`` as a SeparableSum on their own bases
+    (core I) that states the (P, T, PT) flags ``symmetry``, as a term table
+    does."""
+    from psnci.quadrature import SeparableSum, factor_basis
+
+    gs, hs = zip(*products)
+    return SeparableSum(factor_basis(gs), factor_basis(hs), np.eye(len(products)), symmetry)
+
+
+def _parity(f, axes):
+    """+1 or -1 if the factor grid f is even or odd under reversing its
+    ``axes``, to within _RANK_CUT of its largest value; 0 otherwise."""
+    from psnci.quadrature import _RANK_CUT
+
+    tol = _RANK_CUT * np.max(np.abs(f))
+    flipped = np.flip(f, axes)
+    for sign in (1, -1):
+        if np.max(np.abs(f - sign * flipped)) <= tol:
+            return sign
+    return 0
+
+
+def symmetry_vote(basis1, basis2, core):
+    """The largest subgroup of {1, P, T, PT} under which B1 core B2^T is
+    even or odd, as the axes of the (q, p) factor grids that each element
+    reverses in both modes at once: () is 1, then the _ELEMENTS. Measured
+    on the basis grids themselves, the reference for the group a term
+    table states.
+
+    An element is kept when every term core_ij b1_i b2_j^T has a parity
+    under it (the product of its columns') and all have the same one.
+    Terms smaller than _RANK_CUT times the largest do not vote: rounding
+    noise has no parity but cannot move the sum. Any two kept elements
+    imply the third; if rounding keeps only two, the first of them is
+    used, P before T.
+    """
+    from psnci.quadrature import _ELEMENTS, _RANK_CUT
+
+    scale1, scale2 = (np.array([np.max(np.abs(g)) for g in basis.grids])
+                      for basis in (basis1, basis2))
+    parity1, parity2 = (np.array([[_parity(g, axes) for axes in _ELEMENTS]
+                                  for g in basis.grids]) for basis in (basis1, basis2))
+    weight = np.abs(core) * np.outer(scale1, scale2)
+    i, j = np.nonzero(weight > _RANK_CUT * weight.max())
+    signs = parity1[i] * parity2[j]
+    kept = [axes for axes, sign in zip(_ELEMENTS, signs.T) if sign[0] and np.all(sign == sign[0])]
+    return ((),) + tuple(kept if len(kept) == 3 else kept[:1])
 
 
 def dense_abs_4d_sums(products):

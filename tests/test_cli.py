@@ -316,3 +316,24 @@ def test_benchmark_argv_parse():
         for seed in (0, 3):
             for argv in workloads.operations(workload, seed):
                 assert parser.parse_args(argv).command == argv[0]
+
+
+def _with_threads(argv, threads):
+    i = argv.index("--threads")
+    return argv[:i + 1] + [str(threads)] + argv[i + 2:]
+
+
+def test_benchmark_outputs_do_not_depend_on_threads(capsys):
+    # Every benchmark operation at toy size prints the same bytes (and exits
+    # with the same code) for one and two worker threads, apart from the
+    # threads value an indicator echoes in its config.
+    workloads = _perfbench_workloads()
+    for workload in workloads.WORKLOADS:
+        for seed in (0, 3):
+            for argv in workloads.operations(workload, seed, steps=3, points=41):
+                runs = []
+                for threads in (1, 2):
+                    code = main(_with_threads(argv, threads))
+                    out = capsys.readouterr().out
+                    runs.append((code, re.sub(r'"threads": \d+', '"threads": _', out)))
+                assert runs[0] == runs[1], argv

@@ -1,3 +1,4 @@
+import cmath
 import functools
 import math
 import operator
@@ -201,7 +202,7 @@ def test_husimi_diag_normalization():
     for n in (0, 2):
         st = State(((1.0, fock(n)),))
         table = build_term_table(st, "husimi", grid)
-        assert_allclose(table.norm_check, 1.0, atol=1e-6)
+        assert_allclose(table.total_integral(), 1.0, atol=1e-6)
 
 
 def test_husimi_self_pairs_are_real():
@@ -334,12 +335,10 @@ def test_folded_wigner_kernel_matches_whole_node_sum(node_parity, prim_i, prim_j
     assert np.max(np.abs(got - oracles.wigner_kernel_direct(prim_i, prim_j, q, p))) <= 2e-15
 
 
-# n even and odd, r < 0 and r > 0, support radii up to 12.7: the oracle's
-# nodes -h + (k + 1/2) dx carry a rounding of up to ulp(h) that alone moves
-# its sum by up to 2.8e-15 at h = 37 (n = 2, r = -1.5), where a sum over
-# exactly symmetric nodes stays within 7e-16 of the folded one.
+# n even and odd, r < 0 and r > 0, support radii up to 37 (n = 2, r = -1.5)
 @pytest.mark.parametrize("prim", [squeezed_fock(0, 1.0), squeezed_fock(1, -0.5),
-                                  squeezed_fock(2, -0.3), squeezed_fock(3, 0.6)])
+                                  squeezed_fock(2, -0.3), squeezed_fock(3, 0.6),
+                                  squeezed_fock(2, -1.5)])
 def test_folded_coherent_amplitude_matches_whole_node_sum(node_parity, prim):
     q = RNG.uniform(-4.0, 4.0, size=17)
     p = RNG.uniform(-4.0, 4.0, size=29)
@@ -357,12 +356,10 @@ QUADRANT_PRIMS = [
     (squeezed_fock(0, -0.5), fock(2)),
     (squeezed_fock(1, 0.8), squeezed_fock(0, -0.4)),
 ]
-# Symmetric axes of even and odd length, and a symmetric q axis with an
-# asymmetric p axis, which is evaluated whole.
+# Axes of even and odd length.
 QUADRANT_MODES = {
     "even-odd": ModeAxes(Axis(-5.0, 5.0, 32), Axis(-6.0, 6.0, 33)),
     "odd-even": ModeAxes(Axis(-5.0, 5.0, 33), Axis(-6.0, 6.0, 34)),
-    "odd-asym": ModeAxes(Axis(-5.0, 5.0, 33), Axis(-4.0, 6.5, 30)),
 }
 
 
@@ -382,27 +379,27 @@ def test_quadrant_build_is_the_whole_axis_evaluation(rep, prims, mode):
                 <= 1e-14 * np.sum(np.abs(grid)) * mode.cell_area)
 
 
-@pytest.mark.parametrize("rep", list(Representation))
-def test_asymmetric_axes_are_evaluated_whole(rep):
-    mode = ModeAxes(Axis(-4.0, 5.0, 30), Axis(-5.0, 4.5, 31))
-    prims = (squeezed_fock(1, 0.8), fock(2))
-    cross, signs, _ = _build_cross_maps(rep, prims, mode)
-    for (i, j), quadrant in cross.items():
-        assert np.array_equal(_mirror(quadrant, mode, signs[(i, j)]),
-                              _pair_grid(rep, prims[i], prims[j], mode, {}))
+def test_asymmetric_axis_is_rejected():
+    # a table stores one quadrant and folds its sums over the mirrors, which
+    # map the nodes of an axis onto its nodes only if lo == -hi
+    with pytest.raises(DomainError):
+        Axis(-4.0, 6.5, 30)
 
 
 FOLD_MODES = {**QUADRANT_MODES, "default": default_grid(State(((1.0, fock(0)),))).mode(0)}
 
 
-@pytest.mark.parametrize("amplitudes", [(0.8, 0.6), (0.6 + 0.3j, 0.5 - 0.4j)],
-                         ids=["real", "complex"])
+@pytest.mark.parametrize("amplitudes", [(0.8, 0.6), (0.6 + 0.3j, 0.5 - 0.4j),
+                                        tuple(c * cmath.exp(1j) for c in (0.8, 0.6))],
+                         ids=["real", "complex", "common-phase"])
 @pytest.mark.parametrize("mode", FOLD_MODES.values(), ids=FOLD_MODES.keys())
 @pytest.mark.parametrize("prims", QUADRANT_PRIMS)
 @pytest.mark.parametrize("rep", list(Representation))
 def test_folded_sums_equal_whole_grid_sums(rep, prims, mode, amplitudes):
     # complex amplitudes are the only inputs whose |f| differs between a
-    # node and its T image; the tables need not be normalized here
+    # node and its T image; the common phase leaves Im c_0 conj(c_1) at
+    # 2.8e-17, and the fold takes it as real. The tables need not be
+    # normalized here
     cross, signs, ints = _build_cross_maps(rep, prims, mode)
     table = TermTable(rep, PhaseGrid((mode,)), amplitudes, [(cross, signs, ints)])
     for key, quadrant in cross.items():
@@ -533,7 +530,7 @@ def test_values_is_the_hermitian_sum(rep):
 def test_kirkwood_diagonal_normalization(prim):
     st = State(((1.0, prim),))
     table = build_term_table(st, "rivier")
-    assert_allclose(table.norm_check, 1.0, atol=1e-6)
+    assert_allclose(table.total_integral(), 1.0, atol=1e-6)
 
 
 def test_rivier_fock1_goes_negative_on_default_grid():
@@ -622,7 +619,7 @@ def test_squeezed_superposition_cross_term_ratio():
 def test_normalization_invariant(rep, make_state):
     st = make_state()
     table = build_term_table(st, rep)
-    assert abs(table.norm_check - 1.0) < 1e-4
+    assert abs(table.total_integral() - 1.0) < 1e-4
 
 
 def test_wigner_marginals():

@@ -1,3 +1,4 @@
+import cmath
 import inspect
 import math
 import sys
@@ -479,24 +480,21 @@ EVEN = ((1, 1), (-1, -1), (1, 1))
 ODD = ((1, -1), (-1, 1), (1, -1))
 
 
-# A product 1e-17 times the largest has no parity but does not vote, as
-# the rounding-noise products of a total do not.
-@pytest.mark.parametrize("signs, noise, folded", [
-    pytest.param(EVEN, 0.0, True, id="even"),
-    pytest.param(ODD, 0.0, True, id="odd"),
-    pytest.param(EVEN, 1e-17, True, id="even-noise"),
-    pytest.param(EVEN, 1e-3, False, id="even-asymmetric"),
-    pytest.param(EVEN + ODD, 0.0, False, id="mixed"),
+# A sum that states P is folded; plain pairs state nothing and are
+# streamed whole, whatever symmetry their factors have.
+@pytest.mark.parametrize("signs, stated", [
+    pytest.param(EVEN, True, id="even"),
+    pytest.param(ODD, True, id="odd"),
+    pytest.param(EVEN, False, id="even-plain"),
 ])
-def test_parity_vote(monkeypatch, signs, noise, folded):
+def test_stated_parity_fold(monkeypatch, signs, stated):
     grid = oracles.two_mode_grid(points=21)
     prods = _parity_products(grid, signs, seed=len(signs))
-    if noise:
-        prods += [(noise * g, h) for g, h in _random_products(grid, 1, seed=5)]
     calls = _recorded_passes(monkeypatch)
-    _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
+    products = oracles.stated_sum(prods, STATED["P"]) if stated else prods
+    _assert_matches_dense(abs_4d_with_estimate(products, grid, threads=2), prods, grid)
     n1 = grid.mode(0).n_points
-    assert _fine_rows(calls, grid)[0] == (n1 // 2 if folded else n1)
+    assert _fine_rows(calls, grid)[0] == (n1 // 2 if stated else n1)
 
 
 def _mirrored(f, mirrors):
@@ -535,6 +533,9 @@ MIRROR_SETS = {
     "full": tuple(((((0,), a), ((1,), b)), (((0,), -a), ((1,), b)))
                   for a, b in ((1, 1), (-1, 1), (1, -1), (-1, -1))),
 }
+# The (P, T, PT) that each set states.
+STATED = {"none": (False, False, False), "P": (True, False, False), "T": (False, True, False),
+          "PT": (False, False, True), "full": (True, True, True)}
 
 # (rows of gmat, columns of hmat) of every _abs_sum call, decimated pass
 # then fine pass, per group and points per axis. Nothing on these random
@@ -558,7 +559,8 @@ def test_group_fold_matches_dense_oracle(monkeypatch, group, points):
     grid = oracles.two_mode_grid(points=points)
     prods = _mirror_products(grid, MIRROR_SETS[group], seed=points)
     calls = _recorded_passes(monkeypatch)
-    _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
+    stated = oracles.stated_sum(prods, STATED[group])
+    _assert_matches_dense(abs_4d_with_estimate(stated, grid, threads=2), prods, grid)
     assert calls == FOLD_CALLS[group][points]
 
 
@@ -610,11 +612,87 @@ def test_state_totals_fold_under_their_group(monkeypatch, rep, terms, amps, grou
     assert calls == expected
 
 
+@st.composite
+def two_mode_cases(draw):
+    """(state, zero): a two-mode superposition of up to 3 terms, each mode
+    |n> or |n, r>, n <= 4, 0.1 <= |r| <= 0.6, with real, complex or
+    common-phase amplitudes; and None or the index of a term whose
+    amplitude the test sets to 0 through with_amplitudes."""
+    squeezing = st.floats(0.1, 0.6) | st.floats(-0.6, -0.1)
+    prim = (st.builds(fock, st.integers(0, 4))
+            | st.builds(squeezed_fock, st.integers(0, 4), squeezing))
+    terms = draw(st.lists(st.tuples(prim, prim), min_size=1, max_size=3, unique=True))
+    kind = draw(st.sampled_from(["real", "complex", "common-phase"]))
+    if kind == "complex":
+        amp = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)
+    else:
+        amp = st.floats(0.1, 1.0) | st.floats(-1.0, -0.1)
+    amps = draw(st.lists(amp, min_size=len(terms), max_size=len(terms)))
+    if kind == "common-phase":
+        phase = cmath.exp(1j * draw(st.floats(0.1, 3.0)))
+        amps = [c * phase for c in amps]
+    zero = draw(st.none() | st.integers(0, len(terms) - 1)) if len(terms) > 1 else None
+    state = normalize(State(tuple((c, m1, m2) for c, (m1, m2) in zip(amps, terms))))
+    return state, zero
+
+
+def _case_table(case, rep, points):
+    """The case's term table on the default grid of ``points``, without the
+    coverage check of build_term_table: the symmetries of the grids hold
+    whether or not a coarse grid resolves the state."""
+    state, zero = case
+    rep = phasespace.Representation.parse(rep)
+    grid = phasespace.default_grid(state, points=points)
+    table = phasespace.TermTable(rep, grid, state.amplitudes, [
+        phasespace._build_cross_maps(rep, state.mode_primitives(m), grid.mode(m))
+        for m in range(2)])
+    if zero is None:
+        return table
+    return table.with_amplitudes([0.0 if k == zero else c
+                                  for k, c in enumerate(table.amplitudes)])
+
+
+def _key_sets(table):
+    """Every key, then each key alone."""
+    return [None] + [[key] for key in table.pair_keys()]
+
+
+# The group a table states for its products is the one the factor grids
+# show when each is compared with its mirror images (oracles.symmetry_vote),
+# on axes with and without a centre node. A key set whose products all
+# vanish (a zeroed term's diagonal) has no voter and is left out.
+@settings(max_examples=60, deadline=None)
+@given(case=two_mode_cases(), rep=st.sampled_from(["wigner", "husimi", "rivier"]),
+       points=st.sampled_from([40, 41]))
+def test_stated_group_is_the_measured_one(case, rep, points):
+    table = _case_table(case, rep, points)
+    for keys in _key_sets(table):
+        prods = table.real_products(keys)
+        if np.any(prods.core):
+            assert prods.group == oracles.symmetry_vote(*prods.bases, prods.core)
+
+
+# Every element the table claims maps the dense 4D integrand to +-itself.
+@settings(max_examples=25, deadline=None)
+@given(case=two_mode_cases(), rep=st.sampled_from(["wigner", "husimi", "rivier"]))
+def test_stated_group_holds_on_the_dense_integrand(case, rep):
+    table = _case_table(case, rep, 21)
+    for keys in _key_sets(table):
+        prods = table.real_products(keys)
+        if not np.any(prods.core):
+            continue
+        dense = sum(np.multiply.outer(g, h) for g, h in prods)
+        tol = 1e-12 * np.max(np.abs(dense))
+        for axes in prods.group[1:]:
+            image = np.flip(dense, axes + tuple(a + 2 for a in axes))
+            assert min(np.max(np.abs(image - dense)), np.max(np.abs(image + dense))) <= tol
+
+
 def _fock_products(grid, seed, count=4):
     """Random combinations of the real parts of the Fock cross-Wigner grids
     W_mn, m, n <= 2, whose Gaussian tails are below double precision at the
     edges of an extent-6 grid. Each Re W_mn is even under p -> -p, so every
-    product is, and the set folds under T."""
+    product is, and the set may state T."""
     rng = np.random.default_rng(seed)
     mode = grid.mode(0)
     q, p = mode.q.centers[:, None], mode.p.centers[None, :]
@@ -650,7 +728,7 @@ def test_support_cut_drops_tails_and_matches_dense_oracle(monkeypatch, seed):
     prods = _fock_products(grid, seed)
     calls = _recorded_passes(monkeypatch)
     cuts, sums = _recorded_cuts(monkeypatch)
-    result = abs_4d_with_estimate(prods, grid, threads=2)
+    result = abs_4d_with_estimate(oracles.stated_sum(prods, STATED["T"]), grid, threads=2)
     _assert_matches_dense(result, prods, grid)
     [(fold_rows, dropped)], [(target, total)] = cuts, sums
     area = grid.mode(0).cell_area * grid.mode(1).cell_area
@@ -683,32 +761,38 @@ def test_support_cut_streams_the_dropped_part_when_the_target_overshoots(monkeyp
     assert 16.0 * even > 2.0 * fine
     calls = _recorded_passes(monkeypatch)
     cuts, _ = _recorded_cuts(monkeypatch)
-    _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
+    stated = oracles.stated_sum(prods, STATED["T"])
+    _assert_matches_dense(abs_4d_with_estimate(stated, grid, threads=2), prods, grid)
     assert cuts == [(441 // 2 + 21 // 2 + 1, 0.0)]
     # The kept rows on the kept columns, on the dropped columns, then the
     # dropped rows on every column.
     assert calls[2:] == [(189, 393), (21, 393), (189, 48), (21, 48), (21, 441)]
 
 
-# The Fock products prune their tails; the comb products fall back to
-# streaming the dropped part.
-@pytest.mark.parametrize("tile_rows, make, points", [
-    *(pytest.param(rows, partial(_random_products, count=4), 21, id=str(rows))
+# The folded sets state their group (None: plain pairs). The Fock
+# products prune their tails; the comb products fall back to streaming the
+# dropped part.
+@pytest.mark.parametrize("tile_rows, make, points, stated", [
+    *(pytest.param(rows, partial(_random_products, count=4), 21, None, id=str(rows))
       for rows in (1, 8, 512)),
-    pytest.param(8, partial(_repeated_h_products, h_picks=RANK2), 21, id="8-rank2"),
-    pytest.param(8, partial(_repeated_h_products, h_picks=RANK1), 21, id="8-rank1"),
-    *(pytest.param(rows, partial(_parity_products, signs=EVEN), 21, id=f"{rows}-folded")
+    pytest.param(8, partial(_repeated_h_products, h_picks=RANK2), 21, None, id="8-rank2"),
+    pytest.param(8, partial(_repeated_h_products, h_picks=RANK1), 21, None, id="8-rank1"),
+    *(pytest.param(rows, partial(_parity_products, signs=EVEN), 21, STATED["P"],
+                   id=f"{rows}-folded")
       for rows in (1, 8, 512)),
     *(pytest.param(rows, partial(_mirror_products, mirrors=MIRROR_SETS[group]), 21,
-                   id=f"{rows}-{group}")
+                   STATED[group], id=f"{rows}-{group}")
       for group in ("T", "full") for rows in (1, 8, 512)),
-    *(pytest.param(rows, _fock_products, 31, id=f"{rows}-pruned") for rows in (1, 8, 512)),
-    pytest.param(8, _fock_products, 21, id="8-pruned-21"),
-    pytest.param(8, _comb_products, 21, id="8-pruned-fallback"),
+    *(pytest.param(rows, _fock_products, 31, STATED["T"], id=f"{rows}-pruned")
+      for rows in (1, 8, 512)),
+    pytest.param(8, _fock_products, 21, STATED["T"], id="8-pruned-21"),
+    pytest.param(8, _comb_products, 21, STATED["T"], id="8-pruned-fallback"),
 ])
-def test_streamed_bit_identical_across_threads(tile_rows, make, points):
+def test_streamed_bit_identical_across_threads(tile_rows, make, points, stated):
     grid = oracles.two_mode_grid(points=points)
     prods = make(grid, seed=1)
+    if stated:
+        prods = oracles.stated_sum(prods, stated)
     first = abs_4d_with_estimate(prods, grid, threads=1, tile_rows=tile_rows)
     for threads in (2, 3):
         assert abs_4d_with_estimate(prods, grid, threads=threads, tile_rows=tile_rows) == first
