@@ -74,12 +74,19 @@ def delta_indicator(table, *, threads: int = 1) -> IndicatorResult:
 
     The subtracted integral is computed, not assumed to be one; it is
     reported as norm_check so quadrature drift stays visible. The error
-    estimate is that of int |f|.
+    estimate is that of int |f|. A Husimi Q = |<alpha|psi>|^2 / pi^n is
+    non-negative, so its int |Q| is int Q and delta is 0 by construction;
+    the estimate is then the distance of int Q to its decimated integral,
+    and no |f| is integrated.
     """
-    absval, estimate = table.abs_with_estimate(threads=threads)
     plain = table.total_integral()
+    if table.representation is Representation.HUSIMI:
+        value, estimate = 0.0, abs(plain - table.decimated_integral())
+    else:
+        absval, estimate = table.abs_with_estimate(threads=threads)
+        value = absval - plain
     return IndicatorResult(
-        value=absval - plain,
+        value=value,
         error_estimate=estimate,
         norm_check=plain,
         representation=table.representation.value,

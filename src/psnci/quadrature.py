@@ -57,25 +57,37 @@ pass and the dropped part is streamed too, else the bound is added to
 the estimate. Wigner and Husimi tails are below double precision at the
 default grid edges; Rivier's are not, and it keeps nearly every point.
 
-The streamed passes are folded under the subgroup of {1, P, T, PT} that
-the SeparableSum states, each element a symmetry f -> +-f: P is z -> -z,
-T the p-mirror and PT the q-mirror of both modes. A term table states it
-by the rule that folds its single-mode sums
-(psnci.phasespace._symmetry); plain (g, h) pairs state none and are
-streamed unfolded, as are a table's products when a traced benchmark
-pass lists them as pairs. Every Axis is symmetric about 0, so the
-mirrors map nodes onto nodes. A group element permutes the (q1, p1) rows
-of |f| without changing their sums, so one row per orbit is streamed,
-weighted by the orbit size, in one pass per weight: under the full group
-the interior rows of a quadrant count 4, the rows on the half-axes 2 and
-the origin 1; under an order-2 group, rows off the mirror line or point
+Both passes, streamed or in closed form, are folded under the subgroup
+of {1, P, T, PT} that the SeparableSum states, each element a symmetry
+f -> +-f: P is z -> -z, T the p-mirror and PT the q-mirror of both
+modes. A term table states it by the rule that folds its single-mode
+sums (psnci.phasespace._symmetry); plain (g, h) pairs state none and are
+summed unfolded, as are a table's products when a traced benchmark pass
+lists them as pairs. Every Axis is symmetric about 0, so the mirrors map
+nodes onto nodes. A group element permutes the (q1, p1) rows of |f|
+without changing their sums, so one row per orbit is summed, weighted by
+the orbit size: streamed in one pass per weight, or in closed form with
+the row scaled by its weight, a power of 2. Under the full group the
+interior rows of a quadrant count 4, the rows on the half-axes 2 and the
+origin 1; under an order-2 group, rows off the mirror line or point
 count 2 and rows on it 1 (under {1, P}: the first half of the rows,
-doubled, and the centre row). The decimated pass folds only under the
-elements that map its even-index points of both modes onto themselves,
-those reversing odd-length axes only. Every pair term of a Fock or
-squeezed Fock state has P, and so does a total whose terms share one
-photon-number parity; real amplitudes add T. The full group streams
-about a quarter of the rows of both passes, P alone half.
+doubled, and the centre row). Every pair term of a Fock or squeezed Fock
+state has P, and so does a total whose terms share one photon-number
+parity; real amplitudes add T. The full group sums about a quarter of
+the rows of both passes, P alone half.
+
+The columns fold too when the sum states its mode-2 parity: every term
+with non-zero gamma has one parity sign in mode 2 (always so for a
+single pair term), so |f(z1, -z2)| = |f(z1, z2)|. z2 -> -z2 reverses the
+raveled (q2, p2) index, so the first half of the columns is kept,
+doubled exactly, with the centre column of an odd count. The decimated
+pass folds only under the elements that map its even-index points of
+both modes onto themselves, those reversing odd-length axes: its columns
+fold only when both mode-2 axes have odd length.
+
+A Husimi total is never integrated here for delta: Q >= 0, so
+int |Q| = int Q, and psnci.indicators.delta_indicator takes delta as 0
+with the decimation estimate of int Q (TermTable.decimated_integral).
 
 The compression runs before the workers start, and the support cut and
 its check take only fsum-combined pass sums. Every tile is computed
@@ -90,8 +102,9 @@ last bits can change with the rank cut (the compressed products are a
 rounding-level rewrite of the inputs), with the basis the products reach
 the core through, with the closed form (prefix sums in angle order
 instead of sums of |f| in index order), with the fold (which sums one
-row per orbit, weighted by the orbit size, instead of every row, so a
-state whose amplitudes turn real gains T and changes its last bits),
+row per orbit, weighted by the orbit size, instead of every row, and
+half the columns, doubled, instead of every column, so a state whose
+amplitudes turn real gains T and changes its last bits),
 with the support cut (the rows and columns it drops), with ``tile_rows``
 (the row count of each matrix product and sum), with the tile sum's
 order and with the BLAS or numpy build.
@@ -168,14 +181,16 @@ class SeparableSum:
     factor bases were built from. ``symmetry`` flags the _ELEMENTS, P, T
     and PT, under which the sum is stated even or odd; ``group`` holds 1,
     as (), and the flagged elements, as the axes of the (q, p) factor grids
-    each reverses in both modes. Iterated, the (g, h) pairs
+    each reverses in both modes. ``mode2_parity`` states that the sum is
+    even or odd under z2 -> -z2 alone. Iterated, the (g, h) pairs
     (g_i, sum_j core_ij h_j) of its non-zero rows."""
 
     def __init__(self, basis1: FactorBasis, basis2: FactorBasis, core,
-                 symmetry=(False, False, False)):
+                 symmetry=(False, False, False), mode2_parity=False):
         self.bases = basis1, basis2
         self.core = np.asarray(core, dtype=float)[np.ix_(basis1.keep, basis2.keep)]
         self.group = ((),) + tuple(axes for axes, held in zip(_ELEMENTS, symmetry) if held)
+        self.mode2_parity = mode2_parity
 
     def __iter__(self):
         (basis1, basis2), core = self.bases, self.core
@@ -307,6 +322,21 @@ def _orbits(grid_index: np.ndarray, group) -> list:
     return [(weight, index[first & (size == weight)]) for weight in (4, 2, 1)]
 
 
+def _weighted_rows(gmat: np.ndarray, orbits) -> np.ndarray:
+    """The rows of the (weight, rows) ``orbits``, each times its weight: a
+    power of 2, so |(w u) . p| is w |u . p| exactly."""
+    return np.concatenate([weight * gmat[rows] for weight, rows in orbits])
+
+
+def _folded_columns(hmat: np.ndarray) -> np.ndarray:
+    """hmat's columns folded under z2 -> -z2, which reverses their order:
+    the first half, doubled, then the centre column of an odd count. Always
+    a new array: a slice of a rank-1 hmat is already contiguous, and
+    doubling it in place would change the caller's hmat."""
+    half = hmat.shape[1] // 2
+    return np.concatenate([2.0 * hmat[:, :half], hmat[:, half:hmat.shape[1] - half]], axis=1)
+
+
 def _folded_abs_sum(gmat: np.ndarray, hmat: np.ndarray, orbits, tile_rows: int,
                     threads: int) -> float:
     """Sum of weight * |gmat[rows] @ hmat| over the (weight, rows) ``orbits``."""
@@ -363,9 +393,9 @@ def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
     rank <= 2 and streamed otherwise, with a decimated-grid error estimate.
 
     ``products`` is a SeparableSum, computed on its bases and folded under
-    its group, or a sequence of (g, h) pairs of real 2D arrays on the two
-    mode grids, taken as their own bases with the identity as core and
-    streamed unfolded."""
+    its group and its mode-2 parity, or a sequence of (g, h) pairs of real
+    2D arrays on the two mode grids, taken as their own bases with the
+    identity as core and summed unfolded."""
     if grid.n_modes != 2:
         raise DomainError("the streamed path needs a two-mode grid")
     mode1, mode2 = grid.mode(0), grid.mode(1)
@@ -397,20 +427,28 @@ def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
     if gmat.shape[1] == 0:
         return 0.0, 0.0
     area = mode1.cell_area * mode2.cell_area
-    even1, even2 = _even_mask(mode1), _even_mask(mode2)
-    if gmat.shape[1] <= 2:
-        fine = _closed_abs_sum(gmat, hmat) * area
-        coarse = _closed_abs_sum(gmat[even1], hmat[:, even2]) * 16.0 * area
-        return fine, abs(fine - coarse)
-    group = products.group
     index = np.arange(n1).reshape(mode1.q.n, mode1.p.n)
-    # The decimated pass keeps only the elements that map the even-index
-    # points of both modes onto themselves: those reversing odd-length axes.
-    # It runs first and whole: 16 times its sum is the target of the cut.
-    masks = [even1.reshape(index.shape), even2.reshape(mode2.q.n, mode2.p.n)]
-    coarse_group = [axes for axes in group
-                    if all(np.array_equal(np.flip(m, axes), m) for m in masks)]
-    coarse = 16.0 * _folded_abs_sum(gmat, np.ascontiguousarray(hmat[:, even2]),
-                                    _orbits(index[::2, ::2], coarse_group), tile_rows, threads)
-    fine, dropped = _pruned_abs_sum(gmat, hmat, _orbits(index, group), coarse, tile_rows, threads)
+    # The decimated pass folds only under the elements that map the even-index
+    # points of both modes onto themselves, those reversing odd-length axes,
+    # and folds its columns only if z2 -> -z2 maps mode 2's onto themselves.
+    masks = [_even_mask(mode1).reshape(index.shape),
+             _even_mask(mode2).reshape(mode2.q.n, mode2.p.n)]
+
+    def onto_itself(axes, mask):
+        return np.array_equal(np.flip(mask, axes), mask)
+
+    group, fold = products.group, products.mode2_parity
+    coarse_group = [axes for axes in group if all(onto_itself(axes, m) for m in masks)]
+    fine_orbits, coarse_orbits = _orbits(index, group), _orbits(index[::2, ::2], coarse_group)
+    hfine = _folded_columns(hmat) if fold else hmat
+    hcoarse = hmat[:, masks[1].ravel()]
+    hcoarse = (_folded_columns(hcoarse) if fold and onto_itself((0, 1), masks[1])
+               else np.ascontiguousarray(hcoarse))
+    if gmat.shape[1] <= 2:
+        fine = _closed_abs_sum(_weighted_rows(gmat, fine_orbits), hfine) * area
+        coarse = _closed_abs_sum(_weighted_rows(gmat, coarse_orbits), hcoarse) * 16.0 * area
+        return fine, abs(fine - coarse)
+    # The decimated pass runs first: 16 times its sum is the target of the cut.
+    coarse = 16.0 * _folded_abs_sum(gmat, hcoarse, coarse_orbits, tile_rows, threads)
+    fine, dropped = _pruned_abs_sum(gmat, hfine, fine_orbits, coarse, tile_rows, threads)
     return fine * area, abs(fine * area - coarse * area) + dropped * area

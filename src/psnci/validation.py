@@ -226,7 +226,7 @@ def _closed_vs_numeric_check(results, rng):
                                f"max |closed - numeric| = {worst:.3e} over 1500 points"))
 
 
-def _husimi_checks(tables, results):
+def _husimi_checks(tables, results, threads):
     for (sname, rep), (state, table) in tables.items():
         if rep is not Representation.HUSIMI:
             continue
@@ -241,8 +241,11 @@ def _husimi_checks(tables, results):
             factors = [table.stored_factors(m) for m in range(2)]
             for k in range(len(table.amplitudes)):
                 worst = min(worst, *(float(np.min(f[(k, k)].real)) for f in factors))
-            ok = worst >= HUSIMI_FLOOR
-            detail = f"per-mode diag min = {worst:.3e}"
+            # delta_indicator takes int |Q| as int Q; the 4D kernel checks it.
+            total = table.total_integral()
+            gap = abs(table.abs_with_estimate(threads=threads)[0] - total) / total
+            ok = worst >= HUSIMI_FLOOR and gap <= 1e-12
+            detail = f"per-mode diag min = {worst:.3e}, |int |Q| - int Q| / int Q = {gap:.3e}"
         results.append(CheckResult(f"husimi_positivity[{sname}]", ok, detail))
 
 
@@ -259,22 +262,22 @@ def _eta_checks(tables, results, threads):
 
 
 def _determinism_check(tables, results):
-    pick = None
-    for (sname, rep), (_, table) in tables.items():
-        if table.n_modes == 2 and rep is Representation.WIGNER:
-            pick = table
-            break
-    if pick is None:
-        results.append(CheckResult("determinism_threads", True,
-                                   "skipped: no two-mode Wigner table built"))
-        return
-    serial = pick.abs_with_estimate(threads=1)[0]
-    pooled = pick.abs_with_estimate(threads=2)[0]
-    again = pick.abs_with_estimate(threads=2)[0]
-    ok = serial == pooled == again
-    results.append(CheckResult(
-        "determinism_threads", ok,
-        f"serial = {serial!r}, threads=2 -> {pooled!r}"))
+    # The Wigner total folds its rows; a Rivier pair term, of rank 4 when its
+    # two terms differ in both modes, folds its columns under z2 -> -z2 too.
+    details, ok = [], True
+    for rep, keys in ((Representation.WIGNER, None), (Representation.RIVIER, [(0, 1)])):
+        pick = next((table for (_, r), (_, table) in tables.items()
+                     if r is rep and table.n_modes == 2), None)
+        if pick is None:
+            continue
+        serial = pick.abs_with_estimate(keys, threads=1)[0]
+        pooled = pick.abs_with_estimate(keys, threads=2)[0]
+        again = pick.abs_with_estimate(keys, threads=2)[0]
+        ok = ok and serial == pooled == again
+        name = "total" if keys is None else f"pair {keys[0]}"
+        details.append(f"{rep.value} {name}: serial = {serial!r}, threads=2 -> {pooled!r}")
+    results.append(CheckResult("determinism_threads", ok, "; ".join(details)
+                               or "skipped: no two-mode Wigner or Rivier table built"))
 
 
 def run_validation(*, extent=None, points=None, reps=None, threads: int = 1):
@@ -289,7 +292,7 @@ def run_validation(*, extent=None, points=None, reps=None, threads: int = 1):
     _decomposition_checks(tables, results, rng)
     if Representation.WIGNER in rep_list:
         _closed_vs_numeric_check(results, rng)
-    _husimi_checks(tables, results)
+    _husimi_checks(tables, results, threads)
     _eta_checks(tables, results, threads)
     _determinism_check(tables, results)
     return results, all(r.passed for r in results)

@@ -298,14 +298,15 @@ def separable_abs_integral(g, h, grid):
             * float(np.sum(np.abs(h))) * grid.mode(1).cell_area)
 
 
-def stated_sum(products, symmetry):
+def stated_sum(products, symmetry, mode2_parity=False):
     """The (g, h) pairs ``products`` as a SeparableSum on their own bases
-    (core I) that states the (P, T, PT) flags ``symmetry``, as a term table
-    does."""
+    (core I) that states the (P, T, PT) flags ``symmetry``, and
+    ``mode2_parity``, as a term table does."""
     from psnci.quadrature import SeparableSum, factor_basis
 
     gs, hs = zip(*products)
-    return SeparableSum(factor_basis(gs), factor_basis(hs), np.eye(len(products)), symmetry)
+    return SeparableSum(factor_basis(gs), factor_basis(hs), np.eye(len(products)), symmetry,
+                        mode2_parity)
 
 
 def _parity(f, axes):
@@ -322,14 +323,16 @@ def _parity(f, axes):
 
 
 def symmetry_vote(basis1, basis2, core):
-    """The largest subgroup of {1, P, T, PT} under which B1 core B2^T is
-    even or odd, as the axes of the (q, p) factor grids that each element
-    reverses in both modes at once: () is 1, then the _ELEMENTS. Measured
-    on the basis grids themselves, the reference for the group a term
-    table states.
+    """(group, mode2_parity) of B1 core B2^T: the largest subgroup of
+    {1, P, T, PT} under which it is even or odd, as the axes of the (q, p)
+    factor grids that each element reverses in both modes at once (() is
+    1, then the _ELEMENTS), and whether it is even or odd under z2 -> -z2
+    alone. Measured on the basis grids themselves, the reference for what
+    a term table states.
 
     An element is kept when every term core_ij b1_i b2_j^T has a parity
-    under it (the product of its columns') and all have the same one.
+    under it (the product of its columns') and all have the same one; the
+    mode-2 parity when every b2_j of a term has one and all the same.
     Terms smaller than _RANK_CUT times the largest do not vote: rounding
     noise has no parity but cannot move the sum. Any two kept elements
     imply the third; if rounding keeps only two, the first of them is
@@ -345,7 +348,9 @@ def symmetry_vote(basis1, basis2, core):
     i, j = np.nonzero(weight > _RANK_CUT * weight.max())
     signs = parity1[i] * parity2[j]
     kept = [axes for axes, sign in zip(_ELEMENTS, signs.T) if sign[0] and np.all(sign == sign[0])]
-    return ((),) + tuple(kept if len(kept) == 3 else kept[:1])
+    mode2 = parity2[j, 0]
+    return (((),) + tuple(kept if len(kept) == 3 else kept[:1]),
+            bool(mode2[0] and np.all(mode2 == mode2[0])))
 
 
 def dense_abs_4d_sums(products):

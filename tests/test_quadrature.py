@@ -319,9 +319,11 @@ def _recorded_passes(monkeypatch):
 
 def _fine_rows(calls, grid):
     """Rows of the calls of the fine pass: those not on the decimated
-    points, (n + 1) // 2 per axis, which the decimated pass streams whole."""
+    points, (n + 1) // 2 per axis, which the decimated pass streams whole,
+    or, with its columns folded under z2 -> -z2, the first half and the
+    centre of them."""
     even = ((grid.mode(1).q.n + 1) // 2) ** 2
-    return [rows for rows, c in calls if c != even]
+    return [rows for rows, c in calls if c not in (even, (even + 1) // 2)]
 
 
 # Every term of the indicator-2mode state has one photon in all, so every
@@ -356,14 +358,16 @@ def test_term_table_passes_match_dense_oracle(monkeypatch, rep):
 # pair term Re(g K1 K2) + Re(g' K1' K2') of two terms that differ in both
 # modes has rank 4; a self-pair, or a pair whose terms share a mode
 # factor, has rank 2 and is summed in closed form, not streamed. So the
-# cases are totals (rank 8) and the pair (0, 1) of |0,0> + |1,2>.
+# cases are totals (rank 8) and the pair (0, 1) of |0,0> + |1,2>. Mode 2 of
+# |0,0> + |1,2> holds |0> and |2> only, so every product is even under
+# z2 -> -z2 and both of its sets fold their columns.
 @pytest.mark.parametrize("points", [21, 20])
-@pytest.mark.parametrize("terms, keys, folded", [
-    pytest.param(((0, 1), (1, 0)), None, True, id="even-total"),
-    pytest.param(((0, 0), (1, 2)), [(0, 1)], True, id="odd-pair"),
-    pytest.param(((0, 0), (1, 2)), None, False, id="mixed-total"),
+@pytest.mark.parametrize("terms, keys, folded, columns", [
+    pytest.param(((0, 1), (1, 0)), None, True, False, id="even-total"),
+    pytest.param(((0, 0), (1, 2)), [(0, 1)], True, True, id="odd-pair"),
+    pytest.param(((0, 0), (1, 2)), None, False, True, id="mixed-total"),
 ])
-def test_folded_passes_match_dense_oracle(monkeypatch, terms, keys, folded, points):
+def test_folded_passes_match_dense_oracle(monkeypatch, terms, keys, folded, columns, points):
     state = normalize(State(tuple(
         (c, fock(m), fock(n)) for c, (m, n) in zip((0.6 + 0.3j, 0.5 - 0.4j), terms))))
     grid = oracles.two_mode_grid(points=points)
@@ -374,15 +378,19 @@ def test_folded_passes_match_dense_oracle(monkeypatch, terms, keys, folded, poin
     # The decimated pass runs first. Even points per axis: no centre row,
     # and the decimated points (even indices) are not closed under
     # reversal, so that pass is whole. The odd pair is zero on the centre
-    # row, which the support cut drops from the fine pass at no cost.
+    # row, which the support cut drops from the fine pass at no cost. Folded
+    # columns are the first half and the centre; the decimated ones fold
+    # only on odd axes.
     even = ((points + 1) // 2) ** 2
+    even_cols = (even + 1) // 2 if columns and points % 2 else even
+    n2 = (n2 + 1) // 2 if columns else n2
     if not folded:
-        assert calls == [(even, even), (n1, n2)]
+        assert calls == [(even, even_cols), (n1, n2)]
     elif points % 2:
         centre = [] if keys else [(1, n2)]
-        assert calls == [(even // 2, even), (1, even), (n1 // 2, n2)] + centre
+        assert calls == [(even // 2, even_cols), (1, even_cols), (n1 // 2, n2)] + centre
     else:
-        assert calls == [(even, even), (n1 // 2, n2)]
+        assert calls == [(even, even_cols), (n1 // 2, n2)]
 
 
 @st.composite
@@ -550,6 +558,10 @@ FOLD_CALLS = {
     "PT": {21: [(55, 121), (11, 121), (210, 441), (21, 441)], 20: [(100, 100), (200, 400)]},
     "full": {21: [(25, 121), (10, 121), (1, 121), (100, 441), (20, 441), (1, 441)],
              20: [(100, 100), (100, 400)]},
+    # T with the columns folded under z2 -> -z2: the first half and the
+    # centre, in the decimated pass only on odd axes.
+    "T-columns": {21: [(55, 61), (11, 61), (210, 221), (21, 221)],
+                  20: [(100, 100), (200, 200)]},
 }
 
 
@@ -580,6 +592,10 @@ PRUNED_FINE_CALLS = {
     ("husimi", "P", 20): [(176, 352)],
     ("husimi", "full", 20): [(88, 352)],
     ("husimi", "T", 20): [(176, 360)],
+    ("wigner", "T-columns", 21): [(182, 201), (21, 201)],
+    ("husimi", "T-columns", 21): [(180, 201), (21, 201)],
+    ("wigner", "T-columns", 20): [(176, 180)],
+    ("husimi", "T-columns", 20): [(176, 180)],
 }
 
 
@@ -587,13 +603,14 @@ PRUNED_FINE_CALLS = {
 # a complex amplitude breaks it. entangled01 has one photon in each term,
 # so it keeps P either way; |0,0> + |1,2> mixes the photon-number parities,
 # so with real amplitudes it folds under T alone (with complex ones it does
-# not fold: test_folded_passes_match_dense_oracle[mixed-total]). Every total
+# not fold: test_folded_passes_match_dense_oracle[mixed-total]), and its
+# mode 2 holds even states only, so it folds its columns too. Every total
 # here has rank 4 or 8 and is streamed.
 @pytest.mark.parametrize("points", [21, 20])
 @pytest.mark.parametrize("terms, amps, group", [
     pytest.param(((0, 1), (1, 0)), (0.6 + 0.3j, 0.5), "P", id="entangled01-complex"),
     pytest.param(((0, 1), (1, 0)), (0.6, 0.8), "full", id="entangled01-real"),
-    pytest.param(((0, 0), (1, 2)), (0.6, -0.8), "T", id="mixed-real"),
+    pytest.param(((0, 0), (1, 2)), (0.6, -0.8), "T-columns", id="mixed-real"),
 ])
 @pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
 def test_state_totals_fold_under_their_group(monkeypatch, rep, terms, amps, group, points):
@@ -606,10 +623,97 @@ def test_state_totals_fold_under_their_group(monkeypatch, rep, terms, amps, grou
                           table.real_products(), grid)
     expected = FOLD_CALLS[group][points]
     if (rep, group, points) in PRUNED_FINE_CALLS:
-        coarse = (points + 1) // 2
-        expected = [c for c in expected if c[1] == coarse ** 2] \
+        coarse = ((points + 1) // 2) ** 2
+        expected = [c for c in expected if c[1] in (coarse, (coarse + 1) // 2)] \
             + PRUNED_FINE_CALLS[rep, group, points]
     assert calls == expected
+
+
+# Products whose mode-2 factors share one parity, even or odd, state it and
+# fold their columns under z2 -> -z2: the first half, doubled, and the
+# centre of an odd count; the decimated pass folds its columns only on odd
+# axes. An odd h is zero on the centre column, which the support cut drops
+# from the fine pass. A set with mixed mode-2 parities states nothing and
+# streams every column. (rows of gmat, columns of hmat) of every _abs_sum
+# call, per points per axis.
+MODE2_SETS = {
+    "even": (((1, 1), (-1, 1), (1, 1), (-1, 1)), "none", True,
+             {21: [(121, 61), (441, 221)], 20: [(100, 100), (400, 200)]}),
+    "odd": (((1, -1), (-1, -1), (1, -1), (-1, -1)), "none", True,
+            {21: [(121, 61), (441, 220)], 20: [(100, 100), (400, 200)]}),
+    "P-even": (((1, 1),) * 4, "P", True,
+               {21: [(60, 61), (1, 61), (220, 221), (1, 221)],
+                20: [(100, 100), (200, 200)]}),
+    "mixed": (((1, 1), (1, -1), (-1, 1), (-1, -1)), "none", False,
+              {21: [(121, 121), (441, 441)], 20: [(100, 100), (400, 400)]}),
+}
+
+
+@pytest.mark.parametrize("points", [21, 20])
+@pytest.mark.parametrize("name", list(MODE2_SETS))
+def test_mode2_column_fold_matches_dense_oracle(monkeypatch, name, points):
+    signs, group, mode2, shapes = MODE2_SETS[name]
+    grid = oracles.two_mode_grid(points=points)
+    prods = _parity_products(grid, signs, seed=points)
+    calls = _recorded_passes(monkeypatch)
+    stated = oracles.stated_sum(prods, STATED[group], mode2)
+    _assert_matches_dense(abs_4d_with_estimate(stated, grid, threads=2), prods, grid)
+    assert calls == shapes[points]
+
+
+def _recorded_closed(monkeypatch):
+    """List that records (rows of gmat, columns of hmat) of every
+    _closed_abs_sum call."""
+    calls = []
+    closed = quadrature._closed_abs_sum
+
+    def record(gmat, hmat):
+        calls.append((gmat.shape[0], hmat.shape[1]))
+        return closed(gmat, hmat)
+
+    monkeypatch.setattr(quadrature, "_closed_abs_sum", record)
+    return calls
+
+
+# At rank <= 2 the closed form takes the same folds: one row per orbit,
+# scaled by the orbit size, and the folded columns. (rows, columns) of the
+# fine then the decimated call, per points per axis.
+@pytest.mark.parametrize("points", [21, 20])
+@pytest.mark.parametrize("signs, group, mode2, shapes", [
+    pytest.param(((1, 1), (1, 1)), "P", True,
+                 {21: [(221, 221), (61, 61)], 20: [(200, 200), (100, 100)]}, id="P-even"),
+    pytest.param(((1, 1), (-1, 1)), "none", True,
+                 {21: [(441, 221), (121, 61)], 20: [(400, 200), (100, 100)]}, id="even"),
+    pytest.param(((1, 1), (1, -1)), "none", False,
+                 {21: [(441, 441), (121, 121)], 20: [(400, 400), (100, 100)]}, id="mixed"),
+])
+def test_closed_form_folds_rows_and_columns(monkeypatch, signs, group, mode2, shapes, points):
+    monkeypatch.setattr(quadrature, "_abs_sum", _no_stream)
+    grid = oracles.two_mode_grid(points=points)
+    prods = _parity_products(grid, signs, seed=points)
+    calls = _recorded_closed(monkeypatch)
+    stated = oracles.stated_sum(prods, STATED[group], mode2)
+    _assert_matches_dense(abs_4d_with_estimate(stated, grid, threads=2), prods, grid)
+    assert calls == shapes[points]
+
+
+# A rank-1 slice of hmat is contiguous already, so a fold that doubled
+# np.ascontiguousarray of it in place would double the caller's hmat, and
+# the decimated pass would then read the doubled columns.
+def test_rank1_column_fold_leaves_hmat_unchanged():
+    grid = oracles.two_mode_grid(points=21)
+    prods = _parity_products(grid, ((1, 1),), seed=7)
+    folded = abs_4d_with_estimate(oracles.stated_sum(prods, STATED["P"], True), grid)
+    unfolded = abs_4d_with_estimate(prods, grid)
+    _assert_matches_dense(folded, prods, grid)
+    assert_allclose(folded[0], unfolded[0], rtol=1e-14)
+    assert abs(folded[1] - unfolded[1]) <= 1e-14 * unfolded[0]
+    hmat = prods[0][1].reshape(1, -1)
+    before = hmat.copy()
+    out = quadrature._folded_columns(hmat)
+    assert np.array_equal(hmat, before)
+    assert not np.shares_memory(out, hmat)
+    assert np.array_equal(out, np.concatenate([2.0 * before[:, :220], before[:, 220:221]], axis=1))
 
 
 @st.composite
@@ -657,10 +761,11 @@ def _key_sets(table):
     return [None] + [[key] for key in table.pair_keys()]
 
 
-# The group a table states for its products is the one the factor grids
-# show when each is compared with its mirror images (oracles.symmetry_vote),
-# on axes with and without a centre node. A key set whose products all
-# vanish (a zeroed term's diagonal) has no voter and is left out.
+# The group a table states for its products, and its mode-2 parity, are the
+# ones the factor grids show when each is compared with its mirror images
+# (oracles.symmetry_vote), on axes with and without a centre node. A key set
+# whose products all vanish (a zeroed term's diagonal) has no voter and is
+# left out.
 @settings(max_examples=60, deadline=None)
 @given(case=two_mode_cases(), rep=st.sampled_from(["wigner", "husimi", "rivier"]),
        points=st.sampled_from([40, 41]))
@@ -669,10 +774,12 @@ def test_stated_group_is_the_measured_one(case, rep, points):
     for keys in _key_sets(table):
         prods = table.real_products(keys)
         if np.any(prods.core):
-            assert prods.group == oracles.symmetry_vote(*prods.bases, prods.core)
+            assert (prods.group, prods.mode2_parity) == oracles.symmetry_vote(
+                *prods.bases, prods.core)
 
 
-# Every element the table claims maps the dense 4D integrand to +-itself.
+# Every element the table claims maps the dense 4D integrand to +-itself,
+# and so does z2 -> -z2 if it claims the mode-2 parity.
 @settings(max_examples=25, deadline=None)
 @given(case=two_mode_cases(), rep=st.sampled_from(["wigner", "husimi", "rivier"]))
 def test_stated_group_holds_on_the_dense_integrand(case, rep):
@@ -685,6 +792,9 @@ def test_stated_group_holds_on_the_dense_integrand(case, rep):
         tol = 1e-12 * np.max(np.abs(dense))
         for axes in prods.group[1:]:
             image = np.flip(dense, axes + tuple(a + 2 for a in axes))
+            assert min(np.max(np.abs(image - dense)), np.max(np.abs(image + dense))) <= tol
+        if prods.mode2_parity:
+            image = np.flip(dense, (2, 3))
             assert min(np.max(np.abs(image - dense)), np.max(np.abs(image + dense))) <= tol
 
 
@@ -769,7 +879,14 @@ def test_support_cut_streams_the_dropped_part_when_the_target_overshoots(monkeyp
     assert calls[2:] == [(189, 393), (21, 393), (189, 48), (21, 48), (21, 441)]
 
 
-# The folded sets state their group (None: plain pairs). The Fock
+def _mode2_sum(grid, seed, signs, symmetry):
+    """_parity_products as a SeparableSum that states ``symmetry`` and the
+    mode-2 parity."""
+    return oracles.stated_sum(_parity_products(grid, signs, seed), symmetry, mode2_parity=True)
+
+
+# The folded sets state their group (None: plain pairs, or a set that is
+# a SeparableSum already). The Fock
 # products prune their tails; the comb products fall back to streaming the
 # dropped part.
 @pytest.mark.parametrize("tile_rows, make, points, stated", [
@@ -787,6 +904,10 @@ def test_support_cut_streams_the_dropped_part_when_the_target_overshoots(monkeyp
       for rows in (1, 8, 512)),
     pytest.param(8, _fock_products, 21, STATED["T"], id="8-pruned-21"),
     pytest.param(8, _comb_products, 21, STATED["T"], id="8-pruned-fallback"),
+    *(pytest.param(rows, partial(_mode2_sum, signs=MODE2_SETS[name][0],
+                                 symmetry=STATED[MODE2_SETS[name][1]]), 21, None,
+                   id=f"{rows}-columns-{name}")
+      for name in ("even", "P-even") for rows in (1, 8, 512)),
 ])
 def test_streamed_bit_identical_across_threads(tile_rows, make, points, stated):
     grid = oracles.two_mode_grid(points=points)
