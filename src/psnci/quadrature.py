@@ -12,11 +12,18 @@ The four-dimensional absolute integral of a sum of separable products
     I = int |sum_t g_t(q1, p1) h_t(q2, p2)| dq1 dp1 dq2 dp2
 
 is evaluated in tiles of (q1, p1) points while streaming the (q2, p2)
-sums, so the 4D array is never materialized. A tile holds few enough
-rows that its block of |sum_t g_t h_t| values (8 rows x 121^2 points,
-under 1 MB on the default two-mode grid) stays in a core's L2 cache.
-Each worker streams a fixed subset of the tiles through one reused
-block buffer, on threads of a pool kept per worker count.
+sums, so the 4D array is never materialized. A tile holds a fixed
+number of values, not of rows: its block of |sum_t g_t h_t| values has
+``tile_rows`` rows when the pass streams the whole mode-2 grid (8 rows x
+121^2 points, under 1 MB on the default two-mode grid, within a core's
+L2 cache), and as many rows as fit in that many values when it streams
+fewer columns (the decimated pass, folded columns, the columns the
+support cut keeps). Narrow blocks of 8 rows paid per-tile overhead: a
+decimated pass of 3050 rows x 3721 columns took 14 ms in 8-row tiles
+and 7 ms in 31-row ones, while a full-width pass took 2.5 times longer
+in 16-row tiles than in 8-row ones (2 threads). Each worker streams a
+fixed subset of the tiles through one reused block buffer, on threads
+of a pool kept per worker count.
 
 Before streaming, the sum is compressed to its numerical rank k. Its
 g_t and h_t are combinations of a few real grids per mode (for a term
@@ -90,8 +97,9 @@ int |Q| = int Q, and psnci.indicators.delta_indicator takes delta as 0
 with the decimation estimate of int Q (TermTable.decimated_integral).
 
 The compression runs before the workers start, and the support cut and
-its check take only fsum-combined pass sums. Every tile is computed
-identically whichever worker runs it, and the tile sums are combined
+its check take only fsum-combined pass sums. A tile's row count depends
+only on the shapes of its pass, every tile is computed identically
+whichever worker runs it, and the tile sums are combined
 with math.fsum, which is exactly rounded. So results are bit-identical
 for any ``threads`` setting. A tile's sum, np.einsum("ij->"), adds its
 at most 8 n2 non-negative terms in a SIMD-unrolled order, not pairwise,
@@ -106,12 +114,14 @@ row per orbit, weighted by the orbit size, instead of every row, and
 half the columns, doubled, instead of every column, so a state whose
 amplitudes turn real gains T and changes its last bits),
 with the support cut (the rows and columns it drops), with ``tile_rows``
-(the row count of each matrix product and sum), with the tile sum's
-order and with the BLAS or numpy build.
+and the column count of a pass (which set the row count of each matrix
+product and sum), with the tile sum's order and with the BLAS or numpy
+build.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -244,14 +254,17 @@ def _abs_sum(gmat: np.ndarray, hmat: np.ndarray, tile_rows: int, threads: int) -
     Worker k takes the tile starts ``starts[k::workers]`` and reuses one
     block buffer for all of them; each tile is summed by np.einsum and the
     tile sums are combined with math.fsum, so the result does not depend
-    on ``threads``.
+    on ``threads``. The buffers are allocated here, in the calling thread:
+    allocated in the workers, they were kept in glibc's per-thread arenas,
+    and the peak RSS of an indicator-2mode run rose from 47.2 to 49.2 MB.
     """
     n1, n2 = gmat.shape[0], hmat.shape[1]
     starts = range(0, n1, tile_rows)
     workers = max(1, min(threads, len(starts)))
+    buffers = [np.empty((min(tile_rows, n1), n2)) for _ in range(workers)]
 
     def stream(k):
-        buffer = np.empty((min(tile_rows, n1), n2))
+        buffer = buffers[k]
         sums = []
         for i in starts[k::workers]:
             rows = gmat[i:i + tile_rows]
@@ -302,24 +315,31 @@ def _closed_abs_sum(gmat: np.ndarray, hmat: np.ndarray) -> float:
     return float(np.sum(np.abs(np.einsum("ij,ij->i", gmat, 2.0 * bounds - prefix[-1]))))
 
 
-def _orbits(grid_index: np.ndarray, group) -> list:
-    """(weight, rows) of the orbits of the rows in ``grid_index`` under
+@functools.cache
+def _orbits(shape: tuple, step: int, group: tuple) -> tuple:
+    """(weight, rows) of the orbits of the rows of gmat on every ``step``-th
+    node of both axes of the mode-1 (q, p) grid of ``shape``, under
     ``group``, which leaves |gmat @ hmat| unchanged.
 
-    ``grid_index`` holds row numbers of gmat laid out as the mode-1 (q, p)
-    grid. A group element permutes these rows and, in mode 2, the columns,
-    so every row of an orbit has the same sum: one representative per orbit
+    A group element permutes these rows and, in mode 2, the columns, so
+    every row of an orbit has the same sum: one representative per orbit
     (its smallest row number) is streamed, weighted by the orbit size, in
     one _abs_sum call per size, largest first. Under {1, P} these are the
     first half of the rows, doubled, then the centre row, if there is one.
+    The orbits depend on nothing else, so they are kept for the life of
+    the process, as read-only arrays.
     """
+    grid_index = np.arange(math.prod(shape)).reshape(shape)[::step, ::step]
     index = grid_index.ravel()
     images = np.stack([np.flip(grid_index, axes).ravel() for axes in group])
     # The orbit of a row has the group order over the number of elements
     # that fix the row.
     size = len(group) // np.count_nonzero(images == index, axis=0)
     first = images.min(axis=0) == index
-    return [(weight, index[first & (size == weight)]) for weight in (4, 2, 1)]
+    orbits = tuple((weight, index[first & (size == weight)]) for weight in (4, 2, 1))
+    for _, rows in orbits:
+        rows.setflags(write=False)
+    return orbits
 
 
 def _weighted_rows(gmat: np.ndarray, orbits) -> np.ndarray:
@@ -337,13 +357,14 @@ def _folded_columns(hmat: np.ndarray) -> np.ndarray:
     return np.concatenate([2.0 * hmat[:, :half], hmat[:, half:hmat.shape[1] - half]], axis=1)
 
 
-def _folded_abs_sum(gmat: np.ndarray, hmat: np.ndarray, orbits, tile_rows: int,
+def _folded_abs_sum(gmat: np.ndarray, hmat: np.ndarray, orbits, tile_points: int,
                     threads: int) -> float:
-    """Sum of weight * |gmat[rows] @ hmat| over the (weight, rows) ``orbits``."""
+    """Sum of weight * |gmat[rows] @ hmat| over the (weight, rows) ``orbits``,
+    streamed in tiles of as many rows as fit ``tile_points`` values."""
     total = 0.0
     for weight, rows in orbits:
         if len(rows) and hmat.shape[1]:
-            total += weight * _abs_sum(gmat[rows], hmat, tile_rows, threads)
+            total += weight * _abs_sum(gmat[rows], hmat, tile_points // hmat.shape[1], threads)
     return total
 
 
@@ -356,7 +377,7 @@ def _cut_value(bound: np.ndarray, scale: float, budget: float) -> float:
 
 
 def _pruned_abs_sum(gmat: np.ndarray, hmat: np.ndarray, orbits, target: float,
-                    tile_rows: int, threads: int) -> tuple:
+                    tile_points: int, threads: int) -> tuple:
     """_folded_abs_sum on the support of |gmat @ hmat| under the support cut
     against ``target`` (see the module docstring), and the bound on the
     part left out, 0.0 if the check made it stream that part too."""
@@ -371,12 +392,12 @@ def _pruned_abs_sum(gmat: np.ndarray, hmat: np.ndarray, orbits, target: float,
     dropped = float(g_all * h_drop + h_keep * np.sum(row_bound[row_bound < row_cut]))
     kept = [(w, r[w * norms[r] >= row_cut]) for w, r in orbits]
     hkept = hmat if keep_col.all() else np.ascontiguousarray(hmat[:, keep_col])
-    total = _folded_abs_sum(gmat, hkept, kept, tile_rows, threads)
+    total = _folded_abs_sum(gmat, hkept, kept, tile_points, threads)
     if dropped > _SUPPORT_CUT * total:
         total += (_folded_abs_sum(gmat, np.ascontiguousarray(hmat[:, ~keep_col]), kept,
-                                  tile_rows, threads)
+                                  tile_points, threads)
                   + _folded_abs_sum(gmat, hmat, [(w, r[w * norms[r] < row_cut])
-                                                 for w, r in orbits], tile_rows, threads))
+                                                 for w, r in orbits], tile_points, threads))
         dropped = 0.0
     return total, dropped
 
@@ -384,7 +405,10 @@ def _pruned_abs_sum(gmat: np.ndarray, hmat: np.ndarray, orbits, target: float,
 # ``threads`` and ``tile_rows`` stay keywords of this signature:
 # perfbench/child.py probes the kernel with threads=1 and threads=2, and
 # perfbench/tracer.py reads the tile_rows default through
-# inspect.signature to model the bytes a pass moves. The tracer counts
+# inspect.signature to model the bytes a pass moves, as if every pass
+# spanned the whole mode-2 grid: ``tile_rows`` is the row count of such a
+# tile, and a pass over fewer columns takes as many rows as fit
+# tile_rows * n2 values. The tracer counts
 # calls of this function as the 4D kernel, and lists their products, so a
 # traced table pass gets plain pairs and streams them unfolded.
 def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
@@ -427,19 +451,19 @@ def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
     if gmat.shape[1] == 0:
         return 0.0, 0.0
     area = mode1.cell_area * mode2.cell_area
-    index = np.arange(n1).reshape(mode1.q.n, mode1.p.n)
+    shape1 = (mode1.q.n, mode1.p.n)
     # The decimated pass folds only under the elements that map the even-index
     # points of both modes onto themselves, those reversing odd-length axes,
     # and folds its columns only if z2 -> -z2 maps mode 2's onto themselves.
-    masks = [_even_mask(mode1).reshape(index.shape),
+    masks = [_even_mask(mode1).reshape(shape1),
              _even_mask(mode2).reshape(mode2.q.n, mode2.p.n)]
 
     def onto_itself(axes, mask):
         return np.array_equal(np.flip(mask, axes), mask)
 
     group, fold = products.group, products.mode2_parity
-    coarse_group = [axes for axes in group if all(onto_itself(axes, m) for m in masks)]
-    fine_orbits, coarse_orbits = _orbits(index, group), _orbits(index[::2, ::2], coarse_group)
+    coarse_group = tuple(axes for axes in group if all(onto_itself(axes, m) for m in masks))
+    fine_orbits, coarse_orbits = _orbits(shape1, 1, group), _orbits(shape1, 2, coarse_group)
     hfine = _folded_columns(hmat) if fold else hmat
     hcoarse = hmat[:, masks[1].ravel()]
     hcoarse = (_folded_columns(hcoarse) if fold and onto_itself((0, 1), masks[1])
@@ -449,6 +473,7 @@ def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
         coarse = _closed_abs_sum(_weighted_rows(gmat, coarse_orbits), hcoarse) * 16.0 * area
         return fine, abs(fine - coarse)
     # The decimated pass runs first: 16 times its sum is the target of the cut.
-    coarse = 16.0 * _folded_abs_sum(gmat, hcoarse, coarse_orbits, tile_rows, threads)
-    fine, dropped = _pruned_abs_sum(gmat, hfine, fine_orbits, coarse, tile_rows, threads)
+    tile_points = tile_rows * n2
+    coarse = 16.0 * _folded_abs_sum(gmat, hcoarse, coarse_orbits, tile_points, threads)
+    fine, dropped = _pruned_abs_sum(gmat, hfine, fine_orbits, coarse, tile_points, threads)
     return fine * area, abs(fine * area - coarse * area) + dropped * area

@@ -3,10 +3,13 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import psnci
 from psnci.cli import _build_parser, _fmt, main
 from psnci.indicators import sweep_r
 
@@ -337,3 +340,27 @@ def test_benchmark_outputs_do_not_depend_on_threads(capsys):
                     out = capsys.readouterr().out
                     runs.append((code, re.sub(r'"threads": \d+', '"threads": _', out)))
                 assert runs[0] == runs[1], argv
+
+
+# The parser is built once per process. Successive calls in one process,
+# a parse error among them, print and exit as fresh processes do.
+SUCCESSIVE_ARGV = [
+    ["entropy", "--state", BELL],
+    ["entropy", "--state", BELL, "--rep", "wigner"],
+    ["indicator", "--state", VACUUM, "--rep", "wigner", "--threads", "1"],
+    ["sweep-a", "--family", "entangled01", "--steps", "0"],
+    ["entropy", "--state", BELL, "--entropy-base", "e"],
+    ["entropy", "--state", BELL],
+]
+
+
+def test_successive_main_calls_match_fresh_runs(capsys):
+    env = dict(os.environ, PYTHONPATH=str(Path(psnci.__file__).resolve().parents[1]))
+    for argv in SUCCESSIVE_ARGV:
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "psnci.cli"] + argv, env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout,
+                                                      fresh.stderr), argv
+    assert _build_parser() is _build_parser()

@@ -908,6 +908,16 @@ def _mode2_sum(grid, seed, signs, symmetry):
                                  symmetry=STATED[MODE2_SETS[name][1]]), 21, None,
                    id=f"{rows}-columns-{name}")
       for name in ("even", "P-even") for rows in (1, 8, 512)),
+    # At 24 rows a tile of the 121 decimated columns takes 87 rows, so its
+    # 121 rows make two tiles where 24-row tiles made six, and a tile of
+    # the 61 folded decimated columns takes all 60 rows: fewer tiles than
+    # the 3 workers, where 24-row tiles were at least as many.
+    pytest.param(24, partial(_random_products, count=4), 21, None, id="24"),
+    pytest.param(24, _fock_products, 21, STATED["T"], id="24-pruned"),
+    *(pytest.param(24, partial(_mode2_sum, signs=MODE2_SETS[name][0],
+                               symmetry=STATED[MODE2_SETS[name][1]]), 21, None,
+                   id=f"24-columns-{name}")
+      for name in ("even", "P-even")),
 ])
 def test_streamed_bit_identical_across_threads(tile_rows, make, points, stated):
     grid = oracles.two_mode_grid(points=points)
@@ -917,6 +927,87 @@ def test_streamed_bit_identical_across_threads(tile_rows, make, points, stated):
     first = abs_4d_with_estimate(prods, grid, threads=1, tile_rows=tile_rows)
     for threads in (2, 3):
         assert abs_4d_with_estimate(prods, grid, threads=threads, tile_rows=tile_rows) == first
+
+
+def _recorded_tiles(monkeypatch):
+    """List that records (rows of gmat, columns of hmat, rows per tile) of
+    every _abs_sum call."""
+    calls = []
+    stream = quadrature._abs_sum
+
+    def record(gmat, hmat, tile_rows, threads):
+        calls.append((gmat.shape[0], hmat.shape[1], tile_rows))
+        return stream(gmat, hmat, tile_rows, threads)
+
+    monkeypatch.setattr(quadrature, "_abs_sum", record)
+    return calls
+
+
+# A tile holds at most tile_rows * n2 values: tile_rows rows of the whole
+# mode-2 grid, and as many rows as fit when a pass streams fewer columns
+# (the decimated pass, folded columns, the support cut's columns, and the
+# dropped columns the fallback streams). 441 points per mode.
+@pytest.mark.parametrize("tile_rows", [1, 8, 512])
+@pytest.mark.parametrize("make, stated", [
+    pytest.param(partial(_random_products, count=4), None, id="plain"),
+    pytest.param(partial(_mode2_sum, signs=MODE2_SETS["P-even"][0], symmetry=STATED["P"]),
+                 None, id="columns"),
+    pytest.param(_fock_products, STATED["T"], id="pruned"),
+    pytest.param(_comb_products, STATED["T"], id="pruned-fallback"),
+])
+def test_tiles_hold_a_fixed_number_of_values(monkeypatch, tile_rows, make, stated):
+    grid = oracles.two_mode_grid(points=21)
+    n2 = grid.mode(1).n_points
+    prods = make(grid, seed=0)
+    if stated:
+        prods = oracles.stated_sum(prods, stated)
+    calls = _recorded_tiles(monkeypatch)
+    abs_4d_with_estimate(prods, grid, threads=2, tile_rows=tile_rows)
+    assert calls
+    for rows, columns, tile in calls:
+        assert tile == max(tile_rows, tile_rows * n2 // columns)
+        assert min(tile, rows) * columns <= tile_rows * n2
+
+
+# Block shapes (rows of the first tile, columns) of every _abs_sum call at
+# the default 8 rows, decimated pass then fine pass, on 441 points per
+# mode: the full-width pass keeps 8-row tiles, the 121 decimated columns
+# take 29 rows, and the folded columns, 61 and 221 of them, 57 and 15.
+@pytest.mark.parametrize("make, blocks", [
+    pytest.param(partial(_random_products, count=4), [(29, 121), (8, 441)], id="plain"),
+    pytest.param(partial(_mode2_sum, signs=MODE2_SETS["P-even"][0], symmetry=STATED["P"]),
+                 [(57, 61), (1, 61), (15, 221), (1, 221)], id="columns"),
+])
+def test_narrow_passes_take_taller_tiles(monkeypatch, make, blocks):
+    grid = oracles.two_mode_grid(points=21)
+    prods = make(grid, seed=0)
+    calls = _recorded_tiles(monkeypatch)
+    _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2),
+                          list(prods), grid)
+    assert [(min(tile, rows), columns) for rows, columns, tile in calls] == blocks
+
+
+# The orbits are kept per (shape, step, group) for the life of the
+# process: a second call returns the same arrays, they equal a fresh
+# computation, cannot be written, and their weights cover every node.
+@pytest.mark.parametrize("shape", [(21, 21), (20, 20), (21, 19)])
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("group", ["none", "P", "T", "full"])
+def test_orbits_are_kept_read_only(shape, step, group):
+    elements = ((),) + tuple(axes for axes, held in zip(quadrature._ELEMENTS, STATED[group])
+                             if held)
+    kept = quadrature._orbits(shape, step, elements)
+    assert quadrature._orbits(shape, step, elements) is kept
+    fresh = quadrature._orbits.__wrapped__(shape, step, elements)
+    assert [w for w, _ in kept] == [w for w, _ in fresh] == [4, 2, 1]
+    nodes = len(range(0, shape[0], step)) * len(range(0, shape[1], step))
+    assert sum(w * len(rows) for w, rows in kept) == nodes
+    for (_, rows), (_, again) in zip(kept, fresh):
+        assert np.array_equal(rows, again)
+        assert not rows.flags.writeable
+        if len(rows):
+            with pytest.raises(ValueError):
+                rows[0] = 0
 
 
 def test_kept_pools_serve_concurrent_callers():
