@@ -13,8 +13,9 @@ over dq dp):
 * Husimi: Q_ij(q, p) = (1/pi) <alpha|psi_i><psi_j|alpha> with
   alpha = q + i p, so the diagonal is (1/pi) e^(-|alpha|^2) |alpha|^(2n) / n!
   for Fock states, non-negative, peak 1/pi for the vacuum and unit integral.
-  Coherent overlaps with squeezed primitives are done by quadrature on the
-  position wavefunction.
+  Coherent overlaps with squeezed primitives have a closed form too
+  (_coherent_amplitude_grid): a Gaussian envelope, the phase
+  e^(i tanh(r) qp) and a three-term recurrence in (q - ip) / cosh r.
 
 * Rivier: real part of the Kirkwood kernel
       K_ij(q, p) = (2 pi)^(-1/2) psi_i(q) phi_j*(p) e^(-iqp),
@@ -36,14 +37,13 @@ ones filled by the mirrors on each read. One rule, _symmetry, decides from
 the amplitudes and parity signs which mirrors an |f| is symmetric under,
 for the single-mode folds and for the 4D kernel alike.
 
-The two kernel quadratures, the Wigner cross term of unequally squeezed
-primitives and the coherent amplitude of a squeezed primitive, sum over
-midpoint nodes that lie symmetrically about 0. Each evaluates only the
-half y >= 0 and adds every node's mirror image with it (the centre node
-of an odd count, its own image, with weight 1/2): the Wigner kernel pairs
-psi_i(q + y) psi_j(q - y) with psi_i(q - y) psi_j(q + y), the amplitude
-uses the parity of psi. Their cos and sin tables come from two small exp
-tables along the uniform node axis (_phase_table), whatever the p nodes.
+The one kernel quadrature, the Wigner cross term of unequally squeezed
+primitives, sums over midpoint nodes symmetric about 0: it evaluates the
+half y >= 0 and adds every node's mirror image (the centre node of an odd
+count, its own image, with weight 1/2), pairing psi_i(q + y) psi_j(q - y)
+with psi_i(q - y) psi_j(q + y). Every phase grid e^(icyp), the kernel's
+(c = 2), the squeezed amplitude's (c = tanh r) and the Kirkwood one
+(c = -1), comes from _phase_table along uniform nodes y of stated spacing.
 
 A TermTable holds the real term-pair decomposition f = sum_kl f_kl of a
 one- or two-mode superposition state's distribution: a diagonal term per
@@ -92,10 +92,9 @@ from .states import (
 )
 
 _KIRKWOOD_NORM = (2.0 * math.pi) ** -0.5
-_QUARTIC_ROOT_PI = math.pi ** -0.25
 _LN2 = math.log(2.0)
 
-# Node-spacing safety for the oscillatory quadratures: the sampling rate
+# Node-spacing safety for the oscillatory kernel quadrature: the sampling rate
 # exceeds the integrand bandwidth by this factor, keeping aliasing far
 # below double precision for Gaussian-enveloped integrands.
 _BAND_SAFETY = 1.7
@@ -227,22 +226,22 @@ def _half_nodes(half_width: float, nodes: int) -> tuple:
     return y, weights, dy
 
 
-def _phase_table(c: float, y: np.ndarray, dy: float, p) -> tuple:
-    """cos(c y p) and sin(c y p) on the len(y) x len(p) grid of the uniform
-    nodes y_k = y_0 + k dy, from two small exp tables: with k = L h + m and
-    L = isqrt(len(y)), e^(icy_k p) = e^(icy_(Lh) p) e^(icm dy p), one
-    complex product per entry."""
+def _phase_table(c: float, y: np.ndarray, dy: float, p) -> np.ndarray:
+    """e^(icyp) on the len(y) x len(p) grid of the uniform nodes
+    y_k = y_0 + k dy, dy stated by the axis or node rule of the y, from two
+    small exp tables: with k = L h + m and L = isqrt(len(y)),
+    e^(icy_k p) = e^(icy_(Lh) p) e^(icm dy p), one complex product per
+    entry, within a few eps |c| max|y| |p| of the exact phase."""
     step = math.isqrt(len(y))
     coarse = np.exp(1j * c * np.outer(y[::step], p))
     fine = np.exp(1j * c * np.outer(np.arange(step) * dy, p))
-    table = (coarse[:, None, :] * fine[None, :, :]).reshape(-1, len(p))[:len(y)]
-    return np.ascontiguousarray(table.real), np.ascontiguousarray(table.imag)
+    return (coarse[:, None, :] * fine[None, :, :]).reshape(-1, len(p))[:len(y)]
 
 
 def _flushed(integrand: np.ndarray) -> np.ndarray:
     """``integrand`` with its subnormal entries set to 0, in place. They
     come from Gaussian tails, move a matrix product by far less than one
-    rounding, and made the kernel quadratures' matmuls about twice as slow."""
+    rounding, and made the kernel quadrature's matmuls about twice as slow."""
     tiny = np.finfo(float).tiny
     np.copyto(integrand, 0.0, where=(integrand < tiny) & (integrand > -tiny))
     return integrand
@@ -253,17 +252,17 @@ def _wigner_numeric_grid(prim_i: Primitive, prim_j: Primitive, q, p) -> np.ndarr
     products, folded over y and -y: with fp = psi_i(q + y) psi_j(q - y) and
     fm = psi_i(q - y) psi_j(q + y) on the half nodes y >= 0 of weight w,
         W_ij = (dy / pi) [((fp + fm) w) @ cos(2yp) - i ((fp - fm) w) @ sin(2yp)],
-    with the cos and sin tables from _phase_table."""
+    with cos(2yp) and sin(2yp) the parts of _phase_table(2, y, dy, p)."""
     p_absmax = max(1.0, float(np.max(np.abs(p))))
     y, weights, dy = _half_nodes(*_kernel_sampling(prim_i, prim_j, p_absmax))
     plus, minus = q[:, None] + y[None, :], q[:, None] - y[None, :]
     fp = position_wavefunction(prim_i, plus) * position_wavefunction(prim_j, minus)
     fm = position_wavefunction(prim_i, minus) * position_wavefunction(prim_j, plus)
     weights *= dy / math.pi
-    cos, sin = _phase_table(2.0, y, dy, p)
+    table = _phase_table(2.0, y, dy, p)
     grid = np.empty((len(q), len(p)), dtype=complex)
-    grid.real = _flushed((fp + fm) * weights) @ cos
-    grid.imag = _flushed((fm - fp) * weights) @ sin
+    grid.real = _flushed((fp + fm) * weights) @ np.ascontiguousarray(table.real)
+    grid.imag = _flushed((fm - fp) * weights) @ np.ascontiguousarray(table.imag)
     return grid
 
 
@@ -279,49 +278,51 @@ def _wigner_pair_grid(prim_i: Primitive, prim_j: Primitive, q, p) -> np.ndarray:
 # Husimi evaluation
 # ---------------------------------------------------------------------------
 
-def _husimi_sampling(prim: Primitive, p_absmax: float) -> tuple:
-    half_width = prim.support_radius
-    bandwidth = math.sqrt(2.0) * p_absmax + prim.momentum_radius + 7.0
-    dx = 2.0 * math.pi / (_BAND_SAFETY * bandwidth + _BAND_PAD)
-    nodes = max(_MIN_NODES, int(math.ceil(2.0 * half_width / dx)))
-    return half_width, nodes
+def _coherent_amplitude_grid(prim: Primitive, mode) -> np.ndarray:
+    """<alpha|prim> on the len(q) x len(p) grid of a mode's nodes, alpha = q + ip.
 
-
-def _coherent_amplitude_grid(prim: Primitive, q, p, phase) -> np.ndarray:
-    """<alpha|prim> on the len(q) x len(p) grid, alpha = q + ip.
-
-    Fock states use the closed overlap e^(-|alpha|^2 / 2) (alpha*)^n / sqrt(n!);
-    squeezed states integrate the coherent-state wavefunction
-    pi^(-1/4) e^(iqp) e^(-(x - sqrt2 q)^2 / 2) e^(-i sqrt2 xp) against the
-    primitive's position wavefunction psi, with e^(iqp) = conj(phase) taken
-    from the mode's shared e^(-iqp) grid (Fock states ignore ``phase``).
-    The sum is folded over x and -x by the parity psi(-x) = (-1)^n psi(x):
-    with g+- = e^(-(x -+ sqrt2 q)^2 / 2) on the half nodes x >= 0 of
-    weight w, it is (psi w (g+ + (-1)^n g-)) @ cos(sqrt2 xp)
-    - i (psi w (g+ - (-1)^n g-)) @ sin(sqrt2 xp), with the tables from
-    _phase_table.
+    Fock states use the closed overlap e^(-|alpha|^2 / 2) (alpha*)^n / sqrt(n!).
+    Squeezed ones use the Gaussian-Hermite integral of Gradshteyn & Ryzhik
+    7.374 over psi (squeezed number states as in Kim, de Oliveira and
+    Knight, Phys. Rev. A 40, 2494 (1989)): with t = tanh r, w = (q - ip) / cosh r,
+        <alpha|n, r> = (n! cosh r)^(-1/2) e^(-q^2 / (1 + e^(-2r)))
+                       e^(-p^2 / (1 + e^(2r))) e^(itqp) g_n(w),
+    g_n(w) = (-t/2)^(n/2) H_n(w / sqrt(-2t)) by g_0 = 1, g_1 = w and
+    g_(k+1) = w g_k + k t g_(k-1) (the Fock form at r = 0). The recurrence
+    starts from the envelope, so far out it underflows to 0 rather than
+    overflowing; e^(itqp) is _phase_table along the uniform q nodes.
     """
+    q, p = mode.q.centers, mode.p.centers
     if prim.kind == FOCK:
         u = q[:, None] ** 2 + p[None, :] ** 2
         env = np.exp(-0.5 * u - 0.5 * specialfn.log_factorial(prim.n))
         if prim.n == 0:
             return env.astype(complex)
         return env * (q[:, None] - 1j * p[None, :]) ** prim.n
-    p_absmax = max(1.0, float(np.max(np.abs(p))))
-    x, weights, dx = _half_nodes(*_husimi_sampling(prim, p_absmax))
-    psi_w = position_wavefunction(prim, x) * (weights * (dx * _QUARTIC_ROOT_PI))
-    gauss_plus = np.exp(-0.5 * (x[None, :] - math.sqrt(2.0) * q[:, None]) ** 2)
-    gauss_minus = (-1) ** prim.n * np.exp(-0.5 * (x[None, :] + math.sqrt(2.0) * q[:, None]) ** 2)
-    cos, sin = _phase_table(math.sqrt(2.0), x, dx, p)
-    amp = np.empty((len(q), len(p)), dtype=complex)
-    amp.real = _flushed((gauss_plus + gauss_minus) * psi_w) @ cos
-    amp.imag = _flushed((gauss_plus - gauss_minus) * psi_w) @ sin
-    amp *= phase
-    return np.conjugate(amp, out=amp)
+    r, t = prim.r, math.tanh(prim.r)
+    scale = 1.0 / math.sqrt(math.factorial(prim.n) * math.cosh(r))
+    g = np.outer(np.exp(q * q / -(1.0 + math.exp(-2.0 * r))) * scale,
+                 np.exp(p * p / -(1.0 + math.exp(2.0 * r))))
+    amp = _phase_table(t, q, mode.q.delta, p)
+    if prim.n:
+        s = 1.0 / math.cosh(r)
+        w = (s * q)[:, None] - 1j * (s * p)[None, :]
+        g_prev, g = g, w * g
+        if prim.n > 1:
+            g_prev, buf = g_prev.astype(complex), np.empty_like(g)
+        for k in range(1, prim.n):
+            np.multiply(w, g, out=buf)
+            g_prev *= k * t
+            buf += g_prev
+            g_prev, g, buf = g, buf, g_prev
+    return np.multiply(amp, g, out=amp)
 
 
 def _husimi_pair_grid(amp_i: np.ndarray, amp_j: np.ndarray) -> np.ndarray:
-    pair = amp_i * np.conj(amp_j) / math.pi
+    pair = amp_i * np.conj(amp_j)
+    # numpy divides by the complex pi + 0j as (x + 0) times 1 / pi: this is
+    # pair / pi to the bit (but for the sign of a zero), at a sixth of the cost
+    pair *= 1.0 / math.pi
     if amp_i is amp_j:
         # |alpha|^2 / pi is real; the complex product leaves rounding noise
         # in its imaginary part.
@@ -337,27 +338,31 @@ def _kirkwood_pair_grid(prim_i: Primitive, prim_j: Primitive, q, p, phase) -> np
     """Kirkwood kernel K_ij(q, p) = (2 pi)^(-1/2) psi_i(q) phi_j*(p) e^(-iqp)
     on the len(q) x len(p) grid, with ``phase`` = e^(-iqp) on that grid;
     tables pair it hermitially into Rivier terms."""
-    psi_q = np.asarray(position_wavefunction(prim_i, q))
-    phi_p = np.conj(momentum_wavefunction(prim_j, p))
-    return _KIRKWOOD_NORM * np.outer(psi_q, phi_p) * phase
+    psi_q = _KIRKWOOD_NORM * np.asarray(position_wavefunction(prim_i, q))
+    kernel = np.outer(psi_q, np.conj(momentum_wavefunction(prim_j, p)))
+    return np.multiply(kernel, phase, out=kernel)
 
 
 # ---------------------------------------------------------------------------
 # Quadrant grids
 # ---------------------------------------------------------------------------
 
-def _axis_fold(axis: Axis) -> np.ndarray:
-    """Rows of weights of an axis's evaluated nodes, its upper half from the
-    middle index on, in the folded sums: 1 for the node; 1 if its mirror
-    image is a node not evaluated (not the middle node of an odd axis); and
-    each of these only where that image's full index is even, for the
-    decimated estimate."""
-    start = axis.n // 2
-    index = np.arange(start, axis.n)
-    mirror = axis.n - 1 - index
+@functools.cache
+def _axis_fold(n: int) -> np.ndarray:
+    """Rows of weights of the evaluated nodes of an n-node axis, its upper
+    half from the middle index on, in the folded sums: 1 for the node; 1 if
+    its mirror image is a node not evaluated (not the middle node of an odd
+    axis); and each of these only where that image's full index is even,
+    for the decimated estimate. Kept per n, read-only: every table sum
+    reads them."""
+    start = n // 2
+    index = np.arange(start, n)
+    mirror = n - 1 - index
     filled = mirror < start
-    return np.array([np.ones(len(index)), filled, index % 2 == 0,
+    fold = np.array([np.ones(len(index)), filled, index % 2 == 0,
                      filled & (mirror % 2 == 0)], dtype=float)
+    fold.setflags(write=False)
+    return fold
 
 
 def _mirror(quadrant: np.ndarray, mode: ModeAxes, sign: int) -> np.ndarray:
@@ -384,7 +389,7 @@ def _folded_integral(quadrant: np.ndarray, sign: int, mode: ModeAxes,
     counts only the nodes and images at even indices of both axes, times 4:
     the integral of the decimated estimate."""
     rows = slice(2, 4) if decimated else slice(0, 2)
-    q, p = _axis_fold(mode.q)[rows], _axis_fold(mode.p)[rows]
+    q, p = _axis_fold(mode.q.n)[rows], _axis_fold(mode.p.n)[rows]
     s = q @ quadrant @ p.T
     area = 4.0 * mode.cell_area if decimated else mode.cell_area
     return complex(s[0, 0] + sign * s[1, 1] + np.conj(s[0, 1] + sign * s[1, 0])) * area
@@ -428,7 +433,7 @@ def _folded_abs(terms, mode: ModeAxes) -> tuple:
             gamma.real * d.real if gamma.imag == 0.0
             else gamma.real * d.real + (conj * gamma.imag) * d.imag
             for gamma, d, _ in triples))) @ p.T
-    q, p = _axis_fold(mode.q), _axis_fold(mode.p)
+    q, p = _axis_fold(mode.q.n), _axis_fold(mode.p.n)
     flipped = [(-gamma if sign < 0 else gamma, d, sign) for gamma, d, sign in terms]
     p_sym, t_sym, pt_sym = _symmetry([(gamma, sign) for gamma, _, sign in terms])
     node = at(-1.0, terms)
@@ -616,21 +621,14 @@ class TermTable:
 # Builders
 # ---------------------------------------------------------------------------
 
-def _mode_phase(mode_cache: dict, q, p) -> np.ndarray:
-    """e^(-iqp) on the mode's evaluated nodes, computed on first use and
-    kept in the mode's cache for every later Kirkwood pair and squeezed
-    amplitude. Like every factor grid it is conjugated by p -> -p and even
-    under (q, p) -> (-q, -p), so _build_cross_maps needs it on the
-    non-negative quadrant only. Its real and imaginary parts are cos(-qp)
-    and sin(-qp) written in place, the same values as np.exp(-1j * qp)
-    bit for bit at less cost."""
+def _mode_phase(mode_cache: dict, mode) -> np.ndarray:
+    """e^(-iqp) on the mode's nodes, _phase_table(-1) along its uniform q
+    nodes, computed on first use and kept in the mode's cache for every
+    later Kirkwood pair. Like every factor grid it is conjugated by
+    p -> -p and even under (q, p) -> (-q, -p), so _build_cross_maps needs
+    it on the non-negative quadrant only."""
     if "phase" not in mode_cache:
-        arg = np.outer(q, p)
-        np.negative(arg, out=arg)
-        phase = np.empty(arg.shape, dtype=complex)
-        np.cos(arg, out=phase.real)
-        np.sin(arg, out=phase.imag)
-        mode_cache["phase"] = phase
+        mode_cache["phase"] = _phase_table(-1.0, mode.q.centers, mode.q.delta, mode.p.centers)
     return mode_cache["phase"]
 
 
@@ -642,16 +640,17 @@ def _pair_grid(rep: Representation, prim_i: Primitive, prim_j: Primitive,
     if rep is Representation.HUSIMI:
         for prim in (prim_i, prim_j):
             if prim not in mode_cache:
-                phase = None if prim.kind == FOCK else _mode_phase(mode_cache, q, p)
-                mode_cache[prim] = _coherent_amplitude_grid(prim, q, p, phase)
+                mode_cache[prim] = _coherent_amplitude_grid(prim, mode)
         return _husimi_pair_grid(mode_cache[prim_i], mode_cache[prim_j])
-    return _kirkwood_pair_grid(prim_i, prim_j, q, p, _mode_phase(mode_cache, q, p))
+    return _kirkwood_pair_grid(prim_i, prim_j, q, p, _mode_phase(mode_cache, mode))
 
 
 class _Nodes(NamedTuple):
-    """The evaluated nodes of an axis, standing in for it in _pair_grid."""
+    """The evaluated nodes of an axis, uniform with its spacing ``delta``,
+    standing in for it in _pair_grid."""
 
     centers: np.ndarray
+    delta: float
 
     @property
     def n(self) -> int:
@@ -669,9 +668,9 @@ def _build_cross_maps(rep, prims, mode):
     """
     keys = (_hermitian_keys(len(prims)) if rep.hermitian_pairs
             else _ordered_keys(len(prims)))
-    half = ModeAxes(_Nodes(mode.q.centers[mode.q.n // 2:]),
-                    _Nodes(mode.p.centers[mode.p.n // 2:]))
-    mode_cache = {}  # Husimi amplitudes per primitive, and the e^(-iqp) grid
+    half = ModeAxes(_Nodes(mode.q.centers[mode.q.n // 2:], mode.q.delta),
+                    _Nodes(mode.p.centers[mode.p.n // 2:], mode.p.delta))
+    mode_cache = {}  # Husimi amplitudes per primitive, or the e^(-iqp) grid
     cross, signs, ints = {}, {}, {}
     for i, j in keys:
         quadrant = _pair_grid(rep, prims[i], prims[j], half, mode_cache)

@@ -214,17 +214,19 @@ def primitive_overlap(p1: Primitive, p2: Primitive) -> complex:
     )
 
 
-def overlap(s1: State, s2: State) -> complex:
+def overlap(s1: State, s2: State, overlaps: dict = None) -> complex:
     """<s1|s2> = sum_kl conj(c_k) c_l prod_m <u_mk|u_ml>, cross terms between
     non-orthogonal primitives included.
 
     Every primitive wavefunction is real with parity (-1)^n, so <u|v> = <v|u>
     is computed once per unordered pair, and is exactly 0 when n_u + n_v is
-    odd."""
+    odd. ``overlaps`` maps primitive pairs to their overlaps and gains the
+    ones this call computes: callers that pass one dict to calls on states
+    with common primitives compute each of them once."""
     if s1.n_modes != s2.n_modes:
         raise DomainError(f"mode counts differ: {s1.n_modes} and {s2.n_modes}")
     total = 0.0 + 0.0j
-    cache = {}
+    cache = {} if overlaps is None else overlaps
     for ck, *uk in s1.terms:
         for cl, *ul in s2.terms:
             term = np.conj(ck) * cl
@@ -237,13 +239,14 @@ def overlap(s1: State, s2: State) -> complex:
     return total
 
 
-def state_norm(state: State) -> float:
-    return math.sqrt(max(overlap(state, state).real, 0.0))
+def state_norm(state: State, overlaps: dict = None) -> float:
+    return math.sqrt(max(overlap(state, state, overlaps).real, 0.0))
 
 
-def normalize(state):
-    """Return the state rescaled to unit norm. Idempotent."""
-    norm = state_norm(state)
+def normalize(state, overlaps: dict = None):
+    """Return the state rescaled to unit norm, its primitive overlaps shared
+    through ``overlaps`` as in ``overlap``. Idempotent."""
+    norm = state_norm(state, overlaps)
     if norm <= 1e-12:
         raise DegenerateStateError(f"cannot normalize state with norm {norm:g}")
     return state.with_amplitudes([c / norm for c in state.amplitudes])
@@ -271,30 +274,32 @@ def entangled_state(n_low: int, n_high: int, a_sq: float) -> State:
 
 
 def _superposition_with_squeezed(a: float, squeezed_prim: Primitive,
-                                 convention: str) -> State:
+                                 convention: str, overlaps: dict) -> State:
     if convention not in COEFF_CONVENTIONS:
         raise DomainError(f"convention must be one of {COEFF_CONVENTIONS}, got {convention!r}")
     if not -1.0 <= a <= 1.0:
         raise DomainError(f"amplitude a must lie in [-1, 1], got {a}")
     c0 = (1.0 - a * a) if convention == "printed" else math.sqrt(1.0 - a * a)
     raw = State(((c0, fock(0)), (a, squeezed_prim)))
-    return normalize(raw)
+    return normalize(raw, overlaps)
 
 
-def squeezed_vacuum_superposition(a: float, r: float,
-                                  convention: str = "sqrt") -> State:
+def squeezed_vacuum_superposition(a: float, r: float, convention: str = "sqrt",
+                                  overlaps: dict = None) -> State:
     """Normalized superposition of |0> and the squeezed vacuum |0, r>.
 
     The two components are non-orthogonal, so the printed coefficients are
-    renormalized numerically including their overlap.
+    renormalized numerically including their overlap, shared through
+    ``overlaps`` as in ``overlap``.
     """
-    return _superposition_with_squeezed(a, squeezed_fock(0, r), convention)
+    return _superposition_with_squeezed(a, squeezed_fock(0, r), convention, overlaps)
 
 
-def squeezed_excited_superposition(a: float, r: float,
-                                   convention: str = "sqrt") -> State:
-    """Normalized superposition of |0> and the squeezed one-photon state |1, r>."""
-    return _superposition_with_squeezed(a, squeezed_fock(1, r), convention)
+def squeezed_excited_superposition(a: float, r: float, convention: str = "sqrt",
+                                   overlaps: dict = None) -> State:
+    """Normalized superposition of |0> and the squeezed one-photon state |1, r>,
+    its overlaps shared through ``overlaps`` as in ``overlap``."""
+    return _superposition_with_squeezed(a, squeezed_fock(1, r), convention, overlaps)
 
 
 # ---------------------------------------------------------------------------

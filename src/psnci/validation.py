@@ -14,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhaseSpaceError
+from .grids import Axis, ModeAxes
 from .indicators import eta_indicator
 from .phasespace import (
     Representation,
+    _coherent_amplitude_grid,
     _mode_primitives,
     _wigner_numeric_grid,
     build_term_table,
@@ -77,15 +79,24 @@ def _direct_nodes(state, p_absmax):
     return -half + (np.arange(n) + 0.5) * dx, dx
 
 
+def _direct_amplitudes(state: State, q, p) -> np.ndarray:
+    """<alpha|psi>, alpha = q + ip, on the len(q) x len(p) grid: the
+    coherent wavefunction pi^(-1/4) e^(iqp) e^(-(x - sqrt2 q)^2 / 2)
+    e^(-i sqrt2 px) summed against psi over this module's nodes."""
+    x, dx = _direct_nodes(state, float(np.max(np.abs(p))))
+    gauss = np.exp(-0.5 * (x[None, :] - math.sqrt(2.0) * q[:, None]) ** 2)
+    osc = np.exp(-1j * math.sqrt(2.0) * np.outer(x, p))
+    return ((gauss * state.wavefunction(x)) @ osc * np.exp(1j * np.outer(q, p))
+            * (_QUARTIC_ROOT_PI * dx))
+
+
 def _direct_single(state: State, rep: Representation, q: float, p: float) -> float:
     x, dx = _direct_nodes(state, abs(p))
     if rep is Representation.WIGNER:
         f = state.wavefunction(q + x) * np.conj(state.wavefunction(q - x))
         return float(np.real(np.sum(f * np.exp(-2j * p * x)) * dx / math.pi))
     if rep is Representation.HUSIMI:
-        coh = np.exp(-0.5 * (x - math.sqrt(2.0) * q) ** 2
-                     + 1j * (q * p - math.sqrt(2.0) * p * x))
-        amp = _QUARTIC_ROOT_PI * np.sum(coh * state.wavefunction(x)) * dx
+        amp = _direct_amplitudes(state, np.array([q]), np.array([p]))[0, 0]
         return float(abs(amp) ** 2 / math.pi)
     phi = np.sum(state.wavefunction(x) * np.exp(-1j * x * p)) * dx / math.sqrt(2.0 * math.pi)
     kirk = state.wavefunction(np.array(q))[()] * np.conj(phi) * np.exp(-1j * q * p)
@@ -226,6 +237,24 @@ def _closed_vs_numeric_check(results, rng):
                                f"max |closed - numeric| = {worst:.3e} over 1500 points"))
 
 
+def _closed_vs_direct_amplitude_check(results):
+    # The closed form behind every squeezed Husimi grid, against the direct
+    # sum on this module's own nodes that the decomposition checks use, to
+    # their tolerance, on a uniform 16 x 16 grid over [-3, 3]^2 (the closed
+    # form's phase table needs uniform q nodes).
+    axis = Axis(-3.0, 3.0, 16)
+    worst, count = 0.0, 0
+    for n in range(5):
+        for r in (-1.5, 0.5, 2.0):
+            prim = squeezed_fock(n, r)
+            direct = _direct_amplitudes(State(((1.0, prim),)), axis.centers, axis.centers)
+            closed = _coherent_amplitude_grid(prim, ModeAxes(axis, axis))
+            worst = max(worst, float(np.max(np.abs(closed - direct))))
+            count += closed.size
+    results.append(CheckResult("closed_vs_direct_coherent_amplitude", worst <= DECOMPOSITION_TOL,
+                               f"max |closed - direct| = {worst:.3e} over {count} points"))
+
+
 def _husimi_checks(tables, results, threads):
     for (sname, rep), (state, table) in tables.items():
         if rep is not Representation.HUSIMI:
@@ -292,6 +321,8 @@ def run_validation(*, extent=None, points=None, reps=None, threads: int = 1):
     _decomposition_checks(tables, results, rng)
     if Representation.WIGNER in rep_list:
         _closed_vs_numeric_check(results, rng)
+    if Representation.HUSIMI in rep_list:
+        _closed_vs_direct_amplitude_check(results)
     _husimi_checks(tables, results, threads)
     _eta_checks(tables, results, threads)
     _determinism_check(tables, results)

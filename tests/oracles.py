@@ -136,12 +136,11 @@ def squeezed_vacuum_cross_reference(q, p, r):
 
 
 # --- direct pair-grid formulas ---------------------------------------------
-# The production evaluators share one e^(-iqp) grid per mode; these compute
-# it in place. The Kirkwood kernel keeps otherwise the same arithmetic, so
-# the two must agree bit for bit. The kernel quadratures sum every one of
-# the production midpoint nodes, with the phase computed at each: production
-# folds the sums over +-y and factors the phase table, which agrees with
-# these to rounding.
+# The production Kirkwood kernel takes its e^(-iqp) from a factored phase
+# table; this computes it in place, with otherwise the same arithmetic. The
+# kernel quadrature oracle sums every one of the production midpoint nodes,
+# with the phase computed at each: production folds the sum over +-y and
+# factors the phase table, which agrees with it to rounding.
 
 def kirkwood_direct(prim_i, prim_j, q, p):
     """(2 pi)^(-1/2) psi_i(q) phi_j*(p) e^(-iqp) on the len(q) x len(p) grid."""
@@ -168,22 +167,36 @@ def wigner_kernel_direct(prim_i, prim_j, q, p):
     return (f @ np.cos(arg) - 1j * (f @ np.sin(arg))) * (dy / math.pi)
 
 
-def coherent_amplitude_direct(prim, q, p):
-    """<alpha|prim>, alpha = q + ip, for a squeezed primitive: the coherent
-    wavefunction pi^(-1/4) e^(iqp) e^(-(x - sqrt2 q)^2 / 2) e^(-i sqrt2 x p)
-    integrated against psi(x) on the production midpoint nodes."""
-    from psnci.phasespace import _husimi_sampling
-    from psnci.states import position_wavefunction
+def coherent_amplitude_reference(prim, q, p):
+    """<alpha|prim>, alpha = q + ip, at one point: the coherent wavefunction
+    pi^(-1/4) e^(iqp) e^(-(x - sqrt2 q)^2 / 2) e^(-i sqrt2 px) integrated
+    against psi(x) = e^(r/2) psi_n(e^r x) by mpmath.quad (Gauss-Legendre),
+    with H_n by its recurrence, all at 18 digits. Breakpoints at
+    sqrt2 q + k, |k| <= 9, resolve the coherent Gaussian and breakpoints at
+    eighths of psi's support radius its oscillations; the outer pieces run
+    to infinity. No node rule of psnci is used."""
+    import mpmath
 
-    p_absmax = max(1.0, float(np.max(np.abs(p))))
-    half_width, nodes = _husimi_sampling(prim, p_absmax)
-    dx = 2.0 * half_width / nodes
-    x = (np.arange(nodes) + 0.5 - 0.5 * nodes) * dx
-    psi_w = position_wavefunction(prim, x) * dx
-    gauss = np.exp(-0.5 * (x[None, :] - math.sqrt(2.0) * q[:, None]) ** 2)
-    osc = np.exp(-1j * math.sqrt(2.0) * x[:, None] * p[None, :])
-    core = (gauss * psi_w[None, :]) @ osc
-    return math.pi ** -0.25 * np.exp(1j * q[:, None] * p[None, :]) * core
+    with mpmath.workdps(18):
+        n, s = prim.n, mpmath.exp(prim.r)
+        q, p = mpmath.mpf(q), mpmath.mpf(p)
+        centre = mpmath.sqrt(2) * q
+        norm = mpmath.sqrt(s / (2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi)))
+
+        def integrand(x):
+            y = s * x
+            h_prev, h = mpmath.mpf(1), 2 * y
+            for k in range(1, n):
+                h_prev, h = h, 2 * y * h - 2 * k * h_prev
+            return ((h if n else h_prev) * norm
+                    * mpmath.exp(-y * y / 2 - (x - centre) ** 2 / 2 - 2j * p * x / mpmath.sqrt(2)))
+
+        radius = (math.sqrt(2 * n + 1) + 6.0) * math.exp(-prim.r)
+        cuts = ({float(centre) + k for k in range(-9, 10)}
+                | {radius * k / 8 for k in range(-8, 9)})
+        value = mpmath.quad(integrand, [-mpmath.inf, *sorted(cuts), mpmath.inf],
+                            method="gauss-legendre")
+        return complex(mpmath.pi ** -0.25 * mpmath.expj(q * p) * value)
 
 
 # --- analytic negativity volumes -------------------------------------------

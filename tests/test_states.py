@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from psnci import states
 from psnci.errors import DegenerateStateError, DomainError, StateFormatError
+from psnci.indicators import sweep_r
 from psnci.states import (
     State,
     entangled_state,
@@ -146,6 +147,29 @@ def test_opposite_parity_overlap_is_exactly_zero(monkeypatch):
                  (squeezed_fock(3, 1.0), squeezed_fock(0, 1.0))]:
         assert overlap(State(((1.0, u),)), State(((1.0, v),))) == 0.0
     assert calls == []
+
+
+SWEEP_R_PRIMITIVES = {"psi00r": (squeezed_vacuum_superposition, 0),
+                      "psi01r": (squeezed_excited_superposition, 1)}
+
+
+@pytest.mark.parametrize("family", SWEEP_R_PRIMITIVES)
+def test_sweep_r_computes_each_overlap_once(monkeypatch, family):
+    # every a of an r shares its primitives, and |0> recurs at every r
+    maker, n = SWEEP_R_PRIMITIVES[family]
+    r_values, a_values = [0.0, 0.5, 1.0], [0.3, 0.5, 0.7]
+    calls = _counted_overlaps(monkeypatch)
+    sweep_r(family, r_values, a_values, "husimi")
+    prims = {r: (fock(0), squeezed_fock(n, r)) for r in r_values}
+    expected = {frozenset((u, v)) for pair in prims.values() for u in pair for v in pair
+                if (u.n + v.n) % 2 == 0}
+    assert len(calls) == len(expected) == 1 + (2 if n == 0 else 1) * len(r_values)
+    assert {frozenset(pair) for pair in calls} == expected
+    # the shared overlaps leave every state as a fresh normalization makes it
+    shared = {}
+    for r in r_values:
+        for a in a_values:
+            assert maker(a, r, overlaps=shared) == maker(a, r)
 
 
 def _norm_of_every_ordered_pair(state):
