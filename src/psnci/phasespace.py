@@ -37,6 +37,17 @@ ones filled by the mirrors on each read. One rule, _symmetry, decides from
 the amplitudes and parity signs which mirrors an |f| is symmetric under,
 for the single-mode folds and for the 4D kernel alike.
 
+Unsqueezed primitives (r = 0) add the 90-degree rotation R,
+(q, p) -> (-p, q): with phi_n = (-i)^n psi_n, and D_ji = conj D_ij for
+the Wigner and Husimi grids, every such grid satisfies
+
+      D_ij(-p, q) = (-i)^(n_i - n_j) conj D_ji(q, p).
+
+A second rule, _rotation, decides from it and the photon numbers of the
+terms when a two-mode |f| is symmetric under R in both modes, for the 4D
+kernel: on square mode grids with equal q and p axes, where R maps nodes
+onto nodes.
+
 The one kernel quadrature, the Wigner cross term of unequally squeezed
 primitives, sums over midpoint nodes symmetric about 0: it evaluates the
 half y >= 0 and adds every node's mirror image (the centre node of an odd
@@ -407,7 +418,9 @@ def _symmetry(pairs) -> tuple:
     gamma, PT their product; so any two imply the third. Real and
     imaginary are to within _RANK_CUT of the largest |gamma|, which keeps
     T for amplitudes that share a global phase, whose products
-    c_k conj(c_l) are real up to rounding.
+    c_k conj(c_l) are real up to rounding. The rotation R of both modes
+    takes D_ij to conj D_ji, not to +-itself, so no sign here decides it:
+    _rotation does, for the 4D kernel.
     """
     pairs = [(complex(gamma), sign) for gamma, sign in pairs]
     tol = _RANK_CUT * max((abs(gamma) for gamma, _ in pairs), default=0.0)
@@ -415,6 +428,23 @@ def _symmetry(pairs) -> tuple:
              for gamma, sign in pairs if gamma != 0]
     return tuple(len(held) <= 1 and 0 not in held for held in (
         {p for p, _ in signs}, {t for _, t in signs}, {p * t for p, t in signs}))
+
+
+def _rotation(pairs, modes) -> bool:
+    """Whether f = Re sum gamma prod_m D_m,kl is even or odd under R,
+    (q, p) -> (-p, q) in every mode at once, for the (gamma, per-mode
+    turns) ``pairs`` of its products on the ``modes`` axes. A turn is
+    n_k - n_l for a pair of unsqueezed primitives, None otherwise.
+
+    Unsqueezed, every factor grid has D_kl(-p, q) = (-i)^(n_k - n_l)
+    conj D_lk(q, p), so f(Rz) = Re sum gamma_kl i^(N_l - N_k) prod_m D_m,kl(z),
+    N the photon number of a term over both modes. R holds if every
+    product with non-zero gamma has the same i^(N_l - N_k), 1 or -1 (exact
+    in integers mod 4), and maps nodes onto nodes: each mode's q and p
+    axes are equal. Then P = R^2 holds too, with sign +1.
+    """
+    held = {None if None in turns else sum(turns) % 4 for gamma, turns in pairs if gamma != 0}
+    return all(mode.q == mode.p for mode in modes) and len(held) <= 1 and held <= {0, 2}
 
 
 def _folded_abs(terms, mode: ModeAxes) -> tuple:
@@ -485,7 +515,7 @@ class TermTable:
         self.representation = representation
         self.grid = grid
         self.amplitudes = tuple(complex(c) for c in amplitudes)
-        self._cross, self._signs, self._ints = zip(*maps_by_mode)
+        self._cross, self._signs, self._ints, self._turns = zip(*maps_by_mode)
         self._bases = {}  # per-mode factor bases of a two-mode table
 
     @property
@@ -544,7 +574,7 @@ class TermTable:
         if len(amplitudes) != len(self.amplitudes):
             raise DomainError("amplitude count mismatch")
         table = TermTable(self.representation, self.grid, amplitudes,
-                          zip(self._cross, self._signs, self._ints))
+                          zip(self._cross, self._signs, self._ints, self._turns))
         table._bases = self._bases
         return table
 
@@ -596,9 +626,10 @@ class TermTable:
         grids: grid i is the vector e_2i + i e_2i+1, as a column in mode 1,
         so the real part of the vectors' paired sum is the core. It states
         the _symmetry of the products' gamma and signs, the product of their
-        per-mode parity signs, and, as its mode2_parity, the P of that rule
-        with their mode-2 signs alone: every product with non-zero gamma has
-        one (always so for a single pair term)."""
+        per-mode parity signs; the _rotation of their gamma and turns; and,
+        as its mode2_parity, the P of _symmetry with their mode-2 signs
+        alone: every product with non-zero gamma has one (always so for a
+        single pair term)."""
         if keys is None:
             keys = self.pair_keys()
         units = []
@@ -611,9 +642,11 @@ class TermTable:
             units.append(dict(zip(stored, unit[:, :, None] if mode == 0 else unit)))
         core = sum(self._paired(k, l, units).real for k, l in keys)
         terms = [term for k, l in keys for term in self._terms(k, l, self._signs)]
+        turns = [term for k, l in keys for term in self._terms(k, l, self._turns)]
         mode2_parity = _symmetry([(gamma, signs[1]) for gamma, signs in terms])[0]
         return SeparableSum(self._bases[0], self._bases[1], core,
-                            _symmetry([(gamma, math.prod(signs)) for gamma, signs in terms]),
+                            _symmetry([(gamma, math.prod(signs)) for gamma, signs in terms])
+                            + (_rotation(turns, self.grid.modes),),
                             mode2_parity)
 
 
@@ -658,8 +691,8 @@ class _Nodes(NamedTuple):
 
 
 def _build_cross_maps(rep, prims, mode):
-    """Each mode's factor grids D_ij, their parity signs (-1)^(n_i + n_j)
-    and their integrals.
+    """Each mode's factor grids D_ij, their parity signs (-1)^(n_i + n_j),
+    their integrals, and the turns of every ordered pair (_rotation).
 
     The grids are evaluated and kept on the nodes from the middle index of
     each axis on: the q >= 0, p >= 0 quadrant. _mirror fills in the rest for
@@ -672,6 +705,8 @@ def _build_cross_maps(rep, prims, mode):
                     _Nodes(mode.p.centers[mode.p.n // 2:], mode.p.delta))
     mode_cache = {}  # Husimi amplitudes per primitive, or the e^(-iqp) grid
     cross, signs, ints = {}, {}, {}
+    turns = {(i, j): u.n - v.n if u.r == 0.0 == v.r else None
+             for i, u in enumerate(prims) for j, v in enumerate(prims)}
     for i, j in keys:
         quadrant = _pair_grid(rep, prims[i], prims[j], half, mode_cache)
         if not np.all(np.isfinite(quadrant)):
@@ -680,7 +715,7 @@ def _build_cross_maps(rep, prims, mode):
         cross[(i, j)] = quadrant
         signs[(i, j)] = (-1) ** (prims[i].n + prims[j].n)
         ints[(i, j)] = _folded_integral(quadrant, signs[(i, j)], mode)
-    return cross, signs, ints
+    return cross, signs, ints, turns
 
 
 def build_term_table(state, representation, grid: PhaseGrid = None) -> TermTable:

@@ -65,23 +65,31 @@ the estimate. Wigner and Husimi tails are below double precision at the
 default grid edges; Rivier's are not, and it keeps nearly every point.
 
 Both passes, streamed or in closed form, are folded under the subgroup
-of {1, P, T, PT} that the SeparableSum states, each element a symmetry
-f -> +-f: P is z -> -z, T the p-mirror and PT the q-mirror of both
-modes. A term table states it by the rule that folds its single-mode
-sums (psnci.phasespace._symmetry); plain (g, h) pairs state none and are
-summed unfolded, as are a table's products when a traced benchmark pass
-lists them as pairs. Every Axis is symmetric about 0, so the mirrors map
-nodes onto nodes. A group element permutes the (q1, p1) rows of |f|
-without changing their sums, so one row per orbit is summed, weighted by
-the orbit size: streamed in one pass per weight, or in closed form with
-the row scaled by its weight, a power of 2. Under the full group the
-interior rows of a quadrant count 4, the rows on the half-axes 2 and the
-origin 1; under an order-2 group, rows off the mirror line or point
-count 2 and rows on it 1 (under {1, P}: the first half of the rows,
-doubled, and the centre row). Every pair term of a Fock or squeezed Fock
-state has P, and so does a total whose terms share one photon-number
-parity; real amplitudes add T. The full group sums about a quarter of
-the rows of both passes, P alone half.
+of D4 that the SeparableSum states, each element a symmetry f -> +-f
+applied to both modes at once: P is z -> -z, T the p-mirror and PT the
+q-mirror; R, (q, p) -> (-p, q), and R^3 the 90-degree rotations; RT,
+(q, p) -> (p, q), and R^3 T the transposes. A term table states it by
+the rules that fold its single-mode sums (psnci.phasespace._symmetry)
+and that turn both modes (psnci.phasespace._rotation); plain (g, h)
+pairs state none and are summed unfolded, as are a table's products
+when a traced benchmark pass lists them as pairs. Every Axis is
+symmetric about 0, so the mirrors map nodes onto nodes, and R does on
+the square mode grids with equal q and p axes, the only ones on which it
+is stated. A group element permutes the (q1, p1) rows of |f| without
+changing their sums, so one row per orbit is summed, weighted by the
+orbit size: streamed in one pass per weight, or in closed form with the
+row scaled by its weight, a power of 2. Under D4 (stated with R and T)
+generic rows count 8, rows on the axes and the diagonals 4 and the
+origin 1; under C4 = {1, R, P, R^3} (R without T) every row but the
+origin counts 4; under {1, P, T, PT} the interior rows of a quadrant
+count 4, the rows on the half-axes 2 and the origin 1; under an order-2
+group, rows off the mirror line or point count 2 and rows on it 1 (under
+{1, P}: the first half of the rows, doubled, and the centre row). Every
+pair term of a Fock or squeezed Fock state has P, and so does a total
+whose terms share one photon-number parity; real amplitudes add T; a
+Fock state whose terms share one photon number N over both modes, as the
+entangled families do, adds R. D4 sums about an eighth of the rows of
+both passes, {1, P, T, PT} and C4 a quarter, P alone half.
 
 The columns fold too when the sum states its mode-2 parity: every term
 with non-zero gamma has one parity sign in mode 2 (always so for a
@@ -89,8 +97,10 @@ single pair term), so |f(z1, -z2)| = |f(z1, z2)|. z2 -> -z2 reverses the
 raveled (q2, p2) index, so the first half of the columns is kept,
 doubled exactly, with the centre column of an odd count. The decimated
 pass folds only under the elements that map its even-index points of
-both modes onto themselves, those reversing odd-length axes: its columns
-fold only when both mode-2 axes have odd length.
+both modes onto themselves: a reversal only of odd-length axes, a
+transpose with no reversal always (on a square grid). So on even-length
+axes a D4 decimated pass folds under the transpose alone, and its
+columns fold only when both mode-2 axes have odd length.
 
 A Husimi total is never integrated here for delta: Q >= 0, so
 int |Q| = int Q, and psnci.indicators.delta_indicator takes delta as 0
@@ -112,7 +122,8 @@ the core through, with the closed form (prefix sums in angle order
 instead of sums of |f| in index order), with the fold (which sums one
 row per orbit, weighted by the orbit size, instead of every row, and
 half the columns, doubled, instead of every column, so a state whose
-amplitudes turn real gains T and changes its last bits),
+amplitudes turn real gains T and changes its last bits, as does one
+that gains R),
 with the support cut (the rows and columns it drops), with ``tile_rows``
 and the column count of a pass (which set the row count of each matrix
 product and sum), with the tile sum's order and with the BLAS or numpy
@@ -148,12 +159,23 @@ _RANK_CUT = 1e-13
 # CPUs). A full-height factor product starts OpenBLAS's own threads, whose
 # buffers raised that peak RSS by 3 MB.
 _QR_ROWS = 1024
-# Group elements other than 1, as the axes of the (q, p) factor grids they
-# reverse in both modes: P (z -> -z), T (p -> -p) and PT (q -> -q).
-_ELEMENTS = ((0, 1), (1,), (0,))
+# The elements of D4, each as (swap, axes): a grid f of (q, p) goes to
+# f o g by transposing it if ``swap``, then reversing ``axes``, in both
+# modes at once. 1; P (z -> -z), T (p -> -p), PT (q -> -q); the rotations
+# R, (q, p) -> (-p, q), and R^3; the transposes RT, (q, p) -> (p, q), and
+# R^3 T, (q, p) -> (-p, -q). Swaps need square (q, p) grids with equal
+# axes, where R maps nodes onto nodes.
+_D4 = ((False, ()), (False, (0, 1)), (False, (1,)), (False, (0,)),
+       (True, (1,)), (True, (0,)), (True, ()), (True, (0, 1)))
 # Share of a streamed pass that the support cut may leave out: one unit
 # roundoff, below what the tile sums can resolve.
 _SUPPORT_CUT = 1e-16
+
+
+def _image(f: np.ndarray, element) -> np.ndarray:
+    """f o g on a (q, p) grid for the _D4 element g = (swap, axes)."""
+    swap, axes = element
+    return np.flip(f.T if swap else f, axes)
 
 
 def _even_mask(mode: ModeAxes) -> np.ndarray:
@@ -188,18 +210,20 @@ def factor_basis(grids) -> FactorBasis:
 
 class SeparableSum:
     """sum_ij core_ij g_i(z1) h_j(z2) for the grids g_i and h_j that two
-    factor bases were built from. ``symmetry`` flags the _ELEMENTS, P, T
-    and PT, under which the sum is stated even or odd; ``group`` holds 1,
-    as (), and the flagged elements, as the axes of the (q, p) factor grids
-    each reverses in both modes. ``mode2_parity`` states that the sum is
-    even or odd under z2 -> -z2 alone. Iterated, the (g, h) pairs
-    (g_i, sum_j core_ij h_j) of its non-zero rows."""
+    factor bases were built from. ``symmetry`` flags P, T, PT and R, under
+    which the sum is stated even or odd (R implies P = R^2, and R with T
+    the transposes); ``group`` holds the _D4 elements stated, 1 first.
+    ``mode2_parity`` states that the sum is even or odd under z2 -> -z2
+    alone. Iterated, the (g, h) pairs (g_i, sum_j core_ij h_j) of its
+    non-zero rows."""
 
     def __init__(self, basis1: FactorBasis, basis2: FactorBasis, core,
-                 symmetry=(False, False, False), mode2_parity=False):
+                 symmetry=(False, False, False, False), mode2_parity=False):
         self.bases = basis1, basis2
         self.core = np.asarray(core, dtype=float)[np.ix_(basis1.keep, basis2.keep)]
-        self.group = ((),) + tuple(axes for axes, held in zip(_ELEMENTS, symmetry) if held)
+        p, t, pt, r = symmetry
+        held = (True, p, t, pt, r, r, r and t, r and t)
+        self.group = tuple(element for element, h in zip(_D4, held) if h)
         self.mode2_parity = mode2_parity
 
     def __iter__(self):
@@ -331,12 +355,12 @@ def _orbits(shape: tuple, step: int, group: tuple) -> tuple:
     """
     grid_index = np.arange(math.prod(shape)).reshape(shape)[::step, ::step]
     index = grid_index.ravel()
-    images = np.stack([np.flip(grid_index, axes).ravel() for axes in group])
+    images = np.stack([_image(grid_index, element).ravel() for element in group])
     # The orbit of a row has the group order over the number of elements
     # that fix the row.
     size = len(group) // np.count_nonzero(images == index, axis=0)
     first = images.min(axis=0) == index
-    orbits = tuple((weight, index[first & (size == weight)]) for weight in (4, 2, 1))
+    orbits = tuple((weight, index[first & (size == weight)]) for weight in (8, 4, 2, 1))
     for _, rows in orbits:
         rows.setflags(write=False)
     return orbits
@@ -453,20 +477,21 @@ def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
     area = mode1.cell_area * mode2.cell_area
     shape1 = (mode1.q.n, mode1.p.n)
     # The decimated pass folds only under the elements that map the even-index
-    # points of both modes onto themselves, those reversing odd-length axes,
-    # and folds its columns only if z2 -> -z2 maps mode 2's onto themselves.
+    # points of both modes onto themselves: transposes, and reversals of
+    # odd-length axes. It folds its columns only if z2 -> -z2 maps mode 2's
+    # onto themselves.
     masks = [_even_mask(mode1).reshape(shape1),
              _even_mask(mode2).reshape(mode2.q.n, mode2.p.n)]
 
-    def onto_itself(axes, mask):
-        return np.array_equal(np.flip(mask, axes), mask)
+    def onto_itself(element, mask):
+        return np.array_equal(_image(mask, element), mask)
 
     group, fold = products.group, products.mode2_parity
-    coarse_group = tuple(axes for axes in group if all(onto_itself(axes, m) for m in masks))
+    coarse_group = tuple(e for e in group if all(onto_itself(e, m) for m in masks))
     fine_orbits, coarse_orbits = _orbits(shape1, 1, group), _orbits(shape1, 2, coarse_group)
     hfine = _folded_columns(hmat) if fold else hmat
     hcoarse = hmat[:, masks[1].ravel()]
-    hcoarse = (_folded_columns(hcoarse) if fold and onto_itself((0, 1), masks[1])
+    hcoarse = (_folded_columns(hcoarse) if fold and onto_itself(_D4[1], masks[1])
                else np.ascontiguousarray(hcoarse))
     if gmat.shape[1] <= 2:
         fine = _closed_abs_sum(_weighted_rows(gmat, fine_orbits), hfine) * area

@@ -13,7 +13,7 @@ and a positive squeezing parameter r contracts position by e^r:
     psi_{n,r}(q) = e^(r/2) psi_n(e^r q),
 
 which dilates the momentum wavefunction by the same factor. Squeezed and
-unsqueezed primitives are generally not orthogonal, so norms and overlaps
+unsqueezed primitives are generally not orthogonal, so their overlaps
 are computed by position-space quadrature rather than assumed.
 """
 
@@ -220,9 +220,12 @@ def overlap(s1: State, s2: State, overlaps: dict = None) -> complex:
 
     Every primitive wavefunction is real with parity (-1)^n, so <u|v> = <v|u>
     is computed once per unordered pair, and is exactly 0 when n_u + n_v is
-    odd. ``overlaps`` maps primitive pairs to their overlaps and gains the
-    ones this call computes: callers that pass one dict to calls on states
-    with common primitives compute each of them once."""
+    odd. Primitives of equal r are one squeezing of orthonormal Fock
+    states, so their <u|v> is exactly delta_(n_u n_v); only pairs of
+    unequal r are integrated. ``overlaps`` maps primitive pairs to their
+    overlaps and gains the ones this call computes: callers that pass one
+    dict to calls on states with common primitives compute each of them
+    once."""
     if s1.n_modes != s2.n_modes:
         raise DomainError(f"mode counts differ: {s1.n_modes} and {s2.n_modes}")
     total = 0.0 + 0.0j
@@ -233,7 +236,8 @@ def overlap(s1: State, s2: State, overlaps: dict = None) -> complex:
             for u, v in zip(uk, ul):
                 if (u, v) not in cache:
                     cache[(u, v)] = cache[(v, u)] = (
-                        primitive_overlap(u, v) if (u.n + v.n) % 2 == 0 else 0.0j)
+                        complex(u.n == v.n) if u.r == v.r
+                        else primitive_overlap(u, v) if (u.n + v.n) % 2 == 0 else 0.0j)
                 term = term * cache[(u, v)]
             total += term
     return total

@@ -8,13 +8,14 @@ trusting the code paths it is checking.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PhaseSpaceError
-from .grids import Axis, ModeAxes
+from .grids import DEFAULT_TWO_MODE_EXTENT, Axis, ModeAxes, PhaseGrid
 from .indicators import eta_indicator
 from .phasespace import (
     Representation,
@@ -25,6 +26,7 @@ from .phasespace import (
     cross_wigner_fock_closed,
     default_grid,
 )
+from .quadrature import abs_4d_with_estimate
 from .states import (
     State,
     entangled_state,
@@ -40,6 +42,7 @@ MARGINAL_TOL = 1e-4
 DECOMPOSITION_TOL = 1e-10
 CLOSED_NUMERIC_TOL = 1e-8
 HUSIMI_FLOOR = -1e-14
+FOLD_TOL = 1e-13
 ETA_SLACK = 1e-9
 
 _QUARTIC_ROOT_PI = math.pi ** -0.25
@@ -309,6 +312,32 @@ def _determinism_check(tables, results):
                                or "skipped: no two-mode Wigner or Rivier table built"))
 
 
+def _fold_check(rep_list, results, threads):
+    # The 4D kernel sums one mode-1 row per orbit of the group a table
+    # states (D4 for the Bell states), and half the columns when it states
+    # the mode-2 parity; the same sum stating nothing streams every point.
+    extent = DEFAULT_TWO_MODE_EXTENT
+    axis = Axis(-extent, extent, 41)
+    grid = PhaseGrid((ModeAxes(axis, axis),) * 2)
+    worst, orders = 0.0, set()
+    for state in (entangled_state(0, 1, 0.5), entangled_state(1, 2, 0.5)):
+        for rep, keys in ((Representation.WIGNER, None), (Representation.RIVIER, [(0, 1)])):
+            if rep not in rep_list:
+                continue
+            folded = build_term_table(state, rep, grid).real_products(keys)
+            plain = copy.copy(folded)
+            plain.group, plain.mode2_parity = folded.group[:1], False
+            value = abs_4d_with_estimate(folded, grid, threads=threads)[0]
+            reference = abs_4d_with_estimate(plain, grid, threads=threads)[0]
+            worst = max(worst, abs(value - reference) / reference)
+            orders.add(len(folded.group))
+    if orders:
+        results.append(CheckResult(
+            "fold_vs_unfolded", worst <= FOLD_TOL,
+            f"max |folded - unfolded| / unfolded = {worst:.3e}, groups of order "
+            f"{sorted(orders)}, Bell Wigner totals and Rivier pairs (0, 1) on 41^2 x 41^2"))
+
+
 def run_validation(*, extent=None, points=None, reps=None, threads: int = 1):
     """Run every invariant check; returns (results, all_passed)."""
     rep_list = ([Representation.parse(r) for r in reps] if reps
@@ -326,4 +355,5 @@ def run_validation(*, extent=None, points=None, reps=None, threads: int = 1):
     _husimi_checks(tables, results, threads)
     _eta_checks(tables, results, threads)
     _determinism_check(tables, results)
+    _fold_check(rep_list, results, threads)
     return results, all(r.passed for r in results)

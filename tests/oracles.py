@@ -313,7 +313,7 @@ def separable_abs_integral(g, h, grid):
 
 def stated_sum(products, symmetry, mode2_parity=False):
     """The (g, h) pairs ``products`` as a SeparableSum on their own bases
-    (core I) that states the (P, T, PT) flags ``symmetry``, and
+    (core I) that states the (P, T, PT, R) flags ``symmetry``, and
     ``mode2_parity``, as a term table does."""
     from psnci.quadrature import SeparableSum, factor_basis
 
@@ -335,34 +335,60 @@ def _parity(f, axes):
     return 0
 
 
+def rotated_4d(f):
+    """f(Rz1, Rz2) on the nodes of the dense 4D array f(q1, p1, q2, p2) of
+    two square mode grids with equal axes: R is (q, p) -> (-p, q), so node
+    (i, j) of a mode reads f at node (n - 1 - j, i)."""
+    return np.flip(f.transpose(1, 0, 3, 2), (1, 3))
+
+
+def _rotation_vote(basis1, basis2, core):
+    """Whether B1 core B2^T is even or odd under R in both modes, on the
+    values of its dense 4D array, to within 1e-12 of its largest value; False
+    unless both mode grids are square."""
+    shapes = [basis.grids.shape[1:] for basis in (basis1, basis2)]
+    if any(nq != n_p for nq, n_p in shapes):
+        return False
+    b1, b2 = (basis.grids.reshape(len(basis.grids), -1).T for basis in (basis1, basis2))
+    dense = (b1 @ core @ b2.T).reshape(*shapes[0], *shapes[1])
+    turned, tol = rotated_4d(dense), 1e-12 * np.max(np.abs(dense))
+    return any(np.max(np.abs(turned - sign * dense)) <= tol for sign in (1, -1))
+
+
 def symmetry_vote(basis1, basis2, core):
-    """(group, mode2_parity) of B1 core B2^T: the largest subgroup of
-    {1, P, T, PT} under which it is even or odd, as the axes of the (q, p)
-    factor grids that each element reverses in both modes at once (() is
-    1, then the _ELEMENTS), and whether it is even or odd under z2 -> -z2
-    alone. Measured on the basis grids themselves, the reference for what
-    a term table states.
+    """(group, mode2_parity) of B1 core B2^T: its group, as the _D4
+    elements that hold, in _D4 order, and whether it is even or odd under
+    z2 -> -z2 alone. Measured on the basis grids and on the dense 4D
+    array, the reference for what a term table states.
 
-    An element is kept when every term core_ij b1_i b2_j^T has a parity
-    under it (the product of its columns') and all have the same one; the
-    mode-2 parity when every b2_j of a term has one and all the same.
-    Terms smaller than _RANK_CUT times the largest do not vote: rounding
-    noise has no parity but cannot move the sum. Any two kept elements
-    imply the third; if rounding keeps only two, the first of them is
-    used, P before T.
+    P, T and PT vote per term: an element is kept when every term
+    core_ij b1_i b2_j^T has a parity under it (the product of its
+    columns') and all have the same one; the mode-2 parity when every b2_j
+    of a term has one and all the same. Terms smaller than _RANK_CUT times
+    the largest do not vote: rounding noise has no parity but cannot move
+    the sum. Any two kept elements imply the third; if rounding keeps only
+    two, the first of them is used, P before T. R maps a factor grid D_kl
+    to one of D_lk, not to +-itself, so no term votes on it: R and R^3 are
+    kept when the dense array is even or odd under R (_rotation_vote). The
+    transposes are kept with R and T, which make the group D4; alone they
+    are not measured.
     """
-    from psnci.quadrature import _ELEMENTS, _RANK_CUT
+    from psnci.quadrature import _D4, _RANK_CUT
 
+    flips = _D4[1:4]
     scale1, scale2 = (np.array([np.max(np.abs(g)) for g in basis.grids])
                       for basis in (basis1, basis2))
-    parity1, parity2 = (np.array([[_parity(g, axes) for axes in _ELEMENTS]
+    parity1, parity2 = (np.array([[_parity(g, axes) for _, axes in flips]
                                   for g in basis.grids]) for basis in (basis1, basis2))
     weight = np.abs(core) * np.outer(scale1, scale2)
     i, j = np.nonzero(weight > _RANK_CUT * weight.max())
     signs = parity1[i] * parity2[j]
-    kept = [axes for axes, sign in zip(_ELEMENTS, signs.T) if sign[0] and np.all(sign == sign[0])]
+    kept = [e for e, sign in zip(flips, signs.T) if sign[0] and np.all(sign == sign[0])]
+    held = set(kept if len(kept) == 3 else kept[:1])
+    if _rotation_vote(basis1, basis2, core):
+        held |= set(_D4[4:6]) | (set(_D4[6:]) if _D4[2] in held else set())
     mode2 = parity2[j, 0]
-    return (((),) + tuple(kept if len(kept) == 3 else kept[:1]),
+    return (tuple(e for e in _D4 if e == _D4[0] or e in held),
             bool(mode2[0] and np.all(mode2 == mode2[0])))
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import psnci
+from psnci import quadrature
 from psnci.cli import _build_parser, _fmt, main
 from psnci.indicators import sweep_r
 
@@ -188,6 +189,22 @@ def test_validate_coarse_grid_fails(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "[FAIL]" in out
+
+
+# fold_vs_unfolded compares the Bell states' D4-folded sums with the same
+# sums stating nothing: an orbit of 8 rows counted as 4 fails it.
+def test_validate_fold_check_catches_a_wrong_orbit_weight(monkeypatch, capsys):
+    assert main(["validate", "--rep", "rivier", "--threads", "2"]) == 0
+    assert "[PASS] fold_vs_unfolded" in capsys.readouterr().out
+    orbits = quadrature._orbits
+
+    def wrong(shape, step, group):
+        return tuple((4 if weight == 8 else weight, rows)
+                     for weight, rows in orbits(shape, step, group))
+
+    monkeypatch.setattr(quadrature, "_orbits", wrong)
+    assert main(["validate", "--rep", "rivier", "--threads", "2"]) == 1
+    assert "[FAIL] fold_vs_unfolded" in capsys.readouterr().out
 
 
 def test_validate_husimi_positivity_passes(capsys):

@@ -476,7 +476,7 @@ QUADRANT_MODES = {
 def test_quadrant_build_is_the_whole_axis_evaluation(rep, prims, mode):
     # the mirrored nodes are the negations of evaluated ones, one rounding
     # away from the axis's own nodes
-    cross, signs, ints = _build_cross_maps(rep, prims, mode)
+    cross, signs, ints, turns = _build_cross_maps(rep, prims, mode)
     for (i, j), quadrant in cross.items():
         grid = _mirror(quadrant, mode, signs[(i, j)])
         whole = _pair_grid(rep, prims[i], prims[j], mode, {})
@@ -507,8 +507,8 @@ def test_folded_sums_equal_whole_grid_sums(rep, prims, mode, amplitudes):
     # node and its T image; the common phase leaves Im c_0 conj(c_1) at
     # 2.8e-17, and the fold takes it as real. The tables need not be
     # normalized here
-    cross, signs, ints = _build_cross_maps(rep, prims, mode)
-    table = TermTable(rep, PhaseGrid((mode,)), amplitudes, [(cross, signs, ints)])
+    cross, signs, ints, turns = _build_cross_maps(rep, prims, mode)
+    table = TermTable(rep, PhaseGrid((mode,)), amplitudes, [(cross, signs, ints, turns)])
     for key, quadrant in cross.items():
         grid = _mirror(quadrant, mode, signs[key])
         assert (abs(ints[key] - np.sum(grid) * mode.cell_area)

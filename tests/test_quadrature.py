@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from psnci.errors import DomainError, QuadratureError, ResourceBudgetError
-from psnci.grids import Axis
+from psnci.grids import Axis, ModeAxes, PhaseGrid
 from psnci.phasespace import build_term_table, cross_wigner_fock_closed
 from psnci import phasespace, quadrature
 from psnci.quadrature import abs_4d_with_estimate
@@ -360,14 +360,17 @@ def test_term_table_passes_match_dense_oracle(monkeypatch, rep):
 # factor, has rank 2 and is summed in closed form, not streamed. So the
 # cases are totals (rank 8) and the pair (0, 1) of |0,0> + |1,2>. Mode 2 of
 # |0,0> + |1,2> holds |0> and |2> only, so every product is even under
-# z2 -> -z2 and both of its sets fold their columns.
+# z2 -> -z2 and both of its sets fold their columns. ``orbit`` is the
+# size of a generic row's orbit: 4 under C4 = {1, R, P, R^3}, which
+# |0,1> + |1,0> has as every term holds one photon, 2 under {1, P}, 1
+# unfolded.
 @pytest.mark.parametrize("points", [21, 20])
-@pytest.mark.parametrize("terms, keys, folded, columns", [
-    pytest.param(((0, 1), (1, 0)), None, True, False, id="even-total"),
-    pytest.param(((0, 0), (1, 2)), [(0, 1)], True, True, id="odd-pair"),
-    pytest.param(((0, 0), (1, 2)), None, False, True, id="mixed-total"),
+@pytest.mark.parametrize("terms, keys, orbit, columns", [
+    pytest.param(((0, 1), (1, 0)), None, 4, False, id="even-total"),
+    pytest.param(((0, 0), (1, 2)), [(0, 1)], 2, True, id="odd-pair"),
+    pytest.param(((0, 0), (1, 2)), None, 1, True, id="mixed-total"),
 ])
-def test_folded_passes_match_dense_oracle(monkeypatch, terms, keys, folded, columns, points):
+def test_folded_passes_match_dense_oracle(monkeypatch, terms, keys, orbit, columns, points):
     state = normalize(State(tuple(
         (c, fock(m), fock(n)) for c, (m, n) in zip((0.6 + 0.3j, 0.5 - 0.4j), terms))))
     grid = oracles.two_mode_grid(points=points)
@@ -377,20 +380,20 @@ def test_folded_passes_match_dense_oracle(monkeypatch, terms, keys, folded, colu
     n1, n2 = grid.mode(0).n_points, grid.mode(1).n_points
     # The decimated pass runs first. Even points per axis: no centre row,
     # and the decimated points (even indices) are not closed under
-    # reversal, so that pass is whole. The odd pair is zero on the centre
+    # reversal or R, so that pass is whole. The odd pair is zero on the centre
     # row, which the support cut drops from the fine pass at no cost. Folded
     # columns are the first half and the centre; the decimated ones fold
     # only on odd axes.
     even = ((points + 1) // 2) ** 2
     even_cols = (even + 1) // 2 if columns and points % 2 else even
     n2 = (n2 + 1) // 2 if columns else n2
-    if not folded:
+    if orbit == 1:
         assert calls == [(even, even_cols), (n1, n2)]
     elif points % 2:
         centre = [] if keys else [(1, n2)]
-        assert calls == [(even // 2, even_cols), (1, even_cols), (n1 // 2, n2)] + centre
+        assert calls == [(even // orbit, even_cols), (1, even_cols), (n1 // orbit, n2)] + centre
     else:
-        assert calls == [(even, even_cols), (n1 // 2, n2)]
+        assert calls == [(even, even_cols), (n1 // orbit, n2)]
 
 
 @st.composite
@@ -506,10 +509,12 @@ def test_stated_parity_fold(monkeypatch, signs, stated):
 
 
 def _mirrored(f, mirrors):
-    """f made even (+1) or odd (-1) under reversing each of its ``axes``, by
-    f + sign * reversed f for each (axes, sign) of ``mirrors`` in turn."""
-    for axes, sign in mirrors:
-        f = f + sign * np.flip(f, axes)
+    """f made even (+1) or odd (-1) under each image of ``mirrors`` in turn,
+    by f + sign * image for each (image, sign): reversing the axes of a
+    tuple, or "R", f o R with R (q, p) -> (-p, q), f[n - 1 - j, i] at node
+    (i, j) (even or odd under R if f is even under P = R^2)."""
+    for image, sign in mirrors:
+        f = f + sign * (np.rot90(f, -1) if image == "R" else np.flip(f, image))
     return f
 
 
@@ -528,11 +533,13 @@ def _one_mirror(axes, signs):
     return tuple((((axes, sg),), ((axes, sh),)) for sg, sh in signs)
 
 
-# One set per subgroup of {1, P, T, PT}: P reverses both axes of both
-# modes, T the p axes and PT the q axes. Within a set every product has the
-# same sign under each element of its group, while the factors' own signs
+# One set per subgroup of {1, P, T, PT}, and C4 = {1, R, P, R^3} and D4:
+# P reverses both axes of both modes, T the p axes, PT the q axes, and R
+# turns both modes by 90 degrees. Within a set every product has the same
+# sign under each element of its group, while the factors' own signs
 # vary; the random factors of "none" have no symmetry. The "full" set is
-# even under T and odd under PT and P.
+# even under T and odd under PT and P; the C4 and D4 sets are even under
+# P and odd under R, and the D4 set even under T.
 MIRROR_SETS = {
     "none": (((), ()),) * 3,
     "P": _one_mirror((0, 1), EVEN),
@@ -540,17 +547,25 @@ MIRROR_SETS = {
     "PT": _one_mirror((0,), ODD),
     "full": tuple(((((0,), a), ((1,), b)), (((0,), -a), ((1,), b)))
                   for a, b in ((1, 1), (-1, 1), (1, -1), (-1, -1))),
+    "C4": tuple(((((0, 1), 1), ("R", a)), (((0, 1), 1), ("R", -a))) for a in (1, -1, 1)),
+    "D4": tuple(((((0, 1), 1), ("R", a), ((1,), b)), (((0, 1), 1), ("R", -a), ((1,), b)))
+                for a, b in ((1, 1), (-1, 1), (1, -1), (-1, -1))),
 }
-# The (P, T, PT) that each set states.
-STATED = {"none": (False, False, False), "P": (True, False, False), "T": (False, True, False),
-          "PT": (False, False, True), "full": (True, True, True)}
+# The (P, T, PT, R) that each set states.
+STATED = {"none": (False, False, False, False), "P": (True, False, False, False),
+          "T": (False, True, False, False), "PT": (False, False, True, False),
+          "full": (True, True, True, False), "C4": (True, False, False, True),
+          "D4": (True, True, True, True)}
 
 # (rows of gmat, columns of hmat) of every _abs_sum call, decimated pass
 # then fine pass, per group and points per axis. Nothing on these random
 # factors is small enough for the support cut. A 21-point axis has a
 # centre, so rows on a mirror line count once; the 11 x 11 decimated grid
 # folds the same way. A 20-point axis has no centre, and its decimated
-# points (even indices) are not closed under any reversal.
+# points (even indices) are not closed under any reversal, nor under R,
+# but are under the transpose (q, p) -> (p, q). Under C4 every row but
+# the centre counts 4; under D4 rows count 8, and 4 on the axes and the
+# diagonals, which a transpose maps onto themselves.
 FOLD_CALLS = {
     "none": {21: [(121, 121), (441, 441)], 20: [(100, 100), (400, 400)]},
     "P": {21: [(60, 121), (1, 121), (220, 441), (1, 441)], 20: [(100, 100), (200, 400)]},
@@ -558,6 +573,9 @@ FOLD_CALLS = {
     "PT": {21: [(55, 121), (11, 121), (210, 441), (21, 441)], 20: [(100, 100), (200, 400)]},
     "full": {21: [(25, 121), (10, 121), (1, 121), (100, 441), (20, 441), (1, 441)],
              20: [(100, 100), (100, 400)]},
+    "C4": {21: [(30, 121), (1, 121), (110, 441), (1, 441)], 20: [(100, 100), (100, 400)]},
+    "D4": {21: [(10, 121), (10, 121), (1, 121), (45, 441), (20, 441), (1, 441)],
+           20: [(45, 100), (10, 100), (45, 400), (10, 400)]},
     # T with the columns folded under z2 -> -z2: the first half and the
     # centre, in the decimated pass only on odd axes.
     "T-columns": {21: [(55, 61), (11, 61), (210, 221), (21, 221)],
@@ -580,17 +598,17 @@ def test_group_fold_matches_dense_oracle(monkeypatch, group, points):
 # support cut leaves out, per (representation, group, points); the
 # decimated pass and every Rivier total stream as in FOLD_CALLS.
 PRUNED_FINE_CALLS = {
-    ("wigner", "P", 21): [(198, 381), (1, 381)],
-    ("wigner", "full", 21): [(88, 384), (20, 384), (1, 384)],
+    ("wigner", "C4", 21): [(99, 381), (1, 381)],
+    ("wigner", "D4", 21): [(40, 384), (18, 384), (1, 384)],
     ("wigner", "T", 21): [(182, 401), (21, 401)],
-    ("husimi", "P", 21): [(200, 381), (1, 381)],
-    ("husimi", "full", 21): [(88, 385), (20, 385), (1, 385)],
+    ("husimi", "C4", 21): [(100, 381), (1, 381)],
+    ("husimi", "D4", 21): [(40, 385), (18, 385), (1, 385)],
     ("husimi", "T", 21): [(180, 401), (21, 401)],
-    ("wigner", "P", 20): [(176, 352)],
-    ("wigner", "full", 20): [(88, 352)],
+    ("wigner", "C4", 20): [(88, 352)],
+    ("wigner", "D4", 20): [(40, 352), (8, 352)],
     ("wigner", "T", 20): [(176, 360)],
-    ("husimi", "P", 20): [(176, 352)],
-    ("husimi", "full", 20): [(88, 352)],
+    ("husimi", "C4", 20): [(88, 352)],
+    ("husimi", "D4", 20): [(40, 352), (8, 352)],
     ("husimi", "T", 20): [(176, 360)],
     ("wigner", "T-columns", 21): [(182, 201), (21, 201)],
     ("husimi", "T-columns", 21): [(180, 201), (21, 201)],
@@ -601,15 +619,17 @@ PRUNED_FINE_CALLS = {
 
 # Totals of real-amplitude states fold under T (p -> -p in both modes);
 # a complex amplitude breaks it. entangled01 has one photon in each term,
-# so it keeps P either way; |0,0> + |1,2> mixes the photon-number parities,
+# so it keeps R (and P = R^2) either way: C4 with complex amplitudes, D4
+# with real ones, half the rows of {1, P} and {1, P, T, PT}, which it
+# folded under before R was stated. |0,0> + |1,2> mixes the photon-number parities,
 # so with real amplitudes it folds under T alone (with complex ones it does
 # not fold: test_folded_passes_match_dense_oracle[mixed-total]), and its
 # mode 2 holds even states only, so it folds its columns too. Every total
 # here has rank 4 or 8 and is streamed.
 @pytest.mark.parametrize("points", [21, 20])
 @pytest.mark.parametrize("terms, amps, group", [
-    pytest.param(((0, 1), (1, 0)), (0.6 + 0.3j, 0.5), "P", id="entangled01-complex"),
-    pytest.param(((0, 1), (1, 0)), (0.6, 0.8), "full", id="entangled01-real"),
+    pytest.param(((0, 1), (1, 0)), (0.6 + 0.3j, 0.5), "C4", id="entangled01-complex"),
+    pytest.param(((0, 1), (1, 0)), (0.6, 0.8), "D4", id="entangled01-real"),
     pytest.param(((0, 0), (1, 2)), (0.6, -0.8), "T-columns", id="mixed-real"),
 ])
 @pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
@@ -627,6 +647,62 @@ def test_state_totals_fold_under_their_group(monkeypatch, rep, terms, amps, grou
         expected = [c for c in expected if c[1] in (coarse, (coarse + 1) // 2)] \
             + PRUNED_FINE_CALLS[rep, group, points]
     assert calls == expected
+
+
+# States that must not state R, each with real amplitudes: a squeezed term
+# (on a square grid, number-conserving); |0,0> + |1,2> and |0,1> + |1,1>,
+# whose pair products have i^(N_l - N_k) = +-i; and |0,1> + |1,0>, which
+# states D4 on square grids, on a mode grid whose q axis spans +-6 and p
+# axis +-5.5 on 21 nodes each, where R maps no node onto a node.
+NO_ROTATION_STATES = {
+    "squeezed": ((squeezed_fock(0, 0.3), fock(1)), (fock(1), fock(0))),
+    "00+12": ((fock(0), fock(0)), (fock(1), fock(2))),
+    "01+11": ((fock(0), fock(1)), (fock(1), fock(1))),
+    "unequal-axes": ((fock(0), fock(1)), (fock(1), fock(0))),
+}
+_FULL_COARSE = [(25, 121), (10, 121), (1, 121)]
+_PAIR_CLOSED = ([], [(121, 221), (36, 61)])
+# ((streamed, closed-form) calls of the total, the same of the pair (0, 1)),
+# as (rows of gmat, columns of hmat), unchanged from before R was stated.
+NO_ROTATION_CALLS = {
+    ("squeezed", "wigner"): ((_FULL_COARSE + [(89, 384), (20, 384), (1, 384)], []), _PAIR_CLOSED),
+    ("squeezed", "husimi"): ((_FULL_COARSE + [(88, 385), (20, 385), (1, 385)], []), _PAIR_CLOSED),
+    ("squeezed", "rivier"): ((_FULL_COARSE + [(100, 441), (20, 441), (1, 441)], []),
+                             ([(25, 61), (10, 61), (1, 61), (100, 220), (20, 220)], [])),
+    ("00+12", "wigner"): (([(55, 61), (11, 61), (182, 201), (21, 201)], []), _PAIR_CLOSED),
+    ("00+12", "husimi"): (([(55, 61), (11, 61), (180, 201), (21, 201)], []), _PAIR_CLOSED),
+    ("00+12", "rivier"): (([(55, 61), (11, 61), (210, 221), (21, 221)], []),
+                          ([(25, 61), (10, 61), (1, 61), (100, 221), (20, 221)], [])),
+    **{("01+11", rep): (([], [(231, 221), (66, 61)]), _PAIR_CLOSED)
+       for rep in ("wigner", "husimi", "rivier")},
+    ("unequal-axes", "wigner"): ((_FULL_COARSE + [(90, 397), (20, 397), (1, 397)], []),
+                                 _PAIR_CLOSED),
+    ("unequal-axes", "husimi"): ((_FULL_COARSE + [(89, 397), (20, 397), (1, 397)], []),
+                                 _PAIR_CLOSED),
+    ("unequal-axes", "rivier"): ((_FULL_COARSE + [(100, 441), (20, 441), (1, 441)], []),
+                                 ([(25, 61), (10, 61), (1, 61), (100, 220), (20, 220)], [])),
+}
+
+
+@pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
+@pytest.mark.parametrize("name", list(NO_ROTATION_STATES))
+def test_states_without_rotation_keep_their_folds(monkeypatch, name, rep):
+    state = normalize(State(tuple((c, *prims) for c, prims
+                                  in zip((0.6, 0.8), NO_ROTATION_STATES[name]))))
+    grid = oracles.two_mode_grid(points=21)
+    if name == "unequal-axes":
+        mode = ModeAxes(Axis(-6.0, 6.0, 21), Axis(-5.5, 5.5, 21))
+        grid = PhaseGrid((mode, mode))
+    table = build_term_table(state, rep, grid)
+    streamed, closed = _recorded_passes(monkeypatch), _recorded_closed(monkeypatch)
+    for keys, expected in zip((None, [(0, 1)]), NO_ROTATION_CALLS[name, rep]):
+        prods = table.real_products(keys)
+        assert not any(swap for swap, _ in prods.group)
+        assert (prods.group, prods.mode2_parity) == oracles.symmetry_vote(*prods.bases,
+                                                                          prods.core)
+        streamed.clear(), closed.clear()
+        _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
+        assert (streamed, closed) == expected
 
 
 # Products whose mode-2 factors share one parity, even or odd, state it and
@@ -761,11 +837,24 @@ def _key_sets(table):
     return [None] + [[key] for key in table.pair_keys()]
 
 
+def _squeezed(table, state, keys):
+    """Whether a term of ``keys`` (default all) with a non-zero amplitude
+    has a squeezed primitive."""
+    terms = {k for key in keys or table.pair_keys() for k in key}
+    return any(table.amplitudes[k] != 0 and any(prim.r for prim in state.terms[k][1:])
+               for k in terms)
+
+
 # The group a table states for its products, and its mode-2 parity, are the
-# ones the factor grids show when each is compared with its mirror images
-# (oracles.symmetry_vote), on axes with and without a centre node. A key set
-# whose products all vanish (a zeroed term's diagonal) has no voter and is
-# left out.
+# ones the factor grids show when each is compared with its mirror images,
+# and R the one the dense 4D array shows (oracles.symmetry_vote), on axes
+# with and without a centre node. A key set whose products all vanish (a
+# zeroed term's diagonal) has no voter and is left out. R maps |n, r> onto
+# |n, -r> up to a phase, so squeezed terms that pair up under r -> -r, such
+# as |0, r>|0> + |0, -r>|0>, can make f even under R; the rule states R only
+# for unsqueezed primitives, so where squeezed terms take part the measured
+# rotations and transposes are not compared (the stated group holds:
+# test_stated_group_holds_on_the_dense_integrand).
 @settings(max_examples=60, deadline=None)
 @given(case=two_mode_cases(), rep=st.sampled_from(["wigner", "husimi", "rivier"]),
        points=st.sampled_from([40, 41]))
@@ -774,12 +863,26 @@ def test_stated_group_is_the_measured_one(case, rep, points):
     for keys in _key_sets(table):
         prods = table.real_products(keys)
         if np.any(prods.core):
-            assert (prods.group, prods.mode2_parity) == oracles.symmetry_vote(
-                *prods.bases, prods.core)
+            group, mode2_parity = oracles.symmetry_vote(*prods.bases, prods.core)
+            if _squeezed(table, case[0], keys):
+                assert not any(swap for swap, _ in prods.group)
+                group = tuple(e for e in group if not e[0])
+            assert (prods.group, prods.mode2_parity) == (group, mode2_parity)
 
 
-# Every element the table claims maps the dense 4D integrand to +-itself,
-# and so does z2 -> -z2 if it claims the mode-2 parity.
+def _image_4d(dense, element):
+    """The dense 4D integrand at g z in both modes, for the _D4 element
+    g = (swap, axes): each mode's (q, p) grid transposed if ``swap``, then
+    reversed along ``axes``."""
+    swap, axes = element
+    if swap:
+        dense = dense.transpose(1, 0, 3, 2)
+    return np.flip(dense, axes + tuple(a + 2 for a in axes))
+
+
+# Every element the table claims, rotations and transposes included, maps
+# the dense 4D integrand to +-itself, and so does z2 -> -z2 if it claims
+# the mode-2 parity.
 @settings(max_examples=25, deadline=None)
 @given(case=two_mode_cases(), rep=st.sampled_from(["wigner", "husimi", "rivier"]))
 def test_stated_group_holds_on_the_dense_integrand(case, rep):
@@ -790,8 +893,8 @@ def test_stated_group_holds_on_the_dense_integrand(case, rep):
             continue
         dense = sum(np.multiply.outer(g, h) for g, h in prods)
         tol = 1e-12 * np.max(np.abs(dense))
-        for axes in prods.group[1:]:
-            image = np.flip(dense, axes + tuple(a + 2 for a in axes))
+        for element in prods.group[1:]:
+            image = _image_4d(dense, element)
             assert min(np.max(np.abs(image - dense)), np.max(np.abs(image + dense))) <= tol
         if prods.mode2_parity:
             image = np.flip(dense, (2, 3))
@@ -899,7 +1002,7 @@ def _mode2_sum(grid, seed, signs, symmetry):
       for rows in (1, 8, 512)),
     *(pytest.param(rows, partial(_mirror_products, mirrors=MIRROR_SETS[group]), 21,
                    STATED[group], id=f"{rows}-{group}")
-      for group in ("T", "full") for rows in (1, 8, 512)),
+      for group in ("T", "full", "D4") for rows in (1, 8, 512)),
     *(pytest.param(rows, _fock_products, 31, STATED["T"], id=f"{rows}-pruned")
       for rows in (1, 8, 512)),
     pytest.param(8, _fock_products, 21, STATED["T"], id="8-pruned-21"),
@@ -989,17 +1092,20 @@ def test_narrow_passes_take_taller_tiles(monkeypatch, make, blocks):
 
 # The orbits are kept per (shape, step, group) for the life of the
 # process: a second call returns the same arrays, they equal a fresh
-# computation, cannot be written, and their weights cover every node.
-@pytest.mark.parametrize("shape", [(21, 21), (20, 20), (21, 19)])
-@pytest.mark.parametrize("step", [1, 2])
-@pytest.mark.parametrize("group", ["none", "P", "T", "full"])
+# computation, cannot be written, and their weights cover every node. The
+# rotation groups need square grids.
+@pytest.mark.parametrize("shape, step, group", [
+    pytest.param(shape, step, group, id=f"{group}-{step}-shape{i}")
+    for group in ("none", "P", "T", "full", "C4", "D4") for step in (1, 2)
+    for i, shape in enumerate([(21, 21), (20, 20), (21, 19)])
+    if shape[0] == shape[1] or not STATED[group][3]])
 def test_orbits_are_kept_read_only(shape, step, group):
-    elements = ((),) + tuple(axes for axes, held in zip(quadrature._ELEMENTS, STATED[group])
-                             if held)
+    unit = np.ones((2, 2))
+    elements = oracles.stated_sum([(unit, unit)], STATED[group]).group
     kept = quadrature._orbits(shape, step, elements)
     assert quadrature._orbits(shape, step, elements) is kept
     fresh = quadrature._orbits.__wrapped__(shape, step, elements)
-    assert [w for w, _ in kept] == [w for w, _ in fresh] == [4, 2, 1]
+    assert [w for w, _ in kept] == [w for w, _ in fresh] == [8, 4, 2, 1]
     nodes = len(range(0, shape[0], step)) * len(range(0, shape[1], step))
     assert sum(w * len(rows) for w, rows in kept) == nodes
     for (_, rows), (_, again) in zip(kept, fresh):

@@ -133,12 +133,38 @@ def _counted_overlaps(monkeypatch):
     (fock(0), squeezed_fock(1, 1.2), squeezed_fock(2, -0.5), fock(3)),
 ])
 def test_overlap_runs_once_per_unordered_same_parity_pair(monkeypatch, prims):
+    # of unequal r: pairs of equal r are exact (below)
     calls = _counted_overlaps(monkeypatch)
     state = State(tuple((0.5 + 0.1j * k, prim) for k, prim in enumerate(prims)))
     overlap(state, state)
-    expected = {frozenset((u, v)) for u in prims for v in prims if (u.n + v.n) % 2 == 0}
+    expected = {frozenset((u, v)) for u in prims for v in prims
+                if (u.n + v.n) % 2 == 0 and u.r != v.r}
     assert len(calls) == len(expected)
     assert {frozenset(pair) for pair in calls} == expected
+
+
+# Primitives of equal r are one squeezing of orthonormal Fock states: their
+# overlap is delta_mn, taken without quadrature, and the quadrature agrees
+# to 1e-15 (measured <= 7.1e-16, at <0|64>).
+@pytest.mark.parametrize("prims", [
+    (fock(0), fock(64)),
+    (fock(1), fock(3), fock(5)),
+    (squeezed_fock(0, 0.7), squeezed_fock(2, 0.7)),
+    (squeezed_fock(1, -1.5), squeezed_fock(3, -1.5)),
+    (squeezed_fock(10, 5.0), squeezed_fock(40, 5.0)),
+    (fock(2), squeezed_fock(0, 0.0)),
+])
+def test_equal_r_overlaps_are_exact_without_quadrature(monkeypatch, prims):
+    quadrature = states.primitive_overlap
+    calls = _counted_overlaps(monkeypatch)
+    for u in prims:
+        for v in prims:
+            value = overlap(State(((1.0, u),)), State(((1.0, v),)))
+            assert value == (1.0 if u.n == v.n else 0.0)
+            assert abs(quadrature(u, v) - value) <= 1e-15
+    two_mode = State(tuple((0.6 - 0.2j * k, u, v) for k, (u, v) in enumerate(zip(prims, prims[::-1]))))
+    overlap(two_mode, two_mode)
+    assert calls == []
 
 
 def test_opposite_parity_overlap_is_exactly_zero(monkeypatch):
@@ -162,8 +188,10 @@ def test_sweep_r_computes_each_overlap_once(monkeypatch, family):
     sweep_r(family, r_values, a_values, "husimi")
     prims = {r: (fock(0), squeezed_fock(n, r)) for r in r_values}
     expected = {frozenset((u, v)) for pair in prims.values() for u in pair for v in pair
-                if (u.n + v.n) % 2 == 0}
-    assert len(calls) == len(expected) == 1 + (2 if n == 0 else 1) * len(r_values)
+                if (u.n + v.n) % 2 == 0 and u.r != v.r}
+    # <0|0, r> at r = 0.5 and 1 for psi00r; psi01r pairs only opposite
+    # parities or equal r
+    assert len(calls) == len(expected) == (2 if n == 0 else 0)
     assert {frozenset(pair) for pair in calls} == expected
     # the shared overlaps leave every state as a fresh normalization makes it
     shared = {}
