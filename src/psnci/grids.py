@@ -32,7 +32,10 @@ class Axis:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < MIN_POINTS:
+        if not isinstance(self.n, (int, np.integer)):
+            raise DomainError(f"axis point count must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
+        if self.n < MIN_POINTS:
             raise DomainError(f"axis needs at least {MIN_POINTS} points, got {self.n}")
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)) or self.hi <= self.lo:
             raise DomainError(f"invalid axis range [{self.lo}, {self.hi}]")

@@ -32,7 +32,6 @@ from .errors import DegenerateStateError, DomainError, UnsupportedStateError
 from .grids import PhaseGrid
 from .phasespace import NORM_CHECK_TOLERANCE, Representation, build_term_table, default_grid
 from .states import (
-    FOCK,
     State,
     entangled_state,
     squeezed_excited_superposition,
@@ -143,7 +142,7 @@ def von_neumann_entropy(state: State, log_base=2) -> float:
     factor = _entropy_base_factor(log_base)
     for _, p1, p2 in state.terms:
         for prim in (p1, p2):
-            if prim.kind != FOCK and prim.r != 0.0:
+            if prim.r != 0.0:
                 raise UnsupportedStateError(
                     "entropy is defined here only for Fock-term states; "
                     "squeezed primitives are not supported")
@@ -246,10 +245,11 @@ def sweep_r(family: str, r_values, a_values, rep, *, convention: str = "sqrt",
     wavefunctions are real with definite parity, so each table's grids are
     evaluated and kept on the q >= 0, p >= 0 quadrant, and every pair
     integral is a folded sum over it (see ``psnci.phasespace``): no whole
-    grid is built. The states of all a and r share one map of primitive
-    overlaps, so each overlap quadrature runs once per sweep. Most of the
-    time goes to evaluating that quadrant of the e^r-stretched grid: for
-    Wigner the closed forms and the kernel quadrature folded over +-y, for
+    grid is built. Each state is normalized through its exact primitive
+    overlaps, a Gauss-Hermite sum of a few nodes each (see
+    ``psnci.states.primitive_overlap``). Most of the time goes to
+    evaluating that quadrant of the e^r-stretched grid: for Wigner the
+    closed forms and the kernel quadrature folded over +-y, for
     Husimi the closed-form coherent amplitudes and their pair products, for
     Rivier the Kirkwood kernels and their e^(-iqp) grid. The folded pair
     integrals behind each row come next.
@@ -265,9 +265,8 @@ def sweep_r(family: str, r_values, a_values, rep, *, convention: str = "sqrt",
     a_list = _sorted_params(a_values, "a", 0.0, 1.0, inclusive=False)
     rep = Representation.parse(rep)
     per_r = {}
-    overlaps = {}  # every primitive overlap of the sweep, computed once
     for r in r_list:
-        states = [maker(a, r, convention=convention, overlaps=overlaps) for a in a_list]
+        states = [maker(a, r, convention=convention) for a in a_list]
         grid = default_grid(states[0], extent=extent, points=points)
         # The table is never named, so it is freed before the next r is built.
         per_r[r] = _eta_rows(build_term_table(states[0], rep, grid),

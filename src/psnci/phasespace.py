@@ -96,7 +96,6 @@ from .quadrature import (
     factor_basis,
 )
 from .states import (
-    FOCK,
     Primitive,
     momentum_wavefunction,
     position_wavefunction,
@@ -292,7 +291,7 @@ def _wigner_pair_grid(prim_i: Primitive, prim_j: Primitive, q, p) -> np.ndarray:
 def _coherent_amplitude_grid(prim: Primitive, mode) -> np.ndarray:
     """<alpha|prim> on the len(q) x len(p) grid of a mode's nodes, alpha = q + ip.
 
-    Fock states use the closed overlap e^(-|alpha|^2 / 2) (alpha*)^n / sqrt(n!).
+    Fock states (r = 0) use the closed overlap e^(-|alpha|^2 / 2) (alpha*)^n / sqrt(n!).
     Squeezed ones use the Gaussian-Hermite integral of Gradshteyn & Ryzhik
     7.374 over psi (squeezed number states as in Kim, de Oliveira and
     Knight, Phys. Rev. A 40, 2494 (1989)): with t = tanh r, w = (q - ip) / cosh r,
@@ -304,7 +303,7 @@ def _coherent_amplitude_grid(prim: Primitive, mode) -> np.ndarray:
     overflowing; e^(itqp) is _phase_table along the uniform q nodes.
     """
     q, p = mode.q.centers, mode.p.centers
-    if prim.kind == FOCK:
+    if prim.r == 0.0:
         u = q[:, None] ** 2 + p[None, :] ** 2
         env = np.exp(-0.5 * u - 0.5 * specialfn.log_factorial(prim.n))
         if prim.n == 0:

@@ -12,13 +12,15 @@ and a positive squeezing parameter r contracts position by e^r:
 
     psi_{n,r}(q) = e^(r/2) psi_n(e^r q),
 
-which dilates the momentum wavefunction by the same factor. Squeezed and
-unsqueezed primitives are generally not orthogonal, so their overlaps
-are computed by position-space quadrature rather than assumed.
+which dilates the momentum wavefunction by the same factor; a Fock state
+is the primitive of r = 0. Primitives of unequal r are generally not
+orthogonal: their overlaps are integrated exactly by a Gauss-Hermite
+rule (``primitive_overlap``) rather than assumed.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -29,12 +31,12 @@ from . import specialfn
 from .errors import (
     DegenerateStateError,
     DomainError,
-    QuadratureError,
     StateFormatError,
 )
 
 MAX_SQUEEZING = 5.0
 
+# The primitive type tags of the JSON wire format.
 FOCK = "fock"
 SQUEEZED = "squeezed"
 
@@ -45,24 +47,17 @@ _SUPPORT_MARGIN = 6.0
 
 @dataclass(frozen=True)
 class Primitive:
-    """One basis primitive: Fock(n) or SqueezedFock(n, r)."""
+    """One basis primitive: the number state |n> squeezed by r, Fock at r == 0."""
 
-    kind: str
     n: int
     r: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (FOCK, SQUEEZED):
-            raise DomainError(f"unknown primitive kind {self.kind!r}")
         specialfn._check_order("n", self.n)
-        if self.kind == FOCK:
-            if self.r != 0.0:
-                raise DomainError("Fock primitives carry no squeezing parameter")
-        else:
-            if not np.isfinite(self.r) or abs(self.r) > MAX_SQUEEZING:
-                raise DomainError(
-                    f"squeezing parameter must satisfy |r| <= {MAX_SQUEEZING}, got {self.r}"
-                )
+        if not np.isfinite(self.r) or abs(self.r) > MAX_SQUEEZING:
+            raise DomainError(
+                f"squeezing parameter must satisfy |r| <= {MAX_SQUEEZING}, got {self.r}"
+            )
 
     @property
     def support_radius(self) -> float:
@@ -75,11 +70,11 @@ class Primitive:
 
 
 def fock(n: int) -> Primitive:
-    return Primitive(FOCK, int(n))
+    return Primitive(int(n))
 
 
 def squeezed_fock(n: int, r: float) -> Primitive:
-    return Primitive(SQUEEZED, int(n), float(r))
+    return Primitive(int(n), float(r))
 
 
 def fock_psi(n: int, q):
@@ -113,7 +108,7 @@ def squeezed_fock_psi(n: int, r: float, q):
 
 
 def position_wavefunction(prim: Primitive, q):
-    if prim.kind == FOCK:
+    if prim.r == 0.0:
         return fock_psi(prim.n, q)
     return squeezed_fock_psi(prim.n, prim.r, q)
 
@@ -125,7 +120,7 @@ def momentum_wavefunction(prim: Primitive, p):
     (-i)^n e^(-r/2) psi_n(e^(-r) p) for squeezed ones.
     """
     phase = (-1j) ** prim.n
-    if prim.kind == FOCK:
+    if prim.r == 0.0:
         return phase * np.asarray(fock_psi(prim.n, p), dtype=complex)
     s = math.exp(-prim.r)
     pa = np.asarray(p, dtype=float)
@@ -190,67 +185,58 @@ class State:
 # Overlaps and normalization
 # ---------------------------------------------------------------------------
 
-_OVERLAP_START_NODES = 256
-_OVERLAP_TOL = 1e-10
-_OVERLAP_MAX_DOUBLINGS = 7
+@functools.lru_cache(maxsize=None)
+def _hermite_rule(count: int) -> tuple:
+    """Gauss-Hermite nodes u and weights w e^(u^2) of ``count`` points, so
+    that sum w e^(u^2) g(u) = int g for g a polynomial of degree below
+    2 count times e^(-u^2). Kept per count: n <= 64 needs at most 65."""
+    u, w = np.polynomial.hermite.hermgauss(count)
+    w = w * np.exp(u * u)
+    u.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return u, w
 
 
 def primitive_overlap(p1: Primitive, p2: Primitive) -> complex:
-    """<p1|p2> by midpoint quadrature with grid doubling to absolute error _OVERLAP_TOL."""
-    half_width = max(p1.support_radius, p2.support_radius)
-    n = _OVERLAP_START_NODES
-    prev = None
-    for _ in range(_OVERLAP_MAX_DOUBLINGS + 1):
-        dx = 2.0 * half_width / n
-        x = -half_width + (np.arange(n) + 0.5) * dx
-        val = complex(np.sum(position_wavefunction(p1, x) * position_wavefunction(p2, x)) * dx)
-        if prev is not None and abs(val - prev) <= _OVERLAP_TOL:
-            return val
-        prev = val
-        n *= 2
-    raise QuadratureError(
-        f"overlap quadrature did not converge to {_OVERLAP_TOL:g}",
-        achieved=abs(val - prev), values=(prev, val),
-    )
+    """<p1|p2>, exact but for rounding.
+
+    psi_1 psi_2 is a polynomial of degree n1 + n2 times e^(-a x^2),
+    a = (e^(2 r1) + e^(2 r2)) / 2, which the Gauss-Hermite rule of
+    (n1 + n2) // 2 + 1 nodes at x = u / sqrt(a) integrates exactly.
+    """
+    root_a = math.sqrt(0.5 * (math.exp(2.0 * p1.r) + math.exp(2.0 * p2.r)))
+    u, w = _hermite_rule((p1.n + p2.n) // 2 + 1)
+    x = u / root_a
+    return complex(w @ (position_wavefunction(p1, x) * position_wavefunction(p2, x)) / root_a)
 
 
-def overlap(s1: State, s2: State, overlaps: dict = None) -> complex:
+def overlap(s1: State, s2: State) -> complex:
     """<s1|s2> = sum_kl conj(c_k) c_l prod_m <u_mk|u_ml>, cross terms between
     non-orthogonal primitives included.
 
-    Every primitive wavefunction is real with parity (-1)^n, so <u|v> = <v|u>
-    is computed once per unordered pair, and is exactly 0 when n_u + n_v is
-    odd. Primitives of equal r are one squeezing of orthonormal Fock
-    states, so their <u|v> is exactly delta_(n_u n_v); only pairs of
-    unequal r are integrated. ``overlaps`` maps primitive pairs to their
-    overlaps and gains the ones this call computes: callers that pass one
-    dict to calls on states with common primitives compute each of them
-    once."""
+    Every primitive wavefunction is real with parity (-1)^n, so <u|v> is
+    exactly 0 when n_u + n_v is odd. Primitives of equal r are one
+    squeezing of orthonormal Fock states, so their <u|v> is exactly
+    delta_(n_u n_v); only pairs of unequal r go to primitive_overlap."""
     if s1.n_modes != s2.n_modes:
         raise DomainError(f"mode counts differ: {s1.n_modes} and {s2.n_modes}")
     total = 0.0 + 0.0j
-    cache = {} if overlaps is None else overlaps
     for ck, *uk in s1.terms:
         for cl, *ul in s2.terms:
             term = np.conj(ck) * cl
             for u, v in zip(uk, ul):
-                if (u, v) not in cache:
-                    cache[(u, v)] = cache[(v, u)] = (
-                        complex(u.n == v.n) if u.r == v.r
-                        else primitive_overlap(u, v) if (u.n + v.n) % 2 == 0 else 0.0j)
-                term = term * cache[(u, v)]
+                term = term * (complex(u.n == v.n) if u.r == v.r
+                               else primitive_overlap(u, v) if (u.n + v.n) % 2 == 0 else 0.0j)
             total += term
     return total
 
 
-def state_norm(state: State, overlaps: dict = None) -> float:
-    return math.sqrt(max(overlap(state, state, overlaps).real, 0.0))
+def state_norm(state: State) -> float:
+    return math.sqrt(max(overlap(state, state).real, 0.0))
 
 
-def normalize(state, overlaps: dict = None):
-    """Return the state rescaled to unit norm, its primitive overlaps shared
-    through ``overlaps`` as in ``overlap``. Idempotent."""
-    norm = state_norm(state, overlaps)
+def normalize(state):
+    """Return the state rescaled to unit norm. Idempotent."""
+    norm = state_norm(state)
     if norm <= 1e-12:
         raise DegenerateStateError(f"cannot normalize state with norm {norm:g}")
     return state.with_amplitudes([c / norm for c in state.amplitudes])
@@ -278,32 +264,28 @@ def entangled_state(n_low: int, n_high: int, a_sq: float) -> State:
 
 
 def _superposition_with_squeezed(a: float, squeezed_prim: Primitive,
-                                 convention: str, overlaps: dict) -> State:
+                                 convention: str) -> State:
     if convention not in COEFF_CONVENTIONS:
         raise DomainError(f"convention must be one of {COEFF_CONVENTIONS}, got {convention!r}")
     if not -1.0 <= a <= 1.0:
         raise DomainError(f"amplitude a must lie in [-1, 1], got {a}")
     c0 = (1.0 - a * a) if convention == "printed" else math.sqrt(1.0 - a * a)
     raw = State(((c0, fock(0)), (a, squeezed_prim)))
-    return normalize(raw, overlaps)
+    return normalize(raw)
 
 
-def squeezed_vacuum_superposition(a: float, r: float, convention: str = "sqrt",
-                                  overlaps: dict = None) -> State:
+def squeezed_vacuum_superposition(a: float, r: float, convention: str = "sqrt") -> State:
     """Normalized superposition of |0> and the squeezed vacuum |0, r>.
 
     The two components are non-orthogonal, so the printed coefficients are
-    renormalized numerically including their overlap, shared through
-    ``overlaps`` as in ``overlap``.
+    renormalized including their overlap.
     """
-    return _superposition_with_squeezed(a, squeezed_fock(0, r), convention, overlaps)
+    return _superposition_with_squeezed(a, squeezed_fock(0, r), convention)
 
 
-def squeezed_excited_superposition(a: float, r: float, convention: str = "sqrt",
-                                   overlaps: dict = None) -> State:
-    """Normalized superposition of |0> and the squeezed one-photon state |1, r>,
-    its overlaps shared through ``overlaps`` as in ``overlap``."""
-    return _superposition_with_squeezed(a, squeezed_fock(1, r), convention, overlaps)
+def squeezed_excited_superposition(a: float, r: float, convention: str = "sqrt") -> State:
+    """Normalized superposition of |0> and the squeezed one-photon state |1, r>."""
+    return _superposition_with_squeezed(a, squeezed_fock(1, r), convention)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +369,7 @@ def state_from_json(text: str) -> State:
 
 
 def _primitive_to_dict(prim: Primitive) -> dict:
-    if prim.kind == FOCK:
+    if prim.r == 0.0:
         return {"type": FOCK, "n": prim.n}
     return {"type": SQUEEZED, "n": prim.n, "r": prim.r}
 

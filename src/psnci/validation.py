@@ -2,8 +2,8 @@
 
 Every check recomputes its reference quantity through an independent
 route (direct kernel quadrature on the total wavefunction, closed vs
-numeric evaluation, bitwise comparison across worker counts) rather than
-trusting the code paths it is checking.
+numeric evaluation, Gaussian overlaps done by hand, bitwise comparison
+across worker counts) rather than trusting the code paths it is checking.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .states import (
     State,
     entangled_state,
     fock,
-    position_wavefunction,
+    overlap,
     squeezed_excited_superposition,
     squeezed_fock,
     squeezed_vacuum_superposition,
@@ -43,9 +43,12 @@ DECOMPOSITION_TOL = 1e-10
 CLOSED_NUMERIC_TOL = 1e-8
 HUSIMI_FLOOR = -1e-14
 FOLD_TOL = 1e-13
+OVERLAP_TOL = 1e-13
 ETA_SLACK = 1e-9
 
 _QUARTIC_ROOT_PI = math.pi ** -0.25
+# Squeezings of the vacuum overlaps checked: their differences reach 10.
+_OVERLAP_SQUEEZINGS = (-5.0, -3.2, -1.0, 0.0, 0.4, 2.5, 4.0, 5.0)
 
 
 @dataclass(frozen=True)
@@ -106,48 +109,36 @@ def _direct_single(state: State, rep: Representation, q: float, p: float) -> flo
     return float(np.real(kirk / math.sqrt(2.0 * math.pi)))
 
 
-def _two_mode_wavefunction_grid(state: State, x1, x2):
-    psi = np.zeros((x1.size, x2.size), dtype=complex)
-    for c, p1, p2 in state.terms:
-        psi += c * np.outer(position_wavefunction(p1, x1), position_wavefunction(p2, x2))
-    return psi
-
-
 def _direct_two_mode(state: State, rep: Representation, z1, z2) -> float:
     q1, p1 = z1
     q2, p2 = z2
     x, dx = _direct_nodes(state, max(abs(p1), abs(p2)))
     if rep is Representation.WIGNER:
-        a = _two_mode_wavefunction_grid(state, q1 + x, q2 + x)
-        b = np.conj(_two_mode_wavefunction_grid(state, q1 - x, q2 - x))
+        a = state.wavefunction((q1 + x)[:, None], (q2 + x)[None, :])
+        b = np.conj(state.wavefunction((q1 - x)[:, None], (q2 - x)[None, :]))
         e1 = np.exp(-2j * p1 * x)
         e2 = np.exp(-2j * p2 * x)
         val = e1 @ (a * b) @ e2 * dx * dx / math.pi**2
         return float(np.real(val))
+    psi = state.wavefunction(x[:, None], x[None, :])
     if rep is Representation.HUSIMI:
-        psi = _two_mode_wavefunction_grid(state, x, x)
         c1 = np.exp(-0.5 * (x - math.sqrt(2.0) * q1) ** 2
                     + 1j * (q1 * p1 - math.sqrt(2.0) * p1 * x))
         c2 = np.exp(-0.5 * (x - math.sqrt(2.0) * q2) ** 2
                     + 1j * (q2 * p2 - math.sqrt(2.0) * p2 * x))
         amp = _QUARTIC_ROOT_PI**2 * (c1 @ psi @ c2) * dx * dx
         return float(abs(amp) ** 2 / math.pi**2)
-    psi = _two_mode_wavefunction_grid(state, x, x)
     f1 = np.exp(-1j * x * p1)
     f2 = np.exp(-1j * x * p2)
     phi = (f1 @ psi @ f2) * dx * dx / (2.0 * math.pi)
-    amp_q = np.zeros((), dtype=complex)
-    for c, pa, pb in state.terms:
-        amp_q = amp_q + c * position_wavefunction(pa, q1) * position_wavefunction(pb, q2)
-    kirk = amp_q * np.conj(phi) * np.exp(-1j * (q1 * p1 + q2 * p2)) / (2.0 * math.pi)
-    return float(np.real(kirk))
+    kirk = state.wavefunction(q1, q2) * np.conj(phi) * np.exp(-1j * (q1 * p1 + q2 * p2))
+    return float(np.real(kirk)) / (2.0 * math.pi)
 
 
-def _reconstruct_two_mode(table, idx1, idx2) -> float:
-    total = 0.0
-    for g, h in table.real_products():
-        total += g[idx1] * h[idx2]
-    return total
+def _reconstruct_two_mode(products, idx1, idx2) -> float:
+    """sum_ij g_i[idx1] core_ij h_j[idx2] of a table's real_products."""
+    (basis1, basis2), core = products.bases, products.core
+    return float(basis1.grids[(slice(None), *idx1)] @ core @ basis2.grids[(slice(None), *idx2)])
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +201,7 @@ def _decomposition_checks(tables, results, rng):
                 worst = max(worst, abs(total[a, b] - direct))
         else:
             m1, m2 = table.grid.mode(0), table.grid.mode(1)
+            products = table.real_products()
             nodes2 = _quadrant_nodes(m2, rng)
             worst = 0.0
             # Each quadrant of each mode is sampled twice, paired at random.
@@ -218,7 +210,7 @@ def _decomposition_checks(tables, results, rng):
                 z1 = (float(m1.q.centers[i1]), float(m1.p.centers[j1]))
                 z2 = (float(m2.q.centers[i2]), float(m2.p.centers[j2]))
                 direct = _direct_two_mode(state, rep, z1, z2)
-                recon = _reconstruct_two_mode(table, (i1, j1), (i2, j2))
+                recon = _reconstruct_two_mode(products, (i1, j1), (i2, j2))
                 worst = max(worst, abs(recon - direct))
         ok = worst <= DECOMPOSITION_TOL
         results.append(CheckResult(f"decomposition[{sname},{rep.value}]", ok,
@@ -256,6 +248,23 @@ def _closed_vs_direct_amplitude_check(results):
             count += closed.size
     results.append(CheckResult("closed_vs_direct_coherent_amplitude", worst <= DECOMPOSITION_TOL,
                                f"max |closed - direct| = {worst:.3e} over {count} points"))
+
+
+def _overlap_check(results):
+    # <0, r1|0, r2> = sqrt(sech(r1 - r2)), the Gaussian integral done by
+    # hand, against the Gauss-Hermite overlaps that normalize every state
+    # with squeezed terms.
+    worst = 0.0
+    for r1 in _OVERLAP_SQUEEZINGS:
+        for r2 in _OVERLAP_SQUEEZINGS:
+            exact = math.cosh(r1 - r2) ** -0.5
+            got = overlap(State(((1.0, squeezed_fock(0, r1)),)),
+                          State(((1.0, squeezed_fock(0, r2)),)))
+            worst = max(worst, abs(got - exact) / exact)
+    results.append(CheckResult(
+        "overlap_vs_gaussian", worst <= OVERLAP_TOL,
+        f"max relative |<0, r1|0, r2> - sqrt(sech(r1 - r2))| = {worst:.3e} over "
+        f"{len(_OVERLAP_SQUEEZINGS) ** 2} pairs, |r1 - r2| <= 10"))
 
 
 def _husimi_checks(tables, results, threads):
@@ -348,6 +357,7 @@ def run_validation(*, extent=None, points=None, reps=None, threads: int = 1):
     tables = _norm_and_tables(states, rep_list, extent, points, results)
     _marginal_checks(tables, results)
     _decomposition_checks(tables, results, rng)
+    _overlap_check(results)
     if Representation.WIGNER in rep_list:
         _closed_vs_numeric_check(results, rng)
     if Representation.HUSIMI in rep_list:

@@ -1,5 +1,6 @@
 import cmath
 import functools
+import json
 import math
 import operator
 
@@ -491,6 +492,16 @@ def test_asymmetric_axis_is_rejected():
     # map the nodes of an axis onto its nodes only if lo == -hi
     with pytest.raises(DomainError):
         Axis(-4.0, 6.5, 30)
+
+
+def test_axis_takes_numpy_integer_point_counts():
+    axis = Axis(-6.0, 6.0, np.int64(41))
+    assert axis == Axis(-6.0, 6.0, 41) and type(axis.n) is int
+    assert json.dumps(PhaseGrid((ModeAxes(axis, axis),)).describe())
+    with pytest.raises(DomainError, match="must be an integer, got 41.0"):
+        Axis(-6.0, 6.0, 41.0)
+    with pytest.raises(DomainError, match="at least 16 points, got 15"):
+        Axis(-6.0, 6.0, np.int32(15))
 
 
 FOLD_MODES = {**QUADRANT_MODES, "default": default_grid(State(((1.0, fock(0)),))).mode(0)}

@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from psnci import states
 from psnci.errors import DegenerateStateError, DomainError, StateFormatError
-from psnci.indicators import sweep_r
 from psnci.states import (
     State,
     entangled_state,
@@ -115,7 +115,7 @@ def test_overlap_conjugate_symmetry():
 
 
 def _counted_overlaps(monkeypatch):
-    """Record the primitive pairs whose overlap quadrature runs."""
+    """Record the primitive pairs passed to primitive_overlap."""
     calls = []
     quadrature = states.primitive_overlap
 
@@ -132,20 +132,22 @@ def _counted_overlaps(monkeypatch):
     (fock(0), squeezed_fock(0, -0.4)),
     (fock(0), squeezed_fock(1, 1.2), squeezed_fock(2, -0.5), fock(3)),
 ])
-def test_overlap_runs_once_per_unordered_same_parity_pair(monkeypatch, prims):
-    # of unequal r: pairs of equal r are exact (below)
-    calls = _counted_overlaps(monkeypatch)
+def test_overlap_is_the_sum_of_its_primitive_overlaps(prims):
+    # <u|v> is real and symmetric, and each pair of unequal r and equal
+    # parity agrees with the reference
+    single = {(u, v): overlap(State(((1.0, u),)), State(((1.0, v),))) for u in prims for v in prims}
+    for (u, v), value in single.items():
+        assert value == single[(v, u)] and value.imag == 0.0
+        if u.r != v.r and (u.n + v.n) % 2 == 0 and u.r < v.r:
+            assert abs(value - oracles.primitive_overlap_reference(u, v)) <= 1e-13
     state = State(tuple((0.5 + 0.1j * k, prim) for k, prim in enumerate(prims)))
-    overlap(state, state)
-    expected = {frozenset((u, v)) for u in prims for v in prims
-                if (u.n + v.n) % 2 == 0 and u.r != v.r}
-    assert len(calls) == len(expected)
-    assert {frozenset(pair) for pair in calls} == expected
+    expected = sum(np.conj(ck) * cl * single[(u, v)] for ck, u in state.terms for cl, v in state.terms)
+    assert abs(overlap(state, state) - expected) <= 1e-15
 
 
 # Primitives of equal r are one squeezing of orthonormal Fock states: their
-# overlap is delta_mn, taken without quadrature, and the quadrature agrees
-# to 1e-15 (measured <= 7.1e-16, at <0|64>).
+# overlap is delta_mn, taken without primitive_overlap, whose Gauss-Hermite
+# sum agrees to 1e-15.
 @pytest.mark.parametrize("prims", [
     (fock(0), fock(64)),
     (fock(1), fock(3), fock(5)),
@@ -175,33 +177,51 @@ def test_opposite_parity_overlap_is_exactly_zero(monkeypatch):
     assert calls == []
 
 
+PRIMITIVES = st.builds(squeezed_fock, st.integers(0, 64), st.floats(-5.0, 5.0))
+
+
+# Over the advertised range the Gauss-Hermite sum is exact but for
+# rounding. The examples are the highest orders and pairs whose squeezings
+# lie far apart, where nodes sized to the wider primitive miss the narrower.
+@settings(max_examples=5, deadline=None)
+@given(PRIMITIVES, PRIMITIVES)
+@example(squeezed_fock(0, -5.0), squeezed_fock(0, 5.0))
+@example(squeezed_fock(0, -3.2), squeezed_fock(0, 4.0))
+@example(squeezed_fock(64, 5.0), squeezed_fock(62, -5.0))
+def test_primitive_overlap_matches_the_reference(u, v):
+    assert abs(states.primitive_overlap(u, v) - oracles.primitive_overlap_reference(u, v)) <= 1e-13
+
+
+def test_far_apart_squeezed_vacua_overlap_in_closed_form():
+    # <0, r1|0, r2> = sqrt(sech(r1 - r2)), the hand-done Gaussian integral
+    for r1, r2 in [(-5.0, 5.0), (-3.2, 4.0)]:
+        exact = oracles.vacuum_squeezed_overlap(r1 - r2)
+        got = overlap(State(((1.0, squeezed_fock(0, r1)),)), State(((1.0, squeezed_fock(0, r2)),)))
+        assert abs(got - exact) <= 1e-13 * exact
+    c0, c1 = normalize(State(((0.6, squeezed_fock(0, -5.0)), (0.8, squeezed_fock(0, 5.0))))).amplitudes
+    norm_sq = abs(c0) ** 2 + abs(c1) ** 2 + 2.0 * (np.conj(c0) * c1).real * oracles.vacuum_squeezed_overlap(10.0)
+    assert abs(norm_sq - 1.0) <= 1e-14
+
+
 SWEEP_R_PRIMITIVES = {"psi00r": (squeezed_vacuum_superposition, 0),
                       "psi01r": (squeezed_excited_superposition, 1)}
 
 
 @pytest.mark.parametrize("family", SWEEP_R_PRIMITIVES)
-def test_sweep_r_computes_each_overlap_once(monkeypatch, family):
-    # every a of an r shares its primitives, and |0> recurs at every r
+def test_sweep_r_states_have_unit_norm(family):
+    # |c0|^2 + |c1|^2 + 2 Re(conj(c0) c1 <0|n, r>), with <0|0, r> in closed
+    # form and <0|1, r> = 0 by parity, at sweep_r's r range and beyond
     maker, n = SWEEP_R_PRIMITIVES[family]
-    r_values, a_values = [0.0, 0.5, 1.0], [0.3, 0.5, 0.7]
-    calls = _counted_overlaps(monkeypatch)
-    sweep_r(family, r_values, a_values, "husimi")
-    prims = {r: (fock(0), squeezed_fock(n, r)) for r in r_values}
-    expected = {frozenset((u, v)) for pair in prims.values() for u in pair for v in pair
-                if (u.n + v.n) % 2 == 0 and u.r != v.r}
-    # <0|0, r> at r = 0.5 and 1 for psi00r; psi01r pairs only opposite
-    # parities or equal r
-    assert len(calls) == len(expected) == (2 if n == 0 else 0)
-    assert {frozenset(pair) for pair in calls} == expected
-    # the shared overlaps leave every state as a fresh normalization makes it
-    shared = {}
-    for r in r_values:
-        for a in a_values:
-            assert maker(a, r, overlaps=shared) == maker(a, r)
+    for r in (0.0, 0.5, 1.0, 2.0, -3.0, 5.0):
+        cross = oracles.vacuum_squeezed_overlap(r) if n == 0 else 0.0
+        for a in (0.3, 0.5, 0.7):
+            c0, c1 = maker(a, r).amplitudes
+            norm_sq = abs(c0) ** 2 + abs(c1) ** 2 + 2.0 * (np.conj(c0) * c1).real * cross
+            assert abs(norm_sq - 1.0) <= 1e-14
 
 
 def _norm_of_every_ordered_pair(state):
-    """The norm with every ordered term pair integrated by quadrature."""
+    """The norm with every ordered term pair through primitive_overlap."""
     total = sum(np.conj(ck) * cl * states.primitive_overlap(u, v)
                 for ck, u in state.terms for cl, v in state.terms)
     return math.sqrt(total.real)
@@ -288,6 +308,14 @@ def test_json_round_trip():
     for st in (two, one):
         back = state_from_json(json.dumps(state_to_dict(st)))
         assert back == st
+
+
+def test_squeezed_primitive_of_zero_r_is_the_fock_state():
+    # the JSON type tag is derived from r on output
+    parsed = state_from_json('{"modes": 1, "terms": [{"amp_re": 1.0, '
+                             '"mode1": {"type": "squeezed", "n": 2, "r": 0.0}}]}')
+    assert parsed == State(((1.0, fock(2)),))
+    assert state_to_dict(parsed)["terms"][0]["mode1"] == {"type": "fock", "n": 2}
 
 
 @pytest.mark.parametrize("payload", [
