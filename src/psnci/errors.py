@@ -10,16 +10,7 @@ class DomainError(PhaseSpaceError, ValueError):
 
 
 class QuadratureError(PhaseSpaceError, RuntimeError):
-    """A quadrature did not reach the requested tolerance.
-
-    ``achieved`` holds the best residual reached, ``values`` the last
-    two integral estimates when available.
-    """
-
-    def __init__(self, message, achieved=None, values=None):
-        super().__init__(message)
-        self.achieved = achieved
-        self.values = values
+    """A quadrature did not reach the requested tolerance."""
 
 
 class DegenerateStateError(PhaseSpaceError, ValueError):

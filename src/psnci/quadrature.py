@@ -54,10 +54,10 @@ same sum over the points with even q and even p indices in both modes
 (1/16 of the points), weighted by 16.
 
 The fine pass is streamed on the support of the integrand only. A row
-i of fold weight w_i (below) adds at most w_i |g_i| sum_j |h_j|
-(Cauchy-Schwarz), a column j at most |h_j| sum_i w_i |g_i|. The
-decimated pass runs first, whole; the smallest columns, then rows, are
-dropped while their summed bound stays within half of _SUPPORT_CUT
+g_i, already scaled by its fold weight (below), adds at most
+|g_i| sum_j |h_j| (Cauchy-Schwarz), a column j at most |h_j| sum_i |g_i|.
+The decimated pass runs first, whole; the smallest columns, then rows,
+are dropped while their summed bound stays within half of _SUPPORT_CUT
 (1e-16) of 16 times its sum. The kept sum is a lower bound on the pass:
 if the dropped bound exceeds 1e-16 of it, the target was over twice the
 pass and the dropped part is streamed too, else the bound is added to
@@ -76,9 +76,10 @@ when a traced benchmark pass lists them as pairs. Every Axis is
 symmetric about 0, so the mirrors map nodes onto nodes, and R does on
 the square mode grids with equal q and p axes, the only ones on which it
 is stated. A group element permutes the (q1, p1) rows of |f| without
-changing their sums, so one row per orbit is summed, weighted by the
-orbit size: streamed in one pass per weight, or in closed form with the
-row scaled by its weight, a power of 2. Under D4 (stated with R and T)
+changing their sums, so one row per orbit is summed, scaled by the orbit
+size, a power of 2, so that |(w u) . p| is w |u . p| exactly: every pass,
+streamed (one _abs_sum call) or in closed form, is one matrix of weighted
+rows against the pass's columns. Under D4 (stated with R and T)
 generic rows count 8, rows on the axes and the diagonals 4 and the
 origin 1; under C4 = {1, R, P, R^3} (R without T) every row but the
 origin counts 4; under {1, P, T, PT} the interior rows of a quadrant
@@ -141,7 +142,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ResourceBudgetError
-from .grids import ModeAxes, PhaseGrid
+from .grids import PhaseGrid
 
 DEFAULT_MAX_POINTS = 1_000_000_000
 _TILE_ROWS = 8
@@ -176,12 +177,6 @@ def _image(f: np.ndarray, element) -> np.ndarray:
     """f o g on a (q, p) grid for the _D4 element g = (swap, axes)."""
     swap, axes = element
     return np.flip(f.T if swap else f, axes)
-
-
-def _even_mask(mode: ModeAxes) -> np.ndarray:
-    iq = np.arange(mode.q.n) % 2 == 0
-    ip = np.arange(mode.p.n) % 2 == 0
-    return np.logical_and.outer(iq, ip).ravel()
 
 
 def _tall_skinny_r(columns: np.ndarray) -> np.ndarray:
@@ -272,8 +267,9 @@ def _pool(workers: int) -> ThreadPoolExecutor:
         return _POOLS[workers]
 
 
-def _abs_sum(gmat: np.ndarray, hmat: np.ndarray, tile_rows: int, threads: int) -> float:
-    """Sum of |gmat @ hmat| streamed in tiles of ``tile_rows`` rows of gmat.
+def _abs_sum(gmat: np.ndarray, hmat: np.ndarray, tile_points: int, threads: int) -> float:
+    """Sum of |gmat @ hmat| streamed in tiles of as many rows of gmat as fit
+    ``tile_points`` values of the block; 0.0 if either matrix is empty.
 
     Worker k takes the tile starts ``starts[k::workers]`` and reuses one
     block buffer for all of them; each tile is summed by np.einsum and the
@@ -283,6 +279,9 @@ def _abs_sum(gmat: np.ndarray, hmat: np.ndarray, tile_rows: int, threads: int) -
     and the peak RSS of an indicator-2mode run rose from 47.2 to 49.2 MB.
     """
     n1, n2 = gmat.shape[0], hmat.shape[1]
+    if not n1 * n2:
+        return 0.0
+    tile_rows = tile_points // n2
     starts = range(0, n1, tile_rows)
     workers = max(1, min(threads, len(starts)))
     buffers = [np.empty((min(tile_rows, n1), n2)) for _ in range(workers)]
@@ -341,17 +340,17 @@ def _closed_abs_sum(gmat: np.ndarray, hmat: np.ndarray) -> float:
 
 @functools.cache
 def _orbits(shape: tuple, step: int, group: tuple) -> tuple:
-    """(weight, rows) of the orbits of the rows of gmat on every ``step``-th
-    node of both axes of the mode-1 (q, p) grid of ``shape``, under
-    ``group``, which leaves |gmat @ hmat| unchanged.
+    """(rows, weights) of the orbits of the rows of gmat on every
+    ``step``-th node of both axes of the mode-1 (q, p) grid of ``shape``,
+    under ``group``, which leaves |gmat @ hmat| unchanged.
 
     A group element permutes these rows and, in mode 2, the columns, so
     every row of an orbit has the same sum: one representative per orbit
-    (its smallest row number) is streamed, weighted by the orbit size, in
-    one _abs_sum call per size, largest first. Under {1, P} these are the
-    first half of the rows, doubled, then the centre row, if there is one.
-    The orbits depend on nothing else, so they are kept for the life of
-    the process, as read-only arrays.
+    (its smallest row number, in increasing order) is summed, weighted by
+    the orbit size. Under {1, P} these are the first half of the rows,
+    doubled, then the centre row, if there is one. The orbits depend on
+    nothing else, so they are kept for the life of the process, as
+    read-only arrays.
     """
     grid_index = np.arange(math.prod(shape)).reshape(shape)[::step, ::step]
     index = grid_index.ravel()
@@ -360,16 +359,22 @@ def _orbits(shape: tuple, step: int, group: tuple) -> tuple:
     # that fix the row.
     size = len(group) // np.count_nonzero(images == index, axis=0)
     first = images.min(axis=0) == index
-    orbits = tuple((weight, index[first & (size == weight)]) for weight in (8, 4, 2, 1))
-    for _, rows in orbits:
-        rows.setflags(write=False)
+    # The weights, at most 8, are kept as uint8: as int64 they doubled the
+    # kept arrays and raised the peak RSS of indicator-2mode by 0.4 MB.
+    orbits = index[first], size[first].astype(np.uint8)
+    for array in orbits:
+        array.setflags(write=False)
     return orbits
 
 
-def _weighted_rows(gmat: np.ndarray, orbits) -> np.ndarray:
-    """The rows of the (weight, rows) ``orbits``, each times its weight: a
-    power of 2, so |(w u) . p| is w |u . p| exactly."""
-    return np.concatenate([weight * gmat[rows] for weight, rows in orbits])
+def _weighted_rows(gmat: np.ndarray, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``rows`` of gmat, each times its orbit weight: a power of 2, so
+    |(w u) . p| is w |u . p| exactly. Scaled in place: scaling into a
+    second array raised the peak RSS of the indicator-2mode commands by
+    0.6 MB (in-process, 3 of 3 runs)."""
+    out = gmat[rows]
+    out *= weights[:, None]
+    return out
 
 
 def _folded_columns(hmat: np.ndarray) -> np.ndarray:
@@ -379,17 +384,6 @@ def _folded_columns(hmat: np.ndarray) -> np.ndarray:
     doubling it in place would change the caller's hmat."""
     half = hmat.shape[1] // 2
     return np.concatenate([2.0 * hmat[:, :half], hmat[:, half:hmat.shape[1] - half]], axis=1)
-
-
-def _folded_abs_sum(gmat: np.ndarray, hmat: np.ndarray, orbits, tile_points: int,
-                    threads: int) -> float:
-    """Sum of weight * |gmat[rows] @ hmat| over the (weight, rows) ``orbits``,
-    streamed in tiles of as many rows as fit ``tile_points`` values."""
-    total = 0.0
-    for weight, rows in orbits:
-        if len(rows) and hmat.shape[1]:
-            total += weight * _abs_sum(gmat[rows], hmat, tile_points // hmat.shape[1], threads)
-    return total
 
 
 def _cut_value(bound: np.ndarray, scale: float, budget: float) -> float:
@@ -402,26 +396,29 @@ def _cut_value(bound: np.ndarray, scale: float, budget: float) -> float:
 
 def _pruned_abs_sum(gmat: np.ndarray, hmat: np.ndarray, orbits, target: float,
                     tile_points: int, threads: int) -> tuple:
-    """_folded_abs_sum on the support of |gmat @ hmat| under the support cut
-    against ``target`` (see the module docstring), and the bound on the
-    part left out, 0.0 if the check made it stream that part too."""
-    norms = np.sqrt(np.einsum("ij,ij->i", gmat, gmat))
-    row_bound = np.concatenate([w * norms[r] for w, r in orbits])
+    """_abs_sum of the weighted rows of the (rows, weights) ``orbits`` on the
+    support of the integrand under the support cut against ``target`` (see
+    the module docstring), and the bound on the part left out, 0.0 if the
+    check made it stream that part too. Only the kept rows are weighted
+    and copied: weighting every row, then copying the kept ones, raised the
+    peak RSS of the indicator-2mode commands by 0.5 MB (in-process, 3 of 3
+    runs)."""
+    rows, weights = orbits
+    row_bound = weights * np.sqrt(np.einsum("ij,ij->i", gmat, gmat))[rows]
     col_bound = np.sqrt(np.einsum("ij,ij->j", hmat, hmat))
     g_all, budget = np.sum(row_bound), 0.5 * _SUPPORT_CUT * target
     keep_col = col_bound >= _cut_value(col_bound, g_all, budget)
     h_drop = np.sum(col_bound[~keep_col])
     h_keep = np.sum(col_bound) - h_drop
-    row_cut = _cut_value(row_bound, h_keep, budget - g_all * h_drop)
-    dropped = float(g_all * h_drop + h_keep * np.sum(row_bound[row_bound < row_cut]))
-    kept = [(w, r[w * norms[r] >= row_cut]) for w, r in orbits]
+    keep_row = row_bound >= _cut_value(row_bound, h_keep, budget - g_all * h_drop)
+    dropped = float(g_all * h_drop + h_keep * np.sum(row_bound[~keep_row]))
+    gkept = _weighted_rows(gmat, rows[keep_row], weights[keep_row])
     hkept = hmat if keep_col.all() else np.ascontiguousarray(hmat[:, keep_col])
-    total = _folded_abs_sum(gmat, hkept, kept, tile_points, threads)
+    total = _abs_sum(gkept, hkept, tile_points, threads)
     if dropped > _SUPPORT_CUT * total:
-        total += (_folded_abs_sum(gmat, np.ascontiguousarray(hmat[:, ~keep_col]), kept,
-                                  tile_points, threads)
-                  + _folded_abs_sum(gmat, hmat, [(w, r[w * norms[r] < row_cut])
-                                                 for w, r in orbits], tile_points, threads))
+        total += (_abs_sum(gkept, np.ascontiguousarray(hmat[:, ~keep_col]), tile_points, threads)
+                  + _abs_sum(_weighted_rows(gmat, rows[~keep_row], weights[~keep_row]), hmat,
+                             tile_points, threads))
         dropped = 0.0
     return total, dropped
 
@@ -475,30 +472,24 @@ def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
     if gmat.shape[1] == 0:
         return 0.0, 0.0
     area = mode1.cell_area * mode2.cell_area
-    shape1 = (mode1.q.n, mode1.p.n)
+    shape1, shape2 = (mode1.q.n, mode1.p.n), (mode2.q.n, mode2.p.n)
     # The decimated pass folds only under the elements that map the even-index
-    # points of both modes onto themselves: transposes, and reversals of
-    # odd-length axes. It folds its columns only if z2 -> -z2 maps mode 2's
-    # onto themselves.
-    masks = [_even_mask(mode1).reshape(shape1),
-             _even_mask(mode2).reshape(mode2.q.n, mode2.p.n)]
-
-    def onto_itself(element, mask):
-        return np.array_equal(_image(mask, element), mask)
-
+    # points of both modes onto themselves: those that reverse only axes of
+    # odd length. It folds its columns only if both mode-2 axes have odd length.
     group, fold = products.group, products.mode2_parity
-    coarse_group = tuple(e for e in group if all(onto_itself(e, m) for m in masks))
-    fine_orbits, coarse_orbits = _orbits(shape1, 1, group), _orbits(shape1, 2, coarse_group)
+    coarse_group = tuple(e for e in group if all(shape[a] % 2 for shape in (shape1, shape2)
+                                                 for a in e[1]))
+    coarse_orbits, fine_orbits = _orbits(shape1, 2, coarse_group), _orbits(shape1, 1, group)
     hfine = _folded_columns(hmat) if fold else hmat
-    hcoarse = hmat[:, masks[1].ravel()]
-    hcoarse = (_folded_columns(hcoarse) if fold and onto_itself(_D4[1], masks[1])
-               else np.ascontiguousarray(hcoarse))
+    hcoarse = hmat.reshape(-1, *shape2)[:, ::2, ::2].reshape(len(hmat), -1)
+    if fold and all(n % 2 for n in shape2):
+        hcoarse = _folded_columns(hcoarse)
     if gmat.shape[1] <= 2:
-        fine = _closed_abs_sum(_weighted_rows(gmat, fine_orbits), hfine) * area
-        coarse = _closed_abs_sum(_weighted_rows(gmat, coarse_orbits), hcoarse) * 16.0 * area
+        fine = _closed_abs_sum(_weighted_rows(gmat, *fine_orbits), hfine) * area
+        coarse = _closed_abs_sum(_weighted_rows(gmat, *coarse_orbits), hcoarse) * 16.0 * area
         return fine, abs(fine - coarse)
     # The decimated pass runs first: 16 times its sum is the target of the cut.
     tile_points = tile_rows * n2
-    coarse = 16.0 * _folded_abs_sum(gmat, hcoarse, coarse_orbits, tile_points, threads)
+    coarse = 16.0 * _abs_sum(_weighted_rows(gmat, *coarse_orbits), hcoarse, tile_points, threads)
     fine, dropped = _pruned_abs_sum(gmat, hfine, fine_orbits, coarse, tile_points, threads)
     return fine * area, abs(fine * area - coarse * area) + dropped * area

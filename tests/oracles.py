@@ -27,6 +27,17 @@ SQRT_PI = math.sqrt(math.pi)
 MAX_ORDER = 64
 
 
+class ReferenceQuadratureError(QuadratureError):
+    """A reference quadrature here did not converge: ``achieved`` holds the
+    best residual reached, ``values`` the last two integral estimates when
+    available."""
+
+    def __init__(self, message, achieved=None, values=None):
+        super().__init__(message)
+        self.achieved = achieved
+        self.values = values
+
+
 # --- polynomials by explicit coefficient expansion ------------------------
 
 def hermite_coeffs(n):
@@ -173,8 +184,9 @@ def coherent_amplitude_reference(prim, q, p):
     against psi(x) = e^(r/2) psi_n(e^r x) by mpmath.quad (Gauss-Legendre),
     with H_n by its recurrence, all at 18 digits. Breakpoints at
     sqrt2 q + k, |k| <= 9, resolve the coherent Gaussian and breakpoints at
-    eighths of psi's support radius its oscillations; the outer pieces run
-    to infinity. No node rule of psnci is used."""
+    eighths of psi's support radius, out to twice that radius, its
+    oscillations and its tails; the outer pieces run to infinity. No node
+    rule of psnci is used."""
     import mpmath
 
     with mpmath.workdps(18):
@@ -193,7 +205,7 @@ def coherent_amplitude_reference(prim, q, p):
 
         radius = (math.sqrt(2 * n + 1) + 6.0) * math.exp(-prim.r)
         cuts = ({float(centre) + k for k in range(-9, 10)}
-                | {radius * k / 8 for k in range(-8, 9)})
+                | {radius * k / 8 for k in range(-16, 17)})
         value = mpmath.quad(integrand, [-mpmath.inf, *sorted(cuts), mpmath.inf],
                             method="gauss-legendre")
         return complex(mpmath.pi ** -0.25 * mpmath.expj(q * p) * value)
@@ -240,7 +252,8 @@ def primitive_overlap_reference(prim1, prim2):
         value, error = mpmath.quad(lambda x: psi1(x) * psi2(x), [-mpmath.inf, *cuts, mpmath.inf],
                                    method="gauss-legendre", error=True)
         if error > 1e-20:
-            raise QuadratureError("overlap reference did not converge", achieved=float(error))
+            raise ReferenceQuadratureError("overlap reference did not converge",
+                                           achieved=float(error))
         return float(value)
 
 
@@ -400,7 +413,7 @@ def _rotation_vote(basis1, basis2, core):
     return any(np.max(np.abs(turned - sign * dense)) <= tol for sign in (1, -1))
 
 
-def symmetry_vote(basis1, basis2, core):
+def symmetry_vote(basis1, basis2, core, noise=0.0):
     """(group, mode2_parity) of B1 core B2^T: its group, as the _D4
     elements that hold, in _D4 order, and whether it is even or odd under
     z2 -> -z2 alone. Measured on the basis grids and on the dense 4D
@@ -411,7 +424,11 @@ def symmetry_vote(basis1, basis2, core):
     columns') and all have the same one; the mode-2 parity when every b2_j
     of a term has one and all the same. Terms smaller than _RANK_CUT times
     the largest do not vote: rounding noise has no parity but cannot move
-    the sum. Any two kept elements imply the third; if rounding keeps only
+    the sum. Nor do terms with |core_ij| <= ``noise``: a term table's core
+    entries are the real and imaginary parts of its amplitude products
+    gamma, and the table takes a gamma whose real (imaginary) part is
+    within _RANK_CUT of the largest |gamma| as imaginary (real), so its
+    ``noise`` is that bound on an entry. Any two kept elements imply the third; if rounding keeps only
     two, the first of them is used, P before T. R maps a factor grid D_kl
     to one of D_lk, not to +-itself, so no term votes on it: R and R^3 are
     kept when the dense array is even or odd under R (_rotation_vote). The
@@ -426,7 +443,7 @@ def symmetry_vote(basis1, basis2, core):
     parity1, parity2 = (np.array([[_parity(g, axes) for _, axes in flips]
                                   for g in basis.grids]) for basis in (basis1, basis2))
     weight = np.abs(core) * np.outer(scale1, scale2)
-    i, j = np.nonzero(weight > _RANK_CUT * weight.max())
+    i, j = np.nonzero((weight > _RANK_CUT * weight.max()) & (np.abs(core) > noise))
     signs = parity1[i] * parity2[j]
     kept = [e for e, sign in zip(flips, signs.T) if sign[0] and np.all(sign == sign[0])]
     held = set(kept if len(kept) == 3 else kept[:1])
@@ -488,7 +505,8 @@ def refine_until(f, grid0, tol, max_levels=6):
     midpoint sums agree to tol.
 
     ``f`` maps a PhaseGrid to a value array on that grid. Raises
-    QuadratureError (carrying the last two values) on non-convergence.
+    ReferenceQuadratureError (carrying the last two values) on
+    non-convergence.
     """
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol}")
@@ -512,7 +530,7 @@ def refine_until(f, grid0, tol, max_levels=6):
         if diff < tol:
             return QuadratureResult(cur, diff, level)
         prev = cur
-    raise QuadratureError(
+    raise ReferenceQuadratureError(
         f"no convergence to {tol:g} within {max_levels} levels",
         achieved=abs(last_two[1] - last_two[0]),
         values=last_two,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import psnci
@@ -199,8 +200,8 @@ def test_validate_fold_check_catches_a_wrong_orbit_weight(monkeypatch, capsys):
     orbits = quadrature._orbits
 
     def wrong(shape, step, group):
-        return tuple((4 if weight == 8 else weight, rows)
-                     for weight, rows in orbits(shape, step, group))
+        rows, weights = orbits(shape, step, group)
+        return rows, np.where(weights == 8, 4, weights)
 
     monkeypatch.setattr(quadrature, "_orbits", wrong)
     assert main(["validate", "--rep", "rivier", "--threads", "2"]) == 1

@@ -442,6 +442,16 @@ def test_squeezed_amplitude_beyond_the_quadrature_support():
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
+@pytest.mark.parametrize("r", [5.0, -5.0, 3.0, -3.0, 1.0, -1.0])
+def test_coherent_reference_at_the_origin_is_sqrt_sech(r):
+    # <0|0, r> = sqrt(sech r) exactly. The reference's breakpoints reach
+    # twice the support radius: out to the radius only, it lost 2.6e-12 of
+    # the value at r = 5
+    want = math.cosh(r) ** -0.5
+    got = oracles.coherent_amplitude_reference(squeezed_fock(0, r), 0.0, 0.0)
+    assert abs(got - want) <= 1e-15 * want
+
+
 @pytest.mark.parametrize("r", [-5.0, -4.999, 4.999, 5.0])
 def test_squeezed_amplitude_does_not_overflow(r):
     # |<alpha|n, r>| <= 1; far out the envelope underflows to 0 before the

@@ -1,4 +1,5 @@
 import cmath
+import copy
 import inspect
 import math
 import sys
@@ -7,7 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from psnci.errors import DomainError, QuadratureError, ResourceBudgetError
@@ -86,7 +87,8 @@ def test_refine_until_nonconvergence():
 
     with pytest.raises(QuadratureError) as err:
         oracles.refine_until(f, grid0, tol=1e-15, max_levels=2)
-    assert err.value.values is not None
+    first, second = err.value.values
+    assert err.value.achieved == abs(second - first) >= 1e-15
 
 
 def test_refine_until_precondition():
@@ -298,14 +300,17 @@ def test_closed_form_matches_dense_oracle_on_awkward_geometry(rank, cols, rows):
     gmat = np.array([(1.0, 3.0)] + rows[1:])[:, :rank]
     prods = [(g.reshape(16, 16), h.reshape(16, 16)) for g, h in zip(gmat.T, hmat)]
     fine, even = oracles.dense_abs_4d_sums(prods)
-    even1, even2 = quadrature._even_mask(grid.mode(0)), quadrature._even_mask(grid.mode(1))
+    geven = gmat.reshape(16, 16, rank)[::2, ::2].reshape(-1, rank)
+    heven = hmat.reshape(rank, 16, 16)[:, ::2, ::2].reshape(rank, -1)
     assert quadrature._closed_abs_sum(gmat, hmat) == fine
-    assert quadrature._closed_abs_sum(gmat[even1], hmat[:, even2]) == even
+    assert quadrature._closed_abs_sum(geven, heven) == even
     _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
 
 
 def _recorded_passes(monkeypatch):
-    """List that records (rows of gmat, columns of hmat) of every _abs_sum call."""
+    """List that records (rows of gmat, columns of hmat) of every _abs_sum
+    call: one per streamed pass, its rows one per orbit, each scaled by its
+    weight."""
     calls = []
     stream = quadrature._abs_sum
 
@@ -315,6 +320,30 @@ def _recorded_passes(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_abs_sum", record)
     return calls
+
+
+def _recorded_weights(monkeypatch):
+    """List that records {orbit weight: number of rows} of every matrix of
+    weighted rows, in the order they are built: the orbits of a pass, or
+    those of them that the support cut keeps, then those it dropped if it
+    streams them too."""
+    counts = []
+    weighted = quadrature._weighted_rows
+
+    def record(gmat, rows, weights):
+        sizes, n = np.unique(weights, return_counts=True)
+        counts.append(dict(zip(sizes.tolist(), n.tolist())))
+        return weighted(gmat, rows, weights)
+
+    monkeypatch.setattr(quadrature, "_weighted_rows", record)
+    return counts
+
+
+def _passes(expected):
+    """(calls, weights) that _recorded_passes (or _recorded_closed) and
+    _recorded_weights record for the passes ``expected``, each given as
+    ({orbit weight: number of rows}, columns)."""
+    return [(sum(w.values()), cols) for w, cols in expected], [w for w, _ in expected]
 
 
 def _fine_rows(calls, grid):
@@ -327,13 +356,13 @@ def _fine_rows(calls, grid):
 
 
 # Every term of the indicator-2mode state has one photon in all, so every
-# product has even parity and each streamed pass is folded: 220 rows and
-# the centre row of the fine pass. The support cut drops the Gaussian tails
-# of the Wigner and Husimi totals from it.
+# product has even parity and each streamed pass is folded: 220 rows of
+# weight 2 and the centre row of the fine pass. The support cut drops the
+# Gaussian tails of the Wigner and Husimi totals from it.
 TERM_TABLE_FINE_CALLS = {
-    "wigner": [(197, 381), (1, 381)],
-    "husimi": [(197, 381), (1, 381)],
-    "rivier": [(220, 441), (1, 441)],
+    "wigner": ({2: 197, 1: 1}, 381),
+    "husimi": ({2: 197, 1: 1}, 381),
+    "rivier": ({2: 220, 1: 1}, 441),
 }
 
 
@@ -341,11 +370,11 @@ TERM_TABLE_FINE_CALLS = {
 def test_term_table_passes_match_dense_oracle(monkeypatch, rep):
     grid = oracles.two_mode_grid(points=21)
     table = build_term_table(_indicator_2mode_state(), rep, grid)
-    calls = _recorded_passes(monkeypatch)
+    calls, weights = _recorded_passes(monkeypatch), _recorded_weights(monkeypatch)
     n1 = grid.mode(0).n_points
     _assert_matches_dense(table.abs_with_estimate(threads=2),
                           table.real_products(), grid)
-    assert calls == [(60, 121), (1, 121)] + TERM_TABLE_FINE_CALLS[rep]
+    assert (calls, weights) == _passes([({2: 60, 1: 1}, 121), TERM_TABLE_FINE_CALLS[rep]])
     for key in table.pair_keys():
         prods = table.real_products([key])
         calls.clear()
@@ -375,7 +404,7 @@ def test_folded_passes_match_dense_oracle(monkeypatch, terms, keys, orbit, colum
         (c, fock(m), fock(n)) for c, (m, n) in zip((0.6 + 0.3j, 0.5 - 0.4j), terms))))
     grid = oracles.two_mode_grid(points=points)
     prods = build_term_table(state, "rivier", grid).real_products(keys)
-    calls = _recorded_passes(monkeypatch)
+    calls, weights = _recorded_passes(monkeypatch), _recorded_weights(monkeypatch)
     _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
     n1, n2 = grid.mode(0).n_points, grid.mode(1).n_points
     # The decimated pass runs first. Even points per axis: no centre row,
@@ -388,12 +417,13 @@ def test_folded_passes_match_dense_oracle(monkeypatch, terms, keys, orbit, colum
     even_cols = (even + 1) // 2 if columns and points % 2 else even
     n2 = (n2 + 1) // 2 if columns else n2
     if orbit == 1:
-        assert calls == [(even, even_cols), (n1, n2)]
+        expected = [({1: even}, even_cols), ({1: n1}, n2)]
     elif points % 2:
-        centre = [] if keys else [(1, n2)]
-        assert calls == [(even // orbit, even_cols), (1, even_cols), (n1 // orbit, n2)] + centre
+        centre = {} if keys else {1: 1}
+        expected = [({orbit: even // orbit, 1: 1}, even_cols), ({orbit: n1 // orbit, **centre}, n2)]
     else:
-        assert calls == [(even, even_cols), (n1 // orbit, n2)]
+        expected = [({1: even}, even_cols), ({orbit: n1 // orbit}, n2)]
+    assert (calls, weights) == _passes(expected)
 
 
 @st.composite
@@ -501,11 +531,12 @@ ODD = ((1, -1), (-1, 1), (1, -1))
 def test_stated_parity_fold(monkeypatch, signs, stated):
     grid = oracles.two_mode_grid(points=21)
     prods = _parity_products(grid, signs, seed=len(signs))
-    calls = _recorded_passes(monkeypatch)
+    calls, weights = _recorded_passes(monkeypatch), _recorded_weights(monkeypatch)
     products = oracles.stated_sum(prods, STATED["P"]) if stated else prods
     _assert_matches_dense(abs_4d_with_estimate(products, grid, threads=2), prods, grid)
     n1 = grid.mode(0).n_points
-    assert _fine_rows(calls, grid)[0] == (n1 // 2 if stated else n1)
+    assert _fine_rows(calls, grid) == [n1 // 2 + 1 if stated else n1]
+    assert weights[1] == ({2: n1 // 2, 1: 1} if stated else {1: n1})
 
 
 def _mirrored(f, mirrors):
@@ -557,29 +588,34 @@ STATED = {"none": (False, False, False, False), "P": (True, False, False, False)
           "full": (True, True, True, False), "C4": (True, False, False, True),
           "D4": (True, True, True, True)}
 
-# (rows of gmat, columns of hmat) of every _abs_sum call, decimated pass
-# then fine pass, per group and points per axis. Nothing on these random
-# factors is small enough for the support cut. A 21-point axis has a
-# centre, so rows on a mirror line count once; the 11 x 11 decimated grid
-# folds the same way. A 20-point axis has no centre, and its decimated
-# points (even indices) are not closed under any reversal, nor under R,
-# but are under the transpose (q, p) -> (p, q). Under C4 every row but
-# the centre counts 4; under D4 rows count 8, and 4 on the axes and the
-# diagonals, which a transpose maps onto themselves.
+# ({orbit weight: number of rows}, columns) of the decimated pass, then of
+# the fine pass, per group and points per axis: one _abs_sum call each,
+# a row per orbit. Nothing on these random factors is small enough for
+# the support cut. A 21-point axis has a centre, so rows on a mirror line
+# count once; the 11 x 11 decimated grid folds the same way. A 20-point
+# axis has no centre, and its decimated points (even indices) are not
+# closed under any reversal, nor under R, but are under the transpose
+# (q, p) -> (p, q). Under C4 every row but the centre counts 4; under D4
+# rows count 8, and 4 on the axes and the diagonals, which a transpose
+# maps onto themselves.
 FOLD_CALLS = {
-    "none": {21: [(121, 121), (441, 441)], 20: [(100, 100), (400, 400)]},
-    "P": {21: [(60, 121), (1, 121), (220, 441), (1, 441)], 20: [(100, 100), (200, 400)]},
-    "T": {21: [(55, 121), (11, 121), (210, 441), (21, 441)], 20: [(100, 100), (200, 400)]},
-    "PT": {21: [(55, 121), (11, 121), (210, 441), (21, 441)], 20: [(100, 100), (200, 400)]},
-    "full": {21: [(25, 121), (10, 121), (1, 121), (100, 441), (20, 441), (1, 441)],
-             20: [(100, 100), (100, 400)]},
-    "C4": {21: [(30, 121), (1, 121), (110, 441), (1, 441)], 20: [(100, 100), (100, 400)]},
-    "D4": {21: [(10, 121), (10, 121), (1, 121), (45, 441), (20, 441), (1, 441)],
-           20: [(45, 100), (10, 100), (45, 400), (10, 400)]},
+    "none": {21: [({1: 121}, 121), ({1: 441}, 441)], 20: [({1: 100}, 100), ({1: 400}, 400)]},
+    "P": {21: [({2: 60, 1: 1}, 121), ({2: 220, 1: 1}, 441)],
+          20: [({1: 100}, 100), ({2: 200}, 400)]},
+    "T": {21: [({2: 55, 1: 11}, 121), ({2: 210, 1: 21}, 441)],
+          20: [({1: 100}, 100), ({2: 200}, 400)]},
+    "PT": {21: [({2: 55, 1: 11}, 121), ({2: 210, 1: 21}, 441)],
+           20: [({1: 100}, 100), ({2: 200}, 400)]},
+    "full": {21: [({4: 25, 2: 10, 1: 1}, 121), ({4: 100, 2: 20, 1: 1}, 441)],
+             20: [({1: 100}, 100), ({4: 100}, 400)]},
+    "C4": {21: [({4: 30, 1: 1}, 121), ({4: 110, 1: 1}, 441)],
+           20: [({1: 100}, 100), ({4: 100}, 400)]},
+    "D4": {21: [({8: 10, 4: 10, 1: 1}, 121), ({8: 45, 4: 20, 1: 1}, 441)],
+           20: [({2: 45, 1: 10}, 100), ({8: 45, 4: 10}, 400)]},
     # T with the columns folded under z2 -> -z2: the first half and the
     # centre, in the decimated pass only on odd axes.
-    "T-columns": {21: [(55, 61), (11, 61), (210, 221), (21, 221)],
-                  20: [(100, 100), (200, 200)]},
+    "T-columns": {21: [({2: 55, 1: 11}, 61), ({2: 210, 1: 21}, 221)],
+                  20: [({1: 100}, 100), ({2: 200}, 200)]},
 }
 
 
@@ -588,32 +624,32 @@ FOLD_CALLS = {
 def test_group_fold_matches_dense_oracle(monkeypatch, group, points):
     grid = oracles.two_mode_grid(points=points)
     prods = _mirror_products(grid, MIRROR_SETS[group], seed=points)
-    calls = _recorded_passes(monkeypatch)
+    calls, weights = _recorded_passes(monkeypatch), _recorded_weights(monkeypatch)
     stated = oracles.stated_sum(prods, STATED[group])
     _assert_matches_dense(abs_4d_with_estimate(stated, grid, threads=2), prods, grid)
-    assert calls == FOLD_CALLS[group][points]
+    assert (calls, weights) == _passes(FOLD_CALLS[group][points])
 
 
 # The fine passes of Wigner and Husimi totals, whose Gaussian tails the
 # support cut leaves out, per (representation, group, points); the
 # decimated pass and every Rivier total stream as in FOLD_CALLS.
 PRUNED_FINE_CALLS = {
-    ("wigner", "C4", 21): [(99, 381), (1, 381)],
-    ("wigner", "D4", 21): [(40, 384), (18, 384), (1, 384)],
-    ("wigner", "T", 21): [(182, 401), (21, 401)],
-    ("husimi", "C4", 21): [(100, 381), (1, 381)],
-    ("husimi", "D4", 21): [(40, 385), (18, 385), (1, 385)],
-    ("husimi", "T", 21): [(180, 401), (21, 401)],
-    ("wigner", "C4", 20): [(88, 352)],
-    ("wigner", "D4", 20): [(40, 352), (8, 352)],
-    ("wigner", "T", 20): [(176, 360)],
-    ("husimi", "C4", 20): [(88, 352)],
-    ("husimi", "D4", 20): [(40, 352), (8, 352)],
-    ("husimi", "T", 20): [(176, 360)],
-    ("wigner", "T-columns", 21): [(182, 201), (21, 201)],
-    ("husimi", "T-columns", 21): [(180, 201), (21, 201)],
-    ("wigner", "T-columns", 20): [(176, 180)],
-    ("husimi", "T-columns", 20): [(176, 180)],
+    ("wigner", "C4", 21): ({4: 99, 1: 1}, 381),
+    ("wigner", "D4", 21): ({8: 40, 4: 18, 1: 1}, 384),
+    ("wigner", "T", 21): ({2: 182, 1: 21}, 401),
+    ("husimi", "C4", 21): ({4: 100, 1: 1}, 381),
+    ("husimi", "D4", 21): ({8: 40, 4: 18, 1: 1}, 385),
+    ("husimi", "T", 21): ({2: 180, 1: 21}, 401),
+    ("wigner", "C4", 20): ({4: 88}, 352),
+    ("wigner", "D4", 20): ({8: 40, 4: 8}, 352),
+    ("wigner", "T", 20): ({2: 176}, 360),
+    ("husimi", "C4", 20): ({4: 88}, 352),
+    ("husimi", "D4", 20): ({8: 40, 4: 8}, 352),
+    ("husimi", "T", 20): ({2: 176}, 360),
+    ("wigner", "T-columns", 21): ({2: 182, 1: 21}, 201),
+    ("husimi", "T-columns", 21): ({2: 180, 1: 21}, 201),
+    ("wigner", "T-columns", 20): ({2: 176}, 180),
+    ("husimi", "T-columns", 20): ({2: 176}, 180),
 }
 
 
@@ -638,15 +674,13 @@ def test_state_totals_fold_under_their_group(monkeypatch, rep, terms, amps, grou
         (c, fock(m), fock(n)) for c, (m, n) in zip(amps, terms))))
     grid = oracles.two_mode_grid(points=points)
     table = build_term_table(state, rep, grid)
-    calls = _recorded_passes(monkeypatch)
+    calls, weights = _recorded_passes(monkeypatch), _recorded_weights(monkeypatch)
     _assert_matches_dense(table.abs_with_estimate(threads=2),
                           table.real_products(), grid)
     expected = FOLD_CALLS[group][points]
     if (rep, group, points) in PRUNED_FINE_CALLS:
-        coarse = ((points + 1) // 2) ** 2
-        expected = [c for c in expected if c[1] in (coarse, (coarse + 1) // 2)] \
-            + PRUNED_FINE_CALLS[rep, group, points]
-    assert calls == expected
+        expected = [expected[0], PRUNED_FINE_CALLS[rep, group, points]]
+    assert (calls, weights) == _passes(expected)
 
 
 # States that must not state R, each with real amplitudes: a squeezed term
@@ -660,27 +694,30 @@ NO_ROTATION_STATES = {
     "01+11": ((fock(0), fock(1)), (fock(1), fock(1))),
     "unequal-axes": ((fock(0), fock(1)), (fock(1), fock(0))),
 }
-_FULL_COARSE = [(25, 121), (10, 121), (1, 121)]
-_PAIR_CLOSED = ([], [(121, 221), (36, 61)])
-# ((streamed, closed-form) calls of the total, the same of the pair (0, 1)),
-# as (rows of gmat, columns of hmat), unchanged from before R was stated.
+_FULL_COARSE = ({4: 25, 2: 10, 1: 1}, 121)
+_FULL_PAIR = [({4: 25, 2: 10, 1: 1}, 61), ({4: 100, 2: 20}, 220)]
+_PAIR_CLOSED = ([], [({4: 100, 2: 20, 1: 1}, 221), ({4: 25, 2: 10, 1: 1}, 61)])
+# (streamed passes, closed-form passes) of the total, then the same of
+# the pair (0, 1), each pass as ({orbit weight: number of rows}, columns),
+# streamed decimated then fine, in closed form fine then decimated;
+# unchanged from before R was stated.
 NO_ROTATION_CALLS = {
-    ("squeezed", "wigner"): ((_FULL_COARSE + [(89, 384), (20, 384), (1, 384)], []), _PAIR_CLOSED),
-    ("squeezed", "husimi"): ((_FULL_COARSE + [(88, 385), (20, 385), (1, 385)], []), _PAIR_CLOSED),
-    ("squeezed", "rivier"): ((_FULL_COARSE + [(100, 441), (20, 441), (1, 441)], []),
-                             ([(25, 61), (10, 61), (1, 61), (100, 220), (20, 220)], [])),
-    ("00+12", "wigner"): (([(55, 61), (11, 61), (182, 201), (21, 201)], []), _PAIR_CLOSED),
-    ("00+12", "husimi"): (([(55, 61), (11, 61), (180, 201), (21, 201)], []), _PAIR_CLOSED),
-    ("00+12", "rivier"): (([(55, 61), (11, 61), (210, 221), (21, 221)], []),
-                          ([(25, 61), (10, 61), (1, 61), (100, 221), (20, 221)], [])),
-    **{("01+11", rep): (([], [(231, 221), (66, 61)]), _PAIR_CLOSED)
+    ("squeezed", "wigner"): (([_FULL_COARSE, ({4: 89, 2: 20, 1: 1}, 384)], []), _PAIR_CLOSED),
+    ("squeezed", "husimi"): (([_FULL_COARSE, ({4: 88, 2: 20, 1: 1}, 385)], []), _PAIR_CLOSED),
+    ("squeezed", "rivier"): (([_FULL_COARSE, ({4: 100, 2: 20, 1: 1}, 441)], []),
+                             (_FULL_PAIR, [])),
+    ("00+12", "wigner"): (([({2: 55, 1: 11}, 61), ({2: 182, 1: 21}, 201)], []), _PAIR_CLOSED),
+    ("00+12", "husimi"): (([({2: 55, 1: 11}, 61), ({2: 180, 1: 21}, 201)], []), _PAIR_CLOSED),
+    ("00+12", "rivier"): (([({2: 55, 1: 11}, 61), ({2: 210, 1: 21}, 221)], []),
+                          ([_FULL_PAIR[0], ({4: 100, 2: 20}, 221)], [])),
+    **{("01+11", rep): (([], [({2: 210, 1: 21}, 221), ({2: 55, 1: 11}, 61)]), _PAIR_CLOSED)
        for rep in ("wigner", "husimi", "rivier")},
-    ("unequal-axes", "wigner"): ((_FULL_COARSE + [(90, 397), (20, 397), (1, 397)], []),
+    ("unequal-axes", "wigner"): (([_FULL_COARSE, ({4: 90, 2: 20, 1: 1}, 397)], []),
                                  _PAIR_CLOSED),
-    ("unequal-axes", "husimi"): ((_FULL_COARSE + [(89, 397), (20, 397), (1, 397)], []),
+    ("unequal-axes", "husimi"): (([_FULL_COARSE, ({4: 89, 2: 20, 1: 1}, 397)], []),
                                  _PAIR_CLOSED),
-    ("unequal-axes", "rivier"): ((_FULL_COARSE + [(100, 441), (20, 441), (1, 441)], []),
-                                 ([(25, 61), (10, 61), (1, 61), (100, 220), (20, 220)], [])),
+    ("unequal-axes", "rivier"): (([_FULL_COARSE, ({4: 100, 2: 20, 1: 1}, 441)], []),
+                                 (_FULL_PAIR, [])),
 }
 
 
@@ -695,14 +732,17 @@ def test_states_without_rotation_keep_their_folds(monkeypatch, name, rep):
         grid = PhaseGrid((mode, mode))
     table = build_term_table(state, rep, grid)
     streamed, closed = _recorded_passes(monkeypatch), _recorded_closed(monkeypatch)
+    weights = _recorded_weights(monkeypatch)
     for keys, expected in zip((None, [(0, 1)]), NO_ROTATION_CALLS[name, rep]):
         prods = table.real_products(keys)
         assert not any(swap for swap, _ in prods.group)
         assert (prods.group, prods.mode2_parity) == oracles.symmetry_vote(*prods.bases,
                                                                           prods.core)
-        streamed.clear(), closed.clear()
+        streamed.clear(), closed.clear(), weights.clear()
         _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
-        assert (streamed, closed) == expected
+        (stream_calls, stream_weights), (closed_calls, closed_weights) = map(_passes, expected)
+        assert (streamed, closed, weights) == (stream_calls, closed_calls,
+                                               stream_weights + closed_weights)
 
 
 # Products whose mode-2 factors share one parity, even or odd, state it and
@@ -710,18 +750,18 @@ def test_states_without_rotation_keep_their_folds(monkeypatch, name, rep):
 # centre of an odd count; the decimated pass folds its columns only on odd
 # axes. An odd h is zero on the centre column, which the support cut drops
 # from the fine pass. A set with mixed mode-2 parities states nothing and
-# streams every column. (rows of gmat, columns of hmat) of every _abs_sum
-# call, per points per axis.
+# streams every column. ({orbit weight: number of rows}, columns) of the
+# decimated then the fine pass, per points per axis.
 MODE2_SETS = {
     "even": (((1, 1), (-1, 1), (1, 1), (-1, 1)), "none", True,
-             {21: [(121, 61), (441, 221)], 20: [(100, 100), (400, 200)]}),
+             {21: [({1: 121}, 61), ({1: 441}, 221)], 20: [({1: 100}, 100), ({1: 400}, 200)]}),
     "odd": (((1, -1), (-1, -1), (1, -1), (-1, -1)), "none", True,
-            {21: [(121, 61), (441, 220)], 20: [(100, 100), (400, 200)]}),
+            {21: [({1: 121}, 61), ({1: 441}, 220)], 20: [({1: 100}, 100), ({1: 400}, 200)]}),
     "P-even": (((1, 1),) * 4, "P", True,
-               {21: [(60, 61), (1, 61), (220, 221), (1, 221)],
-                20: [(100, 100), (200, 200)]}),
+               {21: [({2: 60, 1: 1}, 61), ({2: 220, 1: 1}, 221)],
+                20: [({1: 100}, 100), ({2: 200}, 200)]}),
     "mixed": (((1, 1), (1, -1), (-1, 1), (-1, -1)), "none", False,
-              {21: [(121, 121), (441, 441)], 20: [(100, 100), (400, 400)]}),
+              {21: [({1: 121}, 121), ({1: 441}, 441)], 20: [({1: 100}, 100), ({1: 400}, 400)]}),
 }
 
 
@@ -731,10 +771,10 @@ def test_mode2_column_fold_matches_dense_oracle(monkeypatch, name, points):
     signs, group, mode2, shapes = MODE2_SETS[name]
     grid = oracles.two_mode_grid(points=points)
     prods = _parity_products(grid, signs, seed=points)
-    calls = _recorded_passes(monkeypatch)
+    calls, weights = _recorded_passes(monkeypatch), _recorded_weights(monkeypatch)
     stated = oracles.stated_sum(prods, STATED[group], mode2)
     _assert_matches_dense(abs_4d_with_estimate(stated, grid, threads=2), prods, grid)
-    assert calls == shapes[points]
+    assert (calls, weights) == _passes(shapes[points])
 
 
 def _recorded_closed(monkeypatch):
@@ -845,29 +885,54 @@ def _squeezed(table, state, keys):
                for k in terms)
 
 
+def _gamma_noise(table, keys):
+    """The largest |core entry| that the table takes as rounding: a gamma
+    within _RANK_CUT of the largest |gamma| of the products of ``keys``
+    (default all) of being real or imaginary is taken as exactly so. An
+    entry holds the real or imaginary part of one gamma, twice it where a
+    hermitian pair's two conjugate products add into one entry."""
+    c = table.amplitudes
+    largest = max(abs(c[k] * np.conj(c[l])) for k, l in keys or table.pair_keys())
+    rounding = quadrature._RANK_CUT * largest
+    return 2.0 * rounding if table.representation.hermitian_pairs else rounding
+
+
 # The group a table states for its products, and its mode-2 parity, are the
 # ones the factor grids show when each is compared with its mirror images,
-# and R the one the dense 4D array shows (oracles.symmetry_vote), on axes
-# with and without a centre node. A key set whose products all vanish (a
-# zeroed term's diagonal) has no voter and is left out. R maps |n, r> onto
-# |n, -r> up to a phase, so squeezed terms that pair up under r -> -r, such
-# as |0, r>|0> + |0, -r>|0>, can make f even under R; the rule states R only
-# for unsqueezed primitives, so where squeezed terms take part the measured
-# rotations and transposes are not compared (the stated group holds:
-# test_stated_group_holds_on_the_dense_integrand).
+# and R the one the dense 4D array shows (oracles.symmetry_vote, with the
+# table's rule for a gamma that is real or imaginary up to rounding), on
+# axes with and without a centre node. A key set whose products all vanish
+# (a zeroed term's diagonal) has no voter and is left out. R maps |n, r>
+# onto |n, -r> up to a phase, so squeezed terms that pair up under r -> -r,
+# such as |0, r>|0> + |0, -r>|0>, can make f even under R; the rule states
+# R only for unsqueezed primitives, so where squeezed terms take part the
+# measured rotations and transposes are not compared (the stated group
+# holds: test_stated_group_holds_on_the_dense_integrand). Every key set is
+# also judged by value: the folded sum equals the one that states nothing.
+# The example's gamma has a real part 1.3e-13 of its modulus, which the
+# table takes as imaginary: its Wigner total states {1, PT}, and a vote
+# that counted the real part measured {1}.
 @settings(max_examples=60, deadline=None)
 @given(case=two_mode_cases(), rep=st.sampled_from(["wigner", "husimi", "rivier"]),
        points=st.sampled_from([40, 41]))
+@example(case=(normalize(State(((0.832, fock(0), fock(0)),
+                                (7.39e-14 + 0.5547j, fock(0), fock(1))))), None),
+         rep="wigner", points=40)
 def test_stated_group_is_the_measured_one(case, rep, points):
     table = _case_table(case, rep, points)
     for keys in _key_sets(table):
         prods = table.real_products(keys)
         if np.any(prods.core):
-            group, mode2_parity = oracles.symmetry_vote(*prods.bases, prods.core)
+            group, mode2_parity = oracles.symmetry_vote(*prods.bases, prods.core,
+                                                        noise=_gamma_noise(table, keys))
             if _squeezed(table, case[0], keys):
                 assert not any(swap for swap, _ in prods.group)
                 group = tuple(e for e in group if not e[0])
             assert (prods.group, prods.mode2_parity) == (group, mode2_parity)
+            unfolded = copy.copy(prods)
+            unfolded.group, unfolded.mode2_parity = prods.group[:1], False
+            whole = abs_4d_with_estimate(unfolded, table.grid)[0]
+            assert abs(abs_4d_with_estimate(prods, table.grid)[0] - whole) <= 1e-13 * whole
 
 
 def _image_4d(dense, element):
@@ -923,7 +988,7 @@ def _recorded_cuts(monkeypatch):
 
     def record(gmat, hmat, orbits, target, *args):
         total, dropped = pruned(gmat, hmat, orbits, target, *args)
-        cuts.append((sum(len(rows) for _, rows in orbits), dropped))
+        cuts.append((len(orbits[0]), dropped))
         sums.append((target, total))
         return total, dropped
 
@@ -972,14 +1037,15 @@ def test_support_cut_streams_the_dropped_part_when_the_target_overshoots(monkeyp
     prods = _comb_products(grid, seed=0)
     fine, even = oracles.dense_abs_4d_sums(prods)
     assert 16.0 * even > 2.0 * fine
-    calls = _recorded_passes(monkeypatch)
+    calls, weights = _recorded_passes(monkeypatch), _recorded_weights(monkeypatch)
     cuts, _ = _recorded_cuts(monkeypatch)
     stated = oracles.stated_sum(prods, STATED["T"])
     _assert_matches_dense(abs_4d_with_estimate(stated, grid, threads=2), prods, grid)
     assert cuts == [(441 // 2 + 21 // 2 + 1, 0.0)]
     # The kept rows on the kept columns, on the dropped columns, then the
     # dropped rows on every column.
-    assert calls[2:] == [(189, 393), (21, 393), (189, 48), (21, 48), (21, 441)]
+    assert calls[1:] == [(210, 393), (210, 48), (21, 441)]
+    assert weights[1:] == [{2: 189, 1: 21}, {2: 21}]
 
 
 def _mode2_sum(grid, seed, signs, symmetry):
@@ -1033,14 +1099,14 @@ def test_streamed_bit_identical_across_threads(tile_rows, make, points, stated):
 
 
 def _recorded_tiles(monkeypatch):
-    """List that records (rows of gmat, columns of hmat, rows per tile) of
+    """List that records (rows of gmat, columns of hmat, values per tile) of
     every _abs_sum call."""
     calls = []
     stream = quadrature._abs_sum
 
-    def record(gmat, hmat, tile_rows, threads):
-        calls.append((gmat.shape[0], hmat.shape[1], tile_rows))
-        return stream(gmat, hmat, tile_rows, threads)
+    def record(gmat, hmat, tile_points, threads):
+        calls.append((gmat.shape[0], hmat.shape[1], tile_points))
+        return stream(gmat, hmat, tile_points, threads)
 
     monkeypatch.setattr(quadrature, "_abs_sum", record)
     return calls
@@ -1049,7 +1115,8 @@ def _recorded_tiles(monkeypatch):
 # A tile holds at most tile_rows * n2 values: tile_rows rows of the whole
 # mode-2 grid, and as many rows as fit when a pass streams fewer columns
 # (the decimated pass, folded columns, the support cut's columns, and the
-# dropped columns the fallback streams). 441 points per mode.
+# dropped columns the fallback streams). _abs_sum sets the rows of a tile
+# as tile_points // columns. 441 points per mode.
 @pytest.mark.parametrize("tile_rows", [1, 8, 512])
 @pytest.mark.parametrize("make, stated", [
     pytest.param(partial(_random_products, count=4), None, id="plain"),
@@ -1067,7 +1134,9 @@ def test_tiles_hold_a_fixed_number_of_values(monkeypatch, tile_rows, make, state
     calls = _recorded_tiles(monkeypatch)
     abs_4d_with_estimate(prods, grid, threads=2, tile_rows=tile_rows)
     assert calls
-    for rows, columns, tile in calls:
+    for rows, columns, tile_points in calls:
+        assert tile_points == tile_rows * n2
+        tile = tile_points // columns
         assert tile == max(tile_rows, tile_rows * n2 // columns)
         assert min(tile, rows) * columns <= tile_rows * n2
 
@@ -1079,7 +1148,7 @@ def test_tiles_hold_a_fixed_number_of_values(monkeypatch, tile_rows, make, state
 @pytest.mark.parametrize("make, blocks", [
     pytest.param(partial(_random_products, count=4), [(29, 121), (8, 441)], id="plain"),
     pytest.param(partial(_mode2_sum, signs=MODE2_SETS["P-even"][0], symmetry=STATED["P"]),
-                 [(57, 61), (1, 61), (15, 221), (1, 221)], id="columns"),
+                 [(57, 61), (15, 221)], id="columns"),
 ])
 def test_narrow_passes_take_taller_tiles(monkeypatch, make, blocks):
     grid = oracles.two_mode_grid(points=21)
@@ -1087,12 +1156,14 @@ def test_narrow_passes_take_taller_tiles(monkeypatch, make, blocks):
     calls = _recorded_tiles(monkeypatch)
     _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2),
                           list(prods), grid)
-    assert [(min(tile, rows), columns) for rows, columns, tile in calls] == blocks
+    assert [(min(tile_points // columns, rows), columns)
+            for rows, columns, tile_points in calls] == blocks
 
 
 # The orbits are kept per (shape, step, group) for the life of the
 # process: a second call returns the same arrays, they equal a fresh
-# computation, cannot be written, and their weights cover every node. The
+# computation, cannot be written, and their weights are orbit sizes that
+# cover every node, one representative per orbit in increasing order. The
 # rotation groups need square grids.
 @pytest.mark.parametrize("shape, step, group", [
     pytest.param(shape, step, group, id=f"{group}-{step}-shape{i}")
@@ -1105,15 +1176,94 @@ def test_orbits_are_kept_read_only(shape, step, group):
     kept = quadrature._orbits(shape, step, elements)
     assert quadrature._orbits(shape, step, elements) is kept
     fresh = quadrature._orbits.__wrapped__(shape, step, elements)
-    assert [w for w, _ in kept] == [w for w, _ in fresh] == [8, 4, 2, 1]
+    rows, weights = kept
+    assert len(rows) == len(weights) and np.all(np.diff(rows) > 0)
+    assert set(weights.tolist()) <= {1, 2, 4, 8} and np.all(len(elements) % weights == 0)
     nodes = len(range(0, shape[0], step)) * len(range(0, shape[1], step))
-    assert sum(w * len(rows) for w, rows in kept) == nodes
-    for (_, rows), (_, again) in zip(kept, fresh):
-        assert np.array_equal(rows, again)
-        assert not rows.flags.writeable
-        if len(rows):
-            with pytest.raises(ValueError):
-                rows[0] = 0
+    assert np.sum(weights) == nodes
+    for array, again in zip(kept, fresh):
+        assert np.array_equal(array, again)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def _mode(nq, np_, extent_q=6.0, extent_p=6.0):
+    return ModeAxes(Axis(-extent_q, extent_q, nq), Axis(-extent_p, extent_p, np_))
+
+
+# A stretched grid: q spans +-7 on 21 nodes and p +-5 on 20 in both modes,
+# as squeezing stretches a default grid, with one odd and one even axis.
+STRETCHED = PhaseGrid((_mode(21, 20, 7.0, 5.0),) * 2)
+
+
+# Each pass sums one weighted row per orbit, so its weights add up to the
+# points of the pass's mode-1 grid: every node for the fine pass, the
+# nodes with even q and p indices for the decimated one. The rotation
+# groups need square grids.
+@pytest.mark.parametrize("group, grid", [
+    pytest.param(group, grid, id=f"{group}-{name}") for group in MIRROR_SETS
+    for name, grid in (("21", oracles.two_mode_grid(points=21)),
+                       ("20", oracles.two_mode_grid(points=20)), ("stretched", STRETCHED))
+    if name != "stretched" or not STATED[group][3]])
+def test_orbit_weights_sum_to_the_pass_points(monkeypatch, group, grid):
+    mode = grid.mode(0)
+    prods = _mirror_products(grid, MIRROR_SETS[group], seed=mode.p.n)
+    weights = []
+    orbits = quadrature._orbits
+
+    def record(shape, step, elements):
+        kept = orbits(shape, step, elements)
+        weights.append(int(np.sum(kept[1])))
+        return kept
+
+    monkeypatch.setattr(quadrature, "_orbits", record)
+    stated = oracles.stated_sum(prods, STATED[group])
+    _assert_matches_dense(abs_4d_with_estimate(stated, grid, threads=2), prods, grid)
+    coarse = ((mode.q.n + 1) // 2) * ((mode.p.n + 1) // 2)
+    assert weights == [coarse, mode.n_points]
+
+
+def _even_points(mode):
+    """The old reference: a (q, p) grid that is True where both indices are even."""
+    return np.logical_and.outer(np.arange(mode.q.n) % 2 == 0, np.arange(mode.p.n) % 2 == 0)
+
+
+# The decimated pass keeps a _D4 element when every axis it reverses has
+# odd length in both modes, and folds its columns when both mode-2 axes
+# have odd length. The reference is the rule that rule replaced: an element
+# is kept when its image of each mode's even-index mask is that mask, and
+# the columns fold when P maps mode 2's mask onto itself. Swaps are stated
+# only on square grids with equal axes, so sets with R have square modes;
+# the others state {1, P, T, PT}.
+@pytest.mark.parametrize("shape1, shape2", [
+    ((21, 21), (21, 21)), ((20, 20), (20, 20)), ((21, 21), (20, 20)), ((20, 20), (21, 21)),
+    ((21, 20), (21, 21)), ((20, 21), (21, 20)), ((21, 21), (20, 21)), ((20, 20), (21, 20)),
+])
+def test_decimated_fold_keeps_the_elements_that_map_even_points_onto_themselves(
+        monkeypatch, shape1, shape2):
+    grid = PhaseGrid((_mode(*shape1), _mode(*shape2)))
+    square = shape1[0] == shape1[1] and shape2[0] == shape2[1]
+    groups = []
+    orbits = quadrature._orbits
+
+    def record(shape, step, elements):
+        groups.append(elements)
+        return orbits(shape, step, elements)
+
+    monkeypatch.setattr(quadrature, "_orbits", record)
+    calls = _recorded_passes(monkeypatch)
+    stated = oracles.stated_sum(_random_products(grid, 4, seed=1),
+                                STATED["D4" if square else "full"], mode2_parity=True)
+    abs_4d_with_estimate(stated, grid, threads=2)
+    masks = [_even_points(grid.mode(m)) for m in range(2)]
+    assert len(stated.group) == (8 if square else 4)
+    expected = tuple(e for e in stated.group
+                     if all(np.array_equal(quadrature._image(m, e), m) for m in masks))
+    assert groups == [expected, stated.group]
+    even = int(np.sum(masks[1]))
+    folds = np.array_equal(quadrature._image(masks[1], quadrature._D4[1]), masks[1])
+    assert calls[0][1] == ((even + 1) // 2 if folds else even)
 
 
 def test_kept_pools_serve_concurrent_callers():
@@ -1121,12 +1271,12 @@ def test_kept_pools_serve_concurrent_callers():
     # than the machine has cores and a short switch interval.
     rng = np.random.default_rng(5)
     gmat, hmat = rng.standard_normal((203, 4)), rng.standard_normal((4, 301))
-    serial = quadrature._abs_sum(gmat, hmat, 8, 1)
+    serial = quadrature._abs_sum(gmat, hmat, 8 * 301, 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(4) as callers:
-            futures = [callers.submit(quadrature._abs_sum, gmat, hmat, 8, threads)
+            futures = [callers.submit(quadrature._abs_sum, gmat, hmat, 8 * 301, threads)
                        for threads in (2, 3, 5) * 6]
             results = [f.result(timeout=60) for f in futures]
     finally:
