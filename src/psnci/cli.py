@@ -188,9 +188,10 @@ _FAMILY_RE = re.compile(r"^entangled(\d)(\d)$")
 
 def _cmd_sweep_a(args) -> int:
     match = _FAMILY_RE.match(args.family)
-    if not match:
-        raise UsageError(f"unknown family {args.family!r}; expected e.g. entangled01")
-    n_low, n_high = int(match.group(1)), int(match.group(2))
+    n_low, n_high = (int(match.group(1)), int(match.group(2))) if match else (0, 0)
+    if not n_low < n_high <= 4:
+        raise UsageError(f"unknown family {args.family!r}; expected entangledNM with "
+                         "0 <= N < M <= 4, e.g. entangled01")
     reps = args.reps or ["wigner", "husimi", "rivier"]
     a_sq = np.linspace(0.0, 1.0, args.steps).tolist() if args.steps > 1 else [0.5]
     grid = _grid_for(entangled_state(n_low, n_high, 0.5), args)

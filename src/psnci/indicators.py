@@ -15,8 +15,9 @@
   matrix.
 
 Sweeps integrate each pair term of a table once: pair grids do not depend
-on the amplitudes, so eta rows rescale per-unit |c_i c_j| pair integrals
-and delta rows restream the 4D absolute integral of the total. ``sweep_a``
+on the amplitudes, so eta rows rescale per-unit |c_i c_j| pair integrals,
+Rivier delta rows restream the 4D absolute integral of the total and Wigner
+ones are polar (psnci.phasespace.polar_wigner_delta). ``sweep_a``
 builds one table per representation, ``sweep_r`` one per r (its grid
 stretches with e^r), dropped once that r's rows are formed.
 """
@@ -30,7 +31,8 @@ import numpy as np
 
 from .errors import DegenerateStateError, DomainError, UnsupportedStateError
 from .grids import PhaseGrid
-from .phasespace import NORM_CHECK_TOLERANCE, Representation, build_term_table, default_grid
+from .phasespace import (NORM_CHECK_TOLERANCE, Representation, build_term_table, default_grid,
+                         polar_wigner_delta)
 from .states import (
     State,
     entangled_state,
@@ -76,11 +78,14 @@ def delta_indicator(table, *, threads: int = 1) -> IndicatorResult:
     estimate is that of int |f|. A Husimi Q = |<alpha|psi>|^2 / pi^n is
     non-negative, so its int |Q| is int Q and delta is 0 by construction;
     the estimate is then the distance of int Q to its decimated integral,
-    and no |f| is integrated.
+    and no |f| is integrated. polar_wigner_delta gives delta and its
+    estimate for the states it covers; norm_check is still the grid's.
     """
     plain = table.total_integral()
     if table.representation is Representation.HUSIMI:
         value, estimate = 0.0, abs(plain - table.decimated_integral())
+    elif (polar := polar_wigner_delta(table)) is not None:
+        value, estimate = polar
     else:
         absval, estimate = table.abs_with_estimate(threads=threads)
         value = absval - plain

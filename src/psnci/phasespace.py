@@ -93,7 +93,10 @@ from .quadrature import (
     _RANK_CUT,
     SeparableSum,
     abs_4d_with_estimate,
+    cos_abs_excess,
     factor_basis,
+    radial_pieces,
+    sign_roots,
 )
 from .states import (
     Primitive,
@@ -200,9 +203,7 @@ def cross_wigner_fock_closed(m: int, n: int, q, p):
     qa = np.asarray(q, dtype=float)
     pa = np.asarray(p, dtype=float)
     u = qa * qa + pa * pa
-    log_pref = 0.5 * ((m - n) * _LN2
-                      + specialfn.log_factorial(n) - specialfn.log_factorial(m))
-    pref = ((-1.0) ** n / math.pi) * math.exp(log_pref)
+    pref = _fock_prefactor(m, n)
     lag = np.asarray(specialfn.assoc_laguerre(n, m - n, 2.0 * u), dtype=float)
     if m == n:
         val = (pref * lag) * np.exp(-u) + 0.0j
@@ -212,6 +213,20 @@ def cross_wigner_fock_closed(m: int, n: int, q, p):
     if np.ndim(q) == 0 and np.ndim(p) == 0 and not isinstance(q, np.ndarray):
         return complex(val)
     return val
+
+
+@functools.lru_cache(maxsize=None)
+def _fock_prefactor(m: int, n: int) -> float:
+    """(-1)^n / pi * sqrt(2^(m-n) n! / m!) of W_mn, m >= n."""
+    log_pref = 0.5 * ((m - n) * _LN2 + specialfn.log_factorial(n) - specialfn.log_factorial(m))
+    return ((-1.0) ** n / math.pi) * math.exp(log_pref)
+
+
+def _fock_radial(pairs, rho) -> np.ndarray:
+    """R_mn(rho) = W_mn(rho, 0) per (m, n) of ``pairs``: W_mn(rho, t) = R_mn(rho) e^(-i(m-n)t)."""
+    x, e = 2.0 * rho * rho, np.exp(-rho * rho)
+    return np.stack([_fock_prefactor(max(m, n), min(m, n)) * rho ** abs(m - n) * e
+                     * specialfn.assoc_laguerre(min(m, n), abs(m - n), x) for m, n in pairs])
 
 
 def _kernel_sampling(prim_i: Primitive, prim_j: Primitive, p_absmax: float) -> tuple:
@@ -509,13 +524,15 @@ class TermTable:
     Immutable by convention.
     """
 
-    def __init__(self, representation, grid, amplitudes, maps_by_mode):
-        """``maps_by_mode``: each mode's _build_cross_maps."""
+    def __init__(self, representation, grid, amplitudes, maps_by_mode, primitives=None):
+        """``maps_by_mode``: each mode's _build_cross_maps; ``primitives``:
+        each mode's primitives, in term order, for polar_wigner_delta."""
         self.representation = representation
         self.grid = grid
         self.amplitudes = tuple(complex(c) for c in amplitudes)
         self._cross, self._signs, self._ints, self._turns = zip(*maps_by_mode)
         self._bases = {}  # per-mode factor bases of a two-mode table
+        self.primitives = primitives
 
     @property
     def n_modes(self) -> int:
@@ -573,7 +590,7 @@ class TermTable:
         if len(amplitudes) != len(self.amplitudes):
             raise DomainError("amplitude count mismatch")
         table = TermTable(self.representation, self.grid, amplitudes,
-                          zip(self._cross, self._signs, self._ints, self._turns))
+                          zip(self._cross, self._signs, self._ints, self._turns), self.primitives)
         table._bases = self._bases
         return table
 
@@ -647,6 +664,121 @@ class TermTable:
                             _symmetry([(gamma, math.prod(signs)) for gamma, signs in terms])
                             + (_rotation(turns, self.grid.modes),),
                             mode2_parity)
+
+
+# ---------------------------------------------------------------------------
+# Polar Wigner delta
+# ---------------------------------------------------------------------------
+
+# Nodes per piece, scan nodes per axis, where whole-radius edges stop short
+# of the support radius (rho |W_nn| < 1.1e-6 of its peak past
+# sqrt(2n + 1) + 3), and the largest photon number taken: that of the
+# sweep_a families, each of which is within 7.5e-7 of the oracle at every a^2.
+_POLAR_ORDER, _POLAR_SCAN, _POLAR_TAIL, _POLAR_MAX_N = 12, 256, 3.0, 4
+
+
+def polar_wigner_delta(table):
+    """(delta, estimate) of a two-mode Wigner table whose primitives have r = 0
+    and n <= _POLAR_MAX_N and whose live terms are one product, or two of one
+    total photon number; else None.
+    Then W = A + B cos(Delta psi + phi), psi = theta1 - theta2, and delta is
+    2 pi int int rho1 rho2 cos_abs_excess(A, B) up to the support radii (not
+    the grid). The estimate is the distance to the rule with half the nodes."""
+    if table.representation is not Representation.WIGNER or table.primitives is None \
+            or table.n_modes != 2 \
+            or any(p.r or p.n > _POLAR_MAX_N for mode in table.primitives for p in mode):
+        return None
+    live = sorted((abs(c), tuple(p.n for p in prims))
+                  for c, prims in zip(table.amplitudes, zip(*table.primitives)) if c != 0)
+    live = min(live, sorted((c, ns[::-1]) for c, ns in live))  # a mode swap gives the same bits
+
+    def radial_abs(n, order):  # 2 pi int |R_nn| rho and 2 pi int R_nn rho
+        hi = Primitive(n).support_radius
+        edges = np.sort(_plain_edges(hi, _radial_scan(((n, n),), hi)[3]))
+        r, w = radial_pieces(edges, np.zeros(edges.shape, int), order)
+        f = 2.0 * math.pi * _fock_radial([(n, n)], r)[0] * r * w
+        return np.sum(np.abs(f)), np.sum(f)
+
+    if len(live) == 1:  # a product, |f| = |W_kk(z1)| |W_ll(z2)|
+        (c, ns), = live
+        fine, coarse = (float(c * c * (math.prod(p) - math.prod(s))) for p, s in (
+            zip(*(radial_abs(n, order) for n in ns))
+            for order in (_POLAR_ORDER, _POLAR_ORDER // 2)))
+    elif len(live) == 2 and live[0][1] != live[1][1] and sum(live[0][1]) == sum(live[1][1]):
+        (c0, k), (c1, l) = live
+        fine, coarse = _polar_rule(np.array([c0 * c0, c1 * c1, 2.0 * c0 * c1]),
+                                   [((a, a), (b, b), (a, b)) for a, b in zip(k, l)],
+                                   [Primitive(max(a, b)).support_radius for a, b in zip(k, l)])
+    else:
+        return None
+    return fine, abs(fine - coarse)
+
+
+@functools.lru_cache(maxsize=None)
+def _radial_scan(pairs, hi) -> tuple:
+    """The scan nodes on [0, hi], the factors of ``pairs`` there, which factor
+    each zero in [0, hi] is of, and the zeros. Shared; not to be written to."""
+    radial, scan = functools.partial(_fock_radial, pairs), np.linspace(0.0, hi, _POLAR_SCAN)
+    values = radial(scan)
+    return (scan, values, *sign_roots(np.eye(len(pairs)), radial, scan, values)[1:])
+
+
+def _plain_edges(hi, zeros) -> np.ndarray:
+    """0, hi, whole radii below hi - _POLAR_TAIL and the ``zeros`` of radial
+    factors, where |A| has its kinks when B = 0; unsorted."""
+    return np.concatenate([[0.0, hi], np.arange(1.0, hi - _POLAR_TAIL), zeros])
+
+
+def _edges(plain, singular, hi) -> tuple:
+    """Sorted edges in [0, hi] along the last axis, and their singular flags."""
+    edges = np.concatenate([plain, np.clip(singular, 0.0, hi)], axis=-1)
+    flags = np.concatenate([np.zeros(plain.shape, int), np.ones(singular.shape, int)], axis=-1)
+    order = np.argsort(edges, axis=-1, kind="stable")
+    return np.take_along_axis(edges, order, -1), np.take_along_axis(flags, order, -1)
+
+
+def _polar_rule(weights, pairs, his) -> tuple:
+    """Fine and coarse 2 pi int int rho1 rho2 cos_abs_excess(A, B) for
+    A = w0 a1 a2 + w1 b1 b2, B = w2 c1 c2. rho2 pieces end at each rho1 node's
+    roots of A +- B, whose count changes, or which cross, at rho1 edges."""
+    radial = [functools.partial(_fock_radial, p) for p in pairs]
+    (scan1, on_scan1, _, zeros1), (scan2, on_scan2, which2, zeros2) = (
+        _radial_scan(p, hi) for p, hi in zip(pairs, his))
+
+    def rows(u):  # A + B and A - B on the mode-2 factors, two rows per rho1
+        return (u.T[:, None, :] * [[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]]).reshape(-1, 3)
+
+    negative = (rows(weights[:, None] * on_scan1) @ on_scan2 < 0.0).reshape(_POLAR_SCAN, 2, -1)
+    c = np.count_nonzero(negative[..., 1:] != negative[..., :-1], axis=-1)
+    events = scan1[np.flatnonzero(np.any(c[1:] != c[:-1], axis=1))] + 0.5 * scan1[1]
+    plain = [_plain_edges(his[0], zeros1), _plain_edges(his[1], zeros2)]
+    on_zeros = radial[1](zeros2[which2 == 2])  # where the mode-2 cross factor is 0
+    crossings = sign_roots(((weights * [1.0, 1.0, 0.0])[:, None] * on_zeros).T,
+                           radial[0], scan1, on_scan1)[2] if on_zeros.size else []
+    e1, s1 = _edges(plain[0], np.concatenate([events, crossings]), his[0])
+    first = np.flatnonzero(np.diff(e1, prepend=-1.0) > 1e-9)  # one edge per position
+    e1, s1 = e1[first], np.maximum.reduceat(s1, first)
+
+    def rule(order):
+        r1, w1 = radial_pieces(e1, s1, order)
+        u = weights[:, None] * radial[0](r1)
+        mask, row, roots = sign_roots(rows(u), radial[1], scan2, on_scan2)
+        count = mask.sum(axis=1)
+        ends = np.full((len(mask), max(1, count.max())), his[1])
+        ends[row, np.arange(len(row)) - (np.cumsum(count) - count)[row]] = roots
+        e2, s2 = _edges(np.broadcast_to(plain[1], (len(r1), len(plain[1]))),
+                        ends.reshape(len(r1), -1), his[1])
+
+        def excess(i, rho2):  # E(A, B) at the rho1 nodes i
+            v = radial[1](rho2)
+            return cos_abs_excess(u[0][i] * v[0] + u[1][i] * v[1], u[2][i] * v[2])
+
+        mid = excess(np.arange(len(r1))[:, None], 0.5 * (e2[:, 1:] + e2[:, :-1]))  # 0 if A >= |B|
+        i, p = divmod(np.flatnonzero((e2[:, 1:] > e2[:, :-1]) & (mid > 0.0)), len(e2[0]) - 1)
+        r2, w2 = radial_pieces(np.stack([e2[i, p], e2[i, p + 1]], -1),
+                               np.stack([s2[i, p], s2[i, p + 1]], -1), order)
+        return 2.0 * math.pi * float(np.sum(excess(i[:, None], r2) * r2 * w2 * (r1 * w1)[i, None]))
+    return rule(_POLAR_ORDER), rule(_POLAR_ORDER // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +865,7 @@ def build_term_table(state, representation, grid: PhaseGrid = None) -> TermTable
         raise DomainError(f"a {len(prims)}-mode state needs a {len(prims)}-mode grid")
     table = TermTable(rep, grid, state.amplitudes,
                       [_build_cross_maps(rep, mode_prims, grid.mode(m))
-                       for m, mode_prims in enumerate(prims)])
+                       for m, mode_prims in enumerate(prims)], prims)
     norm = table.total_integral()
     if not np.isfinite(norm):
         raise QuadratureError("term table integral is not finite")

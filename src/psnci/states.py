@@ -40,8 +40,9 @@ MAX_SQUEEZING = 5.0
 FOCK = "fock"
 SQUEEZED = "squeezed"
 
-# Beyond this radius (in natural position units, before squeezing) the
-# low-order oscillator wavefunctions are below double-precision noise.
+# Margin of the support radius sqrt(2n + 1) + 6, before squeezing. At q = 7,
+# psi_0 is still e^(-24.5) = 2.3e-11 of its peak, not below rounding; its
+# square, the scale of a Wigner function there, is about 5e-22 of the peak.
 _SUPPORT_MARGIN = 6.0
 
 

@@ -25,6 +25,7 @@ from .phasespace import (
     build_term_table,
     cross_wigner_fock_closed,
     default_grid,
+    polar_wigner_delta,
 )
 from .quadrature import abs_4d_with_estimate
 from .states import (
@@ -347,6 +348,21 @@ def _fold_check(rep_list, results, threads):
             f"{sorted(orders)}, Bell Wigner totals and Rivier pairs (0, 1) on 41^2 x 41^2"))
 
 
+def _polar_check(tables, results, threads):
+    # The Bell states' polar Wigner delta against the grid's int |f| - int f.
+    gaps = {}
+    for name in ("entangled01_bell", "entangled12_bell"):
+        if (table := tables.get((name, Representation.WIGNER), (None, None))[1]) is not None:
+            absval, estimate = table.abs_with_estimate(threads=threads)
+            gap = abs(polar_wigner_delta(table)[0] - absval + table.total_integral())
+            gaps[name] = gap, estimate
+    if gaps:
+        results.append(CheckResult(
+            "polar_vs_cartesian", all(g <= e for g, e in gaps.values()), "; ".join(
+                f"{n}: |polar - grid| = {g:.2e}, grid estimate {e:.2e}"
+                for n, (g, e) in gaps.items())))
+
+
 def run_validation(*, extent=None, points=None, reps=None, threads: int = 1):
     """Run every invariant check; returns (results, all_passed)."""
     rep_list = ([Representation.parse(r) for r in reps] if reps
@@ -366,4 +382,5 @@ def run_validation(*, extent=None, points=None, reps=None, threads: int = 1):
     _eta_checks(tables, results, threads)
     _determinism_check(tables, results)
     _fold_check(rep_list, results, threads)
+    _polar_check(tables, results, threads)
     return results, all(r.passed for r in results)

@@ -5,6 +5,7 @@ coefficients, Gaussian integrals done by hand, plain discrete Fourier
 sums) and deliberately avoids the code paths under test.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -302,6 +303,107 @@ def fock_wigner_delta(n):
 def product_wigner_delta(m, n):
     """delta(|m>|n>) = (1 + delta_m)(1 + delta_n) - 1, since |W_m W_n| = |W_m| |W_n|."""
     return (1.0 + fock_wigner_delta(m)) * (1.0 + fock_wigner_delta(n)) - 1.0
+
+
+# --- polar reduction of number-conserving two-term states ------------------
+# For c0|k1,k2> + c1|l1,l2> with k1 + k2 = l1 + l2, every Wigner pair term
+# depends on the angles only through psi = theta1 - theta2, so
+# W = A(rho1, rho2) + B(rho1, rho2) cos(Delta psi + phi), and the angles
+# integrate in closed form. What is left is a 2D radial integral: adaptive
+# QUADPACK (scipy.integrate.quad) in rho1 over an inner rho2 integral cut at
+# the exact polynomial roots of A +- B.
+
+def _radial_poly(m, n):
+    """Ascending coefficients in rho of R_mn(rho) e^(rho^2), with R_mn the
+    radial factor of W_mn = R_mn(rho) e^(-i(m-n)theta): (-1)^n / pi
+    sqrt(2^(m-n) n! / m!) rho^(m-n) L_n^(m-n)(2 rho^2) for m >= n."""
+    m, n = max(m, n), min(m, n)
+    k = m - n
+    pref = (-1) ** n / math.pi * math.sqrt(2 ** k * math.factorial(n) / math.factorial(m))
+    coeffs = np.zeros(2 * n + k + 1)
+    for j, c in enumerate(laguerre_coeffs_exact(n, k)):
+        coeffs[2 * j + k] = pref * float(c) * 2 ** j
+    return coeffs
+
+
+def _angle_abs(a, b):
+    """int_0^2pi |a + b cos u| du, elementwise: 2 pi |a| if |a| >= |b|, else
+    the two arcs split at cos u = -a / b, 4 sqrt(b^2 - a^2) + 4 a arcsin(a / |b|)."""
+    b = np.abs(b)
+    arcs = np.abs(a) < b
+    ratio = np.divide(a, b, out=np.zeros_like(b), where=arcs)
+    return np.where(arcs, 4.0 * np.sqrt(np.where(arcs, b * b - a * a, 0.0))
+                    + 4.0 * a * np.arcsin(ratio), 2.0 * math.pi * np.abs(a))
+
+
+@functools.lru_cache(maxsize=None)
+def polar_wigner_abs_integral(c0, k, c1, l, epsabs=1e-10):
+    """int |W| d^4z of the Fock state c0|k1,k2> + c1|l1,l2>, k1 + k2 = l1 + l2,
+    as 2 pi int int rho1 rho2 int_0^2pi |A + B cos u| du drho1 drho2 over
+    [0, 10] x [0, 10] (the integrand is below e^-90 past that), with
+    A = |c0|^2 a1 a2 + |c1|^2 b1 b2 and B = 2 |c0 c1| c1' c2' from the
+    diagonal (a, b) and cross (c') radial factors of each mode.
+
+    The inner rho2 integral is cut at every root of A +- B, where
+    |A + B cos| leaves its (rho2 - root)^(3/2) term; each piece is taken in
+    t, rho2 = lo + (hi - lo) sin^2 t, which makes that term a smooth t^3,
+    by 64-node Gauss-Legendre in t."""
+    from numpy.polynomial import polynomial as P
+    from scipy.integrate import quad
+
+    weights = (abs(c0) ** 2, abs(c1) ** 2, 2.0 * abs(c0 * c1))
+    mode = [[_radial_poly(k[m], k[m]), _radial_poly(l[m], l[m]), _radial_poly(k[m], l[m])]
+            for m in (0, 1)]
+    edge = 10.0
+    t, tw = np.polynomial.legendre.leggauss(64)
+    t, tw = 0.25 * math.pi * (t + 1.0), 0.25 * math.pi * tw  # on [0, pi/2]
+    stretch, dstretch = np.sin(t) ** 2, np.sin(2.0 * t) * tw
+
+    def zeros(coeffs):  # real roots, and pairs within 1e-6 of real: a double root
+        # (A + B touches 0, as on entangled02 at a^2 = 1/2) leaves a |x|^3 kink
+        roots = P.polyroots(P.polytrim(coeffs)) if np.any(coeffs) else []
+        return sorted(r.real for r in roots if abs(r.imag) < 1e-6 and 0.0 < r.real < edge)
+
+    width = max(len(c) for c in mode[1])
+    mode2 = np.array([np.pad(c, (0, width - len(c))) for c in mode[1]])
+
+    def cuts_at(rho1):
+        u = [w * P.polyval(rho1, c) * math.exp(-rho1 * rho1) for w, c in zip(weights, mode[0])]
+        return u, [zeros(np.array([u[0], u[1], sign * u[2]]) @ mode2) for sign in (1.0, -1.0)]
+
+    def inner(rho1):
+        u, (plus, minus) = cuts_at(rho1)
+        edges = np.array([0.0, *sorted(set(plus) | set(minus)), edge])
+        span = np.diff(edges)[:, None]
+        rho2 = edges[:-1, None] + span * stretch
+        a2, b2, c2 = P.polyval(rho2, mode2.T) * np.exp(-rho2 * rho2)
+        f = rho2 * _angle_abs(u[0] * a2 + u[1] * b2, u[2] * c2)
+        return float(np.sum(f * span * dstretch)) * rho1
+
+    # The inner integral has a kink in rho1 where its set of roots changes
+    # (a zero curve of A +- B turns, or leaves [0, edge]): bisect each change
+    # of the root counts on a scan, and cut there too. The zero curves of
+    # A + B and A - B also cross where B = 0: on a zero rho2 = z of the
+    # mode-2 cross factor, at the roots in rho1 of A(rho1, z).
+    def counts(rho1):
+        return tuple(len(c) for c in cuts_at(rho1)[1])
+
+    outer_cuts = {z for c in mode[0] for z in zeros(c)}
+    for z in zeros(mode[1][2]):
+        outer_cuts.update(zeros(P.polyadd(weights[0] * P.polyval(z, mode[1][0]) * mode[0][0],
+                                          weights[1] * P.polyval(z, mode[1][1]) * mode[0][1])))
+    scan = np.linspace(0.0, edge, 401)
+    seen = [counts(x) for x in scan]
+    for lo, hi, before, after in zip(scan[:-1], scan[1:], seen[:-1], seen[1:]):
+        while before != after and hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if counts(mid) == before else (lo, mid)
+        if before != after:
+            outer_cuts.add(0.5 * (lo + hi))
+    edges = [0.0, *sorted(outer_cuts), edge]
+    return 2.0 * math.pi * sum(
+        quad(inner, lo, hi, epsabs=epsabs, epsrel=epsabs, limit=200)[0]
+        for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo)
 
 
 # --- entangled01 in closed form --------------------------------------------

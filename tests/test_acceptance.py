@@ -12,7 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from psnci.indicators import delta_indicator, sweep_a, sweep_r
+from psnci.indicators import (
+    delta_indicator,
+    eta_indicator,
+    sweep_a,
+    sweep_r,
+    von_neumann_entropy,
+)
 from psnci.phasespace import _wigner_numeric_grid, build_term_table
 from psnci.quadrature import abs_4d_with_estimate
 from psnci.states import (
@@ -66,6 +72,15 @@ def test_criterion_2_delta_entangled12():
     ok = abs(value - 0.653) <= 0.005 and elapsed <= 90.0
     _report("C2", ok, f"delta(1,2) at a^2=0.5 = {value:.5f} (target 0.653 +- 0.005), "
                       f"{elapsed:.1f} s")
+
+
+def test_criterion_2_computed_value_matches_polar_oracle():
+    # C2's target stays as supplied; the value it computes on the Bell sweep
+    # grid is pinned to the polar quadrature oracle
+    value = _delta(entangled_state(1, 2, 0.5), "wigner", TWO_MODE_GRID)
+    reference = oracles.polar_wigner_abs_integral(
+        math.sqrt(0.5), (1, 2), math.sqrt(0.5), (2, 1)) - 1.0
+    assert abs(value - reference) <= 1e-5
 
 
 def test_criterion_3_single_mode_delta():
@@ -161,6 +176,22 @@ def test_criterion_7_entropy_correspondence(bell_sweeps):
         ok = ok and rho == 1.0
         detail.append(f"spearman({rep}) = {rho:.3f}")
     _report("C7", ok, ", ".join(detail))
+
+
+def test_criterion_7_eta_rises_with_entropy_on_fresh_tables():
+    # The sweep scales one table's pair integrals by |c_i c_j|, which makes
+    # eta a Moebius function of the concurrence by construction. Here every
+    # a^2 gets its own table, so the rise of eta with the entropy is computed,
+    # not implied.
+    grid = oracles.two_mode_grid(points=41)
+    for family in ((0, 1), (1, 2)):
+        states = [entangled_state(*family, a_sq) for a_sq in (0.1, 0.2, 0.3, 0.4, 0.5)]
+        entropies = [von_neumann_entropy(state) for state in states]
+        assert all(later > earlier for earlier, later in zip(entropies, entropies[1:]))
+        for rep in ("wigner", "husimi", "rivier"):
+            eta = [eta_indicator(build_term_table(state, rep, grid), threads=THREADS).value
+                   for state in states]
+            assert all(later > earlier for earlier, later in zip(eta, eta[1:])), (family, rep, eta)
 
 
 def _assert_exact(value, exact, estimate, bound, where):

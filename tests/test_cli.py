@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import psnci
-from psnci import quadrature
+from psnci import quadrature, validation
 from psnci.cli import _build_parser, _fmt, main
 from psnci.indicators import sweep_r
 
@@ -100,6 +100,14 @@ def test_usage_errors():
     assert main(["sweep-a", "--family", "nonsense", "--steps", "5"]) == 2
     assert main(["no-such-command"]) == 2
     assert main(["sweep-r", "--family", "psi02r", "--a", "0.5", "--steps", "3"]) == 2
+
+
+@pytest.mark.parametrize("family", ["entangled10", "entangled00", "entangled15"])
+def test_sweep_a_family_out_of_range_is_a_usage_error(family, capsys):
+    # the name parses, but the pair is not 0 <= N < M <= 4: a usage error
+    # (exit 2) before any state is built, not a numerical one (exit 3)
+    assert main(["sweep-a", "--family", family, "--steps", "3"]) == 2
+    assert "0 <= N < M <= 4" in capsys.readouterr().err
 
 
 def test_sweep_a_csv_and_determinism(tmp_path):
@@ -206,6 +214,18 @@ def test_validate_fold_check_catches_a_wrong_orbit_weight(monkeypatch, capsys):
     monkeypatch.setattr(quadrature, "_orbits", wrong)
     assert main(["validate", "--rep", "rivier", "--threads", "2"]) == 1
     assert "[FAIL] fold_vs_unfolded" in capsys.readouterr().out
+
+
+# polar_vs_cartesian holds the Bell states' polar Wigner delta to the grid's
+# int |f| - int f within the grid's estimate: an offset of 1e-2 fails it.
+def test_validate_polar_check_catches_an_offset(monkeypatch, capsys):
+    assert main(["validate", "--rep", "wigner", "--threads", "2"]) == 0
+    assert "[PASS] polar_vs_cartesian" in capsys.readouterr().out
+    polar = validation.polar_wigner_delta
+    monkeypatch.setattr(validation, "polar_wigner_delta",
+                        lambda table: (polar(table)[0] + 1e-2, polar(table)[1]))
+    assert main(["validate", "--rep", "wigner", "--threads", "2"]) == 1
+    assert "[FAIL] polar_vs_cartesian" in capsys.readouterr().out
 
 
 def test_validate_husimi_positivity_passes(capsys):

@@ -1,0 +1,150 @@
+"""The polar Wigner delta of two-term number-conserving Fock states
+(psnci.phasespace.polar_wigner_delta) and its radial building blocks,
+against exact values and the polar quadrature oracle."""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+
+from psnci.indicators import delta_indicator
+from psnci.phasespace import _fock_radial, build_term_table, polar_wigner_delta
+from psnci.quadrature import cos_abs_excess, radial_pieces, sign_roots
+from psnci.states import State, entangled_state, fock, squeezed_fock
+
+import oracles
+
+FAMILIES = [(low, high) for high in range(1, 5) for low in range(high)]  # every sweep_a family
+A_SQ = [0.0, 0.2, 0.5, 0.8, 1.0]
+
+
+def _reference_delta(family, a_sq):
+    """Exact for products and for entangled01 (a beam splitter turns it into
+    |0,1>, so delta is delta(|1>) = 4 e^(-1/2) - 2 at every a^2); the oracle
+    otherwise, at min(a^2, 1 - a^2): the state at 1 - a^2 is the mode swap
+    of the one at a^2, and delta does not see the mode order."""
+    if a_sq in (0.0, 1.0):
+        return oracles.product_wigner_delta(*family)
+    if family == (0, 1):
+        return 4.0 * math.exp(-0.5) - 2.0
+    low = round(min(a_sq, 1.0 - a_sq), 12)  # one oracle call for a^2 and 1 - a^2
+    return oracles.polar_wigner_abs_integral(
+        math.sqrt(low), family, math.sqrt(1.0 - low), family[::-1]) - 1.0
+
+
+def test_oracle_matches_exact_values():
+    # the oracle on entangled01, whose delta is exact at every a^2
+    for a_sq in (0.2, 0.5):
+        value = oracles.polar_wigner_abs_integral(
+            math.sqrt(a_sq), (0, 1), math.sqrt(1.0 - a_sq), (1, 0)) - 1.0
+        assert abs(value - (4.0 * math.exp(-0.5) - 2.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("a_sq", A_SQ)
+def test_polar_delta_matches_reference(family, a_sq):
+    result = delta_indicator(build_term_table(entangled_state(*family, a_sq), "wigner"))
+    error = abs(result.value - _reference_delta(family, a_sq))
+    assert error <= 1e-6
+    assert error <= result.error_estimate
+
+
+@pytest.mark.parametrize("c0, k, l", [(0.6, (3, 1), (2, 2)), (0.8, (4, 0), (1, 3))])
+def test_polar_delta_of_other_number_conserving_pairs(c0, k, l):
+    # two terms of one total photon number that are not each other's mode swap
+    c1 = math.sqrt(1.0 - c0 * c0)
+    state = State(((c0, fock(k[0]), fock(k[1])), (1j * c1, fock(l[0]), fock(l[1]))))
+    result = delta_indicator(build_term_table(state, "wigner"))
+    error = abs(result.value - (oracles.polar_wigner_abs_integral(c0, k, c1, l) - 1.0))
+    assert error <= 1e-6
+    assert error <= result.error_estimate
+
+
+def test_swept_rows_take_the_polar_path():
+    # a with_amplitudes row of a sweep is in the class like a fresh table
+    table = build_term_table(entangled_state(1, 2, 0.5), "wigner")
+    for a_sq in (0.0, 0.3, 1.0):
+        row = table.with_amplitudes((math.sqrt(a_sq), math.sqrt(1.0 - a_sq)))
+        fresh = build_term_table(entangled_state(1, 2, a_sq), "wigner")
+        assert polar_wigner_delta(row) == polar_wigner_delta(fresh)
+        assert delta_indicator(row).value == polar_wigner_delta(row)[0]
+
+
+@pytest.mark.parametrize("state", [
+    # not number-conserving: |0,0> + |1,1>
+    State(((math.sqrt(0.5), fock(0), fock(0)), (math.sqrt(0.5), fock(1), fock(1)))),
+    # three terms
+    State(((0.6, fock(0), fock(1)), (0.6, fock(1), fock(0)), (math.sqrt(0.28), fock(2), fock(0)))),
+    # a squeezed primitive
+    State(((1.0, squeezed_fock(1, 0.3), fock(0)),)),
+    # a photon number past the checked sweep_a range: |0,5> + |5,0>
+    State(((math.sqrt(0.5), fock(0), fock(5)), (math.sqrt(0.5), fock(5), fock(0)))),
+], ids=["two-photon-numbers", "three-terms", "squeezed", "five-photons"])
+def test_states_outside_the_class_keep_the_grid(state):
+    table = build_term_table(state, "wigner")
+    assert polar_wigner_delta(table) is None
+    absval, estimate = table.abs_with_estimate()
+    result = delta_indicator(table)
+    assert result.value == absval - table.total_integral()
+    assert result.error_estimate == estimate
+
+
+def test_other_representations_keep_their_paths():
+    for rep in ("husimi", "rivier"):
+        assert polar_wigner_delta(build_term_table(entangled_state(0, 1, 0.5), rep)) is None
+    assert polar_wigner_delta(build_term_table(State(((1.0, fock(1)),)), "wigner")) is None
+
+
+def test_polar_delta_is_independent_of_the_grid():
+    coarse = oracles.two_mode_grid(points=41)
+    for state in (entangled_state(0, 2, 0.3), entangled_state(2, 3, 1.0)):
+        assert (polar_wigner_delta(build_term_table(state, "wigner", coarse))
+                == polar_wigner_delta(build_term_table(state, "wigner")))
+
+
+def test_cos_abs_excess_matches_a_dense_angle_sum():
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(2, 200))
+    a[:20], b[20:40] = 0.0, 0.0
+    u = (np.arange(20000) + 0.5) * (2.0 * math.pi / 20000)
+    dense = np.abs(a[:, None] + b[:, None] * np.cos(u)).mean(axis=1) * 2.0 * math.pi
+    assert np.max(np.abs(cos_abs_excess(a, b) - (dense - 2.0 * math.pi * a))) <= 1e-7
+
+
+def test_radial_pieces_integrate_a_kinked_power():
+    # int_0^2 |x - 1|^(3/2) dx = 4/5, the kink flagged as singular
+    nodes, weights = radial_pieces(np.array([0.0, 1.0, 2.0]), np.array([0, 1, 0]), 12)
+    assert abs(np.sum(np.abs(nodes - 1.0) ** 1.5 * weights) - 0.8) <= 1e-12
+    nodes, weights = radial_pieces(np.array([[0.0, 2.0], [1.0, 3.0]]), np.zeros((2, 2), int), 5)
+    assert nodes.shape == weights.shape == (2, 5)
+    assert np.allclose(np.sum(weights * nodes ** 3, axis=1), [4.0, 20.0])
+
+
+def test_sign_roots_finds_the_zeros_of_combinations():
+    values = lambda x: np.stack([np.cos(x), np.sin(x)])  # noqa: E731
+    coef = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+    nodes = np.linspace(0.1, 7.0, 200)
+    mask, row, roots = sign_roots(coef, values, nodes, values(nodes))
+    assert mask.shape == (3, 199)
+    want = {0: [math.pi / 2, 3 * math.pi / 2], 1: [math.pi, 2 * math.pi],
+            2: [math.pi / 4, 5 * math.pi / 4]}
+    for r, expected in want.items():
+        assert np.allclose(roots[row == r], expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (2, 2), (1, 3), (4, 1), (12, 9)])
+def test_radial_factor_and_its_zeros(m, n):
+    rho = np.linspace(0.0, 6.0, 61)
+    closed = oracles._radial_poly(m, n)
+    want = np.polynomial.polynomial.polyval(rho, closed) * np.exp(-rho * rho)
+    # the monomial form loses digits to cancellation as n grows (2e-12 of the
+    # peak at n = 9); the recurrence does not
+    assert np.max(np.abs(_fock_radial([(m, n)], rho)[0] - want)) <= 1e-11 * np.max(np.abs(want))
+    # its zeros as the polar rule finds them: on a sign scan, by false position
+    radial = functools.partial(_fock_radial, [(m, n)])
+    scan = np.linspace(0.0, 8.0, 256)
+    zeros = sign_roots(np.eye(1), radial, scan, radial(scan))[2]
+    zeros = zeros[zeros > 0.0]  # R_mn(0) = 0 when m != n
+    assert len(zeros) == min(m, n)
+    assert np.max(np.abs(radial(zeros)), initial=0.0) <= 1e-7 * np.max(np.abs(want))
