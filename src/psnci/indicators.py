@@ -14,12 +14,17 @@
   with Fock-only terms, from the singular values of the coefficient
   matrix.
 
+Pair integrals int |f_ij| are polar radial integrals where
+psnci.phasespace.polar_pair_abs covers them (all-Fock Wigner and Husimi
+tables), else grid sums.
 Sweeps integrate each pair term of a table once: pair grids do not depend
-on the amplitudes, so eta rows rescale per-unit |c_i c_j| pair integrals,
-Rivier delta rows restream the 4D absolute integral of the total and Wigner
-ones are polar (psnci.phasespace.polar_wigner_delta). ``sweep_a``
-builds one table per representation, ``sweep_r`` one per r (its grid
-stretches with e^r), dropped once that r's rows are formed.
+on the amplitudes, so eta rows rescale per-unit |c_i c_j| pair integrals.
+A delta row with one live term is its diagonal pair integral less int f;
+with more, Rivier delta rows restream the 4D absolute integral of the
+total, and Wigner ones are polar where psnci.phasespace.polar_wigner_delta
+covers the state.
+``sweep_a`` builds one table per representation, ``sweep_r`` one per r
+(its grid stretches with e^r), dropped once that r's rows are formed.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 from .errors import DegenerateStateError, DomainError, UnsupportedStateError
 from .grids import PhaseGrid
 from .phasespace import (NORM_CHECK_TOLERANCE, Representation, build_term_table, default_grid,
-                         polar_wigner_delta)
+                         polar_pair_abs, polar_wigner_delta)
 from .states import (
     State,
     entangled_state,
@@ -110,9 +115,11 @@ def eta_indicator(table, *, threads: int = 1) -> IndicatorResult:
 
 
 def _pair_integrals(table, threads: int) -> list:
-    """(int |f_ij|, its estimate, int f_ij) for every pair key of the table."""
-    return [table.abs_with_estimate([key], threads=threads) + (table.pair_integral(*key),)
-            for key in table.pair_keys()]
+    """(int |f_ij|, its estimate, int f_ij) for every pair key of the table:
+    int |f_ij| polar where polar_pair_abs covers it, else on the grid."""
+    polar = polar_pair_abs(table)
+    return [(polar[key] if key in polar else table.abs_with_estimate([key], threads=threads))
+            + (table.pair_integral(*key),) for key in table.pair_keys()]
 
 
 def _eta(pairs, weights) -> tuple:
@@ -183,20 +190,24 @@ def _sorted_params(values, name, lo, hi, *, inclusive=True) -> list:
     return out
 
 
-def _eta_rows(table, amplitude_rows, threads: int = 1) -> list:
-    """(eta, norm_check, error_estimate) of the table at each amplitude tuple.
+def _unit_pairs(table, threads: int = 1) -> dict:
+    """(int |f_ij|, its estimate, int f_ij) per unit |c_i c_j|, per pair key.
 
-    Each pair term is integrated once, at the table's amplitudes, and kept
-    per unit |c_i c_j|. A pair term is linear in gamma_ij = c_i c_j*, so
-    rescaling by |gamma_ij| is exact only while gamma_ij keeps its phase;
-    both sweep families have real, non-negative amplitudes (sweep_r's for
-    a in (0, 1) under both coefficient conventions), so it does.
+    Each pair term is integrated once, at the table's amplitudes. A pair
+    term is linear in gamma_ij = c_i c_j*, so rescaling by |gamma_ij| is
+    exact only while gamma_ij keeps its phase; both sweep families have
+    real, non-negative amplitudes (sweep_r's for a in (0, 1) under both
+    coefficient conventions), so it does.
     """
     ref = [abs(c) for c in table.amplitudes]
     keys = table.pair_keys()
-    units = [tuple(x / (ref[i] * ref[j]) for x in pair)
-             for (i, j), pair in zip(keys, _pair_integrals(table, threads))]
-    return [_eta(units, [abs(c[i]) * abs(c[j]) for i, j in keys]) for c in amplitude_rows]
+    return {(i, j): tuple(x / (ref[i] * ref[j]) for x in pair)
+            for (i, j), pair in zip(keys, _pair_integrals(table, threads))}
+
+
+def _eta_row(units: dict, amplitudes) -> tuple:
+    """(eta, norm_check, error_estimate) of _unit_pairs at one amplitude tuple."""
+    return _eta(units.values(), [abs(amplitudes[i]) * abs(amplitudes[j]) for i, j in units])
 
 
 def sweep_a(family, a_sq_values, reps, grid: PhaseGrid = None, *,
@@ -219,18 +230,26 @@ def sweep_a(family, a_sq_values, reps, grid: PhaseGrid = None, *,
     cached = {}
     for rep in rep_list:
         table = build_term_table(ref_state, rep, grid)
-        cached[rep] = (table, _eta_rows(table, amps, threads))
+        cached[rep] = (table, _unit_pairs(table, threads))
 
     rows = []
-    for k, (a_sq, c) in enumerate(zip(a_list, amps)):
+    for a_sq, c in zip(a_list, amps):
         eta, delta, norm, err = {}, {}, {}, {}
+        live = [i for i, x in enumerate(c) if x != 0.0]
         for rep in rep_list:
-            table, eta_rows = cached[rep]
-            eta[rep.value], norm[rep.value], err[rep.value] = eta_rows[k]
-            if rep in (Representation.WIGNER, Representation.RIVIER):
+            table, units = cached[rep]
+            eta[rep.value], norm[rep.value], err[rep.value] = _eta_row(units, c)
+            if rep not in (Representation.WIGNER, Representation.RIVIER):
+                continue
+            if len(live) == 1:  # a product: f is its diagonal pair, integrated already
+                k = live[0]
+                absval, estimate, _ = units[(k, k)]
+                value, estimate = c[k] ** 2 * absval - norm[rep.value], c[k] ** 2 * estimate
+            else:
                 result = delta_indicator(table.with_amplitudes(c), threads=threads)
-                delta[rep.value] = result.value
-                err[rep.value] = max(err[rep.value], result.error_estimate)
+                value, estimate = result.value, result.error_estimate
+            delta[rep.value] = value
+            err[rep.value] = max(err[rep.value], estimate)
         entropy = von_neumann_entropy(entangled_state(n_low, n_high, a_sq),
                                       log_base=entropy_base)
         rows.append(SweepRow(param=a_sq, eta=eta, delta=delta, entropy=entropy,
@@ -274,8 +293,8 @@ def sweep_r(family: str, r_values, a_values, rep, *, convention: str = "sqrt",
         states = [maker(a, r, convention=convention) for a in a_list]
         grid = default_grid(states[0], extent=extent, points=points)
         # The table is never named, so it is freed before the next r is built.
-        per_r[r] = _eta_rows(build_term_table(states[0], rep, grid),
-                             [st.amplitudes for st in states])
+        units = _unit_pairs(build_term_table(states[0], rep, grid))
+        per_r[r] = [_eta_row(units, st.amplitudes) for st in states]
     rows = []
     for k, a in enumerate(a_list):
         for r in r_list:

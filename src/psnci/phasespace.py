@@ -225,8 +225,12 @@ def _fock_prefactor(m: int, n: int) -> float:
 def _fock_radial(pairs, rho) -> np.ndarray:
     """R_mn(rho) = W_mn(rho, 0) per (m, n) of ``pairs``: W_mn(rho, t) = R_mn(rho) e^(-i(m-n)t)."""
     x, e = 2.0 * rho * rho, np.exp(-rho * rho)
-    return np.stack([_fock_prefactor(max(m, n), min(m, n)) * rho ** abs(m - n) * e
-                     * specialfn.assoc_laguerre(min(m, n), abs(m - n), x) for m, n in pairs])
+    out = np.empty((len(pairs),) + rho.shape)
+    for row, (m, n) in zip(out, pairs):
+        low, k = min(m, n), abs(m - n)
+        np.multiply(_fock_prefactor(low + k, low) * rho ** k * e,
+                    specialfn.laguerre_recurrence(low, k, x), out=row)
+    return out
 
 
 def _kernel_sampling(prim_i: Primitive, prim_j: Primitive, p_absmax: float) -> tuple:
@@ -692,18 +696,10 @@ def polar_wigner_delta(table):
                   for c, prims in zip(table.amplitudes, zip(*table.primitives)) if c != 0)
     live = min(live, sorted((c, ns[::-1]) for c, ns in live))  # a mode swap gives the same bits
 
-    def radial_abs(n, order):  # 2 pi int |R_nn| rho and 2 pi int R_nn rho
-        hi = Primitive(n).support_radius
-        edges = np.sort(_plain_edges(hi, _radial_scan(((n, n),), hi)[3]))
-        r, w = radial_pieces(edges, np.zeros(edges.shape, int), order)
-        f = 2.0 * math.pi * _fock_radial([(n, n)], r)[0] * r * w
-        return np.sum(np.abs(f)), np.sum(f)
-
     if len(live) == 1:  # a product, |f| = |W_kk(z1)| |W_ll(z2)|
         (c, ns), = live
-        fine, coarse = (float(c * c * (math.prod(p) - math.prod(s))) for p, s in (
-            zip(*(radial_abs(n, order) for n in ns))
-            for order in (_POLAR_ORDER, _POLAR_ORDER // 2)))
+        fine, coarse = (float(c * c * (math.prod(a) - math.prod(p))) for a, p in (
+            zip(*rule) for rule in zip(*(_radial_integrals(n, n) for n in ns))))
     elif len(live) == 2 and live[0][1] != live[1][1] and sum(live[0][1]) == sum(live[1][1]):
         (c0, k), (c1, l) = live
         fine, coarse = _polar_rule(np.array([c0 * c0, c1 * c1, 2.0 * c0 * c1]),
@@ -712,6 +708,67 @@ def polar_wigner_delta(table):
     else:
         return None
     return fine, abs(fine - coarse)
+
+
+@functools.lru_cache(maxsize=None)
+def _radial_integrals(m, n) -> tuple:
+    """(2 pi int |R_mn| rho, 2 pi int R_mn rho) over [0, the support radius
+    of |max(m, n)>], by the rule on pieces between the zeros of R_mn, and by
+    the rule with half the nodes. Shared."""
+    hi = Primitive(max(m, n)).support_radius
+    edges = np.sort(_plain_edges(hi, _radial_scan(((m, n),), hi)[3]))
+
+    def rule(order):
+        r, w = radial_pieces(edges, np.zeros(edges.shape, int), order)
+        f = 2.0 * math.pi * _fock_radial([(m, n)], r)[0] * r * w
+        return float(np.sum(np.abs(f))), float(np.sum(f))
+    return rule(_POLAR_ORDER), rule(_POLAR_ORDER // 2)
+
+
+def _mode_abs(rep, m, n) -> tuple:
+    """2 pi int |R_mn| rho drho of one mode's factor, and its estimate.
+    Husimi's |R_mn| is e^(-rho^2) rho^(m + n) / (pi sqrt(m! n!)), so this
+    is Gamma((m + n) / 2 + 1) / sqrt(m! n!), exact; Wigner's is the radial
+    rule, with its distance to half the nodes."""
+    if rep is Representation.HUSIMI:
+        return math.exp(math.lgamma(0.5 * (m + n) + 1.0)
+                        - 0.5 * (math.lgamma(m + 1.0) + math.lgamma(n + 1.0))), 0.0
+    (fine, _), (coarse, _) = _radial_integrals(m, n)
+    return fine, abs(fine - coarse)
+
+
+def polar_pair_abs(table) -> dict:
+    """int |f_kl| and its estimate per pair key of a Wigner or Husimi table
+    whose primitives all have r = 0 (Wigner: n <= _POLAR_MAX_N), from one
+    radial integral per mode; {} for any other table.
+
+    Each factor is D_mn = R_mn(rho) e^(-i(m - n) theta), so f_kl =
+    2 |gamma_kl| prod_m R_m cos(phi - sum_m (m - n)_m theta_m), whose |cos|
+    averages 2 / pi over the angles when some mode's photon numbers differ
+    and is |cos phi| when none does; f_kk = |c_k|^2 prod_m R_m. The estimate
+    is first order in the modes' estimates. A pair in which no mode's
+    photon numbers differ and every R_nn >= 0 (every such Husimi pair, and
+    Wigner's with n = 0 in every mode) has one sign everywhere; it is left
+    to the grid, whose int |f| is then the very sum of its int f."""
+    rep, prims = table.representation, table.primitives
+    if rep is Representation.RIVIER or prims is None or any(
+            p.r or (rep is Representation.WIGNER and p.n > _POLAR_MAX_N)
+            for mode in prims for p in mode):
+        return {}
+    c, out = table.amplitudes, {}
+    for k, l in table.pair_keys():
+        ns = [(mode[k].n, mode[l].n) for mode in prims]
+        gamma = c[k] * c[l].conjugate()
+        if any(m != n for m, n in ns):
+            scale = 4.0 / math.pi * abs(gamma)
+        elif rep is Representation.HUSIMI or not any(m for m, _ in ns):
+            continue
+        else:
+            scale = abs(c[k]) ** 2 if k == l else 2.0 * abs(gamma.real)
+        values, estimates = zip(*(_mode_abs(rep, m, n) for m, n in ns))
+        out[(k, l)] = (scale * math.prod(values), scale * sum(
+            e * math.prod(values[:i] + values[i + 1:]) for i, e in enumerate(estimates)))
+    return out
 
 
 @functools.lru_cache(maxsize=None)

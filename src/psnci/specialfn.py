@@ -51,16 +51,18 @@ def assoc_laguerre(n: int, k: int, x):
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0) or not np.all(np.isfinite(xa)):
         raise DomainError("assoc_laguerre requires finite x >= 0")
-    l_prev = np.ones_like(xa)
+    return _as_input_like(laguerre_recurrence(n, k, xa), x)
+
+
+def laguerre_recurrence(n: int, k: int, x: np.ndarray) -> np.ndarray:
+    """L_n^k(x) by the recurrence of assoc_laguerre, for orders and a float
+    array x that the caller has checked: no checks, no conversions."""
     if n == 0:
-        return _as_input_like(l_prev, x)
-    l_cur = 1.0 + k - xa
+        return np.ones_like(x)
+    l_prev, l_cur = 1.0, 1.0 + k - x
     for m in range(1, n):
-        l_cur, l_prev = (
-            ((2.0 * m + 1.0 + k - xa) * l_cur - (m + k) * l_prev) / (m + 1.0),
-            l_cur,
-        )
-    return _as_input_like(l_cur, x)
+        l_cur, l_prev = ((2.0 * m + 1.0 + k - x) * l_cur - (m + k) * l_prev) / (m + 1.0), l_cur
+    return l_cur
 
 
 def log_factorial(n: int) -> float:

@@ -25,6 +25,7 @@ from .phasespace import (
     build_term_table,
     cross_wigner_fock_closed,
     default_grid,
+    polar_pair_abs,
     polar_wigner_delta,
 )
 from .quadrature import abs_4d_with_estimate
@@ -363,6 +364,24 @@ def _polar_check(tables, results, threads):
                 for n, (g, e) in gaps.items())))
 
 
+def _polar_pairs_check(tables, results, threads):
+    # The Bell states' polar pair integrals against the grid's, pair by pair.
+    gaps = []
+    for name in ("entangled01_bell", "entangled12_bell"):
+        for rep in (Representation.WIGNER, Representation.HUSIMI):
+            if (table := tables.get((name, rep), (None, None))[1]) is None:
+                continue
+            for key, (value, _) in polar_pair_abs(table).items():
+                grid, estimate = table.abs_with_estimate([key], threads=threads)
+                gaps.append((abs(value - grid), estimate, f"{name} {rep.value} {key}"))
+    if gaps:
+        gap, estimate, where = max(gaps, key=lambda g: g[0] / g[1] if g[1] else math.inf)
+        results.append(CheckResult(
+            "polar_pairs_vs_cartesian", all(g <= e for g, e, _ in gaps),
+            f"{len(gaps)} pairs; nearest its grid estimate: {where}, "
+            f"|polar - grid| = {gap:.2e}, grid estimate {estimate:.2e}"))
+
+
 def run_validation(*, extent=None, points=None, reps=None, threads: int = 1):
     """Run every invariant check; returns (results, all_passed)."""
     rep_list = ([Representation.parse(r) for r in reps] if reps
@@ -383,4 +402,5 @@ def run_validation(*, extent=None, points=None, reps=None, threads: int = 1):
     _determinism_check(tables, results)
     _fold_check(rep_list, results, threads)
     _polar_check(tables, results, threads)
+    _polar_pairs_check(tables, results, threads)
     return results, all(r.passed for r in results)

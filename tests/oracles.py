@@ -326,6 +326,40 @@ def _radial_poly(m, n):
     return coeffs
 
 
+def wigner_radial_abs(m, n):
+    """int_0^inf |R_mn(rho)| rho drho of the Wigner radial factor (see
+    _radial_poly), by scipy.integrate.quad between its zeros, the roots
+    sqrt(x_j / 2) of L_n^(m-n)(2 rho^2) with x_j from
+    scipy.special.roots_genlaguerre."""
+    from scipy import integrate, special
+    m, n = max(m, n), min(m, n)
+    k = m - n
+    pref = math.sqrt(2.0 ** k * math.factorial(n) / math.factorial(m)) / math.pi
+
+    def integrand(rho):
+        return abs(pref * rho ** k * special.eval_genlaguerre(n, k, 2.0 * rho * rho)) \
+            * math.exp(-rho * rho) * rho
+    zeros = np.sqrt(special.roots_genlaguerre(n, k)[0] / 2.0).tolist() if n else []
+    edges = [0.0, *zeros, np.inf]
+    return math.fsum(integrate.quad(integrand, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                     for a, b in zip(edges[:-1], edges[1:]))
+
+
+def husimi_radial_abs(m, n):
+    """int_0^inf |R_mn(rho)| rho drho of the Husimi radial factor
+    e^(-rho^2) rho^(m + n) / (pi sqrt(m! n!)), by scipy.integrate.quad in
+    log form, split at the peak of the integrand."""
+    from scipy import integrate
+    power = m + n + 1
+    log_scale = -math.log(math.pi) - 0.5 * (math.lgamma(m + 1.0) + math.lgamma(n + 1.0))
+
+    def integrand(rho):
+        return math.exp(power * math.log(rho) - rho * rho + log_scale) if rho > 0.0 else 0.0
+    peak = math.sqrt(0.5 * power)
+    return math.fsum(integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                     for a, b in ((0.0, peak), (peak, np.inf)))
+
+
 def _angle_abs(a, b):
     """int_0^2pi |a + b cos u| du, elementwise: 2 pi |a| if |a| >= |b|, else
     the two arcs split at cos u = -a / b, 4 sqrt(b^2 - a^2) + 4 a arcsin(a / |b|)."""

@@ -228,6 +228,17 @@ def test_validate_polar_check_catches_an_offset(monkeypatch, capsys):
     assert "[FAIL] polar_vs_cartesian" in capsys.readouterr().out
 
 
+def test_validate_polar_pairs_check_catches_an_offset(monkeypatch, capsys):
+    argv = ["validate", "--rep", "wigner,husimi", "--threads", "2"]
+    assert main(argv) == 0
+    assert "[PASS] polar_pairs_vs_cartesian: 8 pairs" in capsys.readouterr().out
+    polar = validation.polar_pair_abs
+    monkeypatch.setattr(validation, "polar_pair_abs", lambda table: {
+        key: (value + 1e-2, estimate) for key, (value, estimate) in polar(table).items()})
+    assert main(argv) == 1
+    assert "[FAIL] polar_pairs_vs_cartesian" in capsys.readouterr().out
+
+
 def test_validate_husimi_positivity_passes(capsys):
     code = main(["validate", "--rep", "husimi", "--threads", "2"])
     out = capsys.readouterr().out

@@ -1,6 +1,8 @@
 """The polar Wigner delta of two-term number-conserving Fock states
-(psnci.phasespace.polar_wigner_delta) and its radial building blocks,
-against exact values and the polar quadrature oracle."""
+(psnci.phasespace.polar_wigner_delta), the polar pair integrals of all-Fock
+Wigner and Husimi tables (psnci.phasespace.polar_pair_abs) and their radial
+building blocks, against exact values, scipy quadrature and the polar
+quadrature oracle."""
 
 import functools
 import math
@@ -8,10 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from psnci.indicators import delta_indicator
-from psnci.phasespace import _fock_radial, build_term_table, polar_wigner_delta
+from psnci.indicators import delta_indicator, eta_indicator
+from psnci.phasespace import (Representation, _fock_radial, _mode_abs, build_term_table,
+                              polar_pair_abs, polar_wigner_delta)
 from psnci.quadrature import cos_abs_excess, radial_pieces, sign_roots
-from psnci.states import State, entangled_state, fock, squeezed_fock
+from psnci.states import (State, entangled_state, fock, normalize, squeezed_fock,
+                          squeezed_vacuum_superposition)
 
 import oracles
 
@@ -148,3 +152,69 @@ def test_radial_factor_and_its_zeros(m, n):
     zeros = zeros[zeros > 0.0]  # R_mn(0) = 0 when m != n
     assert len(zeros) == min(m, n)
     assert np.max(np.abs(radial(zeros)), initial=0.0) <= 1e-7 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_wigner_radial_integral_matches_quad(m):
+    # 2 pi int |R_mn| rho drho against scipy's quad between the Laguerre zeros
+    for n in range(5):
+        value, estimate = _mode_abs(Representation.WIGNER, m, n)
+        error = abs(value - 2.0 * math.pi * oracles.wigner_radial_abs(m, n))
+        assert error <= 1e-12
+        assert error <= estimate
+
+
+def test_husimi_radial_closed_form_matches_quad():
+    for m, n in [(0, 1), (1, 2), (0, 64), (63, 64), (64, 64)] + [
+            (m, n) for m in range(0, 65, 8) for n in range(m + 3, 65, 11)]:
+        value, estimate = _mode_abs(Representation.HUSIMI, m, n)
+        reference = 2.0 * math.pi * oracles.husimi_radial_abs(m, n)
+        assert abs(value - reference) <= 1e-12 * reference
+        assert estimate == 0.0
+
+
+@pytest.mark.parametrize("a_sq", A_SQ)
+def test_entangled01_eta_from_polar_pairs(a_sq):
+    state = entangled_state(0, 1, a_sq)
+    wigner, husimi = (build_term_table(state, rep) for rep in ("wigner", "husimi"))
+    assert abs(eta_indicator(wigner).value - oracles.eta_wigner_entangled01(a_sq)) <= 1e-8
+    assert abs(eta_indicator(husimi).value - oracles.eta_husimi_entangled01(a_sq)) <= 1e-8
+    # 2 |c0 c1| times int |f_01| per unit, which is 1 for Wigner
+    cross = 2.0 * math.sqrt(a_sq * (1.0 - a_sq))
+    assert abs(polar_pair_abs(wigner)[(0, 1)][0] - cross) <= 1e-12
+    # every Husimi diagonal is left to the grid, and a Wigner one only if it is |0,0>
+    assert set(polar_pair_abs(wigner)) == {(0, 0), (0, 1), (1, 1)}
+    assert set(polar_pair_abs(husimi)) == {(0, 1)}
+
+
+def test_polar_pair_with_equal_photon_numbers():
+    # two terms on the same primitive, |1> and |1, r=0>: no mode's photon
+    # numbers differ, so int |f_01| = 2 |Re gamma| 2 pi int |R_11| rho drho
+    state = State(((0.6 + 0.2j, fock(1)), (0.5 - 0.3j, squeezed_fock(1, 0.0))))
+    table = build_term_table(normalize(state), "wigner")
+    value, estimate = polar_pair_abs(table)[(0, 1)]
+    grid, grid_estimate = table.abs_with_estimate([(0, 1)])
+    assert abs(value - grid) <= grid_estimate
+    c0, c1 = table.amplitudes
+    radial = _mode_abs(Representation.WIGNER, 1, 1)[0]
+    assert value == 2.0 * abs((c0 * c1.conjugate()).real) * radial
+
+
+@pytest.mark.parametrize("rep", ["wigner", "husimi"])
+def test_one_signed_pairs_keep_the_grid(rep):
+    # the r = 0 row of sweep-r psi00r: both primitives are the vacuum, so
+    # every pair has one sign, and |f| and f come from the grid's one sum
+    for a in (0.3, 0.5, 0.7):
+        table = build_term_table(squeezed_vacuum_superposition(a, 0.0), rep)
+        assert polar_pair_abs(table) == {}
+        assert abs(eta_indicator(table).value) <= 1e-16
+
+
+def test_tables_outside_the_class_keep_their_grid_pairs():
+    squeezed = State(((0.6, squeezed_fock(1, 0.3), fock(0)), (0.8, fock(0), fock(1))))
+    five = State(((math.sqrt(0.5), fock(0), fock(5)), (math.sqrt(0.5), fock(5), fock(0))))
+    assert polar_pair_abs(build_term_table(entangled_state(0, 1, 0.5), "rivier")) == {}
+    assert polar_pair_abs(build_term_table(squeezed, "wigner")) == {}
+    assert polar_pair_abs(build_term_table(squeezed, "husimi")) == {}
+    assert polar_pair_abs(build_term_table(five, "wigner")) == {}
+    assert set(polar_pair_abs(build_term_table(five, "husimi"))) == {(0, 1)}
