@@ -286,8 +286,8 @@ _FLAGS = {
     "a": dict(type=_float_list, required=True, help="comma-separated amplitudes in (0, 1)"),
     "rmax": dict(type=float, default=2.0),
     "steps": dict(type=_positive_int, required=True),
-    "rep": dict(type=_name_list, default=None, help="representation(s), comma separated"),
-    "reps": dict(type=_name_list, default=None, help="representations, comma separated"),
+    "rep": dict(type=_name_list, action="extend", help="representation(s), comma separated"),
+    "reps": dict(type=_name_list, action="extend", help="representations, comma separated"),
     "extent": dict(type=float, default=None, help="half-width of the base grid"),
     "points": dict(type=_positive_int, default=None, help="points per axis of the base grid"),
     "coeff-convention": dict(choices=["printed", "sqrt"], default="sqrt"),

@@ -267,16 +267,16 @@ def sweep_r(family: str, r_values, a_values, rep, *, convention: str = "sqrt",
     from its pair integrals (last digits can differ from ``eta_indicator``).
     Both families superpose Fock and real-r squeezed Fock primitives, whose
     wavefunctions are real with definite parity, so each table's grids are
-    evaluated and kept on the q >= 0, p >= 0 quadrant, and every pair
-    integral is a folded sum over it (see ``psnci.phasespace``): no whole
-    grid is built. Each state is normalized through its exact primitive
-    overlaps, a Gauss-Hermite sum of a few nodes each (see
-    ``psnci.states.primitive_overlap``). Most of the time goes to
-    evaluating that quadrant of the e^r-stretched grid: for Wigner the
-    closed forms and the kernel quadrature folded over +-y, for
-    Husimi the closed-form coherent amplitudes and their pair products, for
-    Rivier the Kirkwood kernels and their e^(-iqp) grid. The folded pair
-    integrals behind each row come next.
+    evaluated and kept on their boxes in the q >= 0, p >= 0 quadrant, and
+    every pair integral is a folded sum over a box (see
+    ``psnci.phasespace``): no whole grid is built. Each state is normalized
+    through its exact primitive overlaps (``psnci.states.primitive_overlap``).
+    Most of the time goes to evaluating the boxes; the e^r stretch reaches
+    only those of pairs with the squeezed term: at r = 2 psi01r's quadrant
+    is 141 x 1038 and its Wigner boxes 141 x 198 (the vacuum), 113 x 849
+    (the kernel quadrature) and 28 x 1038, while the squeezed amplitude and
+    the e^(-iqp) fill Husimi's and Rivier's. The folded pair integrals
+    behind each row come next.
     """
     makers = {
         "psi00r": squeezed_vacuum_superposition,

@@ -31,11 +31,13 @@ with n_i = n_j = 0, the shared e^(-iqp) grid) therefore satisfies
 
 The table builder evaluates and stores every grid on the q >= 0, p >= 0
 quadrant of its grid, whose axes are symmetric about 0 (grids.Axis
-requires lo == -hi). Every 2D integral of a stored grid is a sum over that
-quadrant folded by these mirrors, and a reader of whole grids gets fresh
-ones filled by the mirrors on each read. One rule, _symmetry, decides from
-the amplitudes and parity signs which mirrors an |f| is symmetric under,
-for the single-mode folds and for the 4D kernel alike.
+requires lo == -hi), only on its box (_pair_box, from the two primitives),
+past which it is at most _BOX_EPS = 1e-17 of its peak. Every 2D integral
+of a stored grid is a sum over its box folded by these mirrors, and a
+reader of whole grids gets fresh ones filled by the mirrors and zeros on
+each read. One rule, _symmetry, decides from the amplitudes and parity
+signs which mirrors an |f| is symmetric under, for the single-mode folds
+and the 4D kernel alike.
 
 Unsqueezed primitives (r = 0) add the 90-degree rotation R,
 (q, p) -> (-p, q): with phi_n = (-i)^n psi_n, and D_ji = conj D_ij for
@@ -100,6 +102,7 @@ from .quadrature import (
 )
 from .states import (
     Primitive,
+    fock_psi,
     momentum_wavefunction,
     position_wavefunction,
 )
@@ -117,6 +120,12 @@ _MIN_NODES = 96
 # A table whose total integral is farther than this from one does not
 # cover its state (build_term_table raises); indicator results report it.
 NORM_CHECK_TOLERANCE = 1e-3
+
+# Past its box a pair grid is at most _BOX_EPS of its peak, below a rounding
+# of the peak. The _reach bounds multiply _RADIUS_EPS by primitive norms over
+# a peak: at most 590 for n in {0, 1, 5, 30, 64}, |r| <= 5, within the 1e4.
+_BOX_EPS = 1e-17
+_RADIUS_EPS = 1e-21
 
 
 class Representation(Enum):
@@ -394,15 +403,15 @@ def _axis_fold(n: int) -> np.ndarray:
     return fold
 
 
-def _mirror(quadrant: np.ndarray, mode: ModeAxes, sign: int) -> np.ndarray:
-    """The whole grid of a stored quadrant, filled by D(q, -p) = conj D(q, p)
-    and D(-q, p) = sign conj D(q, p), sign = (-1)^(n_i + n_j). The filled
-    values sit at the exact negations of evaluated nodes, which may differ
-    from the axis's own nodes there by one rounding."""
+def _mirror(box: np.ndarray, mode: ModeAxes, sign: int) -> np.ndarray:
+    """The whole grid of a stored box, 0 past it and filled by D(q, -p) =
+    conj D(q, p) and D(-q, p) = sign conj D(q, p), sign = (-1)^(n_i + n_j).
+    The filled values sit at the exact negations of evaluated nodes, which
+    may differ from the axis's own nodes there by one rounding."""
     nq, n_p = mode.q.n, mode.p.n
     sq, sp = mode.q.n // 2, mode.p.n // 2
-    g = np.empty((nq, n_p), dtype=complex)
-    g[sq:, sp:] = quadrant
+    g = np.zeros((nq, n_p), dtype=complex)
+    g[sq:sq + box.shape[0], sp:sp + box.shape[1]] = box
     np.conjugate(g[sq:, n_p - sp:][:, ::-1], out=g[sq:, :sp])
     np.conjugate(g[nq - sq:][::-1], out=g[:sq])
     if sign < 0:
@@ -410,16 +419,16 @@ def _mirror(quadrant: np.ndarray, mode: ModeAxes, sign: int) -> np.ndarray:
     return g
 
 
-def _folded_integral(quadrant: np.ndarray, sign: int, mode: ModeAxes,
+def _folded_integral(box: np.ndarray, sign: int, mode: ModeAxes,
                      decimated: bool = False) -> complex:
-    """int D over a mode's whole grid from its stored quadrant: each node
+    """int D over a mode's whole grid from its stored box: each node
     stands for D there and sign D at its P image (-q, -p), conj D at its T
     image (q, -p) and sign conj D at its PT image (-q, p). ``decimated``
     counts only the nodes and images at even indices of both axes, times 4:
     the integral of the decimated estimate."""
     rows = slice(2, 4) if decimated else slice(0, 2)
-    q, p = _axis_fold(mode.q.n)[rows], _axis_fold(mode.p.n)[rows]
-    s = q @ quadrant @ p.T
+    q, p = _axis_fold(mode.q.n)[rows, :box.shape[0]], _axis_fold(mode.p.n)[rows, :box.shape[1]]
+    s = q @ box @ p.T
     area = 4.0 * mode.cell_area if decimated else mode.cell_area
     return complex(s[0, 0] + sign * s[1, 1] + np.conj(s[0, 1] + sign * s[1, 0])) * area
 
@@ -468,20 +477,22 @@ def _rotation(pairs, modes) -> bool:
 def _folded_abs(terms, mode: ModeAxes) -> tuple:
     """int |f| over a mode's whole grid and its estimate (the distance to 4
     times the sum over the even-index nodes), for f = Re sum gamma D over
-    the (gamma, stored quadrant, parity sign) triples ``terms``. With E and
-    O the sums of gamma D over the terms of sign +1 and -1, |f| is
-    |Re(E + O)| at a node and |Re(E - O)| at its P image, and the same with
-    conj D at its T and PT images. An image under an element that
-    _symmetry says holds shares the node's grid: bit for bit when every
-    gamma is exactly real or exactly imaginary, as under P always; a gamma
-    that is so only to within the tolerance of _symmetry moves the sum by
-    a few roundings from the unfolded one."""
+    the (gamma, stored box, parity sign) triples ``terms``, on the union of
+    the boxes. With E and O the sums of gamma D over the terms of sign +1
+    and -1, |f| is |Re(E + O)| at a node and |Re(E - O)| at its P image,
+    and the same with conj D at its T and PT images. An image under an
+    element that _symmetry says holds shares the node's grid: bit for bit
+    when every gamma is exactly real or exactly imaginary, as under P
+    always; a gamma that is so only to within the tolerance of _symmetry
+    moves the sum by a few roundings from the unfolded one."""
     def at(conj, triples):  # folded |f| with D (conj -1) or conj D (+1)
-        return q @ np.abs(functools.reduce(operator.add, (
-            gamma.real * d.real if gamma.imag == 0.0
-            else gamma.real * d.real + (conj * gamma.imag) * d.imag
-            for gamma, d, _ in triples))) @ p.T
-    q, p = _axis_fold(mode.q.n), _axis_fold(mode.p.n)
+        total = np.zeros(shape)
+        for gamma, d, _ in triples:
+            total[:d.shape[0], :d.shape[1]] += gamma.real * d.real if gamma.imag == 0.0 else (
+                gamma.real * d.real + (conj * gamma.imag) * d.imag)
+        return q @ np.abs(total) @ p.T
+    shape = tuple(max(d.shape[axis] for _, d, _ in terms) for axis in (0, 1))
+    q, p = _axis_fold(mode.q.n)[:, :shape[0]], _axis_fold(mode.p.n)[:, :shape[1]]
     flipped = [(-gamma if sign < 0 else gamma, d, sign) for gamma, d, sign in terms]
     p_sym, t_sym, pt_sym = _symmetry([(gamma, sign) for gamma, _, sign in terms])
     node = at(-1.0, terms)
@@ -519,12 +530,12 @@ class TermTable:
         f_kl = Re(gamma_kl prod_m D_m,kl + gamma_lk prod_m D_m,lk),
         f_kk = |c_k|^2 prod_m Re D_m,kk.
 
-    Per mode it holds the complex factor grids D_m,kl on their evaluated
-    quadrant, their parity signs (-1)^(n_k + n_l) and integrals, and, from
-    the first 4D integral on, the factor basis built from their whole
-    grids; it holds no whole grid. Integrals of |f| on one mode, of a pair
-    term or the total, are folded sums over the quadrant; two-mode ones are
-    sums of separable products and never materialize the 4D array.
+    Per mode it holds the complex factor grids D_m,kl on their boxes, their
+    parity signs (-1)^(n_k + n_l) and integrals, and, from the first 4D
+    integral on, the factor basis built from their whole grids; it holds no
+    whole grid. Integrals of |f| on one mode, of a pair term or the total,
+    are folded sums over the union of the boxes; two-mode ones are sums of
+    separable products and never materialize the 4D array.
     Immutable by convention.
     """
 
@@ -556,7 +567,7 @@ class TermTable:
                                                for gamma, entries in self._terms(k, l, per_mode)))
 
     def _mode_terms(self, key) -> list:
-        """(gamma, stored quadrant, parity sign) triples of a single-mode
+        """(gamma, stored box, parity sign) triples of a single-mode
         f_kl = Re sum gamma D. A hermitian pair is the one triple of
         2 gamma_kl D_kl: the (l, k) product is the conjugate of the (k, l)
         one, so their sum is twice its real part, bit for bit."""
@@ -583,7 +594,7 @@ class TermTable:
 
     def decimated_integral(self) -> float:
         """total_integral on the nodes with even indices on every axis,
-        times 4 per mode, from per-mode folded sums of the stored quadrants
+        times 4 per mode, from per-mode folded sums of the stored boxes
         (computed on each call)."""
         ints = [{key: _folded_integral(d, signs[key], axes, decimated=True)
                  for key, d in cross.items()}
@@ -602,7 +613,7 @@ class TermTable:
         """int |sum f_kl| over ``keys`` (default all) on the grid, with its
         decimation estimate.
 
-        One mode folds the sum over the stored quadrant (_folded_abs); two
+        One mode folds the sum over the stored boxes (_folded_abs); two
         modes use the factorized diagonal below for a single Hermitian
         diagonal pair, else the 4D kernel on ``threads`` workers.
         """
@@ -855,15 +866,18 @@ def _mode_phase(mode_cache: dict, mode) -> np.ndarray:
 
 def _pair_grid(rep: Representation, prim_i: Primitive, prim_j: Primitive,
                mode: ModeAxes, mode_cache: dict) -> np.ndarray:
+    """D_ij on ``mode``, with mode_cache's arrays on nodes that begin with it."""
     q, p = mode.q.centers, mode.p.centers
     if rep is Representation.WIGNER:
         return _wigner_pair_grid(prim_i, prim_j, q, p)
+    cut = (slice(len(q)), slice(len(p)))
     if rep is Representation.HUSIMI:
         for prim in (prim_i, prim_j):
             if prim not in mode_cache:
                 mode_cache[prim] = _coherent_amplitude_grid(prim, mode)
-        return _husimi_pair_grid(mode_cache[prim_i], mode_cache[prim_j])
-    return _kirkwood_pair_grid(prim_i, prim_j, q, p, _mode_phase(mode_cache, mode))
+        amp_i = mode_cache[prim_i][cut]
+        return _husimi_pair_grid(amp_i, amp_i if prim_j == prim_i else mode_cache[prim_j][cut])
+    return _kirkwood_pair_grid(prim_i, prim_j, q, p, _mode_phase(mode_cache, mode)[cut])
 
 
 class _Nodes(NamedTuple):
@@ -878,31 +892,83 @@ class _Nodes(NamedTuple):
         return len(self.centers)
 
 
+def _quadrant(mode, nq: int = None, n_p: int = None) -> ModeAxes:
+    """The first nq x n_p nodes (default all) of a mode's q >= 0, p >= 0
+    quadrant: the nodes from the middle index of each axis on."""
+    return ModeAxes(_Nodes(mode.q.centers[mode.q.n // 2:][:nq], mode.q.delta),
+                    _Nodes(mode.p.centers[mode.p.n // 2:][:n_p], mode.p.delta))
+
+
+@functools.lru_cache(maxsize=128)
+def _radii(prim: Primitive) -> tuple:
+    """Radii S and S~ past which |psi| and |phi| are at most _RADIUS_EPS of
+    their peaks: |psi_n| falls past sqrt(2n + 1), where psi'' has the sign of
+    psi, so the node after the last one above that on a 1/64 scan is one."""
+    x = np.arange(0.0, math.sqrt(2.0 * prim.n + 1.0) + 12.0, 1.0 / 64.0)
+    a = np.abs(fock_psi(prim.n, x))
+    radius = float(x[np.flatnonzero(a > _RADIUS_EPS * np.max(a))[-1] + 1])
+    return radius * math.exp(-prim.r), radius * math.exp(prim.r)
+
+
+def _reach(rep: Representation, prim_i: Primitive, prim_j: Primitive) -> list:
+    """q and p past which a Wigner or Husimi D_ij is negligible (_radii S, S~).
+    * Wigner: (S_i + S_j) / 2 and (S~_i + S~_j) / 2: past them |q + y| > S_i
+      or |q - y| > S_j at every y (in p, the momentum form), so
+      |W_ij| <= _RADIUS_EPS (max|psi_i| ||psi_j||_1 + (i <-> j)) / pi.
+    * Husimi: the nearer of the amplitudes' (S + G) / sqrt2 (in p, S~),
+      e^(-G^2 / 2) = _RADIUS_EPS, past which |<alpha|psi>| <= pi^(-1/4)
+      int e^(-(x - sqrt2 q)^2 / 2) |psi(x)| dx <= pi^(-1/4) _RADIUS_EPS
+      (||psi||_1 + sqrt(2 pi) max|psi|). This bounds a pair by the product
+      of its amplitudes' peaks, not by its own peak."""
+    radii = list(zip(_radii(prim_i), _radii(prim_j)))
+    if rep is Representation.WIGNER:
+        return [0.5 * (a + b) for a, b in radii]
+    return [(min(a, b) + math.sqrt(-2.0 * math.log(_RADIUS_EPS))) / math.sqrt(2.0)
+            for a, b in radii]
+
+
+def _pair_box(rep: Representation, prim_i: Primitive, prim_j: Primitive, half: ModeAxes) -> tuple:
+    """(nq, np) of D_ij's box in the quadrant ``half``: to its _reach, or,
+    exactly, to where each factor of Rivier's |K_ij| = |psi_i(q)| |phi_j(p)|
+    / sqrt(2 pi) last exceeds _BOX_EPS of its peak."""
+    if rep is Representation.RIVIER:
+        return tuple(int(np.max(np.flatnonzero(a > _BOX_EPS * np.max(a)), initial=0)) + 1
+                     for a in (np.abs(position_wavefunction(prim_i, half.q.centers)),
+                               np.abs(momentum_wavefunction(prim_j, half.p.centers))))
+    return tuple(max(1, int(np.searchsorted(c, limit, side="right"))) for c, limit
+                 in zip((half.q.centers, half.p.centers), _reach(rep, prim_i, prim_j)))
+
+
 def _build_cross_maps(rep, prims, mode):
     """Each mode's factor grids D_ij, their parity signs (-1)^(n_i + n_j),
     their integrals, and the turns of every ordered pair (_rotation).
 
-    The grids are evaluated and kept on the nodes from the middle index of
-    each axis on: the q >= 0, p >= 0 quadrant. _mirror fills in the rest for
-    the readers of whole grids; the integrals are folded sums over the
-    quadrant.
+    Each grid is evaluated and kept on its box (_pair_box) of the
+    _quadrant. _mirror fills in the rest for the readers of whole grids;
+    the integrals are folded sums over the box. A Husimi amplitude is
+    evaluated on its own box, the e^(-iqp) on the union of the boxes.
     """
     keys = (_hermitian_keys(len(prims)) if rep.hermitian_pairs
             else _ordered_keys(len(prims)))
-    half = ModeAxes(_Nodes(mode.q.centers[mode.q.n // 2:], mode.q.delta),
-                    _Nodes(mode.p.centers[mode.p.n // 2:], mode.p.delta))
+    half = _quadrant(mode)
+    boxes = {(i, j): _pair_box(rep, prims[i], prims[j], half) for i, j in keys}
     mode_cache = {}  # Husimi amplitudes per primitive, or the e^(-iqp) grid
+    if rep is Representation.HUSIMI:
+        mode_cache.update((u, _coherent_amplitude_grid(u, _quadrant(
+            mode, *_pair_box(rep, u, u, half)))) for u in dict.fromkeys(prims))
+    elif rep is Representation.RIVIER:
+        _mode_phase(mode_cache, _quadrant(mode, *np.max(list(boxes.values()), axis=0)))
     cross, signs, ints = {}, {}, {}
     turns = {(i, j): u.n - v.n if u.r == 0.0 == v.r else None
              for i, u in enumerate(prims) for j, v in enumerate(prims)}
-    for i, j in keys:
-        quadrant = _pair_grid(rep, prims[i], prims[j], half, mode_cache)
-        if not np.all(np.isfinite(quadrant)):
+    for (i, j), box in boxes.items():
+        grid = _pair_grid(rep, prims[i], prims[j], _quadrant(mode, *box), mode_cache)
+        if not np.all(np.isfinite(grid)):
             raise QuadratureError(
                 f"non-finite values in the {rep.value} grid for pair ({i}, {j})")
-        cross[(i, j)] = quadrant
+        cross[(i, j)] = grid
         signs[(i, j)] = (-1) ** (prims[i].n + prims[j].n)
-        ints[(i, j)] = _folded_integral(quadrant, signs[(i, j)], mode)
+        ints[(i, j)] = _folded_integral(grid, signs[(i, j)], mode)
     return cross, signs, ints, turns
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import PhaseSpaceError
 from .grids import DEFAULT_TWO_MODE_EXTENT, Axis, ModeAxes, PhaseGrid
 from .indicators import eta_indicator
+from . import phasespace
 from .phasespace import (
     Representation,
     _coherent_amplitude_grid,
@@ -45,6 +46,7 @@ DECOMPOSITION_TOL = 1e-10
 CLOSED_NUMERIC_TOL = 1e-8
 HUSIMI_FLOOR = -1e-14
 FOLD_TOL = 1e-13
+BOX_TOL = 1e-14
 OVERLAP_TOL = 1e-13
 ETA_SLACK = 1e-9
 
@@ -382,6 +384,27 @@ def _polar_pairs_check(tables, results, threads):
             f"|polar - grid| = {gap:.2e}, grid estimate {estimate:.2e}"))
 
 
+def _pair_box_check(rep_list, results):
+    # psi01r's boxes at r = 2 against the whole quadrant: int D, int |f_kl|
+    state = squeezed_excited_superposition(0.5, 2.0)
+    grid, prims, gaps = default_grid(state), state.mode_primitives(0), []
+    mode, fold = grid.mode(0), phasespace._folded_integral
+    for rep in rep_list:
+        table, cache = build_term_table(state, rep, grid), {}
+        signs = table._signs[0]
+        cross = {(i, j): phasespace._pair_grid(rep, prims[i], prims[j], phasespace._quadrant(mode),
+                                               cache) for i, j in signs}
+        ints = {key: fold(d, signs[key], mode) for key, d in cross.items()}
+        whole = phasespace.TermTable(rep, grid, table.amplitudes, [(cross, signs, ints, None)])
+        gaps += [abs(table._ints[0][key] - ints[key]) / fold(np.abs(d), 1, mode).real
+                 for key, d in cross.items()]
+        gaps += [abs(table.abs_with_estimate([key])[0] / whole.abs_with_estimate([key])[0] - 1.0)
+                 for key in table.pair_keys()]
+    results.append(CheckResult("pair_boxes_vs_full_quadrant", max(gaps) <= BOX_TOL, (
+        f"max relative |box - whole quadrant| = {max(gaps):.3e} over {len(gaps)} int D "
+        f"and int |f_kl| of psi01r a=0.5 r=2")))
+
+
 def run_validation(*, extent=None, points=None, reps=None, threads: int = 1):
     """Run every invariant check; returns (results, all_passed)."""
     rep_list = ([Representation.parse(r) for r in reps] if reps
@@ -403,4 +426,5 @@ def run_validation(*, extent=None, points=None, reps=None, threads: int = 1):
     _fold_check(rep_list, results, threads)
     _polar_check(tables, results, threads)
     _polar_pairs_check(tables, results, threads)
+    _pair_box_check(rep_list, results)
     return results, all(r.passed for r in results)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import psnci
-from psnci import quadrature, validation
+from psnci import cli, phasespace, quadrature, validation
 from psnci.cli import _build_parser, _fmt, main
 from psnci.indicators import sweep_r
 
@@ -237,6 +237,42 @@ def test_validate_polar_pairs_check_catches_an_offset(monkeypatch, capsys):
         key: (value + 1e-2, estimate) for key, (value, estimate) in polar(table).items()})
     assert main(argv) == 1
     assert "[FAIL] polar_pairs_vs_cartesian" in capsys.readouterr().out
+
+
+# pair_boxes_vs_full_quadrant holds every stored box to the whole quadrant:
+# boxes cut to 3/4 of their nodes on each axis fail it.
+def test_validate_pair_box_check_catches_a_shrunk_box(monkeypatch, capsys):
+    argv = ["validate", "--rep", "husimi", "--threads", "2"]
+    assert main(argv) == 0
+    assert "[PASS] pair_boxes_vs_full_quadrant" in capsys.readouterr().out
+    pair_box = phasespace._pair_box
+    monkeypatch.setattr(phasespace, "_pair_box",
+                        lambda *args: tuple(max(1, 3 * n // 4) for n in pair_box(*args)))
+    assert main(argv) == 1
+    assert "[FAIL] pair_boxes_vs_full_quadrant" in capsys.readouterr().out
+
+
+def test_repeated_rep_flags_accumulate(monkeypatch, tmp_path):
+    seen = []
+    monkeypatch.setattr(cli, "run_validation", lambda **kw: seen.append(kw["reps"]) or ([], True))
+    assert main(["validate", "--rep", "wigner", "--rep", "husimi,rivier"]) == 0
+    assert seen == [["wigner", "husimi", "rivier"]]
+    monkeypatch.setattr(cli, "sweep_a", lambda *args, **kw: [])
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-a", "--family", "entangled01", "--steps", "1", "--reps", "rivier",
+                 "--reps", "wigner", "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+    assert meta["reps"] == ["rivier", "wigner"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--state", VACUUM, "--rep", "wigner", "--rep", "husimi"],
+    ["sweep-r", "--family", "psi00r", "--a", "0.5", "--steps", "1", "--rep", "wigner",
+     "--rep", "wigner"],
+], ids=["dist", "sweep-r"])
+def test_one_rep_commands_reject_a_repeated_rep(argv, capsys):
+    assert main(argv) == 2
+    assert "takes exactly one representation" in capsys.readouterr().err
 
 
 def test_validate_husimi_positivity_passes(capsys):

@@ -497,6 +497,80 @@ def test_quadrant_build_is_the_whole_axis_evaluation(rep, prims, mode):
                 <= 1e-14 * np.sum(np.abs(grid)) * mode.cell_area)
 
 
+# Pair boxes across the advertised range: every pair of photon numbers at
+# each squeezing, and mixed squeezings (the Wigner kernel quadrature).
+BOX_NS = (0, 1, 5, 30, 64)
+BOX_SQUEEZINGS = (0.0, 0.5, -0.5, 2.0, -2.0, 5.0, -5.0)
+BOX_MIXED = ((0.0, 0.5), (-0.5, 2.0), (0.5, -2.0), (-5.0, -2.0), (2.0, 5.0))
+BOX_PAIRS = {
+    **{f"r={r:g}": [(squeezed_fock(m, r), squeezed_fock(n, r))
+                    for m in BOX_NS for n in BOX_NS if m <= n] for r in BOX_SQUEEZINGS},
+    **{f"r={a:g},{b:g}": [(squeezed_fock(m, a), squeezed_fock(n, b))
+                          for m in BOX_NS for n in (0, 5, 64)] for a, b in BOX_MIXED},
+}
+
+
+def _box_reach(rep, prim_i, prim_j):
+    """q and p past which every stored pair of (prim_i, prim_j) is cut."""
+    if rep is Representation.RIVIER:
+        return [max(a, b) for a, b in zip(phasespace._radii(prim_i), phasespace._radii(prim_j))]
+    return phasespace._reach(rep, prim_i, prim_j)
+
+
+def _kernel_floor(rep, prim_i, prim_j, p_max):
+    """The kernel quadrature's own rounding, which two evaluations on
+    different boxes need not share: a few eps (1 + 2 max|y| max|p|) / pi,
+    its e^(2iyp) times int |psi_i psi_j| <= 1. 0 for other evaluators."""
+    if rep is not Representation.WIGNER or prim_i.r == prim_j.r:
+        return 0.0
+    half_width = phasespace._kernel_sampling(prim_i, prim_j, p_max)[0]
+    return 2.0 * EPS * (1.0 + 2.0 * half_width * p_max) / math.pi
+
+
+@pytest.mark.parametrize("pairs", BOX_PAIRS.values(), ids=BOX_PAIRS.keys())
+@pytest.mark.parametrize("rep", list(Representation))
+def test_pair_boxes_cut_only_negligible_entries(rep, pairs):
+    # the whole quadrant, by the same evaluator, on axes of 81 x 80 nodes
+    # that reach 1.3 times past the box rule: past the box within _BOX_EPS
+    # of the pair's peak, inside it the boxed values to 1e-13 of the peak,
+    # each up to the kernel quadrature's rounding (_kernel_floor)
+    if rep is Representation.WIGNER and pairs[0][0].r != pairs[0][1].r:
+        pairs = pairs[::3]  # the kernel quadrature is the slow evaluator
+    for prim_i, prim_j in pairs:
+        q_reach, p_reach = (1.3 * x for x in _box_reach(rep, prim_i, prim_j))
+        mode = ModeAxes(Axis(-q_reach, q_reach, 81), Axis(-p_reach, p_reach, 80))
+        half = ModeAxes(_Nodes(mode.q.centers[40:], mode.q.delta),
+                        _Nodes(mode.p.centers[40:], mode.p.delta))
+        cross = _build_cross_maps(rep, (prim_i, prim_j), mode)[0]
+        prims = (prim_i, prim_j)
+        for i, j in [(0, 1), (1, 0)] if rep is Representation.RIVIER else [(0, 1)]:
+            whole = _pair_grid(rep, prims[i], prims[j], half, {})
+            box = cross[(i, j)]
+            nq, n_p = box.shape
+            peak = np.max(np.abs(whole))
+            floor = _kernel_floor(rep, prims[i], prims[j], half.p.centers[-1])
+            # the Kirkwood e^(-iqp) of either evaluation is within 4 eps
+            # (1 + max|q| max|p|) of the exact one (_phase_bound)
+            phase = (8.0 * EPS * (1.0 + half.q.centers[-1] * half.p.centers[-1]) * peak
+                     if rep is Representation.RIVIER else 0.0)
+            assert np.max(np.abs(whole[:nq, :n_p] - box)) <= 1e-13 * peak + floor + phase
+            past = np.abs(whole)
+            past[:nq, :n_p] = 0.0
+            assert np.max(past) <= phasespace._BOX_EPS * peak * (1.0 + 1e-12) + floor, \
+                (prims[i], prims[j])
+
+
+def test_strict_radii_hold_for_every_photon_number():
+    # past the radius |psi_n| stays at or below _RADIUS_EPS of its peak
+    for n in range(65):
+        x = np.linspace(0.0, math.sqrt(2.0 * n + 1.0) + 12.0, 4001)
+        peak = np.max(np.abs(fock_psi(n, x)))
+        radius = phasespace._radii(fock(n))[0]
+        past = np.abs(fock_psi(n, radius + np.linspace(0.0, 10.0, 2001)))
+        assert radius > math.sqrt(2.0 * n + 1.0)
+        assert np.max(past) <= phasespace._RADIUS_EPS * peak
+
+
 def test_asymmetric_axis_is_rejected():
     # a table stores one quadrant and folds its sums over the mirrors, which
     # map the nodes of an axis onto its nodes only if lo == -hi
