@@ -1,10 +1,12 @@
 """Uniform, cell-centered phase-space evaluation grids.
 
 An axis with n cells over [lo, hi] places evaluation points at the cell
-centers lo + (k + 1/2) * delta, delta = (hi - lo) / n, so that the plain
+centers (k - (n - 1) / 2) * delta, delta = (hi - lo) / n, so that the plain
 midpoint sum (sum of values times cell area) integrates the axis range
-exactly for constants. Every axis is symmetric about 0 (lo == -hi): the
-term tables store one quadrant and fold their sums over the mirrors.
+exactly for constants. Every axis is symmetric about 0 (lo == -hi), and
+so are its nodes, bit for bit, with the centre node of an odd count at
+exactly 0: the term tables store one quadrant and fold their sums over
+the mirrors.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class Axis:
 
     @property
     def centers(self) -> np.ndarray:
-        return self.lo + (np.arange(self.n) + 0.5) * self.delta
+        return (np.arange(self.n) - 0.5 * (self.n - 1)) * self.delta
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,18 @@ over dq dp):
 * Wigner cross-distribution of primitives i, j:
       W_ij(q, p) = (1/pi) int psi_i(q + y) psi_j*(q - y) e^(-2ipy) dy.
   For two Fock states there is a closed form through associated Laguerre
-  polynomials; it is the fast path and is validated against the kernel
+  polynomials (_fock_core, which the grids and the polar radial rows
+  share); it is the fast path and is validated against the kernel
   quadrature. Equal squeezing on both sides reduces to the Fock form at
   the area-preserving scaled point (e^r q, e^-r p).
 
 * Husimi: Q_ij(q, p) = (1/pi) <alpha|psi_i><psi_j|alpha> with
   alpha = q + i p, so the diagonal is (1/pi) e^(-|alpha|^2) |alpha|^(2n) / n!
   for Fock states, non-negative, peak 1/pi for the vacuum and unit integral.
-  Coherent overlaps with squeezed primitives have a closed form too
-  (_coherent_amplitude_grid): a Gaussian envelope, the phase
-  e^(i tanh(r) qp) and a three-term recurrence in (q - ip) / cosh r.
+  Every coherent overlap <alpha|n, r> has a closed form
+  (_coherent_amplitude_grid): one Gaussian envelope for every r, the
+  phase e^(i tanh(r) qp) and a three-term recurrence in (q - ip) / cosh r,
+  which at r = 0 is no phase and (q - ip)^n.
 
 * Rivier: real part of the Kirkwood kernel
       K_ij(q, p) = (2 pi)^(-1/2) psi_i(q) phi_j*(p) e^(-iqp),
@@ -50,13 +52,16 @@ terms when a two-mode |f| is symmetric under R in both modes, for the 4D
 kernel: on square mode grids with equal q and p axes, where R maps nodes
 onto nodes.
 
-The one kernel quadrature, the Wigner cross term of unequally squeezed
-primitives, sums over midpoint nodes symmetric about 0: it evaluates the
-half y >= 0 and adds every node's mirror image (the centre node of an odd
-count, its own image, with weight 1/2), pairing psi_i(q + y) psi_j(q - y)
-with psi_i(q - y) psi_j(q + y). Every phase grid e^(icyp), the kernel's
-(c = 2), the squeezed amplitude's (c = tanh r) and the Kirkwood one
-(c = -1), comes from _phase_table along uniform nodes y of stated spacing.
+Every uniform node set is an Axis's, (k - (n - 1) / 2) delta rounded
+once: symmetric about 0 bit for bit, and any run of nodes is y_0 + k delta
+to a rounding of each. The one kernel quadrature, the Wigner cross term
+of unequally squeezed primitives, sums over the nodes of a y Axis: it
+evaluates the half y >= 0 and adds every node's mirror image (the centre
+node of an odd count, its own image, with weight 1/2), pairing
+psi_i(q + y) psi_j(q - y) with psi_i(q - y) psi_j(q + y). Every phase
+grid e^(icyp), the kernel's (c = 2), the squeezed amplitude's
+(c = tanh r) and the Kirkwood one (c = -1), comes from _phase_table along
+such nodes, as y_0 + k delta.
 
 A TermTable holds the real term-pair decomposition f = sum_kl f_kl of a
 one- or two-mode superposition state's distribution: a diagonal term per
@@ -211,34 +216,30 @@ def cross_wigner_fock_closed(m: int, n: int, q, p):
         return np.conj(cross_wigner_fock_closed(n, m, q, p))
     qa = np.asarray(q, dtype=float)
     pa = np.asarray(p, dtype=float)
-    u = qa * qa + pa * pa
-    pref = _fock_prefactor(m, n)
-    lag = np.asarray(specialfn.assoc_laguerre(n, m - n, 2.0 * u), dtype=float)
-    if m == n:
-        val = (pref * lag) * np.exp(-u) + 0.0j
-    else:
-        amp = (qa - 1j * pa) ** (m - n)
-        val = (pref * amp) * lag * np.exp(-u)
+    val = _fock_core(n, m - n, qa * qa + pa * pa)
+    val = val + 0.0j if m == n else val * (qa - 1j * pa) ** (m - n)
     if np.ndim(q) == 0 and np.ndim(p) == 0 and not isinstance(q, np.ndarray):
         return complex(val)
     return val
 
 
-@functools.lru_cache(maxsize=None)
-def _fock_prefactor(m: int, n: int) -> float:
-    """(-1)^n / pi * sqrt(2^(m-n) n! / m!) of W_mn, m >= n."""
-    log_pref = 0.5 * ((m - n) * _LN2 + specialfn.log_factorial(n) - specialfn.log_factorial(m))
-    return ((-1.0) ** n / math.pi) * math.exp(log_pref)
+def _fock_core(low: int, k: int, u) -> np.ndarray:
+    """W_mn(q, p) / (q - ip)^k, m = low + k, at u = q^2 + p^2: the prefactor
+    (-1)^low / pi * sqrt(2^k low! / m!) times e^(-u) L_low^k(2u), the
+    recurrence started from e^(-u), so that far out it underflows to 0
+    rather than overflowing."""
+    log_pref = 0.5 * (k * _LN2 + specialfn.log_factorial(low) - specialfn.log_factorial(low + k))
+    pref = ((-1.0) ** low / math.pi) * math.exp(log_pref)
+    return pref * specialfn.laguerre_recurrence(low, k, 2.0 * u, np.exp(-u))
 
 
 def _fock_radial(pairs, rho) -> np.ndarray:
     """R_mn(rho) = W_mn(rho, 0) per (m, n) of ``pairs``: W_mn(rho, t) = R_mn(rho) e^(-i(m-n)t)."""
-    x, e = 2.0 * rho * rho, np.exp(-rho * rho)
+    u = rho * rho
     out = np.empty((len(pairs),) + rho.shape)
     for row, (m, n) in zip(out, pairs):
         low, k = min(m, n), abs(m - n)
-        np.multiply(_fock_prefactor(low + k, low) * rho ** k * e,
-                    specialfn.laguerre_recurrence(low, k, x), out=row)
+        np.multiply(rho ** k, _fock_core(low, k, u), out=row)
     return out
 
 
@@ -250,23 +251,9 @@ def _kernel_sampling(prim_i: Primitive, prim_j: Primitive, p_absmax: float) -> t
     return half_width, nodes
 
 
-def _half_nodes(half_width: float, nodes: int) -> tuple:
-    """The y >= 0 half of the ``nodes`` midpoint nodes on [-half_width,
-    half_width], which lie symmetrically about 0, with their weights in a
-    sum over y and -y, and the spacing dy. An even count has the nodes
-    (k + 1/2) dy, all of weight 1; an odd one has k dy, and its centre node
-    y = 0, its own mirror image, has weight 1/2."""
-    dy = 2.0 * half_width / nodes
-    y = (np.arange((nodes + 1) // 2) + 0.5 * (1 - nodes % 2)) * dy
-    weights = np.ones(len(y))
-    if nodes % 2:
-        weights[0] = 0.5
-    return y, weights, dy
-
-
 def _phase_table(c: float, y: np.ndarray, dy: float, p) -> np.ndarray:
-    """e^(icyp) on the len(y) x len(p) grid of the uniform nodes
-    y_k = y_0 + k dy, dy stated by the axis or node rule of the y, from two
+    """e^(icyp) on the len(y) x len(p) grid of consecutive nodes y of an
+    Axis of spacing dy, y_k = y_0 + k dy to a rounding of each, from two
     small exp tables: with k = L h + m and L = isqrt(len(y)),
     e^(icy_k p) = e^(icy_(Lh) p) e^(icm dy p), one complex product per
     entry, within a few eps |c| max|y| |p| of the exact phase."""
@@ -288,15 +275,17 @@ def _flushed(integrand: np.ndarray) -> np.ndarray:
 def _wigner_numeric_grid(prim_i: Primitive, prim_j: Primitive, q, p) -> np.ndarray:
     """Kernel quadrature on the len(q) x len(p) grid via two real matrix
     products, folded over y and -y: with fp = psi_i(q + y) psi_j(q - y) and
-    fm = psi_i(q - y) psi_j(q + y) on the half nodes y >= 0 of weight w,
+    fm = psi_i(q - y) psi_j(q + y) on the y >= 0 half of a symmetric Axis,
+    each node of weight w = 1 but the centre one, its own image, of 1/2,
         W_ij = (dy / pi) [((fp + fm) w) @ cos(2yp) - i ((fp - fm) w) @ sin(2yp)],
     with cos(2yp) and sin(2yp) the parts of _phase_table(2, y, dy, p)."""
-    p_absmax = max(1.0, float(np.max(np.abs(p))))
-    y, weights, dy = _half_nodes(*_kernel_sampling(prim_i, prim_j, p_absmax))
+    half_width, nodes = _kernel_sampling(prim_i, prim_j, max(1.0, float(np.max(np.abs(p)))))
+    axis = Axis(-half_width, half_width, nodes)
+    y, dy = axis.centers[nodes // 2:], axis.delta
     plus, minus = q[:, None] + y[None, :], q[:, None] - y[None, :]
     fp = position_wavefunction(prim_i, plus) * position_wavefunction(prim_j, minus)
     fm = position_wavefunction(prim_i, minus) * position_wavefunction(prim_j, plus)
-    weights *= dy / math.pi
+    weights = np.where(y == 0.0, 0.5, 1.0) * (dy / math.pi)
     table = _phase_table(2.0, y, dy, p)
     grid = np.empty((len(q), len(p)), dtype=complex)
     grid.real = _flushed((fp + fm) * weights) @ np.ascontiguousarray(table.real)
@@ -319,32 +308,29 @@ def _wigner_pair_grid(prim_i: Primitive, prim_j: Primitive, q, p) -> np.ndarray:
 def _coherent_amplitude_grid(prim: Primitive, mode) -> np.ndarray:
     """<alpha|prim> on the len(q) x len(p) grid of a mode's nodes, alpha = q + ip.
 
-    Fock states (r = 0) use the closed overlap e^(-|alpha|^2 / 2) (alpha*)^n / sqrt(n!).
-    Squeezed ones use the Gaussian-Hermite integral of Gradshteyn & Ryzhik
-    7.374 over psi (squeezed number states as in Kim, de Oliveira and
-    Knight, Phys. Rev. A 40, 2494 (1989)): with t = tanh r, w = (q - ip) / cosh r,
+    The Gaussian-Hermite integral of Gradshteyn & Ryzhik 7.374 over psi
+    (squeezed number states as in Kim, de Oliveira and Knight, Phys. Rev.
+    A 40, 2494 (1989)) gives, with t = tanh r, w = (q - ip) / cosh r,
         <alpha|n, r> = (n! cosh r)^(-1/2) e^(-q^2 / (1 + e^(-2r)))
                        e^(-p^2 / (1 + e^(2r))) e^(itqp) g_n(w),
     g_n(w) = (-t/2)^(n/2) H_n(w / sqrt(-2t)) by g_0 = 1, g_1 = w and
-    g_(k+1) = w g_k + k t g_(k-1) (the Fock form at r = 0). The recurrence
-    starts from the envelope, so far out it underflows to 0 rather than
-    overflowing; e^(itqp) is _phase_table along the uniform q nodes.
+    g_(k+1) = w g_k + k t g_(k-1). The envelope is one outer product for
+    every r. A Fock state (r = 0) has no phase and g_n = w^n. Else the
+    recurrence starts from the envelope, so far out it underflows to 0
+    rather than overflowing; e^(itqp) is _phase_table along the uniform q
+    nodes.
     """
     q, p = mode.q.centers, mode.p.centers
-    if prim.r == 0.0:
-        u = q[:, None] ** 2 + p[None, :] ** 2
-        env = np.exp(-0.5 * u - 0.5 * specialfn.log_factorial(prim.n))
-        if prim.n == 0:
-            return env.astype(complex)
-        return env * (q[:, None] - 1j * p[None, :]) ** prim.n
-    r, t = prim.r, math.tanh(prim.r)
+    r, t, s = prim.r, math.tanh(prim.r), 1.0 / math.cosh(prim.r)
     scale = 1.0 / math.sqrt(math.factorial(prim.n) * math.cosh(r))
     g = np.outer(np.exp(q * q / -(1.0 + math.exp(-2.0 * r))) * scale,
                  np.exp(p * p / -(1.0 + math.exp(2.0 * r))))
+    # g_0 = 1 needs no w grid; 1 + 0j keeps the Fock vacuum's result complex
+    w = (s * q)[:, None] - 1j * (s * p)[None, :] if prim.n else 1.0 + 0.0j
+    if r == 0.0:
+        return g * w ** prim.n
     amp = _phase_table(t, q, mode.q.delta, p)
     if prim.n:
-        s = 1.0 / math.cosh(r)
-        w = (s * q)[:, None] - 1j * (s * p)[None, :]
         g_prev, g = g, w * g
         if prim.n > 1:
             g_prev, buf = g_prev.astype(complex), np.empty_like(g)
@@ -407,7 +393,7 @@ def _mirror(box: np.ndarray, mode: ModeAxes, sign: int) -> np.ndarray:
     """The whole grid of a stored box, 0 past it and filled by D(q, -p) =
     conj D(q, p) and D(-q, p) = sign conj D(q, p), sign = (-1)^(n_i + n_j).
     The filled values sit at the exact negations of evaluated nodes, which
-    may differ from the axis's own nodes there by one rounding."""
+    are the axis's own nodes there."""
     nq, n_p = mode.q.n, mode.p.n
     sq, sp = mode.q.n // 2, mode.p.n // 2
     g = np.zeros((nq, n_p), dtype=complex)

@@ -2,7 +2,10 @@
 
 Associated Laguerre polynomials are evaluated by upward three-term
 recurrence, which is stable for the moderate orders supported
-here (n <= 64). Normalization constants are handled in log space so that
+here (n <= 64). The recurrence is linear, so it can start from any
+factor, start * L_0^k = start: the Fock Wigner functions start it from
+their Gaussian e^(-u), and no term of theirs overflows where e^(-u)
+underflows. Normalization constants are handled in log space so that
 factorials never overflow.
 """
 
@@ -51,15 +54,16 @@ def assoc_laguerre(n: int, k: int, x):
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0) or not np.all(np.isfinite(xa)):
         raise DomainError("assoc_laguerre requires finite x >= 0")
-    return _as_input_like(laguerre_recurrence(n, k, xa), x)
+    return _as_input_like(laguerre_recurrence(n, k, xa, 1.0), x)
 
 
-def laguerre_recurrence(n: int, k: int, x: np.ndarray) -> np.ndarray:
-    """L_n^k(x) by the recurrence of assoc_laguerre, for orders and a float
+def laguerre_recurrence(n: int, k: int, x: np.ndarray, start) -> np.ndarray:
+    """start * L_n^k(x) by the recurrence of assoc_laguerre started from
+    ``start`` (a float, or an array shaped like x), for orders and a float
     array x that the caller has checked: no checks, no conversions."""
     if n == 0:
-        return np.ones_like(x)
-    l_prev, l_cur = 1.0, 1.0 + k - x
+        return start * np.ones_like(x)
+    l_prev, l_cur = start, start * (1.0 + k - x)
     for m in range(1, n):
         l_cur, l_prev = ((2.0 * m + 1.0 + k - x) * l_cur - (m + k) * l_prev) / (m + 1.0), l_cur
     return l_cur

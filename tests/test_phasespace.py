@@ -3,6 +3,8 @@ import functools
 import json
 import math
 import operator
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,6 +111,26 @@ def test_closed_form_origin_parity():
     for n in range(6):
         assert_allclose(cross_wigner_fock_closed(n, n, 0.0, 0.0),
                         (-1.0) ** n / math.pi, atol=1e-14)
+
+
+# |q|, |p| up to 1e4 in both signs, with 8 e^5, the q reach of a default
+# grid of |64, r = 5> scaled by e^r for the closed form
+FAR_AXIS = np.array([0.0, 0.5, 3.0, 12.0, 27.0, 40.0, 8.0 * math.exp(5.0), 1e4])
+FAR_AXIS = np.concatenate([-FAR_AXIS[::-1], FAR_AXIS[1:]])
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 31, 63, 64])
+@pytest.mark.parametrize("n", [0, 1, 40, 64])
+def test_closed_form_is_finite_far_out(m, n):
+    # e^(-u) L_n^k(2u) starts its recurrence from e^(-u), so far out it
+    # underflows to 0 where L alone overflowed: (64, 64) at q = 8 e^5 was
+    # inf * 0 = nan with overflow warnings. |W_mn| <= 1/pi everywhere.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cross_wigner_fock_closed(m, n, FAR_AXIS[:, None], FAR_AXIS[None, :])
+        assert cross_wigner_fock_closed(m, n, 8.0 * math.exp(5.0), 0.0) == 0.0
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got)) <= 1.0 / math.pi
 
 
 def test_closed_form_01_structure():
@@ -431,6 +453,25 @@ def test_squeezed_amplitude_at_fixed_nodes(n, r, where):
     assert error <= bound
 
 
+# (n, r, iq, ip) of quadrant nodes where the amplitude read 1.04 to 4.94
+# times the bound: at r = 0 through the Fock envelope
+# e^(-u / 2 - ln(n!) / 2), whose argument near -95 at n = 48 cost about
+# 1e-14 of the peak; at r = -5 through nodes lo + (i + 1/2) delta, each
+# rounded by eps |lo| (2e-13 on an axis reaching 1039) off the
+# y_0 + k dy of the phase table.
+FORMER_AMPLITUDE_FAULTS = [
+    (47, 0.0, 140, 47), (48, 0.0, 140, 0), (48, 0.0, 140, 47), (55, 0.0, 140, 47),
+    (57, 0.0, 0, 140), (0, -5.0, 20, 12), (2, -5.0, 20, 12), (10, -5.0, 8, 20),
+    (30, -5.0, 20, 12), (64, -5.0, 20, 12),
+]
+
+
+@pytest.mark.parametrize("n, r, iq, ip", FORMER_AMPLITUDE_FAULTS)
+def test_squeezed_amplitude_at_former_faults(n, r, iq, ip):
+    error, bound = _squeezed_amplitude_error(squeezed_fock(n, r), iq, ip)
+    assert error <= bound
+
+
 def test_squeezed_amplitude_beyond_the_quadrature_support():
     # |0, r=-1.5> at q = -22.4, p = 0: the coherent centre sqrt2 q = -31.68
     # lies beyond the wavefunction's support radius 31.37, where the
@@ -485,8 +526,8 @@ QUADRANT_MODES = {
 @pytest.mark.parametrize("prims", QUADRANT_PRIMS)
 @pytest.mark.parametrize("rep", list(Representation))
 def test_quadrant_build_is_the_whole_axis_evaluation(rep, prims, mode):
-    # the mirrored nodes are the negations of evaluated ones, one rounding
-    # away from the axis's own nodes
+    # the mirrored nodes are the negations of evaluated ones, which are the
+    # axis's own nodes (test_axis_nodes_are_symmetric_and_rounded_once)
     cross, signs, ints, turns = _build_cross_maps(rep, prims, mode)
     for (i, j), quadrant in cross.items():
         grid = _mirror(quadrant, mode, signs[(i, j)])
@@ -576,6 +617,23 @@ def test_asymmetric_axis_is_rejected():
     # map the nodes of an axis onto its nodes only if lo == -hi
     with pytest.raises(DomainError):
         Axis(-4.0, 6.5, 30)
+
+
+@pytest.mark.parametrize("hi, n", [(6.0, 121), (6.0, 20), (5.0, 33), (0.3, 16),
+                                   (7.0 * math.exp(5.0), round(281 * math.exp(5.0)))])
+def test_axis_nodes_are_symmetric_and_rounded_once(hi, n):
+    # node k is (k - (n - 1) / 2) delta rounded once: the negations of the
+    # nodes are nodes, an odd axis's centre is 0, and any run of nodes is
+    # y_0 + k delta to a rounding of each, as _phase_table takes it. The
+    # former lo + (k + 1/2) delta put nodes near 0 eps |lo| off, 2e-13 on
+    # the last axis, the q axis of a default grid at r = -5
+    axis = Axis(-hi, hi, n)
+    y = axis.centers
+    assert np.array_equal(y, -y[::-1])
+    assert n % 2 == 0 or y[n // 2] == 0.0
+    for k in range(0, n, -(-n // 400)):
+        exact = Fraction(2 * k - n + 1, 2) * Fraction(axis.delta)
+        assert abs(Fraction(y[k]) - exact) <= Fraction(np.spacing(abs(y[k]))) / 2
 
 
 def test_axis_takes_numpy_integer_point_counts():

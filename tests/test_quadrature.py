@@ -639,19 +639,19 @@ def test_group_fold_matches_dense_oracle(monkeypatch, group, points):
 # decimated pass and every Rivier total stream as in FOLD_CALLS.
 PRUNED_FINE_CALLS = {
     ("wigner", "C4", 21): ({4: 99, 1: 1}, 381),
-    ("wigner", "D4", 21): ({8: 40, 4: 18, 1: 1}, 384),
+    ("wigner", "D4", 21): ({8: 40, 4: 18, 1: 1}, 385),
     ("wigner", "T", 21): ({2: 182, 1: 21}, 401),
-    ("husimi", "C4", 21): ({4: 100, 1: 1}, 381),
+    ("husimi", "C4", 21): ({4: 99, 1: 1}, 381),
     ("husimi", "D4", 21): ({8: 40, 4: 18, 1: 1}, 385),
     ("husimi", "T", 21): ({2: 180, 1: 21}, 401),
-    ("wigner", "C4", 20): ({4: 88}, 352),
+    ("wigner", "C4", 20): ({4: 88}, 350),
     ("wigner", "D4", 20): ({8: 40, 4: 8}, 352),
     ("wigner", "T", 20): ({2: 176}, 360),
-    ("husimi", "C4", 20): ({4: 88}, 352),
-    ("husimi", "D4", 20): ({8: 40, 4: 8}, 352),
+    ("husimi", "C4", 20): ({4: 88}, 349),
+    ("husimi", "D4", 20): ({8: 40, 4: 8}, 350),
     ("husimi", "T", 20): ({2: 176}, 360),
     ("wigner", "T-columns", 21): ({2: 182, 1: 21}, 201),
-    ("husimi", "T-columns", 21): ({2: 180, 1: 21}, 201),
+    ("husimi", "T-columns", 21): ({2: 182, 1: 21}, 199),
     ("wigner", "T-columns", 20): ({2: 176}, 180),
     ("husimi", "T-columns", 20): ({2: 176}, 180),
 }
@@ -704,14 +704,16 @@ _PAIR_CLOSED = ([], [({4: 100, 2: 20, 1: 1}, 221), ({4: 25, 2: 10, 1: 1}, 61)])
 # (streamed passes, closed-form passes) of the total, then the same of
 # the pair (0, 1), each pass as ({orbit weight: number of rows}, columns),
 # streamed decimated then fine, in closed form fine then decimated;
-# unchanged from before R was stated.
+# unchanged from before R was stated. The support cut of a fine pass
+# drops tail rows and columns up to a budget, so its counts move when the
+# grid values change in their last bits (squeezed Wigner, 00+12 Husimi).
 NO_ROTATION_CALLS = {
-    ("squeezed", "wigner"): (([_FULL_COARSE, ({4: 89, 2: 20, 1: 1}, 384)], []), _PAIR_CLOSED),
+    ("squeezed", "wigner"): (([_FULL_COARSE, ({4: 88, 2: 20, 1: 1}, 385)], []), _PAIR_CLOSED),
     ("squeezed", "husimi"): (([_FULL_COARSE, ({4: 88, 2: 20, 1: 1}, 385)], []), _PAIR_CLOSED),
     ("squeezed", "rivier"): (([_FULL_COARSE, ({4: 100, 2: 20, 1: 1}, 441)], []),
                              (_FULL_PAIR, [])),
     ("00+12", "wigner"): (([({2: 55, 1: 11}, 61), ({2: 182, 1: 21}, 201)], []), _PAIR_CLOSED),
-    ("00+12", "husimi"): (([({2: 55, 1: 11}, 61), ({2: 180, 1: 21}, 201)], []), _PAIR_CLOSED),
+    ("00+12", "husimi"): (([({2: 55, 1: 11}, 61), ({2: 182, 1: 21}, 199)], []), _PAIR_CLOSED),
     ("00+12", "rivier"): (([({2: 55, 1: 11}, 61), ({2: 210, 1: 21}, 221)], []),
                           ([_FULL_PAIR[0], ({4: 100, 2: 20}, 221)], [])),
     **{("01+11", rep): (([], [({2: 210, 1: 21}, 221), ({2: 55, 1: 11}, 61)]), _PAIR_CLOSED)
