@@ -32,7 +32,7 @@ from .phasespace import (
     cross_wigner_fock_closed,
     default_grid,
 )
-from .specialfn import assoc_laguerre, log_factorial
+from .specialfn import log_factorial
 from .states import (
     Primitive,
     State,

@@ -15,13 +15,13 @@
   matrix.
 
 Pair integrals int |f_ij| are polar radial integrals where
-psnci.phasespace.polar_pair_abs covers them (all-Fock Wigner and Husimi
-tables), else grid sums.
+psnci.polar.polar_pair_abs covers them (Wigner and Husimi tables of Fock
+primitives, any photon numbers), else grid sums.
 Sweeps integrate each pair term of a table once: pair grids do not depend
 on the amplitudes, so eta rows rescale per-unit |c_i c_j| pair integrals.
 A delta row with one live term is its diagonal pair integral less int f;
 with more, Rivier delta rows restream the 4D absolute integral of the
-total, and Wigner ones are polar where psnci.phasespace.polar_wigner_delta
+total, and Wigner ones are polar where psnci.polar.polar_wigner_delta
 covers the state.
 ``sweep_a`` builds one table per representation, ``sweep_r`` one per r
 (its grid stretches with e^r), dropped once that r's rows are formed.
@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import DegenerateStateError, DomainError, UnsupportedStateError
 from .grids import PhaseGrid
-from .phasespace import (NORM_CHECK_TOLERANCE, Representation, build_term_table, default_grid,
-                         polar_pair_abs, polar_wigner_delta)
+from .phasespace import NORM_CHECK_TOLERANCE, Representation, build_term_table, default_grid
+from .polar import polar_pair_abs, polar_wigner_delta
 from .states import (
     State,
     entangled_state,

@@ -6,7 +6,7 @@ over dq dp):
 * Wigner cross-distribution of primitives i, j:
       W_ij(q, p) = (1/pi) int psi_i(q + y) psi_j*(q - y) e^(-2ipy) dy.
   For two Fock states there is a closed form through associated Laguerre
-  polynomials (_fock_core, which the grids and the polar radial rows
+  polynomials (_fock_core, which the grids and psnci.polar's radial rows
   share); it is the fast path and is validated against the kernel
   quadrature. Equal squeezing on both sides reduces to the Fock form at
   the area-preserving scaled point (e^r q, e^-r p).
@@ -68,7 +68,8 @@ one- or two-mode superposition state's distribution: a diagonal term per
 term of the state and one combined real interference term per unordered
 pair. Each f_kl is built from per-mode complex factor grids, one per
 ordered primitive pair, so two-mode quantities are sums of separable
-products and the 4D array is never materialized.
+products and the 4D array is never materialized. The polar rules, which
+integrate all-Fock tables with r = 0 without their grids, are psnci.polar's.
 """
 
 from __future__ import annotations
@@ -100,10 +101,7 @@ from .quadrature import (
     _RANK_CUT,
     SeparableSum,
     abs_4d_with_estimate,
-    cos_abs_excess,
     factor_basis,
-    radial_pieces,
-    sign_roots,
 )
 from .states import (
     Primitive,
@@ -231,16 +229,6 @@ def _fock_core(low: int, k: int, u) -> np.ndarray:
     log_pref = 0.5 * (k * _LN2 + specialfn.log_factorial(low) - specialfn.log_factorial(low + k))
     pref = ((-1.0) ** low / math.pi) * math.exp(log_pref)
     return pref * specialfn.laguerre_recurrence(low, k, 2.0 * u, np.exp(-u))
-
-
-def _fock_radial(pairs, rho) -> np.ndarray:
-    """R_mn(rho) = W_mn(rho, 0) per (m, n) of ``pairs``: W_mn(rho, t) = R_mn(rho) e^(-i(m-n)t)."""
-    u = rho * rho
-    out = np.empty((len(pairs),) + rho.shape)
-    for row, (m, n) in zip(out, pairs):
-        low, k = min(m, n), abs(m - n)
-        np.multiply(rho ** k, _fock_core(low, k, u), out=row)
-    return out
 
 
 def _kernel_sampling(prim_i: Primitive, prim_j: Primitive, p_absmax: float) -> tuple:
@@ -525,9 +513,9 @@ class TermTable:
     Immutable by convention.
     """
 
-    def __init__(self, representation, grid, amplitudes, maps_by_mode, primitives=None):
+    def __init__(self, representation, grid, amplitudes, maps_by_mode, primitives):
         """``maps_by_mode``: each mode's _build_cross_maps; ``primitives``:
-        each mode's primitives, in term order, for polar_wigner_delta."""
+        each mode's primitives, in term order, for the polar rules."""
         self.representation = representation
         self.grid = grid
         self.amplitudes = tuple(complex(c) for c in amplitudes)
@@ -665,174 +653,6 @@ class TermTable:
                             _symmetry([(gamma, math.prod(signs)) for gamma, signs in terms])
                             + (_rotation(turns, self.grid.modes),),
                             mode2_parity)
-
-
-# ---------------------------------------------------------------------------
-# Polar Wigner delta
-# ---------------------------------------------------------------------------
-
-# Nodes per piece, scan nodes per axis, where whole-radius edges stop short
-# of the support radius (rho |W_nn| < 1.1e-6 of its peak past
-# sqrt(2n + 1) + 3), and the largest photon number taken: that of the
-# sweep_a families, each of which is within 7.5e-7 of the oracle at every a^2.
-_POLAR_ORDER, _POLAR_SCAN, _POLAR_TAIL, _POLAR_MAX_N = 12, 256, 3.0, 4
-
-
-def polar_wigner_delta(table):
-    """(delta, estimate) of a two-mode Wigner table whose primitives have r = 0
-    and n <= _POLAR_MAX_N and whose live terms are one product, or two of one
-    total photon number; else None.
-    Then W = A + B cos(Delta psi + phi), psi = theta1 - theta2, and delta is
-    2 pi int int rho1 rho2 cos_abs_excess(A, B) up to the support radii (not
-    the grid). The estimate is the distance to the rule with half the nodes."""
-    if table.representation is not Representation.WIGNER or table.primitives is None \
-            or table.n_modes != 2 \
-            or any(p.r or p.n > _POLAR_MAX_N for mode in table.primitives for p in mode):
-        return None
-    live = sorted((abs(c), tuple(p.n for p in prims))
-                  for c, prims in zip(table.amplitudes, zip(*table.primitives)) if c != 0)
-    live = min(live, sorted((c, ns[::-1]) for c, ns in live))  # a mode swap gives the same bits
-
-    if len(live) == 1:  # a product, |f| = |W_kk(z1)| |W_ll(z2)|
-        (c, ns), = live
-        fine, coarse = (float(c * c * (math.prod(a) - math.prod(p))) for a, p in (
-            zip(*rule) for rule in zip(*(_radial_integrals(n, n) for n in ns))))
-    elif len(live) == 2 and live[0][1] != live[1][1] and sum(live[0][1]) == sum(live[1][1]):
-        (c0, k), (c1, l) = live
-        fine, coarse = _polar_rule(np.array([c0 * c0, c1 * c1, 2.0 * c0 * c1]),
-                                   [((a, a), (b, b), (a, b)) for a, b in zip(k, l)],
-                                   [Primitive(max(a, b)).support_radius for a, b in zip(k, l)])
-    else:
-        return None
-    return fine, abs(fine - coarse)
-
-
-@functools.lru_cache(maxsize=None)
-def _radial_integrals(m, n) -> tuple:
-    """(2 pi int |R_mn| rho, 2 pi int R_mn rho) over [0, the support radius
-    of |max(m, n)>], by the rule on pieces between the zeros of R_mn, and by
-    the rule with half the nodes. Shared."""
-    hi = Primitive(max(m, n)).support_radius
-    edges = np.sort(_plain_edges(hi, _radial_scan(((m, n),), hi)[3]))
-
-    def rule(order):
-        r, w = radial_pieces(edges, np.zeros(edges.shape, int), order)
-        f = 2.0 * math.pi * _fock_radial([(m, n)], r)[0] * r * w
-        return float(np.sum(np.abs(f))), float(np.sum(f))
-    return rule(_POLAR_ORDER), rule(_POLAR_ORDER // 2)
-
-
-def _mode_abs(rep, m, n) -> tuple:
-    """2 pi int |R_mn| rho drho of one mode's factor, and its estimate.
-    Husimi's |R_mn| is e^(-rho^2) rho^(m + n) / (pi sqrt(m! n!)), so this
-    is Gamma((m + n) / 2 + 1) / sqrt(m! n!), exact; Wigner's is the radial
-    rule, with its distance to half the nodes."""
-    if rep is Representation.HUSIMI:
-        return math.exp(math.lgamma(0.5 * (m + n) + 1.0)
-                        - 0.5 * (math.lgamma(m + 1.0) + math.lgamma(n + 1.0))), 0.0
-    (fine, _), (coarse, _) = _radial_integrals(m, n)
-    return fine, abs(fine - coarse)
-
-
-def polar_pair_abs(table) -> dict:
-    """int |f_kl| and its estimate per pair key of a Wigner or Husimi table
-    whose primitives all have r = 0 (Wigner: n <= _POLAR_MAX_N), from one
-    radial integral per mode; {} for any other table.
-
-    Each factor is D_mn = R_mn(rho) e^(-i(m - n) theta), so f_kl =
-    2 |gamma_kl| prod_m R_m cos(phi - sum_m (m - n)_m theta_m), whose |cos|
-    averages 2 / pi over the angles when some mode's photon numbers differ
-    and is |cos phi| when none does; f_kk = |c_k|^2 prod_m R_m. The estimate
-    is first order in the modes' estimates. A pair in which no mode's
-    photon numbers differ and every R_nn >= 0 (every such Husimi pair, and
-    Wigner's with n = 0 in every mode) has one sign everywhere; it is left
-    to the grid, whose int |f| is then the very sum of its int f."""
-    rep, prims = table.representation, table.primitives
-    if rep is Representation.RIVIER or prims is None or any(
-            p.r or (rep is Representation.WIGNER and p.n > _POLAR_MAX_N)
-            for mode in prims for p in mode):
-        return {}
-    c, out = table.amplitudes, {}
-    for k, l in table.pair_keys():
-        ns = [(mode[k].n, mode[l].n) for mode in prims]
-        gamma = c[k] * c[l].conjugate()
-        if any(m != n for m, n in ns):
-            scale = 4.0 / math.pi * abs(gamma)
-        elif rep is Representation.HUSIMI or not any(m for m, _ in ns):
-            continue
-        else:
-            scale = abs(c[k]) ** 2 if k == l else 2.0 * abs(gamma.real)
-        values, estimates = zip(*(_mode_abs(rep, m, n) for m, n in ns))
-        out[(k, l)] = (scale * math.prod(values), scale * sum(
-            e * math.prod(values[:i] + values[i + 1:]) for i, e in enumerate(estimates)))
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _radial_scan(pairs, hi) -> tuple:
-    """The scan nodes on [0, hi], the factors of ``pairs`` there, which factor
-    each zero in [0, hi] is of, and the zeros. Shared; not to be written to."""
-    radial, scan = functools.partial(_fock_radial, pairs), np.linspace(0.0, hi, _POLAR_SCAN)
-    values = radial(scan)
-    return (scan, values, *sign_roots(np.eye(len(pairs)), radial, scan, values)[1:])
-
-
-def _plain_edges(hi, zeros) -> np.ndarray:
-    """0, hi, whole radii below hi - _POLAR_TAIL and the ``zeros`` of radial
-    factors, where |A| has its kinks when B = 0; unsorted."""
-    return np.concatenate([[0.0, hi], np.arange(1.0, hi - _POLAR_TAIL), zeros])
-
-
-def _edges(plain, singular, hi) -> tuple:
-    """Sorted edges in [0, hi] along the last axis, and their singular flags."""
-    edges = np.concatenate([plain, np.clip(singular, 0.0, hi)], axis=-1)
-    flags = np.concatenate([np.zeros(plain.shape, int), np.ones(singular.shape, int)], axis=-1)
-    order = np.argsort(edges, axis=-1, kind="stable")
-    return np.take_along_axis(edges, order, -1), np.take_along_axis(flags, order, -1)
-
-
-def _polar_rule(weights, pairs, his) -> tuple:
-    """Fine and coarse 2 pi int int rho1 rho2 cos_abs_excess(A, B) for
-    A = w0 a1 a2 + w1 b1 b2, B = w2 c1 c2. rho2 pieces end at each rho1 node's
-    roots of A +- B, whose count changes, or which cross, at rho1 edges."""
-    radial = [functools.partial(_fock_radial, p) for p in pairs]
-    (scan1, on_scan1, _, zeros1), (scan2, on_scan2, which2, zeros2) = (
-        _radial_scan(p, hi) for p, hi in zip(pairs, his))
-
-    def rows(u):  # A + B and A - B on the mode-2 factors, two rows per rho1
-        return (u.T[:, None, :] * [[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]]).reshape(-1, 3)
-
-    negative = (rows(weights[:, None] * on_scan1) @ on_scan2 < 0.0).reshape(_POLAR_SCAN, 2, -1)
-    c = np.count_nonzero(negative[..., 1:] != negative[..., :-1], axis=-1)
-    events = scan1[np.flatnonzero(np.any(c[1:] != c[:-1], axis=1))] + 0.5 * scan1[1]
-    plain = [_plain_edges(his[0], zeros1), _plain_edges(his[1], zeros2)]
-    on_zeros = radial[1](zeros2[which2 == 2])  # where the mode-2 cross factor is 0
-    crossings = sign_roots(((weights * [1.0, 1.0, 0.0])[:, None] * on_zeros).T,
-                           radial[0], scan1, on_scan1)[2] if on_zeros.size else []
-    e1, s1 = _edges(plain[0], np.concatenate([events, crossings]), his[0])
-    first = np.flatnonzero(np.diff(e1, prepend=-1.0) > 1e-9)  # one edge per position
-    e1, s1 = e1[first], np.maximum.reduceat(s1, first)
-
-    def rule(order):
-        r1, w1 = radial_pieces(e1, s1, order)
-        u = weights[:, None] * radial[0](r1)
-        mask, row, roots = sign_roots(rows(u), radial[1], scan2, on_scan2)
-        count = mask.sum(axis=1)
-        ends = np.full((len(mask), max(1, count.max())), his[1])
-        ends[row, np.arange(len(row)) - (np.cumsum(count) - count)[row]] = roots
-        e2, s2 = _edges(np.broadcast_to(plain[1], (len(r1), len(plain[1]))),
-                        ends.reshape(len(r1), -1), his[1])
-
-        def excess(i, rho2):  # E(A, B) at the rho1 nodes i
-            v = radial[1](rho2)
-            return cos_abs_excess(u[0][i] * v[0] + u[1][i] * v[1], u[2][i] * v[2])
-
-        mid = excess(np.arange(len(r1))[:, None], 0.5 * (e2[:, 1:] + e2[:, :-1]))  # 0 if A >= |B|
-        i, p = divmod(np.flatnonzero((e2[:, 1:] > e2[:, :-1]) & (mid > 0.0)), len(e2[0]) - 1)
-        r2, w2 = radial_pieces(np.stack([e2[i, p], e2[i, p + 1]], -1),
-                               np.stack([s2[i, p], s2[i, p + 1]], -1), order)
-        return 2.0 * math.pi * float(np.sum(excess(i[:, None], r2) * r2 * w2 * (r1 * w1)[i, None]))
-    return rule(_POLAR_ORDER), rule(_POLAR_ORDER // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Integration engines.
+"""The 4D kernel: int |f| of a two-mode table over its grid.
 
 Integrals use the plain midpoint sum on the uniform cell-centered
 grids; absolute-value integrands have kinks along their zero sets, where
@@ -107,7 +107,7 @@ A Husimi total is never integrated here for delta: Q >= 0, so
 int |Q| = int Q, and psnci.indicators.delta_indicator takes delta as 0
 with the decimation estimate of int Q (TermTable.decimated_integral).
 Nor is a Bell sweep row's Wigner total: its delta is polar
-(psnci.phasespace.polar_wigner_delta, on the radial rules at the end here).
+(psnci.polar.polar_wigner_delta).
 
 The compression runs before the workers start, and the support cut and
 its check take only fsum-combined pass sums. A tile's row count depends
@@ -495,54 +495,3 @@ def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
     coarse = 16.0 * _abs_sum(_weighted_rows(gmat, *coarse_orbits), hcoarse, tile_points, threads)
     fine, dropped = _pruned_abs_sum(gmat, hfine, fine_orbits, coarse, tile_points, threads)
     return fine * area, abs(fine * area - coarse * area) + dropped * area
-
-
-@functools.lru_cache(maxsize=None)
-def _piece_rule(order: int) -> tuple:
-    """Gauss-Legendre s(tau) and weights under tau, tau^2, tau (2 - tau), sin^2(pi tau / 2)."""
-    t, w = np.polynomial.legendre.leggauss(order)
-    tau, half = 0.5 * (t + 1.0), 0.25 * math.pi * (t + 1.0)
-    s = np.stack([tau, tau * tau, tau * (2.0 - tau), np.sin(half) ** 2])
-    ds = np.stack([np.ones_like(tau), 2.0 * tau, 2.0 - 2.0 * tau,
-                   0.5 * math.pi * np.sin(2.0 * half)])
-    return s, 0.5 * w * ds
-
-
-def radial_pieces(edges: np.ndarray, singular: np.ndarray, order: int) -> tuple:
-    """``order``-node Gauss-Legendre nodes and weights on the pieces between
-    ``edges`` (sorted, last axis); a piece is mapped with s ~ tau^2 at an end
-    flagged ``singular``, making an (x - x0)^(3/2) term there a smooth tau^3."""
-    s, w = _piece_rule(order)
-    kind = singular[..., :-1] + 2 * singular[..., 1:]
-    lo, span = edges[..., :-1, None], np.diff(edges)[..., None]
-    shape = edges.shape[:-1] + (-1,)
-    return (lo + span * s[kind]).reshape(shape), (span * w[kind]).reshape(shape)
-
-
-def cos_abs_excess(a, b):
-    """int_0^2pi (|a + b cos u| - a) du: 2 pi (|a| - a) if |a| >= |b|, else
-    4 sqrt(b^2 - a^2) + 4 a arcsin(a / |b|) - 2 pi a, ~ (|b| - a)^(3/2) at |b|."""
-    b = np.abs(b)
-    inside = np.abs(a) < b
-    ratio = np.where(inside, a / np.where(inside, b, 1.0), 0.0)
-    crossing = 4.0 * np.sqrt(np.maximum(b * b - a * a, 0.0)) + 4.0 * a * np.arcsin(ratio)
-    return np.where(inside, crossing - 2.0 * math.pi * a, 2.0 * math.pi * (np.abs(a) - a))
-
-
-def sign_roots(coef: np.ndarray, values, nodes: np.ndarray, at_nodes: np.ndarray) -> tuple:
-    """The sign-change mask of each row of coef @ values(x) on the scan
-    ``nodes`` (at_nodes = values(nodes)), and the row and root of each change,
-    row-major, after two false-position steps (on the Bell families, delta is
-    within 1.2e-10 of one step and 2.4e-11 of three). Root pairs between two
-    nodes are missed."""
-    g = coef @ at_nodes
-    mask = (g[:, 1:] < 0.0) != (g[:, :-1] < 0.0)
-    row, j = divmod(np.flatnonzero(mask), mask.shape[1])  # 10x np.nonzero's speed in 2D
-    lo, up, glo, gup = nodes[j], nodes[j + 1], g[row, j], g[row, j + 1]
-    for _ in range(2):
-        x = lo - glo * (up - lo) / (gup - glo)
-        gx = np.einsum("ij,ji->i", coef[row], values(x))
-        left = (gx < 0.0) == (glo < 0.0)
-        lo, glo = np.where(left, x, lo), np.where(left, gx, glo)
-        up, gup = np.where(left, up, x), np.where(left, gup, gx)
-    return mask, row, lo - glo * (up - lo) / (gup - glo)

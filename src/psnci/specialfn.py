@@ -5,8 +5,9 @@ recurrence, which is stable for the moderate orders supported
 here (n <= 64). The recurrence is linear, so it can start from any
 factor, start * L_0^k = start: the Fock Wigner functions start it from
 their Gaussian e^(-u), and no term of theirs overflows where e^(-u)
-underflows. Normalization constants are handled in log space so that
-factorials never overflow.
+underflows. Their zeros are the eigenvalues of a Jacobi matrix
+(laguerre_zeros). Normalization constants are handled in log space so
+that factorials never overflow.
 """
 
 from __future__ import annotations
@@ -43,23 +44,9 @@ def _as_input_like(result, template):
     return result
 
 
-def assoc_laguerre(n: int, k: int, x):
-    """Associated Laguerre polynomial L_n^k(x) for x >= 0.
-
-    Stable upward recurrence in the degree:
-    (m+1) L_{m+1}^k = (2m + 1 + k - x) L_m^k - (m + k) L_{m-1}^k.
-    """
-    n = _check_order("n", n)
-    k = _check_order("k", k)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0) or not np.all(np.isfinite(xa)):
-        raise DomainError("assoc_laguerre requires finite x >= 0")
-    return _as_input_like(laguerre_recurrence(n, k, xa, 1.0), x)
-
-
 def laguerre_recurrence(n: int, k: int, x: np.ndarray, start) -> np.ndarray:
-    """start * L_n^k(x) by the recurrence of assoc_laguerre started from
-    ``start`` (a float, or an array shaped like x), for orders and a float
+    """start * L_n^k(x) by (m+1) L_{m+1}^k = (2m + 1 + k - x) L_m^k - (m + k) L_{m-1}^k
+    from ``start`` (a float, or an array shaped like x), for orders and a float
     array x that the caller has checked: no checks, no conversions."""
     if n == 0:
         return start * np.ones_like(x)
@@ -67,6 +54,15 @@ def laguerre_recurrence(n: int, k: int, x: np.ndarray, start) -> np.ndarray:
     for m in range(1, n):
         l_cur, l_prev = ((2.0 * m + 1.0 + k - x) * l_cur - (m + k) * l_prev) / (m + 1.0), l_cur
     return l_cur
+
+
+def laguerre_zeros(n: int, k: int) -> np.ndarray:
+    """The n zeros of L_n^k, ascending: the eigenvalues of its Jacobi matrix,
+    diagonal 2i + k + 1 and off-diagonal sqrt(i (i + k)) in the lower triangle,
+    the one eigvalsh reads (Golub & Welsch, Math. Comp. 23 (1969) 221-230)."""
+    i = np.arange(1.0, n)
+    return np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + k + 1.0)
+                              + np.diag(np.sqrt(i * (i + k)), -1))
 
 
 def log_factorial(n: int) -> float:

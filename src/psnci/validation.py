@@ -26,9 +26,8 @@ from .phasespace import (
     build_term_table,
     cross_wigner_fock_closed,
     default_grid,
-    polar_pair_abs,
-    polar_wigner_delta,
 )
+from .polar import polar_pair_abs, polar_wigner_delta
 from .quadrature import abs_4d_with_estimate
 from .states import (
     State,
@@ -395,7 +394,8 @@ def _pair_box_check(rep_list, results):
         cross = {(i, j): phasespace._pair_grid(rep, prims[i], prims[j], phasespace._quadrant(mode),
                                                cache) for i, j in signs}
         ints = {key: fold(d, signs[key], mode) for key, d in cross.items()}
-        whole = phasespace.TermTable(rep, grid, table.amplitudes, [(cross, signs, ints, None)])
+        whole = phasespace.TermTable(rep, grid, table.amplitudes, [(cross, signs, ints, None)],
+                                     table.primitives)
         gaps += [abs(table._ints[0][key] - ints[key]) / fold(np.abs(d), 1, mode).real
                  for key, d in cross.items()]
         gaps += [abs(table.abs_with_estimate([key])[0] / whole.abs_with_estimate([key])[0] - 1.0)

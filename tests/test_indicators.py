@@ -17,7 +17,8 @@ from psnci.indicators import (
     sweep_r,
     von_neumann_entropy,
 )
-from psnci.phasespace import build_term_table, default_grid, polar_pair_abs
+from psnci.phasespace import build_term_table, default_grid
+from psnci.polar import polar_pair_abs
 from psnci.states import (
     State,
     entangled_state,

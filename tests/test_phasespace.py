@@ -661,7 +661,8 @@ def test_folded_sums_equal_whole_grid_sums(rep, prims, mode, amplitudes):
     # 2.8e-17, and the fold takes it as real. The tables need not be
     # normalized here
     cross, signs, ints, turns = _build_cross_maps(rep, prims, mode)
-    table = TermTable(rep, PhaseGrid((mode,)), amplitudes, [(cross, signs, ints, turns)])
+    table = TermTable(rep, PhaseGrid((mode,)), amplitudes, [(cross, signs, ints, turns)],
+                      (prims,))
     for key, quadrant in cross.items():
         grid = _mirror(quadrant, mode, signs[key])
         assert (abs(ints[key] - np.sum(grid) * mode.cell_area)

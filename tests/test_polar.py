@@ -1,6 +1,6 @@
 """The polar Wigner delta of two-term number-conserving Fock states
-(psnci.phasespace.polar_wigner_delta), the polar pair integrals of all-Fock
-Wigner and Husimi tables (psnci.phasespace.polar_pair_abs) and their radial
+(psnci.polar.polar_wigner_delta), the polar pair integrals of all-Fock
+Wigner and Husimi tables (psnci.polar.polar_pair_abs) and their radial
 building blocks, against exact values, scipy quadrature and the polar
 quadrature oracle."""
 
@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from psnci.indicators import delta_indicator, eta_indicator
-from psnci.phasespace import (Representation, _fock_radial, _mode_abs, build_term_table,
-                              polar_pair_abs, polar_wigner_delta)
-from psnci.quadrature import cos_abs_excess, radial_pieces, sign_roots
+from psnci.phasespace import Representation, build_term_table
+from psnci.polar import (_fock_radial, _mode_abs, cos_abs_excess, polar_pair_abs,
+                         polar_wigner_delta, radial_pieces, sign_roots)
 from psnci.states import (State, entangled_state, fock, normalize, squeezed_fock,
                           squeezed_vacuum_superposition)
 
@@ -145,7 +145,7 @@ def test_radial_factor_and_its_zeros(m, n):
     # the monomial form loses digits to cancellation as n grows (2e-12 of the
     # peak at n = 9); the recurrence does not
     assert np.max(np.abs(_fock_radial([(m, n)], rho)[0] - want)) <= 1e-11 * np.max(np.abs(want))
-    # its zeros as the polar rule finds them: on a sign scan, by false position
+    # its zeros as the two-term rule finds them: on a sign scan, by false position
     radial = functools.partial(_fock_radial, [(m, n)])
     scan = np.linspace(0.0, 8.0, 256)
     zeros = sign_roots(np.eye(1), radial, scan, radial(scan))[2]
@@ -154,14 +154,37 @@ def test_radial_factor_and_its_zeros(m, n):
     assert np.max(np.abs(radial(zeros)), initial=0.0) <= 1e-7 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("m", range(5))
-def test_wigner_radial_integral_matches_quad(m):
+@pytest.mark.parametrize("m, ns, tolerance", [
+    *(pytest.param(m, range(5), 1e-12, id=str(m)) for m in range(5)),
+    # photon numbers to 64, breakpoints at the Jacobi matrix's zeros
+    *(pytest.param(m, [m], 1e-12, id=f"{m}-{m}") for m in (12, 16, 32, 40, 64)),
+    *(pytest.param(m, [n], 1e-9, id=f"{m}-{n}")
+      for m, n in [(3, 12), (5, 20), (31, 40), (48, 64), (63, 64)]),
+])
+def test_wigner_radial_integral_matches_quad(m, ns, tolerance):
     # 2 pi int |R_mn| rho drho against scipy's quad between the Laguerre zeros
-    for n in range(5):
+    for n in ns:
         value, estimate = _mode_abs(Representation.WIGNER, m, n)
         error = abs(value - 2.0 * math.pi * oracles.wigner_radial_abs(m, n))
-        assert error <= 1e-12
+        assert error <= tolerance
         assert error <= estimate
+
+
+def test_wigner_radial_oracle_matches_mpmath():
+    # 2 pi int |R_mn| rho drho by mpmath at 30 digits; the oracle's open last
+    # piece toward infinity used to overflow to nan at (63, 64) and (64, 64)
+    for m, n, reference in [(64, 64, 7.274245421771574), (63, 64, 7.248227696436204),
+                            (48, 64, 6.82312675268278)]:
+        assert abs(2.0 * math.pi * oracles.wigner_radial_abs(m, n) - reference) <= 1e-12
+
+
+@pytest.mark.parametrize("m, n", [(0, 8), (3, 12), (8, 8), (0, 64)])
+def test_polar_delta_of_products_at_any_photon_number(m, n):
+    # a one-term product delta is a product of 1D radial integrals, for any n
+    grid = oracles.two_mode_grid(extent=16.0, points=321)
+    table = build_term_table(State(((1.0, fock(m), fock(n)),)), "wigner", grid)
+    value, _ = polar_wigner_delta(table)
+    assert abs(value - oracles.product_wigner_delta(m, n)) <= 1e-12
 
 
 def test_husimi_radial_closed_form_matches_quad():
@@ -210,11 +233,23 @@ def test_one_signed_pairs_keep_the_grid(rep):
         assert abs(eta_indicator(table).value) <= 1e-16
 
 
+def test_polar_pairs_above_four_photons_match_the_grid():
+    # (|0> + |12>) / sqrt2: the cross pair and the |12> diagonal are polar,
+    # the vacuum diagonal has one sign and keeps the grid
+    state = State(((math.sqrt(0.5), fock(0)), (math.sqrt(0.5), fock(12))))
+    table = build_term_table(state, "wigner")
+    polar = polar_pair_abs(table)
+    assert set(polar) == {(0, 1), (1, 1)}
+    for key, (value, _) in polar.items():
+        grid, estimate = table.abs_with_estimate([key])
+        assert abs(value - grid) <= estimate
+
+
 def test_tables_outside_the_class_keep_their_grid_pairs():
     squeezed = State(((0.6, squeezed_fock(1, 0.3), fock(0)), (0.8, fock(0), fock(1))))
     five = State(((math.sqrt(0.5), fock(0), fock(5)), (math.sqrt(0.5), fock(5), fock(0))))
     assert polar_pair_abs(build_term_table(entangled_state(0, 1, 0.5), "rivier")) == {}
     assert polar_pair_abs(build_term_table(squeezed, "wigner")) == {}
     assert polar_pair_abs(build_term_table(squeezed, "husimi")) == {}
-    assert polar_pair_abs(build_term_table(five, "wigner")) == {}
+    assert set(polar_pair_abs(build_term_table(five, "wigner"))) == {(0, 0), (0, 1), (1, 1)}
     assert set(polar_pair_abs(build_term_table(five, "husimi"))) == {(0, 1)}

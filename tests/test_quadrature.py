@@ -666,18 +666,25 @@ PRUNED_FINE_CALLS = {
 # not fold: test_folded_passes_match_dense_oracle[mixed-total]), and its
 # mode 2 holds even states only, so it folds its columns too. Every total
 # here has rank 4 or 8 and is streamed.
-@pytest.mark.parametrize("points", [21, 20])
-@pytest.mark.parametrize("terms, amps, group", [
+STATE_TOTALS = [
     pytest.param(((0, 1), (1, 0)), (0.6 + 0.3j, 0.5), "C4", id="entangled01-complex"),
     pytest.param(((0, 1), (1, 0)), (0.6, 0.8), "D4", id="entangled01-real"),
     pytest.param(((0, 0), (1, 2)), (0.6, -0.8), "T-columns", id="mixed-real"),
-])
-@pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
-def test_state_totals_fold_under_their_group(monkeypatch, rep, terms, amps, group, points):
+]
+
+
+def _total_table(rep, terms, amps, points):
     state = normalize(State(tuple(
         (c, fock(m), fock(n)) for c, (m, n) in zip(amps, terms))))
     grid = oracles.two_mode_grid(points=points)
-    table = build_term_table(state, rep, grid)
+    return build_term_table(state, rep, grid), grid
+
+
+@pytest.mark.parametrize("points", [21, 20])
+@pytest.mark.parametrize("terms, amps, group", STATE_TOTALS)
+@pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
+def test_state_totals_fold_under_their_group(monkeypatch, rep, terms, amps, group, points):
+    table, grid = _total_table(rep, terms, amps, points)
     calls, weights = _recorded_passes(monkeypatch), _recorded_weights(monkeypatch)
     _assert_matches_dense(table.abs_with_estimate(threads=2),
                           table.real_products(), grid)
@@ -727,16 +734,20 @@ NO_ROTATION_CALLS = {
 }
 
 
-@pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
-@pytest.mark.parametrize("name", list(NO_ROTATION_STATES))
-def test_states_without_rotation_keep_their_folds(monkeypatch, name, rep):
+def _no_rotation_table(name, rep):
     state = normalize(State(tuple((c, *prims) for c, prims
                                   in zip((0.6, 0.8), NO_ROTATION_STATES[name]))))
     grid = oracles.two_mode_grid(points=21)
     if name == "unequal-axes":
         mode = ModeAxes(Axis(-6.0, 6.0, 21), Axis(-5.5, 5.5, 21))
         grid = PhaseGrid((mode, mode))
-    table = build_term_table(state, rep, grid)
+    return build_term_table(state, rep, grid), grid
+
+
+@pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
+@pytest.mark.parametrize("name", list(NO_ROTATION_STATES))
+def test_states_without_rotation_keep_their_folds(monkeypatch, name, rep):
+    table, grid = _no_rotation_table(name, rep)
     streamed, closed = _recorded_passes(monkeypatch), _recorded_closed(monkeypatch)
     weights = _recorded_weights(monkeypatch)
     for keys, expected in zip((None, [(0, 1)]), NO_ROTATION_CALLS[name, rep]):
@@ -749,6 +760,41 @@ def test_states_without_rotation_keep_their_folds(monkeypatch, name, rep):
         (stream_calls, stream_weights), (closed_calls, closed_weights) = map(_passes, expected)
         assert (streamed, closed, weights) == (stream_calls, closed_calls,
                                                stream_weights + closed_weights)
+
+
+def _assert_cut_within_budget(recorded, table, grid, keys, streamed):
+    """The fine pass of each pinned case drops a bound of at most
+    _SUPPORT_CUT of its kept sum, or 0.0 once it streams the dropped rows and
+    columns too; kept sum and bound cover the dense oracle's sum. The pins
+    count the rows and columns kept, which move with last-bit changes of the
+    grid values; this states what the cut must keep."""
+    cuts, sums = recorded
+    cuts.clear(), sums.clear()
+    prods = table.real_products(keys)
+    abs_4d_with_estimate(prods, grid, threads=2)
+    assert len(cuts) == int(streamed)
+    fine, _ = oracles.dense_abs_4d_sums(prods)
+    for (_, dropped), (_, total) in zip(cuts, sums):
+        assert 0.0 <= dropped <= quadrature._SUPPORT_CUT * total
+        assert total + dropped >= fine * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("points", [21, 20])
+@pytest.mark.parametrize("terms, amps, group", STATE_TOTALS)
+@pytest.mark.parametrize("rep", ["wigner", "husimi"])
+def test_pruned_totals_drop_within_the_cut_budget(monkeypatch, rep, terms, amps, group, points):
+    assert (rep, group, points) in PRUNED_FINE_CALLS
+    table, grid = _total_table(rep, terms, amps, points)
+    _assert_cut_within_budget(_recorded_cuts(monkeypatch), table, grid, None, True)
+
+
+@pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
+@pytest.mark.parametrize("name", list(NO_ROTATION_STATES))
+def test_no_rotation_passes_drop_within_the_cut_budget(monkeypatch, name, rep):
+    table, grid = _no_rotation_table(name, rep)
+    recorded = _recorded_cuts(monkeypatch)
+    for keys, (streamed, _) in zip((None, [(0, 1)]), NO_ROTATION_CALLS[name, rep]):
+        _assert_cut_within_budget(recorded, table, grid, keys, bool(streamed))
 
 
 # Products whose mode-2 factors share one parity, even or odd, state it and
@@ -869,9 +915,10 @@ def _case_table(case, rep, points):
     state, zero = case
     rep = phasespace.Representation.parse(rep)
     grid = phasespace.default_grid(state, points=points)
+    prims = [state.mode_primitives(m) for m in range(2)]
     table = phasespace.TermTable(rep, grid, state.amplitudes, [
-        phasespace._build_cross_maps(rep, state.mode_primitives(m), grid.mode(m))
-        for m in range(2)])
+        phasespace._build_cross_maps(rep, mode_prims, grid.mode(m))
+        for m, mode_prims in enumerate(prims)], prims)
     if zero is None:
         return table
     return table.with_amplitudes([0.0 if k == zero else c
