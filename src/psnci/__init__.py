@@ -22,6 +22,7 @@ from .indicators import (
     SweepRow,
     delta_indicator,
     eta_indicator,
+    state_indicators,
     sweep_a,
     sweep_r,
     von_neumann_entropy,

@@ -23,8 +23,7 @@ from .errors import PhaseSpaceError, StateFormatError
 from .grids import PhaseGrid
 from .indicators import (
     SWEEP_R_FAMILIES,
-    delta_indicator,
-    eta_indicator,
+    state_indicators,
     sweep_a,
     sweep_r,
     von_neumann_entropy,
@@ -165,9 +164,7 @@ def _cmd_indicator(args) -> int:
     reps = [Representation.parse(r) for r in (args.rep or ["wigner", "husimi", "rivier"])]
     results = {}
     for rep in reps:
-        table = build_term_table(state, rep, _grid_for(state, args))
-        d = delta_indicator(table, threads=args.threads)
-        e = eta_indicator(table, threads=args.threads)
+        d, e = state_indicators(state, rep, _grid_for(state, args), threads=args.threads)
         results[rep.value] = {
             "delta": {"value": d.value, "error_estimate": d.error_estimate,
                       "norm_check": d.norm_check, "valid": d.valid},

@@ -14,6 +14,9 @@
   with Fock-only terms, from the singular values of the coefficient
   matrix.
 
+``state_indicators``, the CLI ``indicator`` command's one call, gives
+both; a one-mode state that psnci.polar.fock_single_mode covers takes
+them from radial rules with no table or grid, as its table would.
 Pair integrals int |f_ij| are polar radial integrals where
 psnci.polar.polar_pair_abs covers them (Wigner and Husimi tables of Fock
 primitives, any photon numbers), else grid sums.
@@ -36,8 +39,10 @@ import numpy as np
 
 from .errors import DegenerateStateError, DomainError, UnsupportedStateError
 from .grids import PhaseGrid
-from .phasespace import NORM_CHECK_TOLERANCE, Representation, build_term_table, default_grid
-from .polar import polar_pair_abs, polar_wigner_delta
+from .phasespace import (NORM_CHECK_TOLERANCE, Representation, _mode_primitives,
+                         build_term_table, default_grid)
+from .polar import (Terms, fock_single_mode, polar_fock_delta, polar_fock_pairs, polar_pair_abs,
+                    polar_wigner_delta)
 from .states import (
     State,
     entangled_state,
@@ -83,23 +88,29 @@ def delta_indicator(table, *, threads: int = 1) -> IndicatorResult:
     estimate is that of int |f|. A Husimi Q = |<alpha|psi>|^2 / pi^n is
     non-negative, so its int |Q| is int Q and delta is 0 by construction;
     the estimate is then the distance of int Q to its decimated integral,
-    and no |f| is integrated. polar_wigner_delta gives delta and its
-    estimate for the states it covers; norm_check is still the grid's.
+    and no |f| is integrated. A table (or psnci.polar.Terms) that
+    fock_single_mode covers takes delta, its estimate and norm_check from
+    polar_fock_delta; polar_wigner_delta gives a two-mode delta and its
+    estimate for the states it covers, and norm_check is then the grid's.
     """
-    plain = table.total_integral()
-    if table.representation is Representation.HUSIMI:
-        value, estimate = 0.0, abs(plain - table.decimated_integral())
-    elif (polar := polar_wigner_delta(table)) is not None:
-        value, estimate = polar
-    else:
-        absval, estimate = table.abs_with_estimate(threads=threads)
-        value = absval - plain
+    value, estimate, plain = polar_fock_delta(table) or _table_delta(table, threads)
     return IndicatorResult(
         value=value,
         error_estimate=estimate,
         norm_check=plain,
         representation=table.representation.value,
     )
+
+
+def _table_delta(table, threads: int) -> tuple:
+    """(delta, estimate, norm_check) of delta_indicator off the one-mode polar route."""
+    plain = table.total_integral()
+    if table.representation is Representation.HUSIMI:
+        return 0.0, abs(plain - table.decimated_integral()), plain
+    if (polar := polar_wigner_delta(table)) is not None:
+        return (*polar, plain)
+    absval, estimate = table.abs_with_estimate(threads=threads)
+    return absval - plain, estimate, plain
 
 
 def eta_indicator(table, *, threads: int = 1) -> IndicatorResult:
@@ -114,9 +125,23 @@ def eta_indicator(table, *, threads: int = 1) -> IndicatorResult:
     )
 
 
+def state_indicators(state: State, representation, grid: PhaseGrid = None, *,
+                     threads: int = 1) -> tuple:
+    """(delta_indicator, eta_indicator) of a normalized state: on its
+    psnci.polar.Terms, with no table or grid, where fock_single_mode covers
+    them, else on its table over ``grid`` (default: default_grid)."""
+    rep = Representation.parse(representation)
+    terms = Terms(rep, _mode_primitives(state), tuple(complex(c) for c in state.amplitudes))
+    source = terms if fock_single_mode(terms) is not None else build_term_table(state, rep, grid)
+    return delta_indicator(source, threads=threads), eta_indicator(source, threads=threads)
+
+
 def _pair_integrals(table, threads: int) -> list:
     """(int |f_ij|, its estimate, int f_ij) for every pair key of the table:
-    int |f_ij| polar where polar_pair_abs covers it, else on the grid."""
+    polar_fock_pairs where it covers the table; else int |f_ij| polar where
+    polar_pair_abs covers it, else on the grid, and int f_ij on the grid."""
+    if (pairs := polar_fock_pairs(table)) is not None:
+        return pairs
     polar = polar_pair_abs(table)
     return [(polar[key] if key in polar else table.abs_with_estimate([key], threads=threads))
             + (table.pair_integral(*key),) for key in table.pair_keys()]

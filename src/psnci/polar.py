@@ -6,18 +6,22 @@ polar_wigner_delta the two-mode delta of a product, as 1D radial integrals
 for any photon numbers: pieces between the zeros of R_mn, sqrt(x / 2) for
 the Jacobi eigenvalues x of L_low^k (laguerre_zeros). Two terms of one
 total photon number up to _POLAR_MAX_N take a 2D radial rule on sign-scanned
-breakpoints (_polar_rule). Each rule runs to the support radius, not the
-grid, and its estimate is its distance to the rule with half the nodes.
+breakpoints (_polar_rule). One-mode delta, norm and pairs of one or two
+Fock terms are 1D rules for any n, read from a table or from a state's
+Terms with no grid (polar_fock_delta). Each rule runs to the support
+radius, not the grid, and its estimate is its distance to the rule with
+half the nodes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .phasespace import Representation, _fock_core
+from .phasespace import Representation, _fock_core, _hermitian_keys
 from .specialfn import laguerre_zeros
 from .states import Primitive
 
@@ -26,6 +30,19 @@ from .states import Primitive
 # sqrt(2n + 1) + 3), and the largest photon number of _polar_rule: that of
 # the sweep_a families, each of which is within 7.5e-7 of the oracle at every a^2.
 _POLAR_ORDER, _POLAR_SCAN, _POLAR_TAIL, _POLAR_MAX_N = 12, 256, 3.0, 4
+# _single_rule's nodes per piece, scan nodes per wavelength pi / sqrt(2n + 1)
+# of R_nn and false-position steps: within 5e-11 of the references on
+# (|0> + |n>) / sqrt2, n in {4, 12, 20, 40, 64}; 4 scan nodes miss root pairs
+# at n = 64 (1.9e-7 off), and 2 steps leave n = 20 1.2e-8 off.
+_SINGLE_ORDER, _SINGLE_SCAN, _SINGLE_STEPS = 24, 8, 4
+
+
+class Terms(NamedTuple):
+    """What the polar rules read of a TermTable, taken from a state: no grid."""
+
+    representation: Representation
+    primitives: tuple  # per mode, in term order
+    amplitudes: tuple
 
 
 def polar_wigner_delta(table):
@@ -69,12 +86,13 @@ def polar_pair_abs(table) -> dict:
     is first order in the modes' estimates. A pair in which no mode's
     photon numbers differ and every R_nn >= 0 (every such Husimi pair, and
     Wigner's with n = 0 in every mode) has one sign everywhere; it is left
-    to the grid, whose int |f| is then the very sum of its int f."""
+    to the grid, whose int |f| is then the very sum of its int f, or, in
+    polar_fock_pairs, to the radial integral of f."""
     rep, prims = table.representation, table.primitives
     if rep is Representation.RIVIER or any(p.r for mode in prims for p in mode):
         return {}
     c, out = table.amplitudes, {}
-    for k, l in table.pair_keys():
+    for k, l in _hermitian_keys(len(c)):
         ns = [(mode[k].n, mode[l].n) for mode in prims]
         gamma = c[k] * c[l].conjugate()
         if any(m != n for m, n in ns):
@@ -87,6 +105,87 @@ def polar_pair_abs(table) -> dict:
         out[(k, l)] = (scale * math.prod(values), scale * sum(
             e * math.prod(values[:i] + values[i + 1:]) for i, e in enumerate(estimates)))
     return out
+
+
+def fock_single_mode(table):
+    """The live (amplitude, photon number) terms of a one-mode Wigner or
+    Husimi table (or Terms) whose primitives all have r = 0, if they are one
+    or two of distinct photon numbers; else None."""
+    rep, prims = table.representation, table.primitives
+    if rep is Representation.RIVIER or len(prims) != 1 or any(p.r for p in prims[0]):
+        return None
+    live = [(c, p.n) for c, p in zip(table.amplitudes, prims[0]) if c != 0]
+    return live if 0 < len(live) == len({n for _, n in live}) <= 2 else None
+
+
+def polar_fock_delta(table):
+    """(delta, estimate, norm_check) of a table that fock_single_mode
+    covers, else None. norm_check is sum |c_k|^2 2 pi int R_kk rho, and
+    Husimi delta is 0. Wigner W = A + B cos(k theta - phi), with
+    A = |c_m|^2 R_mm + |c_n|^2 R_nn and B = 2 |c_m c_n| R_mn, so delta =
+    int rho cos_abs_excess(A, B) drho (_single_rule); one live term's is
+    |c|^2 2 pi int (|R_nn| - R_nn) rho."""
+    if (live := fock_single_mode(table)) is None:
+        return None
+    rep = table.representation
+    norm = math.fsum(abs(c) ** 2 * _mode_signed(rep, n)[0] for c, n in live)
+    if rep is Representation.HUSIMI:
+        return 0.0, 0.0, norm
+    if len(live) == 1:
+        (c, n), = live
+        fine, coarse = (abs(c) ** 2 * (a - s) for a, s in _radial_integrals(n, n))
+    else:
+        fine, coarse = _single_rule(*live)
+    return fine, abs(fine - coarse), norm
+
+
+def polar_fock_pairs(table):
+    """(int |f_kl|, its estimate, int f_kl) per pair key of a table that
+    fock_single_mode covers, else None: polar_pair_abs, and a pair of one
+    sign takes its plain integral. int f_kl is 0 off the diagonal (the
+    angle integral of cos, or gamma = 0) and |c_k|^2 2 pi int R_kk rho on it."""
+    if fock_single_mode(table) is None:
+        return None
+    rep, c, prims = table.representation, table.amplitudes, table.primitives[0]
+    polar, out = polar_pair_abs(table), []
+    for k, l in _hermitian_keys(len(c)):
+        plain, estimate = ((abs(c[k]) ** 2 * x for x in _mode_signed(rep, prims[k].n))
+                           if k == l else (0.0, 0.0))
+        out.append(polar.get((k, l), (plain, estimate)) + (plain,))
+    return out
+
+
+def _mode_signed(rep, n) -> tuple:
+    """2 pi int R_nn rho drho and its estimate: Husimi's is 1, exact;
+    Wigner's is the radial rule, with its distance to half the nodes."""
+    if rep is Representation.HUSIMI:
+        return 1.0, 0.0
+    (_, fine), (_, coarse) = _radial_integrals(n, n)
+    return fine, abs(fine - coarse)
+
+
+def _single_rule(first, second) -> tuple:
+    """Fine and coarse int rho cos_abs_excess(A, B) drho for the live terms
+    (c_m, m) and (c_n, n): pieces end at the factors' zeros, whole radii
+    and the roots of A +- B, flagged singular, from a sign scan
+    _SINGLE_SCAN nodes a wavelength. A root where A +- B only touches 0
+    does not change the branch and needs no edge."""
+    (cm, m), (cn, n) = first, second
+    pairs, hi = ((m, m), (n, n), (m, n)), Primitive(max(m, n)).support_radius
+    weights = np.array([abs(cm) ** 2, abs(cn) ** 2, 2.0 * abs(cm * cn)])
+    radial = functools.partial(_fock_radial, pairs)
+    zeros = [np.sqrt(0.5 * laguerre_zeros(min(a, b), abs(a - b))) for a, b in pairs]
+    scan = np.linspace(0.0, hi, math.ceil(hi * _SINGLE_SCAN * math.sqrt(2 * max(m, n) + 1)
+                                          / math.pi) + 1)
+    roots = sign_roots(weights * [[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]], radial, scan,
+                       radial(scan), _SINGLE_STEPS)[2]
+    edges, singular = _edges(_plain_edges(hi, np.concatenate(zeros)), roots, hi)
+
+    def rule(order):
+        r, w = radial_pieces(edges, singular, order)
+        a, b, x = weights[:, None] * radial(r)
+        return float(np.sum(cos_abs_excess(a + b, x) * r * w))
+    return rule(_SINGLE_ORDER), rule(_SINGLE_ORDER // 2)
 
 
 def _mode_abs(rep, m, n) -> tuple:
@@ -226,17 +325,18 @@ def cos_abs_excess(a, b):
     return np.where(inside, crossing - 2.0 * math.pi * a, 2.0 * math.pi * (np.abs(a) - a))
 
 
-def sign_roots(coef: np.ndarray, values, nodes: np.ndarray, at_nodes: np.ndarray) -> tuple:
+def sign_roots(coef: np.ndarray, values, nodes: np.ndarray, at_nodes: np.ndarray,
+               steps: int = 2) -> tuple:
     """The sign-change mask of each row of coef @ values(x) on the scan
     ``nodes`` (at_nodes = values(nodes)), and the row and root of each change,
-    row-major, after two false-position steps (on the Bell families, delta is
-    within 1.2e-10 of one step and 2.4e-11 of three). Root pairs between two
-    nodes are missed."""
+    row-major, after ``steps`` false-position steps (on the Bell families,
+    delta is within 1.2e-10 of one step and 2.4e-11 of three). Root pairs
+    between two nodes are missed."""
     g = coef @ at_nodes
     mask = (g[:, 1:] < 0.0) != (g[:, :-1] < 0.0)
     row, j = divmod(np.flatnonzero(mask), mask.shape[1])  # 10x np.nonzero's speed in 2D
     lo, up, glo, gup = nodes[j], nodes[j + 1], g[row, j], g[row, j + 1]
-    for _ in range(2):
+    for _ in range(steps):
         x = lo - glo * (up - lo) / (gup - glo)
         gx = np.einsum("ij,ji->i", coef[row], values(x))
         left = (gx < 0.0) == (glo < 0.0)

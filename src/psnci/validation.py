@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PhaseSpaceError
 from .grids import DEFAULT_TWO_MODE_EXTENT, Axis, ModeAxes, PhaseGrid
-from .indicators import eta_indicator
+from .indicators import _eta, delta_indicator, eta_indicator
 from . import phasespace
 from .phasespace import (
     Representation,
@@ -383,6 +383,31 @@ def _polar_pairs_check(tables, results, threads):
             f"|polar - grid| = {gap:.2e}, grid estimate {estimate:.2e}"))
 
 
+def _polar_single_check(results, extent, points):
+    # (|0> + |n>) / sqrt2: the grid's Cartesian Wigner delta and eta (every
+    # pair integral a grid sum) against the polar ones.
+    gaps = []
+    for n in (1, 4, 12):
+        state = State(((math.sqrt(0.5), fock(0)), (math.sqrt(0.5), fock(n))))
+        try:
+            table = build_term_table(state, Representation.WIGNER,
+                                     default_grid(state, extent=extent, points=points))
+        except PhaseSpaceError as exc:
+            results.append(CheckResult("polar_single_vs_cartesian", False, f"|{n}>: {exc}"))
+            return
+        absval, estimate = table.abs_with_estimate()
+        gaps.append((abs(absval - table.total_integral() - delta_indicator(table).value),
+                     estimate, f"|0>+|{n}> delta"))
+        eta, _, estimate = _eta([table.abs_with_estimate([key]) + (table.pair_integral(*key),)
+                                 for key in table.pair_keys()], [1.0] * len(table.pair_keys()))
+        gaps.append((abs(eta - eta_indicator(table).value), estimate, f"|0>+|{n}> eta"))
+    gap, estimate, where = max(gaps, key=lambda g: g[0] / g[1] if g[1] else math.inf)
+    results.append(CheckResult(
+        "polar_single_vs_cartesian", all(g <= e for g, e, _ in gaps),
+        f"nearest its grid estimate: {where}, |polar - grid| = {gap:.2e}, "
+        f"grid estimate {estimate:.2e}"))
+
+
 def _pair_box_check(rep_list, results):
     # psi01r's boxes at r = 2 against the whole quadrant: int D, int |f_kl|
     state = squeezed_excited_superposition(0.5, 2.0)
@@ -426,5 +451,7 @@ def run_validation(*, extent=None, points=None, reps=None, threads: int = 1):
     _fold_check(rep_list, results, threads)
     _polar_check(tables, results, threads)
     _polar_pairs_check(tables, results, threads)
+    if Representation.WIGNER in rep_list:
+        _polar_single_check(results, extent, points)
     _pair_box_check(rep_list, results)
     return results, all(r.passed for r in results)

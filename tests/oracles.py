@@ -446,6 +446,65 @@ def polar_wigner_abs_integral(c0, k, c1, l, epsabs=1e-10):
         for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo)
 
 
+# --- polar reduction of one-mode two-term Fock states ----------------------
+# c0|m> + c1|n> has W = A(rho) + B(rho) cos((m - n) theta + phi) with
+# A = |c0|^2 R_mm + |c1|^2 R_nn and B = 2 |c0 c1| R_mn, so delta_W is one
+# radial integral of the closed angle integral.
+
+def _radial_factor(m, n, rho):
+    """R_mn(rho) of W_mn = R_mn(rho) e^(-i(m-n)theta), signed, from
+    scipy.special.eval_genlaguerre in log form (rho^k L alone overflows at
+    high n where e^(-rho^2) underflows)."""
+    from scipy import special
+    hi, lo = max(m, n), min(m, n)
+    k = hi - lo
+    rho = np.asarray(rho, dtype=float)
+    lag = special.eval_genlaguerre(lo, k, 2.0 * rho * rho)
+    with np.errstate(divide="ignore"):
+        log_mag = 0.5 * (k * math.log(2.0) + math.lgamma(lo + 1.0) - math.lgamma(hi + 1.0)) \
+            - math.log(math.pi) + (k * np.log(rho) if k else 0.0) + np.log(np.abs(lag)) - rho * rho
+    return (-1) ** lo * np.sign(lag) * np.exp(log_mag)
+
+
+def polar_fock_delta(c0, m, c1, n):
+    """delta_W of the one-mode state c0|m> + c1|n>, m != n, as
+    int_0^inf rho (int_0^2pi |A + B cos u| du - 2 pi A) drho by
+    scipy.integrate.quad, to sqrt(2 max(m, n) + 1) + 12 (the integrand is
+    below 1e-60 past it), between breakpoints of its own: the zeros of
+    each factor (scipy.special.roots_genlaguerre) and the roots of A +- B,
+    bracketed on a scan of 32 nodes per pi / sqrt(2 max(m, n) + 1) and
+    refined by brentq. Pieces narrower than 1e-12 (a root next to a zero)
+    are left out."""
+    from scipy import integrate, optimize, special
+    w = (abs(c0) ** 2, abs(c1) ** 2, 2.0 * abs(c0 * c1))
+    pairs = ((m, m), (n, n), (m, n))
+    top = max(m, n)
+    edge = math.sqrt(2.0 * top + 1.0) + 12.0
+
+    def parts(rho):
+        a, b, c = (w_i * _radial_factor(i, j, rho) for w_i, (i, j) in zip(w, pairs))
+        return a + b, c
+
+    cuts = {math.sqrt(x / 2.0) for i, j in pairs if min(i, j)
+            for x in special.roots_genlaguerre(min(i, j), abs(i - j))[0]}
+    scan = np.linspace(0.0, edge, int(32 * edge * math.sqrt(2.0 * top + 1.0) / math.pi) + 2)
+    for sign in (1.0, -1.0):
+        def g(rho, sign=sign):
+            a, b = parts(rho)
+            return float(a + sign * b)
+        values = [g(x) for x in scan]
+        for lo, hi, glo, ghi in zip(scan[:-1], scan[1:], values[:-1], values[1:]):
+            if glo * ghi < 0.0:
+                cuts.add(optimize.brentq(g, lo, hi, xtol=1e-15, rtol=1e-15))
+
+    def integrand(rho):
+        a, b = parts(rho)
+        return rho * float(_angle_abs(np.array(a), np.array(b)) - 2.0 * math.pi * a)
+    edges = sorted({0.0, edge} | {x for x in cuts if x < edge})
+    return math.fsum(integrate.quad(integrand, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                     for a, b in zip(edges[:-1], edges[1:]) if b - a > 1e-12)
+
+
 # --- entangled01 in closed form --------------------------------------------
 # a|0,1> + sqrt(1 - a^2)|1,0> is a beam splitter turned on |0,1>, and the
 # Wigner function is covariant under it, so delta_W is delta(|1>) at every

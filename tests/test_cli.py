@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import psnci
-from psnci import cli, phasespace, quadrature, validation
+from psnci import cli, indicators, phasespace, quadrature, validation
+from psnci.errors import GridCoverageError
 from psnci.cli import _build_parser, _fmt, main
 from psnci.indicators import sweep_r
 
@@ -27,6 +29,11 @@ BELL = json.dumps({
          "mode2": {"type": "fock", "n": 0}},
     ],
 })
+
+FOCK_0_64 = json.dumps({"modes": 1, "terms": [
+    {"amp_re": ROOT_HALF, "mode1": {"type": "fock", "n": 0}},
+    {"amp_re": ROOT_HALF, "mode1": {"type": "fock", "n": 64}},
+]})
 
 
 def _read_csv(path):
@@ -82,6 +89,29 @@ def test_indicator_json(capsys):
     assert res["husimi"]["delta"]["value"] == pytest.approx(0.0, abs=1e-9)
     assert res["wigner"]["delta"]["valid"] is True
     assert payload["config"]["command"] == "indicator"
+
+
+def test_polar_indicator_builds_no_table(monkeypatch, capsys):
+    # (|0> + |64>) / sqrt2 overflows the default grid, but its Wigner and
+    # Husimi indicators are polar and build no table; Rivier still needs one.
+    build = phasespace.build_term_table
+
+    def refuse(*args):
+        raise AssertionError("a term table was built")
+    for module in (cli, indicators):
+        monkeypatch.setattr(module, "build_term_table", refuse)
+    assert main(["indicator", "--state", FOCK_0_64, "--rep", "wigner,husimi"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    for rep in ("wigner", "husimi"):
+        for name in ("delta", "eta"):
+            assert results[rep][name]["valid"] is True
+            assert abs(results[rep][name]["norm_check"] - 1.0) <= 1e-9
+    assert results["husimi"]["delta"]["value"] == 0.0
+    monkeypatch.setattr(indicators, "build_term_table", build)
+    assert main(["indicator", "--state", FOCK_0_64, "--rep", "rivier"]) == 3
+    assert "numerical error" in capsys.readouterr().err
+    with pytest.raises(GridCoverageError):
+        indicators.state_indicators(psnci.state_from_json(FOCK_0_64), "rivier")
 
 
 def test_malformed_state_exits_2(capsys):
@@ -226,6 +256,19 @@ def test_validate_polar_check_catches_an_offset(monkeypatch, capsys):
                         lambda table: (polar(table)[0] + 1e-2, polar(table)[1]))
     assert main(["validate", "--rep", "wigner", "--threads", "2"]) == 1
     assert "[FAIL] polar_vs_cartesian" in capsys.readouterr().out
+
+
+# polar_single_vs_cartesian holds the Cartesian delta of (|0> + |n>) / sqrt2
+# to the polar one within the grid's estimate: an offset of 1e-2 fails it.
+def test_validate_polar_single_check_catches_an_offset(monkeypatch, capsys):
+    argv = ["validate", "--rep", "wigner", "--threads", "2"]
+    assert main(argv) == 0
+    assert "[PASS] polar_single_vs_cartesian" in capsys.readouterr().out
+    delta = validation.delta_indicator
+    monkeypatch.setattr(validation, "delta_indicator", lambda table: dataclasses.replace(
+        delta(table), value=delta(table).value + 1e-2))
+    assert main(argv) == 1
+    assert "[FAIL] polar_single_vs_cartesian" in capsys.readouterr().out
 
 
 def test_validate_polar_pairs_check_catches_an_offset(monkeypatch, capsys):

@@ -1,8 +1,9 @@
 """The polar Wigner delta of two-term number-conserving Fock states
 (psnci.polar.polar_wigner_delta), the polar pair integrals of all-Fock
-Wigner and Husimi tables (psnci.polar.polar_pair_abs) and their radial
-building blocks, against exact values, scipy quadrature and the polar
-quadrature oracle."""
+Wigner and Husimi tables (psnci.polar.polar_pair_abs), the one-mode polar
+delta, norm and pairs of one or two Fock terms (polar_fock_delta,
+polar_fock_pairs) and their radial building blocks, against exact values,
+scipy quadrature, mpmath and the polar quadrature oracles."""
 
 import functools
 import math
@@ -10,9 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from psnci.indicators import delta_indicator, eta_indicator
+from psnci import indicators
+from psnci.indicators import delta_indicator, eta_indicator, state_indicators
 from psnci.phasespace import Representation, build_term_table
-from psnci.polar import (_fock_radial, _mode_abs, cos_abs_excess, polar_pair_abs,
+from psnci.polar import (Terms, _fock_radial, _mode_abs, cos_abs_excess, fock_single_mode,
+                         polar_fock_delta, polar_fock_pairs, polar_pair_abs,
                          polar_wigner_delta, radial_pieces, sign_roots)
 from psnci.states import (State, entangled_state, fock, normalize, squeezed_fock,
                           squeezed_vacuum_superposition)
@@ -253,3 +256,142 @@ def test_tables_outside_the_class_keep_their_grid_pairs():
     assert polar_pair_abs(build_term_table(squeezed, "husimi")) == {}
     assert set(polar_pair_abs(build_term_table(five, "wigner"))) == {(0, 0), (0, 1), (1, 1)}
     assert set(polar_pair_abs(build_term_table(five, "husimi"))) == {(0, 1)}
+
+
+# --- one-mode states of one or two Fock terms -------------------------------
+
+ROOT_HALF = math.sqrt(0.5)
+# delta_W of (|0> + |n>) / sqrt2 on the benchmark's Fock ladder, to 10 digits
+# (ROADMAP, "State": mpmath at n = 40, 128- and 256-node pieces at n = 64).
+LADDER_DELTA = {4: 0.8027907596, 12: 1.7957025408, 20: 2.3919168018,
+                40: 3.4697476258, 64: 4.4096905306}
+
+
+def _fock_terms(rep, amplitudes, ns):
+    return Terms(Representation.parse(rep), (tuple(fock(n) for n in ns),),
+                 tuple(complex(c) for c in amplitudes))
+
+
+def _mpmath_pair_delta(n, dps=30):
+    """delta_W of (|0> + |n>) / sqrt2 in mpmath: R e^(rho^2) from the exact
+    Laguerre coefficients, the roots of A +- B by a scan and findroot, and
+    tanh-sinh quadrature between them."""
+    import mpmath as mp
+    mp.mp.dps = dps
+
+    def radial(m, k):  # ascending coefficients in rho of R_mk e^(rho^2), padded to 2n + 1
+        hi, lo = max(m, k), min(m, k)
+        pref = (-1) ** lo / mp.pi * mp.sqrt(mp.mpf(2) ** (hi - lo) * mp.factorial(lo)
+                                           / mp.factorial(hi))
+        out = [mp.mpf(0)] * (2 * n + 1)
+        for j, c in enumerate(oracles.laguerre_coeffs_exact(lo, hi - lo)):
+            out[2 * j + hi - lo] = pref * mp.mpf(c.numerator) / c.denominator * 2 ** j
+        return out
+    a = [(x + y) / 2 for x, y in zip(radial(0, 0), radial(n, n))]
+    b = radial(0, n)
+    edge = math.sqrt(2.0 * n + 1.0) + 12.0
+    scan = [edge * i / 800 for i in range(801)]
+    cuts = []
+    for poly in ([x + y for x, y in zip(a, b)], [x - y for x, y in zip(a, b)]):
+        def at(x, poly=poly):
+            return mp.polyval(poly[::-1], x)
+        values = [at(x) for x in scan]
+        cuts += [mp.findroot(at, (x0, x1), solver="anderson")
+                 for x0, x1, v0, v1 in zip(scan, scan[1:], values, values[1:]) if v0 * v1 < 0]
+
+    def integrand(rho):
+        e = mp.exp(-rho * rho)
+        big_a, big_b = mp.polyval(a[::-1], rho) * e, abs(mp.polyval(b[::-1], rho) * e)
+        if abs(big_a) >= big_b:
+            return rho * 2 * mp.pi * (abs(big_a) - big_a)
+        return rho * (4 * mp.sqrt(big_b ** 2 - big_a ** 2) + 4 * big_a * mp.asin(big_a / big_b)
+                      - 2 * mp.pi * big_a)
+    return float(mp.quad(integrand, [0] + sorted(cuts) + [edge]))
+
+
+def test_polar_fock_delta_oracle_matches_mpmath():
+    assert abs(oracles.polar_fock_delta(ROOT_HALF, 0, ROOT_HALF, 20)
+               - _mpmath_pair_delta(20)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", sorted(LADDER_DELTA))
+def test_polar_fock_delta_on_the_ladder(n):
+    value, estimate, norm = polar_fock_delta(_fock_terms("wigner", (ROOT_HALF,) * 2, (0, n)))
+    assert abs(value - LADDER_DELTA[n]) <= 1e-9
+    assert abs(value - oracles.polar_fock_delta(ROOT_HALF, 0, ROOT_HALF, n)) <= estimate
+    assert abs(norm - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("c0, m, c1, n", [(0.6, 3, 0.8j, 7), (0.28 - 0.96j, 9, 1.0, 2),
+                                          (0.3, 1, 0.5 + 0.2j, 30)])
+def test_polar_fock_delta_matches_the_oracle(c0, m, c1, n):
+    # unequal and complex amplitudes, m > 0, the terms in either order;
+    # the norm check is sum |c_k|^2 whether or not that is 1
+    value, estimate, norm = polar_fock_delta(_fock_terms("wigner", (c0, c1), (m, n)))
+    assert abs(value - oracles.polar_fock_delta(c0, m, c1, n)) <= min(estimate, 1e-9)
+    assert abs(norm - abs(c0) ** 2 - abs(c1) ** 2) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 16, 40, 64])
+def test_polar_fock_delta_of_one_fock_state(n):
+    # a dead second term leaves |n> alone
+    for amplitudes, ns in (((1.0,), (n,)), ((0.0, 1.0), (abs(n - 1), n))):
+        value, estimate, norm = polar_fock_delta(_fock_terms("wigner", amplitudes, ns))
+        assert abs(value - oracles.fock_wigner_delta(n)) <= max(estimate, 1e-12)
+        assert abs(norm - 1.0) <= 1e-12
+
+
+def test_husimi_polar_fock_delta_is_zero():
+    for n in (1, 12, 64):
+        terms = _fock_terms("husimi", (0.6, 0.8j), (0, n))
+        assert polar_fock_delta(terms) == (0.0, 0.0, abs(0.6) ** 2 + abs(0.8j) ** 2)
+
+
+@pytest.mark.parametrize("rep", ["wigner", "husimi"])
+def test_polar_fock_pairs_match_the_closed_forms(rep):
+    # (c0 |0> + c1 |n>): the diagonal pairs integrate to |c_k|^2 and the
+    # cross pair to 0; its |f_01| is 2 |c0 c1| (2 / pi) 2 pi int |R_0n| rho
+    c0, c1 = 0.6, 0.48 - 0.64j
+    for n in (1, 12, 64):
+        pairs = polar_fock_pairs(_fock_terms(rep, (c0, c1), (0, n)))
+        (a00, _, p00), (a01, e01, p01), (a11, _, p11) = pairs
+        assert p01 == 0.0
+        assert abs(p00 - 0.36) <= 1e-12 and abs(p11 - 0.64) <= 1e-12
+        assert abs(a00 - p00) <= 1e-12  # |0>'s diagonal has one sign
+        assert a11 >= p11 - 1e-12
+        radial = 2.0 * math.pi * (oracles.wigner_radial_abs(0, n) if rep == "wigner"
+                                  else oracles.husimi_radial_abs(0, n))
+        assert abs(a01 - 4.0 / math.pi * abs(c0 * c1) * radial) <= max(e01, 1e-12)
+
+
+@pytest.mark.parametrize("rep", ["wigner", "husimi"])
+def test_state_and_table_routes_agree(rep):
+    # one path: a state's Terms and its table give the same bits
+    state = normalize(State(((0.6, fock(2)), (0.8j, fock(9)))))
+    table = build_term_table(state, rep)
+    delta, eta = state_indicators(state, rep)
+    assert delta == delta_indicator(table)
+    assert eta == eta_indicator(table)
+
+
+def test_states_outside_the_class_build_their_table(monkeypatch):
+    outside = {
+        "rivier": (State(((1.0, fock(3)),)), "rivier"),
+        "two-mode": (entangled_state(0, 1, 0.5), "wigner"),
+        "squeezed": (State(((0.6, fock(0)), (0.8, squeezed_fock(1, 0.3)))), "wigner"),
+        "three-terms": (State(((0.6, fock(0)), (0.6, fock(1)), (0.2 ** 0.5, fock(2)))), "wigner"),
+        "repeated-n": (squeezed_vacuum_superposition(0.5, 0.0), "husimi"),
+    }
+    built = []
+    build = indicators.build_term_table
+    monkeypatch.setattr(indicators, "build_term_table",
+                        lambda *args: built.append(args[1]) or build(*args))
+    for name, (state, rep) in outside.items():
+        state = normalize(state)
+        table = build_term_table(state, rep)
+        assert fock_single_mode(table) is None, name
+        assert polar_fock_delta(table) is None and polar_fock_pairs(table) is None, name
+        state_indicators(state, rep, threads=2)
+    assert len(built) == len(outside)
+    assert state_indicators(State(((1.0, fock(3)),)), "wigner")[0].valid
+    assert len(built) == len(outside)

@@ -640,16 +640,12 @@ def test_group_fold_matches_dense_oracle(monkeypatch, group, points):
 PRUNED_FINE_CALLS = {
     ("wigner", "C4", 21): ({4: 99, 1: 1}, 381),
     ("wigner", "D4", 21): ({8: 40, 4: 18, 1: 1}, 385),
-    ("wigner", "T", 21): ({2: 182, 1: 21}, 401),
     ("husimi", "C4", 21): ({4: 99, 1: 1}, 381),
     ("husimi", "D4", 21): ({8: 40, 4: 18, 1: 1}, 385),
-    ("husimi", "T", 21): ({2: 180, 1: 21}, 401),
     ("wigner", "C4", 20): ({4: 88}, 350),
     ("wigner", "D4", 20): ({8: 40, 4: 8}, 352),
-    ("wigner", "T", 20): ({2: 176}, 360),
     ("husimi", "C4", 20): ({4: 88}, 349),
     ("husimi", "D4", 20): ({8: 40, 4: 8}, 350),
-    ("husimi", "T", 20): ({2: 176}, 360),
     ("wigner", "T-columns", 21): ({2: 182, 1: 21}, 201),
     ("husimi", "T-columns", 21): ({2: 182, 1: 21}, 199),
     ("wigner", "T-columns", 20): ({2: 176}, 180),
