@@ -14,18 +14,19 @@
   with Fock-only terms, from the singular values of the coefficient
   matrix.
 
+Each quantity has one polar rule and one grid rule. delta and its
+norm_check are psnci.polar.polar_delta's where it covers the table, else
+grid sums; every pair integral, int |f_ij| and int f_ij, is
+psnci.polar.polar_pairs' for a Wigner or Husimi table of Fock primitives
+(any photon numbers, modes and terms), else a grid sum.
 ``state_indicators``, the CLI ``indicator`` command's one call, gives
-both; a one-mode state that psnci.polar.fock_single_mode covers takes
-them from radial rules with no table or grid, as its table would.
-Pair integrals int |f_ij| are polar radial integrals where
-psnci.polar.polar_pair_abs covers them (Wigner and Husimi tables of Fock
-primitives, any photon numbers), else grid sums.
+both; a state whose delta polar_delta covers takes them from the polar
+rules with no table or grid, as its table would.
 Sweeps integrate each pair term of a table once: pair grids do not depend
 on the amplitudes, so eta rows rescale per-unit |c_i c_j| pair integrals.
 A delta row with one live term is its diagonal pair integral less int f;
 with more, Rivier delta rows restream the 4D absolute integral of the
-total, and Wigner ones are polar where psnci.polar.polar_wigner_delta
-covers the state.
+total, and Wigner ones are polar where polar_delta covers the state.
 ``sweep_a`` builds one table per representation, ``sweep_r`` one per r
 (its grid stretches with e^r), dropped once that r's rows are formed.
 """
@@ -41,8 +42,7 @@ from .errors import DegenerateStateError, DomainError, UnsupportedStateError
 from .grids import PhaseGrid
 from .phasespace import (NORM_CHECK_TOLERANCE, Representation, _mode_primitives,
                          build_term_table, default_grid)
-from .polar import (Terms, fock_single_mode, polar_fock_delta, polar_fock_pairs, polar_pair_abs,
-                    polar_wigner_delta)
+from .polar import Terms, polar_delta, polar_pairs
 from .states import (
     State,
     entangled_state,
@@ -89,26 +89,18 @@ def delta_indicator(table, *, threads: int = 1) -> IndicatorResult:
     non-negative, so its int |Q| is int Q and delta is 0 by construction;
     the estimate is then the distance of int Q to its decimated integral,
     and no |f| is integrated. A table (or psnci.polar.Terms) that
-    fock_single_mode covers takes delta, its estimate and norm_check from
-    polar_fock_delta; polar_wigner_delta gives a two-mode delta and its
-    estimate for the states it covers, and norm_check is then the grid's.
+    psnci.polar.polar_delta covers takes delta, its estimate and
+    norm_check from it.
     """
-    value, estimate, plain = polar_fock_delta(table) or _table_delta(table, threads)
-    return IndicatorResult(
-        value=value,
-        error_estimate=estimate,
-        norm_check=plain,
-        representation=table.representation.value,
-    )
+    return IndicatorResult(*(polar_delta(table) or _grid_delta(table, threads)),
+                           representation=table.representation.value)
 
 
-def _table_delta(table, threads: int) -> tuple:
-    """(delta, estimate, norm_check) of delta_indicator off the one-mode polar route."""
+def _grid_delta(table, threads: int) -> tuple:
+    """(delta, estimate, norm_check) of delta_indicator from the table's grid."""
     plain = table.total_integral()
     if table.representation is Representation.HUSIMI:
         return 0.0, abs(plain - table.decimated_integral()), plain
-    if (polar := polar_wigner_delta(table)) is not None:
-        return (*polar, plain)
     absval, estimate = table.abs_with_estimate(threads=threads)
     return absval - plain, estimate, plain
 
@@ -128,23 +120,21 @@ def eta_indicator(table, *, threads: int = 1) -> IndicatorResult:
 def state_indicators(state: State, representation, grid: PhaseGrid = None, *,
                      threads: int = 1) -> tuple:
     """(delta_indicator, eta_indicator) of a normalized state: on its
-    psnci.polar.Terms, with no table or grid, where fock_single_mode covers
+    psnci.polar.Terms, with no table or grid, where polar_delta covers
     them, else on its table over ``grid`` (default: default_grid)."""
     rep = Representation.parse(representation)
     terms = Terms(rep, _mode_primitives(state), tuple(complex(c) for c in state.amplitudes))
-    source = terms if fock_single_mode(terms) is not None else build_term_table(state, rep, grid)
-    return delta_indicator(source, threads=threads), eta_indicator(source, threads=threads)
+    delta = polar_delta(terms)
+    source = terms if delta else build_term_table(state, rep, grid)
+    return (IndicatorResult(*(delta or _grid_delta(source, threads)), representation=rep.value),
+            eta_indicator(source, threads=threads))
 
 
 def _pair_integrals(table, threads: int) -> list:
     """(int |f_ij|, its estimate, int f_ij) for every pair key of the table:
-    polar_fock_pairs where it covers the table; else int |f_ij| polar where
-    polar_pair_abs covers it, else on the grid, and int f_ij on the grid."""
-    if (pairs := polar_fock_pairs(table)) is not None:
-        return pairs
-    polar = polar_pair_abs(table)
-    return [(polar[key] if key in polar else table.abs_with_estimate([key], threads=threads))
-            + (table.pair_integral(*key),) for key in table.pair_keys()]
+    polar_pairs' where it covers the table, else grid sums."""
+    return polar_pairs(table) or [table.abs_with_estimate([key], threads=threads)
+                                  + (table.pair_integral(*key),) for key in table.pair_keys()]
 
 
 def _eta(pairs, weights) -> tuple:

@@ -1,15 +1,16 @@
-"""Polar rules for Wigner and Husimi tables of Fock primitives (r = 0).
+"""Polar rules for Wigner and Husimi distributions of Fock primitives (r = 0).
 
 Each factor is D_mn = R_mn(rho) e^(-i(m - n) theta), so the angles
-integrate in closed form. polar_pair_abs takes each pair integral, and
-polar_wigner_delta the two-mode delta of a product, as 1D radial integrals
-for any photon numbers: pieces between the zeros of R_mn, sqrt(x / 2) for
-the Jacobi eigenvalues x of L_low^k (laguerre_zeros). Two terms of one
-total photon number up to _POLAR_MAX_N take a 2D radial rule on sign-scanned
-breakpoints (_polar_rule). One-mode delta, norm and pairs of one or two
-Fock terms are 1D rules for any n, read from a table or from a state's
-Terms with no grid (polar_fock_delta). Each rule runs to the support
-radius, not the grid, and its estimate is its distance to the rule with
+integrate in closed form. The two entry points read only the representation,
+primitives and amplitudes of a TermTable or a state's Terms: no grid.
+polar_pairs gives every pair's int |f_kl| and int f_kl, for any modes, terms
+and photon numbers, from 1D radial integrals on pieces between the zeros of
+R_mn, sqrt(x / 2) for the Jacobi eigenvalues x of L_low^k (laguerre_zeros).
+polar_delta gives delta and norm_check; Wigner delta of a product is a
+product of those, of one mode's two Fock terms a 1D rule (_single_rule), and
+of two two-mode terms of one total photon number up to _POLAR_MAX_N a 2D
+radial rule on sign-scanned breakpoints (_polar_rule). Each rule runs to the
+support radius, not the grid; its estimate is its distance to the rule with
 half the nodes.
 """
 
@@ -45,123 +46,73 @@ class Terms(NamedTuple):
     amplitudes: tuple
 
 
-def polar_wigner_delta(table):
-    """(delta, estimate) of a two-mode Wigner table whose primitives have r = 0
-    and whose live terms are one product, or two of one total photon number
-    with none above _POLAR_MAX_N; else None.
-    Then W = A + B cos(Delta psi + phi), psi = theta1 - theta2, and delta is
-    2 pi int int rho1 rho2 cos_abs_excess(A, B) up to the support radii (not
-    the grid). The estimate is the distance to the rule with half the nodes."""
-    if table.representation is not Representation.WIGNER or table.n_modes != 2 \
-            or any(p.r for mode in table.primitives for p in mode):
-        return None
-    live = sorted((abs(c), tuple(p.n for p in prims))
-                  for c, prims in zip(table.amplitudes, zip(*table.primitives)) if c != 0)
-    live = min(live, sorted((c, ns[::-1]) for c, ns in live))  # a mode swap gives the same bits
+def polar_pairs(terms):
+    """(int |f_kl|, its estimate, int f_kl) per pair key of a Wigner or
+    Husimi table (or Terms) whose primitives all have r = 0, else None.
 
-    if len(live) == 1:  # a product, |f| = |W_kk(z1)| |W_ll(z2)|
+    When some mode's photon numbers differ, f_kl = 2 |gamma_kl| prod_m R_m
+    cos(phi - sum_m (m - n)_m theta_m): its |cos| averages 2 / pi over the
+    angles, and its int f is 0. Otherwise f_kl = s prod_m R_nn, with
+    s = |c_k|^2 on the diagonal and 2 Re gamma_kl off it; so a pair of one
+    sign (Husimi's, or Wigner's with n = 0 in every mode) has
+    int |f| = |int f| to the bit. The estimate is first order in the modes'
+    estimates, plus 4 ulp of the value for its rounding."""
+    rep, prims = terms.representation, terms.primitives
+    if rep is Representation.RIVIER or any(p.r for mode in prims for p in mode):
+        return None
+    c, out = terms.amplitudes, []
+    for k, l in _hermitian_keys(len(c)):
+        ns, gamma = [(mode[k].n, mode[l].n) for mode in prims], c[k] * c[l].conjugate()
+        values, estimates = zip(*(_mode_abs(rep, m, n) for m, n in ns))
+        if any(m != n for m, n in ns):
+            scale, plain = 4.0 / math.pi * abs(gamma), 0.0
+        else:
+            s = abs(c[k]) ** 2 if k == l else 2.0 * gamma.real
+            signed = (1.0 if rep is Representation.HUSIMI else _radial_integrals(n, n)[0][1]
+                      for n, _ in ns)  # 2 pi int R_nn rho drho; Husimi's is 1, exact
+            scale, plain = abs(s), s * math.prod(signed)
+        value = scale * math.prod(values)
+        out.append((value, scale * sum(e * math.prod(values[:i] + values[i + 1:])
+                                       for i, e in enumerate(estimates))
+                    + 4.0 * math.ulp(value), plain))
+    return out
+
+
+def polar_delta(terms):
+    """(delta, estimate, norm_check) of a table (or Terms) that polar_pairs
+    covers and a polar rule gives delta for, else None. norm_check is the
+    fsum of polar_pairs' int f_kl, and Husimi delta is 0. Wigner delta is
+    |c|^2 (prod_m 2 pi int |R_nn| rho - prod_m 2 pi int R_nn rho) for one
+    live term; for one mode's live (c_m, m), (c_n, n) of distinct n, W =
+    A + B cos(k theta - phi) with A = |c_m|^2 R_mm + |c_n|^2 R_nn and
+    B = 2 |c_m c_n| R_mn, so delta = int rho cos_abs_excess(A, B) drho
+    (_single_rule); for two two-mode terms of one total photon number, none
+    above _POLAR_MAX_N, W = A + B cos(Delta psi + phi), psi = theta1 - theta2,
+    and delta = 2 pi int int rho1 rho2 cos_abs_excess(A, B) (_polar_rule)."""
+    if (pairs := polar_pairs(terms)) is None:
+        return None
+    norm = math.fsum(plain for _, _, plain in pairs)
+    if terms.representation is Representation.HUSIMI:
+        return 0.0, 0.0, norm
+    live = [(c, tuple(p.n for p in prims))
+            for c, prims in zip(terms.amplitudes, zip(*terms.primitives)) if c != 0]
+    if len(live) == 1:
         (c, ns), = live
-        fine, coarse = (float(c * c * (math.prod(a) - math.prod(p))) for a, p in (
+        fine, coarse = (abs(c) ** 2 * (math.prod(a) - math.prod(s)) for a, s in (
             zip(*rule) for rule in zip(*(_radial_integrals(n, n) for n in ns))))
-    elif len(live) == 2 and live[0][1] != live[1][1] and sum(live[0][1]) == sum(live[1][1]) \
-            and max(live[0][1] + live[1][1]) <= _POLAR_MAX_N:
-        (c0, k), (c1, l) = live
+    elif len(live) != 2 or live[0][1] == live[1][1]:
+        return None
+    elif len(terms.primitives) == 1:
+        fine, coarse = _single_rule(*((c, n) for c, (n,) in live))
+    else:
+        (c0, k), (c1, l) = min(sorted((abs(c), ns) for c, ns in live),
+                               sorted((abs(c), ns[::-1]) for c, ns in live))  # swap-invariant
+        if len(k) != 2 or sum(k) != sum(l) or max(k + l) > _POLAR_MAX_N:
+            return None
         fine, coarse = _polar_rule(np.array([c0 * c0, c1 * c1, 2.0 * c0 * c1]),
                                    [((a, a), (b, b), (a, b)) for a, b in zip(k, l)],
                                    [Primitive(max(a, b)).support_radius for a, b in zip(k, l)])
-    else:
-        return None
-    return fine, abs(fine - coarse)
-
-
-def polar_pair_abs(table) -> dict:
-    """int |f_kl| and its estimate per pair key of a Wigner or Husimi table
-    whose primitives all have r = 0, from one radial integral per mode; {}
-    for any other table.
-
-    Each factor is D_mn = R_mn(rho) e^(-i(m - n) theta), so f_kl =
-    2 |gamma_kl| prod_m R_m cos(phi - sum_m (m - n)_m theta_m), whose |cos|
-    averages 2 / pi over the angles when some mode's photon numbers differ
-    and is |cos phi| when none does; f_kk = |c_k|^2 prod_m R_m. The estimate
-    is first order in the modes' estimates. A pair in which no mode's
-    photon numbers differ and every R_nn >= 0 (every such Husimi pair, and
-    Wigner's with n = 0 in every mode) has one sign everywhere; it is left
-    to the grid, whose int |f| is then the very sum of its int f, or, in
-    polar_fock_pairs, to the radial integral of f."""
-    rep, prims = table.representation, table.primitives
-    if rep is Representation.RIVIER or any(p.r for mode in prims for p in mode):
-        return {}
-    c, out = table.amplitudes, {}
-    for k, l in _hermitian_keys(len(c)):
-        ns = [(mode[k].n, mode[l].n) for mode in prims]
-        gamma = c[k] * c[l].conjugate()
-        if any(m != n for m, n in ns):
-            scale = 4.0 / math.pi * abs(gamma)
-        elif rep is Representation.HUSIMI or not any(m for m, _ in ns):
-            continue
-        else:
-            scale = abs(c[k]) ** 2 if k == l else 2.0 * abs(gamma.real)
-        values, estimates = zip(*(_mode_abs(rep, m, n) for m, n in ns))
-        out[(k, l)] = (scale * math.prod(values), scale * sum(
-            e * math.prod(values[:i] + values[i + 1:]) for i, e in enumerate(estimates)))
-    return out
-
-
-def fock_single_mode(table):
-    """The live (amplitude, photon number) terms of a one-mode Wigner or
-    Husimi table (or Terms) whose primitives all have r = 0, if they are one
-    or two of distinct photon numbers; else None."""
-    rep, prims = table.representation, table.primitives
-    if rep is Representation.RIVIER or len(prims) != 1 or any(p.r for p in prims[0]):
-        return None
-    live = [(c, p.n) for c, p in zip(table.amplitudes, prims[0]) if c != 0]
-    return live if 0 < len(live) == len({n for _, n in live}) <= 2 else None
-
-
-def polar_fock_delta(table):
-    """(delta, estimate, norm_check) of a table that fock_single_mode
-    covers, else None. norm_check is sum |c_k|^2 2 pi int R_kk rho, and
-    Husimi delta is 0. Wigner W = A + B cos(k theta - phi), with
-    A = |c_m|^2 R_mm + |c_n|^2 R_nn and B = 2 |c_m c_n| R_mn, so delta =
-    int rho cos_abs_excess(A, B) drho (_single_rule); one live term's is
-    |c|^2 2 pi int (|R_nn| - R_nn) rho."""
-    if (live := fock_single_mode(table)) is None:
-        return None
-    rep = table.representation
-    norm = math.fsum(abs(c) ** 2 * _mode_signed(rep, n)[0] for c, n in live)
-    if rep is Representation.HUSIMI:
-        return 0.0, 0.0, norm
-    if len(live) == 1:
-        (c, n), = live
-        fine, coarse = (abs(c) ** 2 * (a - s) for a, s in _radial_integrals(n, n))
-    else:
-        fine, coarse = _single_rule(*live)
     return fine, abs(fine - coarse), norm
-
-
-def polar_fock_pairs(table):
-    """(int |f_kl|, its estimate, int f_kl) per pair key of a table that
-    fock_single_mode covers, else None: polar_pair_abs, and a pair of one
-    sign takes its plain integral. int f_kl is 0 off the diagonal (the
-    angle integral of cos, or gamma = 0) and |c_k|^2 2 pi int R_kk rho on it."""
-    if fock_single_mode(table) is None:
-        return None
-    rep, c, prims = table.representation, table.amplitudes, table.primitives[0]
-    polar, out = polar_pair_abs(table), []
-    for k, l in _hermitian_keys(len(c)):
-        plain, estimate = ((abs(c[k]) ** 2 * x for x in _mode_signed(rep, prims[k].n))
-                           if k == l else (0.0, 0.0))
-        out.append(polar.get((k, l), (plain, estimate)) + (plain,))
-    return out
-
-
-def _mode_signed(rep, n) -> tuple:
-    """2 pi int R_nn rho drho and its estimate: Husimi's is 1, exact;
-    Wigner's is the radial rule, with its distance to half the nodes."""
-    if rep is Representation.HUSIMI:
-        return 1.0, 0.0
-    (_, fine), (_, coarse) = _radial_integrals(n, n)
-    return fine, abs(fine - coarse)
 
 
 def _single_rule(first, second) -> tuple:
@@ -204,7 +155,10 @@ def _mode_abs(rep, m, n) -> tuple:
 def _radial_integrals(m, n) -> tuple:
     """(2 pi int |R_mn| rho, 2 pi int R_mn rho) over [0, the support radius
     of |max(m, n)>], by the rule on pieces between the zeros of R_mn (all
-    below sqrt(2 max(m, n) + 1)), and by the rule with half the nodes. Shared."""
+    below sqrt(2 max(m, n) + 1)), and by the rule with half the nodes. Shared.
+    R_00 = e^(-rho^2) / pi is positive with unit integral: both are 1, exact."""
+    if m == n == 0:
+        return (1.0, 1.0), (1.0, 1.0)
     hi = Primitive(max(m, n)).support_radius
     zeros = np.sqrt(0.5 * laguerre_zeros(min(m, n), abs(m - n)))
     edges = np.sort(_plain_edges(hi, zeros))

@@ -107,7 +107,7 @@ A Husimi total is never integrated here for delta: Q >= 0, so
 int |Q| = int Q, and psnci.indicators.delta_indicator takes delta as 0
 with the decimation estimate of int Q (TermTable.decimated_integral).
 Nor is a Bell sweep row's Wigner total: its delta is polar
-(psnci.polar.polar_wigner_delta).
+(psnci.polar.polar_delta).
 
 The compression runs before the workers start, and the support cut and
 its check take only fsum-combined pass sums. A tile's row count depends

@@ -251,9 +251,9 @@ def test_validate_fold_check_catches_a_wrong_orbit_weight(monkeypatch, capsys):
 def test_validate_polar_check_catches_an_offset(monkeypatch, capsys):
     assert main(["validate", "--rep", "wigner", "--threads", "2"]) == 0
     assert "[PASS] polar_vs_cartesian" in capsys.readouterr().out
-    polar = validation.polar_wigner_delta
-    monkeypatch.setattr(validation, "polar_wigner_delta",
-                        lambda table: (polar(table)[0] + 1e-2, polar(table)[1]))
+    polar = validation.polar_delta
+    monkeypatch.setattr(validation, "polar_delta",
+                        lambda table: (polar(table)[0] + 1e-2, *polar(table)[1:]))
     assert main(["validate", "--rep", "wigner", "--threads", "2"]) == 1
     assert "[FAIL] polar_vs_cartesian" in capsys.readouterr().out
 
@@ -275,9 +275,9 @@ def test_validate_polar_pairs_check_catches_an_offset(monkeypatch, capsys):
     argv = ["validate", "--rep", "wigner,husimi", "--threads", "2"]
     assert main(argv) == 0
     assert "[PASS] polar_pairs_vs_cartesian: 8 pairs" in capsys.readouterr().out
-    polar = validation.polar_pair_abs
-    monkeypatch.setattr(validation, "polar_pair_abs", lambda table: {
-        key: (value + 1e-2, estimate) for key, (value, estimate) in polar(table).items()})
+    polar = validation.polar_pairs
+    monkeypatch.setattr(validation, "polar_pairs", lambda table: [
+        (value + 1e-2, estimate, plain) for value, estimate, plain in polar(table)])
     assert main(argv) == 1
     assert "[FAIL] polar_pairs_vs_cartesian" in capsys.readouterr().out
 

@@ -18,7 +18,7 @@ from psnci.indicators import (
     von_neumann_entropy,
 )
 from psnci.phasespace import build_term_table, default_grid
-from psnci.polar import polar_fock_delta, polar_fock_pairs, polar_pair_abs
+from psnci.polar import polar_delta, polar_pairs
 from psnci.states import (
     State,
     entangled_state,
@@ -79,17 +79,22 @@ def test_fock_delta_within_estimate(n):
                         "estimate of 4.9e-6 (ROADMAP item 3)")), pytest.param(
     11, marks=pytest.mark.xfail(strict=True, reason="the grid int |f| of the |11> diagonal "
                                 "pair of (|0> + |11>) / sqrt2 is 4.1e-4 off against an "
-                                "estimate of 2.1e-4 (ROADMAP item 3)"))])
+                                "estimate of 2.1e-4 (ROADMAP item 3)")), pytest.param(
+    15, marks=pytest.mark.xfail(strict=True, reason="the grid delta of (|0> + |15>) / sqrt2 "
+                                "is 4.9e-4 off against an estimate of 4.6e-4 (ROADMAP item 3)")),
+    pytest.param(16, marks=pytest.mark.xfail(strict=True, reason="the grid int |f| of the |16> "
+                                             "diagonal pair of (|0> + |16>) / sqrt2 is 1.4e-4 "
+                                             "off against an estimate of 1.1e-4 (ROADMAP item 3)"))])
 def test_cartesian_fock_pair_within_estimate(n):
     # (|0> + |n>) / sqrt2 on the default grid: the Cartesian delta and each
     # pair integral lie within their grid estimates of the polar values
     # (whose own estimates are 1e-7 or below).
     table = build_term_table(State(((math.sqrt(0.5), fock(0)), (math.sqrt(0.5), fock(n)))),
                              "wigner")
-    delta, delta_estimate, _ = polar_fock_delta(table)
+    delta, delta_estimate, _ = polar_delta(table)
     absval, estimate = table.abs_with_estimate()
     assert abs(absval - table.total_integral() - delta) <= estimate + delta_estimate
-    for key, (value, value_estimate, _) in zip(table.pair_keys(), polar_fock_pairs(table)):
+    for key, (value, value_estimate, _) in zip(table.pair_keys(), polar_pairs(table)):
         grid, grid_estimate = table.abs_with_estimate([key])
         assert abs(grid - value) <= grid_estimate + value_estimate, key
 
@@ -104,7 +109,7 @@ def _entangled34_cross_pair():
 
 def test_entangled34_cross_pair_polar_is_exact():
     table, exact = _entangled34_cross_pair()
-    assert abs(polar_pair_abs(table)[(0, 1)][0] - exact) <= 1e-12 * exact
+    assert abs(polar_pairs(table)[1][0] - exact) <= 1e-12 * exact
 
 
 @pytest.mark.xfail(strict=True, reason="the default grid under-resolves the Wigner cross pair "

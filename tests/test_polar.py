@@ -1,9 +1,9 @@
-"""The polar Wigner delta of two-term number-conserving Fock states
-(psnci.polar.polar_wigner_delta), the polar pair integrals of all-Fock
-Wigner and Husimi tables (psnci.polar.polar_pair_abs), the one-mode polar
-delta, norm and pairs of one or two Fock terms (polar_fock_delta,
-polar_fock_pairs) and their radial building blocks, against exact values,
-scipy quadrature, mpmath and the polar quadrature oracles."""
+"""The polar delta of products, of two-term number-conserving two-mode
+Fock states and of one-mode states of one or two Fock terms
+(psnci.polar.polar_delta), the polar pair integrals of all-Fock Wigner and
+Husimi tables (psnci.polar.polar_pairs) and their radial building blocks,
+against exact values, scipy quadrature, mpmath and the polar quadrature
+oracles."""
 
 import functools
 import math
@@ -14,9 +14,8 @@ import pytest
 from psnci import indicators
 from psnci.indicators import delta_indicator, eta_indicator, state_indicators
 from psnci.phasespace import Representation, build_term_table
-from psnci.polar import (Terms, _fock_radial, _mode_abs, cos_abs_excess, fock_single_mode,
-                         polar_fock_delta, polar_fock_pairs, polar_pair_abs,
-                         polar_wigner_delta, radial_pieces, sign_roots)
+from psnci.polar import (Terms, _fock_radial, _mode_abs, cos_abs_excess, polar_delta,
+                         polar_pairs, radial_pieces, sign_roots)
 from psnci.states import (State, entangled_state, fock, normalize, squeezed_fock,
                           squeezed_vacuum_superposition)
 
@@ -74,8 +73,8 @@ def test_swept_rows_take_the_polar_path():
     for a_sq in (0.0, 0.3, 1.0):
         row = table.with_amplitudes((math.sqrt(a_sq), math.sqrt(1.0 - a_sq)))
         fresh = build_term_table(entangled_state(1, 2, a_sq), "wigner")
-        assert polar_wigner_delta(row) == polar_wigner_delta(fresh)
-        assert delta_indicator(row).value == polar_wigner_delta(row)[0]
+        assert polar_delta(row) == polar_delta(fresh)
+        assert delta_indicator(row).value == polar_delta(row)[0]
 
 
 @pytest.mark.parametrize("state", [
@@ -90,7 +89,7 @@ def test_swept_rows_take_the_polar_path():
 ], ids=["two-photon-numbers", "three-terms", "squeezed", "five-photons"])
 def test_states_outside_the_class_keep_the_grid(state):
     table = build_term_table(state, "wigner")
-    assert polar_wigner_delta(table) is None
+    assert polar_delta(table) is None
     absval, estimate = table.abs_with_estimate()
     result = delta_indicator(table)
     assert result.value == absval - table.total_integral()
@@ -98,16 +97,17 @@ def test_states_outside_the_class_keep_the_grid(state):
 
 
 def test_other_representations_keep_their_paths():
-    for rep in ("husimi", "rivier"):
-        assert polar_wigner_delta(build_term_table(entangled_state(0, 1, 0.5), rep)) is None
-    assert polar_wigner_delta(build_term_table(State(((1.0, fock(1)),)), "wigner")) is None
+    # Rivier has no polar rule; Husimi delta is 0, and a one-mode product is polar
+    assert polar_delta(build_term_table(entangled_state(0, 1, 0.5), "rivier")) is None
+    assert polar_delta(build_term_table(entangled_state(0, 1, 0.5), "husimi"))[:2] == (0.0, 0.0)
+    assert polar_delta(build_term_table(State(((1.0, fock(1)),)), "wigner")) is not None
 
 
 def test_polar_delta_is_independent_of_the_grid():
     coarse = oracles.two_mode_grid(points=41)
     for state in (entangled_state(0, 2, 0.3), entangled_state(2, 3, 1.0)):
-        assert (polar_wigner_delta(build_term_table(state, "wigner", coarse))
-                == polar_wigner_delta(build_term_table(state, "wigner")))
+        assert (polar_delta(build_term_table(state, "wigner", coarse))
+                == polar_delta(build_term_table(state, "wigner")))
 
 
 def test_cos_abs_excess_matches_a_dense_angle_sum():
@@ -186,7 +186,7 @@ def test_polar_delta_of_products_at_any_photon_number(m, n):
     # a one-term product delta is a product of 1D radial integrals, for any n
     grid = oracles.two_mode_grid(extent=16.0, points=321)
     table = build_term_table(State(((1.0, fock(m), fock(n)),)), "wigner", grid)
-    value, _ = polar_wigner_delta(table)
+    value = polar_delta(table)[0]
     assert abs(value - oracles.product_wigner_delta(m, n)) <= 1e-12
 
 
@@ -207,10 +207,10 @@ def test_entangled01_eta_from_polar_pairs(a_sq):
     assert abs(eta_indicator(husimi).value - oracles.eta_husimi_entangled01(a_sq)) <= 1e-8
     # 2 |c0 c1| times int |f_01| per unit, which is 1 for Wigner
     cross = 2.0 * math.sqrt(a_sq * (1.0 - a_sq))
-    assert abs(polar_pair_abs(wigner)[(0, 1)][0] - cross) <= 1e-12
-    # every Husimi diagonal is left to the grid, and a Wigner one only if it is |0,0>
-    assert set(polar_pair_abs(wigner)) == {(0, 0), (0, 1), (1, 1)}
-    assert set(polar_pair_abs(husimi)) == {(0, 1)}
+    assert abs(polar_pairs(wigner)[1][0] - cross) <= 1e-12
+    # every pair is polar; every Husimi diagonal has one sign, so |f| == f
+    assert len(polar_pairs(wigner)) == len(polar_pairs(husimi)) == len(wigner.pair_keys())
+    assert all(value == plain for value, _, plain in polar_pairs(husimi)[::2])
 
 
 def test_polar_pair_with_equal_photon_numbers():
@@ -218,7 +218,7 @@ def test_polar_pair_with_equal_photon_numbers():
     # numbers differ, so int |f_01| = 2 |Re gamma| 2 pi int |R_11| rho drho
     state = State(((0.6 + 0.2j, fock(1)), (0.5 - 0.3j, squeezed_fock(1, 0.0))))
     table = build_term_table(normalize(state), "wigner")
-    value, estimate = polar_pair_abs(table)[(0, 1)]
+    value, estimate, _ = polar_pairs(table)[1]
     grid, grid_estimate = table.abs_with_estimate([(0, 1)])
     assert abs(value - grid) <= grid_estimate
     c0, c1 = table.amplitudes
@@ -227,23 +227,25 @@ def test_polar_pair_with_equal_photon_numbers():
 
 
 @pytest.mark.parametrize("rep", ["wigner", "husimi"])
-def test_one_signed_pairs_keep_the_grid(rep):
+def test_one_signed_pairs_are_polar(rep):
     # the r = 0 row of sweep-r psi00r: both primitives are the vacuum, so
-    # every pair has one sign, and |f| and f come from the grid's one sum
+    # every pair has one sign, and its polar int |f| is its int f
     for a in (0.3, 0.5, 0.7):
         table = build_term_table(squeezed_vacuum_superposition(a, 0.0), rep)
-        assert polar_pair_abs(table) == {}
+        pairs = polar_pairs(table)
+        assert len(pairs) == len(table.pair_keys())
+        assert all(value == plain for value, _, plain in pairs)
         assert abs(eta_indicator(table).value) <= 1e-16
 
 
 def test_polar_pairs_above_four_photons_match_the_grid():
-    # (|0> + |12>) / sqrt2: the cross pair and the |12> diagonal are polar,
-    # the vacuum diagonal has one sign and keeps the grid
+    # (|0> + |12>) / sqrt2: every pair is polar; the vacuum diagonal has one
+    # sign, so its int |f| is its int f, and the other two match the grid
     state = State(((math.sqrt(0.5), fock(0)), (math.sqrt(0.5), fock(12))))
     table = build_term_table(state, "wigner")
-    polar = polar_pair_abs(table)
-    assert set(polar) == {(0, 1), (1, 1)}
-    for key, (value, _) in polar.items():
+    (vacuum, _, plain), *polar = polar_pairs(table)
+    assert vacuum == plain
+    for key, (value, _, _) in zip(table.pair_keys()[1:], polar):
         grid, estimate = table.abs_with_estimate([key])
         assert abs(value - grid) <= estimate
 
@@ -251,11 +253,12 @@ def test_polar_pairs_above_four_photons_match_the_grid():
 def test_tables_outside_the_class_keep_their_grid_pairs():
     squeezed = State(((0.6, squeezed_fock(1, 0.3), fock(0)), (0.8, fock(0), fock(1))))
     five = State(((math.sqrt(0.5), fock(0), fock(5)), (math.sqrt(0.5), fock(5), fock(0))))
-    assert polar_pair_abs(build_term_table(entangled_state(0, 1, 0.5), "rivier")) == {}
-    assert polar_pair_abs(build_term_table(squeezed, "wigner")) == {}
-    assert polar_pair_abs(build_term_table(squeezed, "husimi")) == {}
-    assert set(polar_pair_abs(build_term_table(five, "wigner"))) == {(0, 0), (0, 1), (1, 1)}
-    assert set(polar_pair_abs(build_term_table(five, "husimi"))) == {(0, 1)}
+    assert polar_pairs(build_term_table(entangled_state(0, 1, 0.5), "rivier")) is None
+    assert polar_pairs(build_term_table(squeezed, "wigner")) is None
+    assert polar_pairs(build_term_table(squeezed, "husimi")) is None
+    # five photons are in the class: every pair is polar
+    for rep in ("wigner", "husimi"):
+        assert len(polar_pairs(build_term_table(five, rep))) == 3
 
 
 # --- one-mode states of one or two Fock terms -------------------------------
@@ -316,7 +319,7 @@ def test_polar_fock_delta_oracle_matches_mpmath():
 
 @pytest.mark.parametrize("n", sorted(LADDER_DELTA))
 def test_polar_fock_delta_on_the_ladder(n):
-    value, estimate, norm = polar_fock_delta(_fock_terms("wigner", (ROOT_HALF,) * 2, (0, n)))
+    value, estimate, norm = polar_delta(_fock_terms("wigner", (ROOT_HALF,) * 2, (0, n)))
     assert abs(value - LADDER_DELTA[n]) <= 1e-9
     assert abs(value - oracles.polar_fock_delta(ROOT_HALF, 0, ROOT_HALF, n)) <= estimate
     assert abs(norm - 1.0) <= 1e-12
@@ -327,7 +330,7 @@ def test_polar_fock_delta_on_the_ladder(n):
 def test_polar_fock_delta_matches_the_oracle(c0, m, c1, n):
     # unequal and complex amplitudes, m > 0, the terms in either order;
     # the norm check is sum |c_k|^2 whether or not that is 1
-    value, estimate, norm = polar_fock_delta(_fock_terms("wigner", (c0, c1), (m, n)))
+    value, estimate, norm = polar_delta(_fock_terms("wigner", (c0, c1), (m, n)))
     assert abs(value - oracles.polar_fock_delta(c0, m, c1, n)) <= min(estimate, 1e-9)
     assert abs(norm - abs(c0) ** 2 - abs(c1) ** 2) <= 1e-12
 
@@ -336,7 +339,7 @@ def test_polar_fock_delta_matches_the_oracle(c0, m, c1, n):
 def test_polar_fock_delta_of_one_fock_state(n):
     # a dead second term leaves |n> alone
     for amplitudes, ns in (((1.0,), (n,)), ((0.0, 1.0), (abs(n - 1), n))):
-        value, estimate, norm = polar_fock_delta(_fock_terms("wigner", amplitudes, ns))
+        value, estimate, norm = polar_delta(_fock_terms("wigner", amplitudes, ns))
         assert abs(value - oracles.fock_wigner_delta(n)) <= max(estimate, 1e-12)
         assert abs(norm - 1.0) <= 1e-12
 
@@ -344,7 +347,7 @@ def test_polar_fock_delta_of_one_fock_state(n):
 def test_husimi_polar_fock_delta_is_zero():
     for n in (1, 12, 64):
         terms = _fock_terms("husimi", (0.6, 0.8j), (0, n))
-        assert polar_fock_delta(terms) == (0.0, 0.0, abs(0.6) ** 2 + abs(0.8j) ** 2)
+        assert polar_delta(terms) == (0.0, 0.0, abs(0.6) ** 2 + abs(0.8j) ** 2)
 
 
 @pytest.mark.parametrize("rep", ["wigner", "husimi"])
@@ -353,7 +356,7 @@ def test_polar_fock_pairs_match_the_closed_forms(rep):
     # cross pair to 0; its |f_01| is 2 |c0 c1| (2 / pi) 2 pi int |R_0n| rho
     c0, c1 = 0.6, 0.48 - 0.64j
     for n in (1, 12, 64):
-        pairs = polar_fock_pairs(_fock_terms(rep, (c0, c1), (0, n)))
+        pairs = polar_pairs(_fock_terms(rep, (c0, c1), (0, n)))
         (a00, _, p00), (a01, e01, p01), (a11, _, p11) = pairs
         assert p01 == 0.0
         assert abs(p00 - 0.36) <= 1e-12 and abs(p11 - 0.64) <= 1e-12
@@ -377,10 +380,9 @@ def test_state_and_table_routes_agree(rep):
 def test_states_outside_the_class_build_their_table(monkeypatch):
     outside = {
         "rivier": (State(((1.0, fock(3)),)), "rivier"),
-        "two-mode": (entangled_state(0, 1, 0.5), "wigner"),
         "squeezed": (State(((0.6, fock(0)), (0.8, squeezed_fock(1, 0.3)))), "wigner"),
         "three-terms": (State(((0.6, fock(0)), (0.6, fock(1)), (0.2 ** 0.5, fock(2)))), "wigner"),
-        "repeated-n": (squeezed_vacuum_superposition(0.5, 0.0), "husimi"),
+        "repeated-n": (squeezed_vacuum_superposition(0.5, 0.0), "wigner"),
     }
     built = []
     build = indicators.build_term_table
@@ -389,9 +391,33 @@ def test_states_outside_the_class_build_their_table(monkeypatch):
     for name, (state, rep) in outside.items():
         state = normalize(state)
         table = build_term_table(state, rep)
-        assert fock_single_mode(table) is None, name
-        assert polar_fock_delta(table) is None and polar_fock_pairs(table) is None, name
+        assert polar_delta(table) is None, name
         state_indicators(state, rep, threads=2)
     assert len(built) == len(outside)
     assert state_indicators(State(((1.0, fock(3)),)), "wigner")[0].valid
     assert len(built) == len(outside)
+
+
+def test_states_that_polar_covers_build_no_table(monkeypatch):
+    # two-mode states whose delta is polar, in Wigner and Husimi, and a
+    # three-term Husimi state (its delta is 0): no table, every result valid
+    def refuse(*args):
+        raise AssertionError("a term table was built")
+    monkeypatch.setattr(indicators, "build_term_table", refuse)
+    three = normalize(State(((0.6, fock(0), fock(1)), (0.6, fock(1), fock(0)),
+                             (math.sqrt(0.28), fock(2), fock(0)))))
+    covered = [(entangled_state(0, 1, 0.5), rep) for rep in ("wigner", "husimi")]
+    covered += [(entangled_state(1, 2, 0.5), rep) for rep in ("wigner", "husimi")]
+    for state, rep in covered + [(three, "husimi")]:
+        delta, eta = state_indicators(state, rep, threads=2)
+        assert delta.valid and eta.valid, (state, rep)
+    # the three-term Wigner state's delta is on the grid, so it builds its
+    # table; its eta is still polar_pairs', to the bit
+    monkeypatch.undo()
+    built = []
+    monkeypatch.setattr(indicators, "build_term_table",
+                        lambda *args: built.append(args[1]) or build_term_table(*args))
+    eta = state_indicators(three, "wigner")[1]
+    assert built == [Representation.WIGNER]
+    pairs = polar_pairs(build_term_table(three, "wigner"))
+    assert eta.value == indicators._eta(pairs, [1.0] * len(pairs))[0]
