@@ -304,11 +304,11 @@ _COMMANDS = {
                  "out")),
     # sweep-r accepts and records --threads but does not read it: its
     # tables are one-mode, and TermTable.abs_with_estimate reads
-    # threads only for two modes. With quadrant-only tables, a 2-thread
-    # pool over sweep_r's r values made the single-mode benchmark slower
-    # (median 1.09 -> 1.35 s, slower in 6 of 6 alternating pairs, 2 CPUs)
-    # and raised its peak RSS from 52 MB to 69-70 MB (one e^r-stretched
-    # table per worker).
+    # threads only for two modes. A 2-thread pool over sweep_r's r values
+    # made the single-mode benchmark slower (median 0.250 -> 0.286 s,
+    # slower in 5 of 6 alternating pairs, seed 0, 2 CPUs) and raised its
+    # peak RSS from 46.1 MB to 56.6-56.9 MB (one e^r-stretched table per
+    # worker).
     # The flag stays because the perfbench workloads pass it.
     "sweep-r": (_cmd_sweep_r, "sweep the squeezing parameter r",
                 ("family", "a", "rmax", "steps", "rep", "extent", "points",

@@ -25,6 +25,14 @@ in 16-row tiles than in 8-row ones (2 threads). Each worker streams a
 fixed subset of the tiles through one reused block buffer, on threads
 of a pool kept per worker count.
 
+The workers are the kernel's one level of threads. OpenBLAS runs a large
+call on its own threads too, which spin after it returns and take a CPU
+from the workers, so the calls before a pass stay below that size: the R
+of a factor basis comes from blocks of at most _QR_VALUES values, their
+stacked Rs reduced the same way (the tall-skinny QR of Demmel et al.,
+SIAM J. Sci. Comput. 34 (2012) A206). A tile's product stays on its
+worker up to rank 8 on 121^2 columns (8 k n2 <= 2^20).
+
 Before streaming, the sum is compressed to its numerical rank k. Its
 g_t and h_t are combinations of a few real grids per mode (for a term
 table, the Re and Im parts of its stored grids), so it is B1 C B2^T with
@@ -154,13 +162,16 @@ _TILE_ROWS = 8
 # values at rounding level: on the benchmark's states the dropped ones are
 # at most 7e-16 of the largest and the kept ones at least 0.05.
 _RANK_CUT = 1e-13
-# Row block of the tall-skinny R of a factor basis and of the products
-# that form the compressed factors. np.linalg.qr copies its input: a
-# full-height QR with its Q raised the peak RSS of an indicator-2mode run
-# by about 15 MB. On a (14641, 8) stack, full height took a median 1.5 ms
-# and up to 23 ms, 1024-row blocks 0.8 ms (R only, OpenBLAS 0.3.31, 2
-# CPUs). A full-height factor product starts OpenBLAS's own threads, whose
-# buffers raised that peak RSS by 3 MB.
+# Values in a row block of a factor basis's tall-skinny R (a full-height QR
+# with its Q raised the peak RSS of an indicator-2mode run by about 15 MB).
+# OpenBLAS 0.3.31 threads LAPACK's QR from about 8192 values: a (511, 18)
+# block ran on two threads, a (455, 18) one on one. The Rivier bases of
+# seed-0 indicator-2mode, (24079, 18) and (14641, 18), took a median 10.2 ms
+# in 1024-row blocks and 6.5 ms in these; the delta pass right after them
+# 187 ms and 121 ms, against 148 ms after a 0.3 s pause (2 CPUs).
+_QR_VALUES = 4096
+# Row block of the products that form the compressed factors: at full
+# height they started OpenBLAS's threads, whose buffers cost 3 MB of RSS.
 _QR_ROWS = 1024
 # The elements of D4, each as (swap, axes): a grid f of (q, p) goes to
 # f o g by transposing it if ``swap``, then reversing ``axes``, in both
@@ -182,10 +193,13 @@ def _image(f: np.ndarray, element) -> np.ndarray:
 
 
 def _tall_skinny_r(columns: np.ndarray) -> np.ndarray:
-    """R of the thin QR of a tall matrix, from the Rs of its _QR_ROWS-row blocks."""
-    rs = [np.linalg.qr(columns[i:i + _QR_ROWS], mode="r")
-          for i in range(0, len(columns), _QR_ROWS)]
-    return np.linalg.qr(np.concatenate(rs), mode="r")
+    """R of the thin QR of a tall matrix: the Rs of its blocks of at most
+    _QR_VALUES values (and more rows than columns), stacked and reduced alike."""
+    rows = max(_QR_VALUES // columns.shape[1], columns.shape[1] + 1)
+    while len(columns) > rows:
+        columns = np.concatenate([np.linalg.qr(columns[i:i + rows], mode="r")
+                                  for i in range(0, len(columns), rows)])
+    return np.linalg.qr(columns, mode="r")
 
 
 class FactorBasis(NamedTuple):

@@ -186,19 +186,51 @@ def test_streamed_matches_dense_oracle(tile_rows, h_picks):
                           prods, grid)
 
 
-# The compression factors its stacks in row blocks: 100 rows leave a
-# ragged last block of the 441, and 3 rows are fewer than the 5 products.
-# The last set splits its second product's scale 1e-14 : 1e14 between the
-# modes; that product adds as much as the first.
+# The compression factors its stacks in row blocks and multiplies them in
+# row blocks: 100 rows leave a ragged last block of the 441, and 3 rows are
+# fewer than the 5 products. A cap of 15 values gives the R blocks of 6
+# rows, one more than the 5 products: the 441 rows take 26 levels of
+# stacked Rs, the last block of the first only 3 rows. A cap of 500 gives
+# 100-row blocks at 5 products. The last set splits its second product's
+# scale 1e-14 : 1e14 between the modes; that product adds as much as the
+# first.
 @pytest.mark.parametrize("qr_rows", [3, 100])
 def test_compression_row_blocks_match_dense_oracle(monkeypatch, qr_rows):
     monkeypatch.setattr(quadrature, "_QR_ROWS", qr_rows)
+    monkeypatch.setattr(quadrature, "_QR_VALUES", 5 * qr_rows)
     grid = oracles.two_mode_grid(points=21)
     vac, f1 = _two_mode_factors(grid)
     for prods in (_random_products(grid, 5, seed=qr_rows),
                   _repeated_h_products(grid, RANK2, seed=qr_rows),
                   [(vac, vac), (1e-14 * vac, 1e14 * f1)]):
         _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
+
+
+# The R of a factor basis on stacks of the Rivier bases' sizes, 18 grids
+# of 121 x 199 and 121 x 121 points, with exactly dependent columns: every
+# QR block stays within _QR_VALUES (227 rows), and R^T R is B^T B. The
+# 24079 rows take two levels of stacked Rs: 107 blocks leave 1926 rows, 9
+# blocks 162, and one QR the 18 x 18 R.
+@pytest.mark.parametrize("height, calls", [(24079, 107 + 9 + 1), (14641, 65 + 6 + 1)])
+def test_tall_skinny_r_blocks_stay_within_the_cap(monkeypatch, height, calls):
+    rng = np.random.default_rng(height)
+    columns = rng.standard_normal((18, height))
+    columns[17] = columns[3] - 2.0 * columns[5]
+    columns[16] = columns[0]
+    columns = columns.T
+    shapes = []
+    qr = np.linalg.qr
+
+    def record(block, mode):
+        shapes.append(block.shape)
+        return qr(block, mode=mode)
+
+    monkeypatch.setattr(quadrature.np.linalg, "qr", record)
+    r = quadrature._tall_skinny_r(columns)
+    gram = columns.T @ columns
+    assert r.shape == (18, 18) and len(shapes) == calls
+    assert max(rows * cols for rows, cols in shapes) <= quadrature._QR_VALUES
+    assert np.max(np.abs(r.T @ r - gram)) <= 1e-13 * np.max(np.abs(gram))
 
 
 def _ill_conditioned_products(grid, seed, rank=5):
@@ -226,6 +258,7 @@ def _ill_conditioned_products(grid, seed, rank=5):
 @pytest.mark.parametrize("qr_rows", [3, 100])
 def test_compression_of_ill_conditioned_sets_matches_dense_oracle(monkeypatch, qr_rows):
     monkeypatch.setattr(quadrature, "_QR_ROWS", qr_rows)
+    monkeypatch.setattr(quadrature, "_QR_VALUES", 5 * qr_rows)
     ranks = []
     compress = quadrature._compress
 
