@@ -286,7 +286,7 @@ _FLAGS = {
     "rep": dict(type=_name_list, action="extend", help="representation(s), comma separated"),
     "reps": dict(type=_name_list, action="extend", help="representations, comma separated"),
     "extent": dict(type=float, default=None, help="half-width of the base grid"),
-    "points": dict(type=_positive_int, default=None, help="points per axis of the base grid"),
+    "points": dict(type=_positive_int, default=None, help="points per axis of the base grid, odd"),
     "coeff-convention": dict(choices=["printed", "sqrt"], default="sqrt"),
     "entropy-base": dict(choices=["2", "e"], default="2"),
     "threads": dict(type=_positive_int, default=None,

@@ -4,9 +4,11 @@ An axis with n cells over [lo, hi] places evaluation points at the cell
 centers (k - (n - 1) / 2) * delta, delta = (hi - lo) / n, so that the plain
 midpoint sum (sum of values times cell area) integrates the axis range
 exactly for constants. Every axis is symmetric about 0 (lo == -hi), and
-so are its nodes, bit for bit, with the centre node of an odd count at
-exactly 0: the term tables store one quadrant and fold their sums over
-the mirrors.
+so are its nodes, bit for bit: the term tables store one quadrant and
+fold their sums over the mirrors. A PhaseGrid's axes have odd counts, so
+each has a node at exactly 0 and symmetric even-index nodes, which the
+decimated estimates sum (on an even count every even index has an odd
+mirror, so the estimate missed an integrand even along that axis).
 """
 
 from __future__ import annotations
@@ -78,6 +80,9 @@ class PhaseGrid:
     def __post_init__(self):
         if not 1 <= len(self.modes) <= 2:
             raise DomainError("PhaseGrid supports one or two modes")
+        counts = [axis.n for mode in self.modes for axis in (mode.q, mode.p)]
+        if any(n % 2 == 0 for n in counts):
+            raise DomainError(f"every phase-space axis needs an odd point count, got {counts}")
 
     @property
     def n_modes(self) -> int:

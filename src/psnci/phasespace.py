@@ -167,10 +167,8 @@ def _mode_scales(prims) -> tuple:
 
 
 def _scaled_mode(extent: float, points: int, prims) -> ModeAxes:
-    q_scale, p_scale = _mode_scales(prims)
-    q_axis = Axis(-extent * q_scale, extent * q_scale, int(round(points * q_scale)))
-    p_axis = Axis(-extent * p_scale, extent * p_scale, int(round(points * p_scale)))
-    return ModeAxes(q_axis, p_axis)
+    return ModeAxes(*(Axis(-extent * s, extent * s, points + 2 * round(points * (s - 1.0) / 2.0))
+                      for s in _mode_scales(prims)))
 
 
 def _mode_primitives(state) -> tuple:
@@ -182,8 +180,10 @@ def default_grid(state, *, extent: float = None, points: int = None) -> PhaseGri
     """Default evaluation grid for a state.
 
     Squeezed terms stretch the dilated axis extent by e^|r| with the node
-    spacing kept fixed. The contracted axis is not refined, so a squeezed
-    term's features along it span e^-|r| times as many nodes.
+    spacing kept fixed, adding an even number of nodes: an odd ``points``
+    stays odd, and an even one is rejected by PhaseGrid, never rounded. The
+    contracted axis is not refined, so a squeezed term's features along it
+    span e^-|r| times as many nodes.
     """
     prims = _mode_primitives(state)
     single = len(prims) == 1
@@ -361,18 +361,16 @@ def _kirkwood_pair_grid(prim_i: Primitive, prim_j: Primitive, q, p, phase) -> np
 
 @functools.cache
 def _axis_fold(n: int) -> np.ndarray:
-    """Rows of weights of the evaluated nodes of an n-node axis, its upper
-    half from the middle index on, in the folded sums: 1 for the node; 1 if
-    its mirror image is a node not evaluated (not the middle node of an odd
-    axis); and each of these only where that image's full index is even,
-    for the decimated estimate. Kept per n, read-only: every table sum
-    reads them."""
+    """Rows of weights of the evaluated nodes of an odd n-node axis, its
+    upper half from the middle node on, in the folded sums: 1 for the node;
+    1 for its mirror image, but for the middle node, its own image; and each
+    of these only at even indices, for the decimated estimate (a node and
+    its mirror, n - 1 - index, have the same parity). Kept per n, read-only:
+    every table sum reads them."""
     start = n // 2
     index = np.arange(start, n)
-    mirror = n - 1 - index
-    filled = mirror < start
-    fold = np.array([np.ones(len(index)), filled, index % 2 == 0,
-                     filled & (mirror % 2 == 0)], dtype=float)
+    filled, even = index > start, index % 2 == 0
+    fold = np.array([np.ones(len(index)), filled, even, filled & even], dtype=float)
     fold.setflags(write=False)
     return fold
 

@@ -104,12 +104,11 @@ The columns fold too when the sum states its mode-2 parity: every term
 with non-zero gamma has one parity sign in mode 2 (always so for a
 single pair term), so |f(z1, -z2)| = |f(z1, z2)|. z2 -> -z2 reverses the
 raveled (q2, p2) index, so the first half of the columns is kept,
-doubled exactly, with the centre column of an odd count. The decimated
-pass folds only under the elements that map its even-index points of
-both modes onto themselves: a reversal only of odd-length axes, a
-transpose with no reversal always (on a square grid). So on even-length
-axes a D4 decimated pass folds under the transpose alone, and its
-columns fold only when both mode-2 axes have odd length.
+doubled exactly, with the centre column if the lattice holds the origin.
+Every axis has an odd count (psnci.grids), so its even-index nodes are
+symmetric about 0 too, and the decimated pass folds under the whole
+group and its columns alike; on an axis of n = 3 (mod 4) nodes they miss
+the origin, and the decimated lattice has no centre row or column.
 
 A Husimi total is never integrated here for delta: Q >= 0, so
 int |Q| = int Q, and psnci.indicators.delta_indicator takes delta as 0
@@ -364,8 +363,9 @@ def _orbits(shape: tuple, step: int, group: tuple) -> tuple:
     every row of an orbit has the same sum: one representative per orbit
     (its smallest row number, in increasing order) is summed, weighted by
     the orbit size. Under {1, P} these are the first half of the rows,
-    doubled, then the centre row, if there is one. The orbits depend on
-    nothing else, so they are kept for the life of the process, as
+    doubled, then the centre row where the lattice holds the origin (the
+    even-index nodes of an n = 3 (mod 4) axis miss it). The orbits depend
+    on nothing else, so they are kept for the life of the process, as
     read-only arrays.
     """
     grid_index = np.arange(math.prod(shape)).reshape(shape)[::step, ::step]
@@ -395,9 +395,9 @@ def _weighted_rows(gmat: np.ndarray, rows: np.ndarray, weights: np.ndarray) -> n
 
 def _folded_columns(hmat: np.ndarray) -> np.ndarray:
     """hmat's columns folded under z2 -> -z2, which reverses their order:
-    the first half, doubled, then the centre column of an odd count. Always
-    a new array: a slice of a rank-1 hmat is already contiguous, and
-    doubling it in place would change the caller's hmat."""
+    the first half, doubled, then the centre column if there is one (see
+    _orbits). Always a new array: a slice of a rank-1 hmat is already
+    contiguous, and doubling it in place would change the caller's hmat."""
     half = hmat.shape[1] // 2
     return np.concatenate([2.0 * hmat[:, :half], hmat[:, half:hmat.shape[1] - half]], axis=1)
 
@@ -489,17 +489,10 @@ def abs_4d_with_estimate(products, grid: PhaseGrid, *, threads: int = 1,
         return 0.0, 0.0
     area = mode1.cell_area * mode2.cell_area
     shape1, shape2 = (mode1.q.n, mode1.p.n), (mode2.q.n, mode2.p.n)
-    # The decimated pass folds only under the elements that map the even-index
-    # points of both modes onto themselves: those that reverse only axes of
-    # odd length. It folds its columns only if both mode-2 axes have odd length.
-    group, fold = products.group, products.mode2_parity
-    coarse_group = tuple(e for e in group if all(shape[a] % 2 for shape in (shape1, shape2)
-                                                 for a in e[1]))
-    coarse_orbits, fine_orbits = _orbits(shape1, 2, coarse_group), _orbits(shape1, 1, group)
-    hfine = _folded_columns(hmat) if fold else hmat
-    hcoarse = hmat.reshape(-1, *shape2)[:, ::2, ::2].reshape(len(hmat), -1)
-    if fold and all(n % 2 for n in shape2):
-        hcoarse = _folded_columns(hcoarse)
+    coarse_orbits, fine_orbits = (_orbits(shape1, step, products.group) for step in (2, 1))
+    hfine, hcoarse = hmat, hmat.reshape(-1, *shape2)[:, ::2, ::2].reshape(len(hmat), -1)
+    if products.mode2_parity:
+        hfine, hcoarse = _folded_columns(hfine), _folded_columns(hcoarse)
     if gmat.shape[1] <= 2:
         fine = _closed_abs_sum(_weighted_rows(gmat, *fine_orbits), hfine) * area
         coarse = _closed_abs_sum(_weighted_rows(gmat, *coarse_orbits), hcoarse) * 16.0 * area

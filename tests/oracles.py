@@ -686,11 +686,11 @@ def swapped(state):
     return State(tuple((c, p2, p1) for c, p1, p2 in state.terms))
 
 
-# --- resolution doubling ----------------------------------------------------
+# --- resolution tripling ----------------------------------------------------
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Integral value with a resolution-doubling error estimate."""
+    """Integral value with a resolution-tripling error estimate."""
 
     value: float
     error_estimate: float
@@ -702,8 +702,9 @@ class QuadratureResult:
 
 
 def refine_until(f, grid0, tol, max_levels=6):
-    """Double the per-axis resolution of a single-mode grid until successive
-    midpoint sums agree to tol.
+    """Triple the per-axis resolution of a single-mode grid until successive
+    midpoint sums agree to tol. Each cell splits into three, so an odd
+    count stays odd and every node stays a node.
 
     ``f`` maps a PhaseGrid to a value array on that grid. Raises
     ReferenceQuadratureError (carrying the last two values) on
@@ -725,7 +726,7 @@ def refine_until(f, grid0, tol, max_levels=6):
     prev = midpoint(grid0)
     last_two = (prev, prev)
     for level in range(2, max_levels + 1):
-        cur = midpoint(refined(2 ** (level - 1)))
+        cur = midpoint(refined(3 ** (level - 1)))
         diff = abs(cur - prev)
         last_two = (prev, cur)
         if diff < tol:

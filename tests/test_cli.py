@@ -207,14 +207,16 @@ def test_entropy_command(capsys):
     assert main(["entropy", "--state", squeezed_two_mode]) == 3
 
 
-def test_numeric_failure_exits_3(tmp_path):
+def test_numeric_failure_exits_3(tmp_path, capsys):
     # a grid too small for the state's support is a numerical error
+    # (GridCoverageError), on an odd count that passes the grid's own checks
     state_file = tmp_path / "fock2.json"
     state_file.write_text(
         '{"modes": 1, "terms": [{"amp_re": 1.0, "mode1": {"type": "fock", "n": 2}}]}')
     code = main(["dist", "--state", str(state_file), "--extent", "2",
-                 "--points", "32", "--out", str(tmp_path / "x.csv")])
+                 "--points", "33", "--out", str(tmp_path / "x.csv")])
     assert code == 3
+    assert "the grid does not cover the state's support" in capsys.readouterr().err
 
 
 def test_threads_default_is_cpu_count(capsys):
@@ -224,10 +226,13 @@ def test_threads_default_is_cpu_count(capsys):
 
 
 def test_validate_coarse_grid_fails(capsys):
-    code = main(["validate", "--points", "16", "--rep", "wigner", "--threads", "2"])
+    # 17 points is a valid grid that resolves too little: checks fail on
+    # their values, not on the grid's parity rule
+    code = main(["validate", "--points", "17", "--rep", "wigner", "--threads", "2"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "[FAIL]" in out
+    assert "[FAIL] normalization[fock2,wigner]: integral = " in out
+    assert "odd point count" not in out
 
 
 # fold_vs_unfolded compares the Bell states' D4-folded sums with the same

@@ -9,6 +9,7 @@ from psnci.errors import (
     DomainError,
     UnsupportedStateError,
 )
+from psnci.cli import main
 from psnci.grids import Axis, ModeAxes, PhaseGrid
 from psnci.indicators import (
     delta_indicator,
@@ -169,6 +170,39 @@ def test_delta_squeezing_invariance_single():
     moved = delta_indicator(
         build_term_table(_single(squeezed_fock(1, 0.5)), "wigner")).value
     assert abs(base - moved) < 2e-3
+
+
+# 0.6|0> + 0.8|3, r = 0.4>: (delta, eta) on default_grid(points=2241),
+# 2241 x 3343 nodes, whose own estimates are at most 2.3e-5.
+BLIND_SPOT_STATE = State(((0.6, fock(0)), (0.8, squeezed_fock(3, 0.4))))
+BLIND_SPOT_REFERENCE = {"wigner": (0.7575453169, 0.4468671406),
+                        "rivier": (0.4574093940, 0.4095873663)}
+
+
+@pytest.mark.parametrize("rep", ["wigner", "rivier"])
+def test_estimates_see_every_axis(rep):
+    # The decimated estimate sums the even-index nodes. On an even axis a
+    # node and its mirror have indices of opposite parity, so for an
+    # integrand even along it that sum is exactly half the whole and the
+    # estimate misses the axis: at 280 points the Wigner eta estimate read
+    # 3.1e-16 while eta was 7.4e-5 off (ROADMAP item 19). Odd axes of both
+    # residues mod 4 bound the distance to the reference; an even count is
+    # rejected, not rounded.
+    for points in (279, 281):
+        table = build_term_table(BLIND_SPOT_STATE, rep, default_grid(BLIND_SPOT_STATE,
+                                                                     points=points))
+        results = delta_indicator(table), eta_indicator(table)
+        for result, reference in zip(results, BLIND_SPOT_REFERENCE[rep]):
+            assert result.error_estimate >= abs(result.value - reference)
+    with pytest.raises(DomainError, match="odd point count"):
+        default_grid(BLIND_SPOT_STATE, points=280)
+
+
+def test_even_points_exit_3_naming_the_odd_rule(capsys):
+    state = ('{"modes": 1, "terms": [{"amp_re": 0.6, "mode1": {"type": "fock", "n": 0}}, '
+             '{"amp_re": 0.8, "mode1": {"type": "squeezed", "n": 3, "r": 0.4}}]}')
+    assert main(["indicator", "--state", state, "--rep", "wigner", "--points", "280"]) == 3
+    assert "odd point count" in capsys.readouterr().err
 
 
 def test_eta_vacuum_zero():

@@ -515,10 +515,11 @@ QUADRANT_PRIMS = [
     (squeezed_fock(0, -0.5), fock(2)),
     (squeezed_fock(1, 0.8), squeezed_fock(0, -0.4)),
 ]
-# Axes of even and odd length.
+# Unequal q and p axes, odd as every phase-space axis is, of both residues
+# mod 4: the even-index nodes of an n = 3 (mod 4) axis miss the origin.
 QUADRANT_MODES = {
-    "even-odd": ModeAxes(Axis(-5.0, 5.0, 32), Axis(-6.0, 6.0, 33)),
-    "odd-even": ModeAxes(Axis(-5.0, 5.0, 33), Axis(-6.0, 6.0, 34)),
+    "33-35": ModeAxes(Axis(-5.0, 5.0, 33), Axis(-6.0, 6.0, 35)),
+    "35-33": ModeAxes(Axis(-5.0, 5.0, 35), Axis(-6.0, 6.0, 33)),
 }
 
 
@@ -571,7 +572,7 @@ def _kernel_floor(rep, prim_i, prim_j, p_max):
 @pytest.mark.parametrize("pairs", BOX_PAIRS.values(), ids=BOX_PAIRS.keys())
 @pytest.mark.parametrize("rep", list(Representation))
 def test_pair_boxes_cut_only_negligible_entries(rep, pairs):
-    # the whole quadrant, by the same evaluator, on axes of 81 x 80 nodes
+    # the whole quadrant, by the same evaluator, on axes of 81 x 79 nodes
     # that reach 1.3 times past the box rule: past the box within _BOX_EPS
     # of the pair's peak, inside it the boxed values to 1e-13 of the peak,
     # each up to the kernel quadrature's rounding (_kernel_floor)
@@ -579,9 +580,9 @@ def test_pair_boxes_cut_only_negligible_entries(rep, pairs):
         pairs = pairs[::3]  # the kernel quadrature is the slow evaluator
     for prim_i, prim_j in pairs:
         q_reach, p_reach = (1.3 * x for x in _box_reach(rep, prim_i, prim_j))
-        mode = ModeAxes(Axis(-q_reach, q_reach, 81), Axis(-p_reach, p_reach, 80))
+        mode = ModeAxes(Axis(-q_reach, q_reach, 81), Axis(-p_reach, p_reach, 79))
         half = ModeAxes(_Nodes(mode.q.centers[40:], mode.q.delta),
-                        _Nodes(mode.p.centers[40:], mode.p.delta))
+                        _Nodes(mode.p.centers[39:], mode.p.delta))
         cross = _build_cross_maps(rep, (prim_i, prim_j), mode)[0]
         prims = (prim_i, prim_j)
         for i, j in [(0, 1), (1, 0)] if rep is Representation.RIVIER else [(0, 1)]:
@@ -676,7 +677,7 @@ def test_folded_sums_equal_whole_grid_sums(rep, prims, mode, amplitudes):
         assert abs(estimate - want_estimate) <= 1e-13 * want
 
 
-@pytest.mark.parametrize("n", [16, 17, 281])
+@pytest.mark.parametrize("n", [17, 19, 281])
 def test_axis_folds_are_kept_read_only(n):
     fold = phasespace._axis_fold(n)
     assert phasespace._axis_fold(n) is fold
@@ -746,7 +747,7 @@ def test_two_mode_table_mirrors_each_grid_once(monkeypatch, rep):
 def test_two_mode_table_holds_only_its_quadrants(rep):
     # the whole grids a factor basis is built from are dropped with it:
     # every stored grid stays the quadrant array it was built as
-    axes = ModeAxes(Axis(-6.0, 6.0, 41), Axis(-6.0, 6.0, 40))
+    axes = ModeAxes(Axis(-6.0, 6.0, 41), Axis(-6.0, 6.0, 39))
     state = State(((0.6, squeezed_fock(1, 0.3), fock(2)), (0.8j, fock(0), fock(1))))
     table = build_term_table(normalize(state), rep, PhaseGrid((axes, axes)))
     built = [dict(stored) for stored in table._cross]
@@ -932,8 +933,8 @@ def test_husimi_diagonal_floor():
 
 def test_grid_coverage_error():
     st = State(((1.0, fock(2)),))
-    with pytest.raises(GridCoverageError):
-        build_term_table(st, "wigner", oracles.single_grid(extent=2.0, points=64))
+    with pytest.raises(GridCoverageError, match="does not cover"):
+        build_term_table(st, "wigner", oracles.single_grid(extent=2.0, points=65))
 
 
 def test_unnormalized_state_rejected():
@@ -960,3 +961,30 @@ def test_default_grid_autoscaling():
     st_neg = State(((1.0, squeezed_fock(0, -1.0)),))
     mode_neg = default_grid(st_neg).mode(0)
     assert mode_neg.q.hi == pytest.approx(7.0 * math.e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(half=st.integers(8, 2000),
+       squeezings=st.lists(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3),
+                           min_size=1, max_size=2))
+def test_default_grid_axes_stay_odd(half, squeezings):
+    # each term k holds |k, r> in every mode, r drawn per mode; a stretched
+    # axis adds an even number of nodes to an odd ``points``, the nearest
+    # such count to points e^|r|, so every axis keeps a node at 0
+    points = 2 * half + 1
+    terms = tuple((1.0, *(squeezed_fock(k, rs[k % len(rs)]) for rs in squeezings))
+                  for k in range(max(map(len, squeezings))))
+    grid = default_grid(State(terms), points=points)
+    extent = 7.0 if len(squeezings) == 1 else 6.0
+    for mode in grid.modes:
+        for axis in (mode.q, mode.p):
+            assert axis.n % 2 == 1
+            assert abs(axis.n - points * axis.hi / extent) <= 1.0 + 1e-9 * axis.n
+
+
+@pytest.mark.parametrize("family", [squeezed_vacuum_superposition, squeezed_excited_superposition])
+def test_sweep_r_grids_at_r_1_and_2(family):
+    # 281 e^1 = 763.8 and 281 e^2 = 2076.3 round to the odd 763 and 2077
+    for r, p_nodes in ((1.0, 763), (2.0, 2077)):
+        mode = default_grid(family(0.5, r)).mode(0)
+        assert (mode.q.n, mode.p.n) == (281, p_nodes)

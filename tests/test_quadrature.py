@@ -30,8 +30,8 @@ def _grid_values(grid, f):
 
 
 def test_integrate_constant_is_exact_area():
-    grid = oracles.single_grid(extent=1.0, points=16)
-    ones = np.ones((16, 16))
+    grid = oracles.single_grid(extent=1.0, points=17)
+    ones = np.ones((17, 17))
     assert_allclose(oracles.integrate_2d(ones, grid), 4.0, atol=1e-12)
 
 
@@ -50,13 +50,13 @@ def test_integrate_abs_fock1_wigner():
 
 
 def test_integrate_shape_mismatch():
-    grid = oracles.single_grid(points=32)
+    grid = oracles.single_grid(points=33)
     with pytest.raises(DomainError):
         oracles.integrate_2d(np.ones((3, 3)), grid)
 
 
 def test_refine_until_gaussian_converges_fast():
-    grid0 = oracles.single_grid(extent=7.0, points=64)
+    grid0 = oracles.single_grid(extent=7.0, points=65)
 
     def f(grid):
         return _grid_values(grid, lambda q, p: np.exp(-q * q - p * p) / math.pi)
@@ -67,7 +67,7 @@ def test_refine_until_gaussian_converges_fast():
 
 
 def test_refine_until_kinked_integrand():
-    grid0 = oracles.single_grid(extent=7.0, points=64)
+    grid0 = oracles.single_grid(extent=7.0, points=65)
 
     def f(grid):
         return _grid_values(
@@ -79,7 +79,7 @@ def test_refine_until_kinked_integrand():
 
 
 def test_refine_until_nonconvergence():
-    grid0 = oracles.single_grid(extent=7.0, points=32)
+    grid0 = oracles.single_grid(extent=7.0, points=33)
 
     def f(grid):
         return _grid_values(
@@ -92,7 +92,7 @@ def test_refine_until_nonconvergence():
 
 
 def test_refine_until_precondition():
-    grid0 = oracles.single_grid(points=32)
+    grid0 = oracles.single_grid(points=33)
     with pytest.raises(DomainError):
         oracles.refine_until(lambda g: None, grid0, tol=1e-6, max_levels=7)
     with pytest.raises(DomainError):
@@ -325,16 +325,16 @@ ROWS = ((0.0, 0.0), (-0.0, -0.0), (1.0, -1.0), (-2.0, 2.0), (0.0, 1.0), (1.0, 3.
 
 @settings(max_examples=40, deadline=None)
 @given(rank=st.integers(1, 2),
-       cols=st.lists(st.sampled_from(COLUMNS), min_size=256, max_size=256),
-       rows=st.lists(st.sampled_from(ROWS), min_size=256, max_size=256))
+       cols=st.lists(st.sampled_from(COLUMNS), min_size=289, max_size=289),
+       rows=st.lists(st.sampled_from(ROWS), min_size=289, max_size=289))
 def test_closed_form_matches_dense_oracle_on_awkward_geometry(rank, cols, rows):
-    grid = oracles.two_mode_grid(points=16)
+    grid = oracles.two_mode_grid(points=17)
     hmat = np.array([(2.0, 1.0)] + cols[1:]).T[:rank]
     gmat = np.array([(1.0, 3.0)] + rows[1:])[:, :rank]
-    prods = [(g.reshape(16, 16), h.reshape(16, 16)) for g, h in zip(gmat.T, hmat)]
+    prods = [(g.reshape(17, 17), h.reshape(17, 17)) for g, h in zip(gmat.T, hmat)]
     fine, even = oracles.dense_abs_4d_sums(prods)
-    geven = gmat.reshape(16, 16, rank)[::2, ::2].reshape(-1, rank)
-    heven = hmat.reshape(rank, 16, 16)[:, ::2, ::2].reshape(rank, -1)
+    geven = gmat.reshape(17, 17, rank)[::2, ::2].reshape(-1, rank)
+    heven = hmat.reshape(rank, 17, 17)[:, ::2, ::2].reshape(rank, -1)
     assert quadrature._closed_abs_sum(gmat, hmat) == fine
     assert quadrature._closed_abs_sum(geven, heven) == even
     _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
@@ -426,7 +426,7 @@ def test_term_table_passes_match_dense_oracle(monkeypatch, rep):
 # size of a generic row's orbit: 4 under C4 = {1, R, P, R^3}, which
 # |0,1> + |1,0> has as every term holds one photon, 2 under {1, P}, 1
 # unfolded.
-@pytest.mark.parametrize("points", [21, 20])
+@pytest.mark.parametrize("points", [21, 19])
 @pytest.mark.parametrize("terms, keys, orbit, columns", [
     pytest.param(((0, 1), (1, 0)), None, 4, False, id="even-total"),
     pytest.param(((0, 0), (1, 2)), [(0, 1)], 2, True, id="odd-pair"),
@@ -440,22 +440,21 @@ def test_folded_passes_match_dense_oracle(monkeypatch, terms, keys, orbit, colum
     calls, weights = _recorded_passes(monkeypatch), _recorded_weights(monkeypatch)
     _assert_matches_dense(abs_4d_with_estimate(prods, grid, threads=2), prods, grid)
     n1, n2 = grid.mode(0).n_points, grid.mode(1).n_points
-    # The decimated pass runs first. Even points per axis: no centre row,
-    # and the decimated points (even indices) are not closed under
-    # reversal or R, so that pass is whole. The odd pair is zero on the centre
-    # row, which the support cut drops from the fine pass at no cost. Folded
-    # columns are the first half and the centre; the decimated ones fold
-    # only on odd axes.
+    # The decimated pass runs first, whole. Its points (even indices) hold
+    # the centre row only at 21 points per axis; at 19 = 3 (mod 4) they
+    # miss it. The odd pair is zero on the centre row, which the support
+    # cut drops from the fine pass at no cost. Folded columns are the first
+    # half and the centre, where there is one.
     even = ((points + 1) // 2) ** 2
-    even_cols = (even + 1) // 2 if columns and points % 2 else even
+    even_cols = (even + 1) // 2 if columns else even
     n2 = (n2 + 1) // 2 if columns else n2
     if orbit == 1:
         expected = [({1: even}, even_cols), ({1: n1}, n2)]
-    elif points % 2:
-        centre = {} if keys else {1: 1}
-        expected = [({orbit: even // orbit, 1: 1}, even_cols), ({orbit: n1 // orbit, **centre}, n2)]
     else:
-        expected = [({1: even}, even_cols), ({orbit: n1 // orbit}, n2)]
+        origin = {1: 1} if even % 2 else {}
+        centre = {} if keys else {1: 1}
+        expected = [({orbit: even // orbit, **origin}, even_cols),
+                    ({orbit: n1 // orbit, **centre}, n2)]
     assert (calls, weights) == _passes(expected)
 
 
@@ -628,35 +627,34 @@ STATED = {"none": (False, False, False, False), "P": (True, False, False, False)
 # ({orbit weight: number of rows}, columns) of the decimated pass, then of
 # the fine pass, per group and points per axis: one _abs_sum call each,
 # a row per orbit. Nothing on these random factors is small enough for
-# the support cut. A 21-point axis has a centre, so rows on a mirror line
-# count once; the 11 x 11 decimated grid folds the same way. A 20-point
-# axis has no centre, and its decimated points (even indices) are not
-# closed under any reversal, nor under R, but are under the transpose
-# (q, p) -> (p, q). Under C4 every row but the centre counts 4; under D4
-# rows count 8, and 4 on the axes and the diagonals, which a transpose
-# maps onto themselves.
+# the support cut. Every axis has a centre, so rows on a mirror line count
+# once. The decimated points (even indices) of a 21-point axis, 11 x 11,
+# hold the centre and fold the same way. Those of a 19-point axis, 10 x 10,
+# are symmetric too but miss the centre and the axes: every decimated row
+# counts the order of the group, but under D4 the rows on the diagonals,
+# which a transpose maps onto themselves, count 4.
 FOLD_CALLS = {
-    "none": {21: [({1: 121}, 121), ({1: 441}, 441)], 20: [({1: 100}, 100), ({1: 400}, 400)]},
+    "none": {21: [({1: 121}, 121), ({1: 441}, 441)], 19: [({1: 100}, 100), ({1: 361}, 361)]},
     "P": {21: [({2: 60, 1: 1}, 121), ({2: 220, 1: 1}, 441)],
-          20: [({1: 100}, 100), ({2: 200}, 400)]},
+          19: [({2: 50}, 100), ({2: 180, 1: 1}, 361)]},
     "T": {21: [({2: 55, 1: 11}, 121), ({2: 210, 1: 21}, 441)],
-          20: [({1: 100}, 100), ({2: 200}, 400)]},
+          19: [({2: 50}, 100), ({2: 171, 1: 19}, 361)]},
     "PT": {21: [({2: 55, 1: 11}, 121), ({2: 210, 1: 21}, 441)],
-           20: [({1: 100}, 100), ({2: 200}, 400)]},
+           19: [({2: 50}, 100), ({2: 171, 1: 19}, 361)]},
     "full": {21: [({4: 25, 2: 10, 1: 1}, 121), ({4: 100, 2: 20, 1: 1}, 441)],
-             20: [({1: 100}, 100), ({4: 100}, 400)]},
+             19: [({4: 25}, 100), ({4: 81, 2: 18, 1: 1}, 361)]},
     "C4": {21: [({4: 30, 1: 1}, 121), ({4: 110, 1: 1}, 441)],
-           20: [({1: 100}, 100), ({4: 100}, 400)]},
+           19: [({4: 25}, 100), ({4: 90, 1: 1}, 361)]},
     "D4": {21: [({8: 10, 4: 10, 1: 1}, 121), ({8: 45, 4: 20, 1: 1}, 441)],
-           20: [({2: 45, 1: 10}, 100), ({8: 45, 4: 10}, 400)]},
+           19: [({8: 10, 4: 5}, 100), ({8: 36, 4: 18, 1: 1}, 361)]},
     # T with the columns folded under z2 -> -z2: the first half and the
-    # centre, in the decimated pass only on odd axes.
+    # centre, where there is one.
     "T-columns": {21: [({2: 55, 1: 11}, 61), ({2: 210, 1: 21}, 221)],
-                  20: [({1: 100}, 100), ({2: 200}, 200)]},
+                  19: [({2: 50}, 50), ({2: 171, 1: 19}, 181)]},
 }
 
 
-@pytest.mark.parametrize("points", [21, 20])
+@pytest.mark.parametrize("points", [21, 19])
 @pytest.mark.parametrize("group", list(MIRROR_SETS))
 def test_group_fold_matches_dense_oracle(monkeypatch, group, points):
     grid = oracles.two_mode_grid(points=points)
@@ -675,14 +673,14 @@ PRUNED_FINE_CALLS = {
     ("wigner", "D4", 21): ({8: 40, 4: 18, 1: 1}, 385),
     ("husimi", "C4", 21): ({4: 99, 1: 1}, 381),
     ("husimi", "D4", 21): ({8: 40, 4: 18, 1: 1}, 385),
-    ("wigner", "C4", 20): ({4: 88}, 350),
-    ("wigner", "D4", 20): ({8: 40, 4: 8}, 352),
-    ("husimi", "C4", 20): ({4: 88}, 349),
-    ("husimi", "D4", 20): ({8: 40, 4: 8}, 350),
+    ("wigner", "C4", 19): ({4: 80, 1: 1}, 313),
+    ("wigner", "D4", 19): ({8: 32, 4: 16, 1: 1}, 313),
+    ("husimi", "C4", 19): ({4: 80, 1: 1}, 313),
+    ("husimi", "D4", 19): ({8: 32, 4: 16, 1: 1}, 313),
     ("wigner", "T-columns", 21): ({2: 182, 1: 21}, 201),
     ("husimi", "T-columns", 21): ({2: 182, 1: 21}, 199),
-    ("wigner", "T-columns", 20): ({2: 176}, 180),
-    ("husimi", "T-columns", 20): ({2: 176}, 180),
+    ("wigner", "T-columns", 19): ({2: 155, 1: 19}, 163),
+    ("husimi", "T-columns", 19): ({2: 151, 1: 19}, 161),
 }
 
 
@@ -709,7 +707,7 @@ def _total_table(rep, terms, amps, points):
     return build_term_table(state, rep, grid), grid
 
 
-@pytest.mark.parametrize("points", [21, 20])
+@pytest.mark.parametrize("points", [21, 19])
 @pytest.mark.parametrize("terms, amps, group", STATE_TOTALS)
 @pytest.mark.parametrize("rep", ["wigner", "husimi", "rivier"])
 def test_state_totals_fold_under_their_group(monkeypatch, rep, terms, amps, group, points):
@@ -808,7 +806,7 @@ def _assert_cut_within_budget(recorded, table, grid, keys, streamed):
         assert total + dropped >= fine * (1.0 - 1e-12)
 
 
-@pytest.mark.parametrize("points", [21, 20])
+@pytest.mark.parametrize("points", [21, 19])
 @pytest.mark.parametrize("terms, amps, group", STATE_TOTALS)
 @pytest.mark.parametrize("rep", ["wigner", "husimi"])
 def test_pruned_totals_drop_within_the_cut_budget(monkeypatch, rep, terms, amps, group, points):
@@ -828,25 +826,25 @@ def test_no_rotation_passes_drop_within_the_cut_budget(monkeypatch, name, rep):
 
 # Products whose mode-2 factors share one parity, even or odd, state it and
 # fold their columns under z2 -> -z2: the first half, doubled, and the
-# centre of an odd count; the decimated pass folds its columns only on odd
-# axes. An odd h is zero on the centre column, which the support cut drops
+# centre, where there is one (the decimated points of a 19-point axis miss
+# it). An odd h is zero on the centre column, which the support cut drops
 # from the fine pass. A set with mixed mode-2 parities states nothing and
 # streams every column. ({orbit weight: number of rows}, columns) of the
 # decimated then the fine pass, per points per axis.
 MODE2_SETS = {
     "even": (((1, 1), (-1, 1), (1, 1), (-1, 1)), "none", True,
-             {21: [({1: 121}, 61), ({1: 441}, 221)], 20: [({1: 100}, 100), ({1: 400}, 200)]}),
+             {21: [({1: 121}, 61), ({1: 441}, 221)], 19: [({1: 100}, 50), ({1: 361}, 181)]}),
     "odd": (((1, -1), (-1, -1), (1, -1), (-1, -1)), "none", True,
-            {21: [({1: 121}, 61), ({1: 441}, 220)], 20: [({1: 100}, 100), ({1: 400}, 200)]}),
+            {21: [({1: 121}, 61), ({1: 441}, 220)], 19: [({1: 100}, 50), ({1: 361}, 180)]}),
     "P-even": (((1, 1),) * 4, "P", True,
                {21: [({2: 60, 1: 1}, 61), ({2: 220, 1: 1}, 221)],
-                20: [({1: 100}, 100), ({2: 200}, 200)]}),
+                19: [({2: 50}, 50), ({2: 180, 1: 1}, 181)]}),
     "mixed": (((1, 1), (1, -1), (-1, 1), (-1, -1)), "none", False,
-              {21: [({1: 121}, 121), ({1: 441}, 441)], 20: [({1: 100}, 100), ({1: 400}, 400)]}),
+              {21: [({1: 121}, 121), ({1: 441}, 441)], 19: [({1: 100}, 100), ({1: 361}, 361)]}),
 }
 
 
-@pytest.mark.parametrize("points", [21, 20])
+@pytest.mark.parametrize("points", [21, 19])
 @pytest.mark.parametrize("name", list(MODE2_SETS))
 def test_mode2_column_fold_matches_dense_oracle(monkeypatch, name, points):
     signs, group, mode2, shapes = MODE2_SETS[name]
@@ -875,14 +873,14 @@ def _recorded_closed(monkeypatch):
 # At rank <= 2 the closed form takes the same folds: one row per orbit,
 # scaled by the orbit size, and the folded columns. (rows, columns) of the
 # fine then the decimated call, per points per axis.
-@pytest.mark.parametrize("points", [21, 20])
+@pytest.mark.parametrize("points", [21, 19])
 @pytest.mark.parametrize("signs, group, mode2, shapes", [
     pytest.param(((1, 1), (1, 1)), "P", True,
-                 {21: [(221, 221), (61, 61)], 20: [(200, 200), (100, 100)]}, id="P-even"),
+                 {21: [(221, 221), (61, 61)], 19: [(181, 181), (50, 50)]}, id="P-even"),
     pytest.param(((1, 1), (-1, 1)), "none", True,
-                 {21: [(441, 221), (121, 61)], 20: [(400, 200), (100, 100)]}, id="even"),
+                 {21: [(441, 221), (121, 61)], 19: [(361, 181), (100, 50)]}, id="even"),
     pytest.param(((1, 1), (1, -1)), "none", False,
-                 {21: [(441, 441), (121, 121)], 20: [(400, 400), (100, 100)]}, id="mixed"),
+                 {21: [(441, 441), (121, 121)], 19: [(361, 361), (100, 100)]}, id="mixed"),
 ])
 def test_closed_form_folds_rows_and_columns(monkeypatch, signs, group, mode2, shapes, points):
     monkeypatch.setattr(quadrature, "_abs_sum", _no_stream)
@@ -983,8 +981,9 @@ def _gamma_noise(table, keys):
 # ones the factor grids show when each is compared with its mirror images,
 # and R the one the dense 4D array shows (oracles.symmetry_vote, with the
 # table's rule for a gamma that is real or imaginary up to rounding), on
-# axes with and without a centre node. A key set whose products all vanish
-# (a zeroed term's diagonal) has no voter and is left out. R maps |n, r>
+# axes whose decimated nodes hold the centre (41) and miss it (39). A key
+# set whose products all vanish (a zeroed term's diagonal) has no voter
+# and is left out. R maps |n, r>
 # onto |n, -r> up to a phase, so squeezed terms that pair up under r -> -r,
 # such as |0, r>|0> + |0, -r>|0>, can make f even under R; the rule states
 # R only for unsqueezed primitives, so where squeezed terms take part the
@@ -996,10 +995,10 @@ def _gamma_noise(table, keys):
 # that counted the real part measured {1}.
 @settings(max_examples=60, deadline=None)
 @given(case=two_mode_cases(), rep=st.sampled_from(["wigner", "husimi", "rivier"]),
-       points=st.sampled_from([40, 41]))
+       points=st.sampled_from([39, 41]))
 @example(case=(normalize(State(((0.832, fock(0), fock(0)),
                                 (7.39e-14 + 0.5547j, fock(0), fock(1))))), None),
-         rep="wigner", points=40)
+         rep="wigner", points=41)
 def test_stated_group_is_the_measured_one(case, rep, points):
     table = _case_table(case, rep, points)
     for keys in _key_sets(table):
@@ -1250,7 +1249,7 @@ def test_narrow_passes_take_taller_tiles(monkeypatch, make, blocks):
 @pytest.mark.parametrize("shape, step, group", [
     pytest.param(shape, step, group, id=f"{group}-{step}-shape{i}")
     for group in ("none", "P", "T", "full", "C4", "D4") for step in (1, 2)
-    for i, shape in enumerate([(21, 21), (20, 20), (21, 19)])
+    for i, shape in enumerate([(21, 21), (19, 19), (21, 19)])
     if shape[0] == shape[1] or not STATED[group][3]])
 def test_orbits_are_kept_read_only(shape, step, group):
     unit = np.ones((2, 2))
@@ -1274,9 +1273,9 @@ def _mode(nq, np_, extent_q=6.0, extent_p=6.0):
     return ModeAxes(Axis(-extent_q, extent_q, nq), Axis(-extent_p, extent_p, np_))
 
 
-# A stretched grid: q spans +-7 on 21 nodes and p +-5 on 20 in both modes,
-# as squeezing stretches a default grid, with one odd and one even axis.
-STRETCHED = PhaseGrid((_mode(21, 20, 7.0, 5.0),) * 2)
+# A stretched grid: q spans +-7 on 21 nodes and p +-5 on 19 in both modes,
+# as squeezing stretches a default grid, with unequal q and p axes.
+STRETCHED = PhaseGrid((_mode(21, 19, 7.0, 5.0),) * 2)
 
 
 # Each pass sums one weighted row per orbit, so its weights add up to the
@@ -1286,7 +1285,7 @@ STRETCHED = PhaseGrid((_mode(21, 20, 7.0, 5.0),) * 2)
 @pytest.mark.parametrize("group, grid", [
     pytest.param(group, grid, id=f"{group}-{name}") for group in MIRROR_SETS
     for name, grid in (("21", oracles.two_mode_grid(points=21)),
-                       ("20", oracles.two_mode_grid(points=20)), ("stretched", STRETCHED))
+                       ("19", oracles.two_mode_grid(points=19)), ("stretched", STRETCHED))
     if name != "stretched" or not STATED[group][3]])
 def test_orbit_weights_sum_to_the_pass_points(monkeypatch, group, grid):
     mode = grid.mode(0)
@@ -1311,16 +1310,16 @@ def _even_points(mode):
     return np.logical_and.outer(np.arange(mode.q.n) % 2 == 0, np.arange(mode.p.n) % 2 == 0)
 
 
-# The decimated pass keeps a _D4 element when every axis it reverses has
-# odd length in both modes, and folds its columns when both mode-2 axes
-# have odd length. The reference is the rule that rule replaced: an element
-# is kept when its image of each mode's even-index mask is that mask, and
-# the columns fold when P maps mode 2's mask onto itself. Swaps are stated
+# Every axis has odd length, so the decimated pass folds under the whole
+# stated group and folds its columns, on axes of both residues mod 4 (the
+# even-index nodes of 19 miss the centre). The reference: an element is
+# kept when its image of each mode's even-index mask is that mask, and the
+# columns fold when P maps mode 2's mask onto itself. Swaps are stated
 # only on square grids with equal axes, so sets with R have square modes;
 # the others state {1, P, T, PT}.
 @pytest.mark.parametrize("shape1, shape2", [
-    ((21, 21), (21, 21)), ((20, 20), (20, 20)), ((21, 21), (20, 20)), ((20, 20), (21, 21)),
-    ((21, 20), (21, 21)), ((20, 21), (21, 20)), ((21, 21), (20, 21)), ((20, 20), (21, 20)),
+    ((21, 21), (21, 21)), ((19, 19), (19, 19)), ((21, 21), (19, 19)), ((19, 19), (21, 21)),
+    ((21, 19), (21, 21)), ((19, 21), (21, 19)), ((21, 21), (19, 21)), ((19, 19), (21, 19)),
 ])
 def test_decimated_fold_keeps_the_elements_that_map_even_points_onto_themselves(
         monkeypatch, shape1, shape2):
@@ -1342,10 +1341,10 @@ def test_decimated_fold_keeps_the_elements_that_map_even_points_onto_themselves(
     assert len(stated.group) == (8 if square else 4)
     expected = tuple(e for e in stated.group
                      if all(np.array_equal(quadrature._image(m, e), m) for m in masks))
-    assert groups == [expected, stated.group]
+    assert groups == [expected, stated.group] and expected == stated.group
     even = int(np.sum(masks[1]))
-    folds = np.array_equal(quadrature._image(masks[1], quadrature._D4[1]), masks[1])
-    assert calls[0][1] == ((even + 1) // 2 if folds else even)
+    assert np.array_equal(quadrature._image(masks[1], quadrature._D4[1]), masks[1])
+    assert calls[0][1] == (even + 1) // 2
 
 
 def test_kept_pools_serve_concurrent_callers():
